@@ -128,7 +128,7 @@ def array_roots_identical(circuit1, circuit2):
 
 
 def stimuli_digest_identical(circuit1, circuit2):
-    """Batched and per-stimulus simulation consume the same stimuli."""
+    """The object and array engines consume the same stimuli."""
     digests = []
     for array_dd in (False, True):
         config = Configuration(
@@ -201,7 +201,7 @@ def main() -> int:
                 circuit1, circuit2
             )
             assert case["stimuli_digest_identical"], (
-                f"{name}: batched stimuli diverged from per-stimulus loop"
+                f"{name}: array-engine stimuli diverged from the object engine"
             )
         array_cases.append(case)
         print(

@@ -39,9 +39,11 @@ def main() -> None:
         )
         dd = AlternatingChecker(original, compiled, config).run()
         trace = dd.statistics["dd_size_trace"]
+        active = dd.statistics["active_qubits"]
         print(f"  DD : {dd.equivalence.value:32} {dd.time:6.2f}s  "
               f"max intermediate DD size = {dd.statistics['max_dd_size']} "
-              f"nodes (identity would be {compiled.num_qubits})")
+              f"nodes (identity = {active} nodes on the {active} of "
+              f"{compiled.num_qubits} wires the pair touches)")
         sparkline = "".join(
             " .:-=+*#%@"[min(9, size * 10 // (max(trace) + 1))]
             for size in trace[:: max(1, len(trace) // 60)]

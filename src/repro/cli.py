@@ -135,6 +135,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"{result.equivalence.value}  [{result.strategy}]  {result.time:.3f}s")
     if args.verbose:
         _print_statistics(result.statistics)
+        active = result.statistics.get("active_qubits")
+        if active is not None:
+            width = max(circuit1.num_qubits, circuit2.num_qubits)
+            print(f"  checked {active} of {width} wires")
     if result.considered_equivalent:
         return 0
     if result.equivalence is Equivalence.NOT_EQUIVALENT:

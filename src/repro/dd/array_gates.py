@@ -4,10 +4,10 @@ The gate *builders* in :mod:`repro.dd.gates` are engine-polymorphic: they
 only touch the package method surface (``layered_kron``, ``identity``,
 ``add``, ``make_matrix_node``, the ``apply_gate_*`` kernels), which the
 array engine (:mod:`repro.dd.array_package`) implements over packed
-integer edges.  What the array engine adds on top is *batching*: the
-simulation checker propagates all ``num_simulations`` random stimuli as a
-matrix of column states and applies each gate to every column in one
-pass.
+integer edges.  What this module adds on top is *batching*: the
+simulation checker propagates each batch of random stimuli as a matrix of
+column states and applies each gate to every column in one pass, on
+either engine.
 
 Batching amortizes the per-gate fixed costs across the batch width — the
 gate-DD cache fetch happens once per gate instead of once per (gate,
@@ -15,18 +15,12 @@ stimulus), and because all columns live in one package, compute-table
 entries populated by the first column are hits for every later column
 that shares sub-structure with it (classical stimuli share almost
 everything below the flipped qubits).
-
-Semantics note: a batched pass always simulates every stimulus to
-completion before fidelities are compared, so there is no per-stimulus
-early exit mid-circuit; the verdict is unchanged (see
-``Configuration.array_dd``).
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gate import Operation
 from repro.dd.gates import compact_operation_dd, operation_dd
 
@@ -51,25 +45,3 @@ def apply_operation_columns(
         gate = operation_dd(pkg, op, num_qubits)
         apply = pkg.multiply_matrix_vector
     return [apply(gate, column) for column in columns]
-
-
-def simulate_circuit_columns(
-    pkg,
-    circuit: QuantumCircuit,
-    columns: Sequence[int],
-    direct: bool = True,
-    deadline_check=None,
-) -> List[int]:
-    """Run a circuit over all columns, one batched pass per gate.
-
-    ``deadline_check`` (optional nullary callable) is invoked once per
-    gate so cooperative timeouts keep their per-gate granularity.
-    """
-    current = list(columns)
-    for op in circuit:
-        if deadline_check is not None:
-            deadline_check()
-        current = apply_operation_columns(
-            pkg, current, op, circuit.num_qubits, direct=direct
-        )
-    return current

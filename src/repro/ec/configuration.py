@@ -67,14 +67,13 @@ class Configuration:
             ablation benchmarks (CLI ``--legacy-zx-simp``).
         array_dd: Use the array-native DD engine
             (:mod:`repro.dd.array_package`: struct-of-arrays node store,
-            packed integer edges, id-keyed weight arithmetic) and, for
-            the simulation strategy, batch all stimuli as one
-            matrix-of-columns pass per gate.  ``False`` selects the
-            legacy object engine (:mod:`repro.dd.package`) with
-            per-stimulus simulation — kept for A/B ablation benchmarks
-            and engine-agreement tests (CLI ``--legacy-dd``).  Note the
-            batched simulation always runs every stimulus to completion
-            (no early exit mid-batch); the verdict is unchanged.
+            packed integer edges, id-keyed weight arithmetic).  ``False``
+            selects the legacy object engine (:mod:`repro.dd.package`)
+            — kept for A/B ablation benchmarks and engine-agreement
+            tests (CLI ``--legacy-dd``).  Both engines run the same
+            simulation loop (growing stimulus batches that stop at the
+            first mismatch), so verdicts, ``simulations_run`` and
+            ``stimuli_digest`` agree across them.
         graceful_degradation: Catch checker failures inside
             :meth:`EquivalenceCheckingManager.run` and degrade them into
             a ``NO_INFORMATION`` result carrying a structured

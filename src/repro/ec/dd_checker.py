@@ -37,7 +37,7 @@ from repro.dd.gates import (
 )
 from repro.dd.package import DDPackage
 from repro.ec.configuration import Configuration
-from repro.ec.permutations import to_logical_form
+from repro.ec.permutations import active_width, to_logical_form
 from repro.ec.results import (
     Equivalence,
     EquivalenceCheckingResult,
@@ -92,7 +92,6 @@ class ConstructionChecker:
     ) -> None:
         self.configuration = configuration or Configuration()
         num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
-        self.num_qubits = num_qubits
         self.logical1, _ = to_logical_form(
             circuit1,
             num_qubits,
@@ -105,6 +104,9 @@ class ConstructionChecker:
             self.configuration.elide_permutations,
             self.configuration.reconstruct_swaps,
         )
+        # The DD is built on the active register only: wires above it are
+        # the identity in both circuits.
+        self.num_qubits = active_width(self.logical1, self.logical2)
         self.package = make_package(self.configuration)
 
     def run(self, deadline: Optional[float] = None) -> EquivalenceCheckingResult:
@@ -153,6 +155,7 @@ class ConstructionChecker:
             "dd_size_1": pkg.matrix_dd_size(first),
             "dd_size_2": pkg.matrix_dd_size(second),
             "unique_nodes": pkg.num_unique_matrix_nodes(),
+            "active_qubits": self.num_qubits,
             "complex_table": pkg.complex_table.stats(),
             "perf": {**perf.as_dict(), **package_statistics(pkg)},
         }
@@ -174,7 +177,6 @@ class AlternatingChecker:
     ) -> None:
         self.configuration = configuration or Configuration()
         num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
-        self.num_qubits = num_qubits
         self.logical1, stats1 = to_logical_form(
             circuit1,
             num_qubits,
@@ -188,6 +190,7 @@ class AlternatingChecker:
             self.configuration.reconstruct_swaps,
         )
         self.permutation_statistics = {"circuit1": stats1, "circuit2": stats2}
+        self.num_qubits = active_width(self.logical1, self.logical2)
         self.package = make_package(self.configuration)
 
     # -- oracles ----------------------------------------------------------
@@ -343,6 +346,7 @@ class AlternatingChecker:
             "final_dd_size": pkg.matrix_dd_size(accumulated),
             "hilbert_schmidt_fidelity": fidelity,
             "unique_nodes": pkg.num_unique_matrix_nodes(),
+            "active_qubits": self.num_qubits,
             "permutations": self.permutation_statistics,
             "complex_table": pkg.complex_table.stats(),
             "perf": {**perf.as_dict(), **package_statistics(pkg)},

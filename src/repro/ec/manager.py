@@ -38,6 +38,16 @@ from repro.ec.state_checker import state_check
 from repro.ec.zx_checker import zx_check
 
 
+#: Simulation-stage statistics the combined schedule keeps, under
+#: ``statistics["simulation"]``, when a later stage decides the pair.
+_SIMULATION_KEYS = (
+    "simulations_run",
+    "first_mismatch",
+    "stimuli_digest",
+    "active_qubits",
+)
+
+
 class EquivalenceCheckingManager:
     """Runs one equivalence check between two circuits.
 
@@ -260,14 +270,13 @@ class EquivalenceCheckingManager:
             if advice is not None
             else ("simulation", "alternating")
         )
-        simulations_run: Optional[object] = None
+        simulation: Optional[EquivalenceCheckingResult] = None
         result: Optional[EquivalenceCheckingResult] = None
         for stage in schedule:
             if stage == "simulation":
-                result = simulation_check(
+                result = simulation = simulation_check(
                     self.circuit1, self.circuit2, config, deadline
                 )
-                simulations_run = result.statistics.get("simulations_run")
                 if result.equivalence is Equivalence.NOT_EQUIVALENT:
                     break
             elif stage == "alternating":
@@ -286,8 +295,14 @@ class EquivalenceCheckingManager:
                 raise ValueError(f"unknown combined stage {stage!r}")
         assert result is not None  # schedules are never empty
         result.strategy = "combined"
-        if simulations_run is not None:
-            result.statistics.setdefault("simulations_run", simulations_run)
+        if simulation is not None and simulation is not result:
+            # A later stage decided: keep the falsifier's own record.
+            stats = simulation.statistics
+            result.statistics["simulations_run"] = stats["simulations_run"]
+            result.statistics["simulation"] = {
+                **{key: stats[key] for key in _SIMULATION_KEYS if key in stats},
+                "seconds": simulation.time,
+            }
         result.statistics.setdefault("combined_schedule", list(schedule))
         result.time = time.monotonic() - start
         return result

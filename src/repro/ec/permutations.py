@@ -64,6 +64,23 @@ def _is_cx(op: Operation) -> bool:
     return op.name == "x" and len(op.controls) == 1
 
 
+def active_width(
+    logical1: QuantumCircuit, logical2: QuantumCircuit, floor: int = 0
+) -> int:
+    """The register width a DD check of two logical-form circuits needs.
+
+    One more than the highest wire any operation of either circuit
+    touches, and at least ``floor``.  Every wire above it holds ``|0>``
+    (or the identity) in both circuits, so dropping those wires leaves
+    fidelities, traces and verdicts exactly as on the declared register.
+    """
+    top = max(
+        (max(op.qubits) for circuit in (logical1, logical2) for op in circuit),
+        default=-1,
+    )
+    return max(floor, top + 1)
+
+
 def to_logical_form(
     circuit: QuantumCircuit,
     num_qubits: Optional[int] = None,

@@ -15,21 +15,16 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from typing import Optional
+from typing import List, Optional
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.qasm import circuit_to_qasm
 from repro.dd.array_gates import apply_operation_columns
-from repro.dd.gates import apply_operation_to_vector
 from repro.ec.configuration import Configuration
 from repro.ec.dd_checker import _check_deadline, make_package
-from repro.ec.permutations import to_logical_form
+from repro.ec.permutations import active_width, to_logical_form
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
-from repro.ec.stimuli import (
-    generate_stimulus,
-    prepare_stimulus_columns,
-    prepare_stimulus_state,
-)
+from repro.ec.stimuli import generate_stimulus, prepare_stimulus_columns
 from repro.perf import PerfCounters, package_statistics
 
 
@@ -43,14 +38,19 @@ def simulation_check(
 
     Stimuli are random bit strings on the *data* qubits (the width of the
     narrower circuit); ancilla wires added by compilation start in
-    ``|0>``, matching the hardware assumption.
+    ``|0>``, matching the hardware assumption.  Stimuli are generated on
+    the declared register, but both circuits are simulated only on the
+    active one (:func:`~repro.ec.permutations.active_width`, at least the
+    data qubits): wires no operation touches stay ``|0>`` in both, so
+    dropping them changes no fidelity.
 
-    Under ``Configuration.array_dd`` (default) all stimuli are batched:
-    one column state per stimulus, one pass over each circuit's gates
-    applying every gate to all columns, fidelities compared at the end.
-    The stimulus sequence (and hence ``stimuli_digest``) is byte-identical
-    to the per-stimulus legacy loop, but there is no early exit before
-    all stimuli are simulated.
+    Stimuli run in growing batches — first one, then each batch as large
+    as everything simulated so far (1, 1, 2, 4, 8 for 16 stimuli) — and
+    each batch is one matrix-of-columns pass per gate.  The check stops
+    after the first batch that holds a mismatch.  ``simulations_run``
+    counts the stimuli actually simulated, ``stimuli_digest`` covers
+    exactly those, and a ``NOT_EQUIVALENT`` result reports the 1-based
+    index of the first mismatching stimulus as ``first_mismatch``.
     """
     config = configuration or Configuration()
     start = time.monotonic()
@@ -62,6 +62,7 @@ def simulation_check(
     logical2, _ = to_logical_form(
         circuit2, num_qubits, config.elide_permutations, config.reconstruct_swaps
     )
+    width = active_width(logical1, logical2, data_qubits)
     rng = random.Random(config.seed)
     pkg = make_package(config)
     direct = config.direct_application
@@ -70,25 +71,16 @@ def simulation_check(
     # seed must report byte-identical sequences (reproducibility contract,
     # checkable across process boundaries via this statistic).
     stimuli_digest = hashlib.sha256()
-
-    def statistics(runs: int, fidelity: float) -> dict:
-        return {
-            "simulations_run": runs,
-            "min_fidelity": fidelity,
-            "stimuli_digest": stimuli_digest.hexdigest(),
-            "complex_table": pkg.complex_table.stats(),
-            "perf": {**perf.as_dict(), **package_statistics(pkg)},
-        }
-
-    if config.array_dd:
-        # Batched path: generate every stimulus up front (identical rng
-        # call order and digest updates as the per-stimulus loop below),
-        # then propagate all of them as one matrix-of-columns pass per
-        # gate.  Every stimulus always runs to completion — no early exit
-        # mid-batch — which changes nothing about the verdict.
+    # One fidelity per simulated stimulus; a mismatch is a proof of
+    # non-equivalence, however the stimulus was drawn.
+    fidelities: List[float] = []
+    mismatches: List[int] = []
+    while len(fidelities) < config.num_simulations and not mismatches:
+        runs = len(fidelities)
+        batch = min(max(1, runs), config.num_simulations - runs)
         with perf.phase("stimulus_preparation"):
             stimuli = []
-            for _ in range(config.num_simulations):
+            for _ in range(batch):
                 _check_deadline(deadline)
                 stimulus = generate_stimulus(
                     config.stimuli_type, num_qubits, data_qubits, rng
@@ -98,86 +90,48 @@ def simulation_check(
                 )
                 stimuli.append(stimulus)
             columns = prepare_stimulus_columns(
-                pkg, stimuli, num_qubits, direct=direct
+                pkg, stimuli, width, direct=direct
             )
-        perf.count("dd.batch_width", len(columns))
+        perf.count("dd.batch_width", batch)
         with perf.phase("simulation"):
-            states1 = list(columns)
-            states2 = list(columns)
-            for op in logical1:
-                _check_deadline(deadline)
-                states1 = apply_operation_columns(
-                    pkg, states1, op, num_qubits, direct=direct
-                )
-                perf.count("dd.batched_gate_applications")
-            for op in logical2:
-                _check_deadline(deadline)
-                states2 = apply_operation_columns(
-                    pkg, states2, op, num_qubits, direct=direct
-                )
-                perf.count("dd.batched_gate_applications")
-        min_fidelity = 1.0
-        with perf.phase("fidelity"):
-            for index, (state1, state2) in enumerate(zip(states1, states2)):
-                _check_deadline(deadline)
-                fidelity = pkg.fidelity(state1, state2)
-                min_fidelity = min(min_fidelity, fidelity)
-                if abs(fidelity - 1.0) > config.fidelity_threshold:
-                    stats = statistics(config.num_simulations, fidelity)
-                    # How many stimuli the per-stimulus loop would have
-                    # needed — keeps the paper's "errors show up within a
-                    # few simulations" observable under batching.
-                    stats["first_mismatch"] = index + 1
-                    return EquivalenceCheckingResult(
-                        Equivalence.NOT_EQUIVALENT,
-                        "simulation",
-                        time.monotonic() - start,
-                        stats,
+            states = []
+            for logical in (logical1, logical2):
+                current = columns
+                for op in logical:
+                    _check_deadline(deadline)
+                    current = apply_operation_columns(
+                        pkg, current, op, width, direct=direct
                     )
+                    perf.count("dd.batched_gate_applications")
+                states.append(current)
+        with perf.phase("fidelity"):
+            for state1, state2 in zip(*states):
+                _check_deadline(deadline)
+                fidelities.append(pkg.fidelity(state1, state2))
+        mismatches = [
+            index
+            for index, fidelity in enumerate(fidelities, 1)
+            if abs(fidelity - 1.0) > config.fidelity_threshold
+        ]
+    statistics = {
+        "simulations_run": len(fidelities),
+        "min_fidelity": min(fidelities, default=1.0),
+        "stimuli_digest": stimuli_digest.hexdigest(),
+        "active_qubits": width,
+        "complex_table": pkg.complex_table.stats(),
+        "perf": {**perf.as_dict(), **package_statistics(pkg)},
+    }
+    if not mismatches:
         return EquivalenceCheckingResult(
             Equivalence.PROBABLY_EQUIVALENT,
             "simulation",
             time.monotonic() - start,
-            statistics(config.num_simulations, min_fidelity),
+            statistics,
         )
-
-    runs = 0
-    min_fidelity = 1.0
-    for _ in range(config.num_simulations):
-        with perf.phase("stimulus_preparation"):
-            stimulus = generate_stimulus(
-                config.stimuli_type, num_qubits, data_qubits, rng
-            )
-            stimuli_digest.update(circuit_to_qasm(stimulus).encode("utf-8"))
-            prepared = prepare_stimulus_state(
-                pkg, stimulus, num_qubits, direct=direct
-            )
-        state1 = state2 = prepared
-        with perf.phase("simulation"):
-            for op in logical1:
-                _check_deadline(deadline)
-                state1 = apply_operation_to_vector(
-                    pkg, state1, op, num_qubits, direct=direct
-                )
-            for op in logical2:
-                _check_deadline(deadline)
-                state2 = apply_operation_to_vector(
-                    pkg, state2, op, num_qubits, direct=direct
-                )
-        runs += 1
-        with perf.phase("fidelity"):
-            fidelity = pkg.fidelity(state1, state2)
-        min_fidelity = min(min_fidelity, fidelity)
-        if abs(fidelity - 1.0) > config.fidelity_threshold:
-            return EquivalenceCheckingResult(
-                Equivalence.NOT_EQUIVALENT,
-                "simulation",
-                time.monotonic() - start,
-                statistics(runs, fidelity),
-            )
+    statistics["first_mismatch"] = mismatches[0]
     return EquivalenceCheckingResult(
-        Equivalence.PROBABLY_EQUIVALENT,
+        Equivalence.NOT_EQUIVALENT,
         "simulation",
         time.monotonic() - start,
-        statistics(runs, min_fidelity),
+        statistics,
     )

@@ -22,7 +22,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.dd.gates import apply_operation_to_vector
 from repro.ec.configuration import Configuration
 from repro.ec.dd_checker import _check_deadline, make_package
-from repro.ec.permutations import to_logical_form
+from repro.ec.permutations import active_width, to_logical_form
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
 
 
@@ -42,15 +42,17 @@ def state_check(
     logical2, _ = to_logical_form(
         circuit2, num_qubits, config.elide_permutations, config.reconstruct_swaps
     )
+    # Wires above the active register stay |0> in both circuits.
+    width = active_width(logical1, logical2)
     pkg = make_package(config)
     states = []
     max_size = 0
     for logical in (logical1, logical2):
-        state = pkg.basis_state(num_qubits)
+        state = pkg.basis_state(width)
         for op in logical:
             _check_deadline(deadline)
             state = apply_operation_to_vector(
-                pkg, state, op, num_qubits, direct=config.direct_application
+                pkg, state, op, width, direct=config.direct_application
             )
         states.append(state)
         max_size = max(max_size, pkg.vector_dd_size(state))
@@ -70,6 +72,7 @@ def state_check(
         {
             "fidelity": fidelity,
             "max_state_dd_size": max_size,
+            "active_qubits": width,
             # canonicity bonus: equal states share the very same node
             # (object identity or handle equality, by engine)
             "same_canonical_node": (

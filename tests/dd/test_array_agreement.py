@@ -145,7 +145,7 @@ class TestVerdictAgreement:
             assert verdicts[0] is verdicts[1]
 
     def test_simulation_digest_identical_across_engines(self):
-        """Batched and per-stimulus loops consume the very same stimuli."""
+        """Both engines run one simulation loop on the very same stimuli."""
         circuit = _family_circuit("clifford_t", 17)
         digests = []
         for array_dd in (False, True):

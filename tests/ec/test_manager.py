@@ -73,6 +73,37 @@ class TestCombinedStrategy:
         assert result.proven
         assert result.considered_equivalent
 
+    def test_simulation_stage_record_survives_the_proof(self):
+        circuit = random_circuit(4, 20, seed=3)
+        compiled = compile_circuit(circuit, line_architecture(6))
+        config = Configuration(
+            strategy="combined", seed=1, static_analysis=False
+        )
+        result = EquivalenceCheckingManager(circuit, compiled, config).run()
+        assert result.proven
+        simulation = EquivalenceCheckingManager(
+            circuit, compiled, Configuration(strategy="simulation", seed=1)
+        ).run()
+        block = result.statistics["simulation"]
+        assert block["simulations_run"] == 16
+        assert result.statistics["simulations_run"] == 16
+        assert block["stimuli_digest"] == simulation.statistics["stimuli_digest"]
+        assert block["active_qubits"] == 4
+        assert 0 < block["seconds"] <= result.time
+        assert "first_mismatch" not in block
+
+    def test_no_simulation_block_when_simulation_decides(self):
+        circuit = random_circuit(4, 30, seed=2)
+        compiled = compile_circuit(circuit, line_architecture(6))
+        broken = remove_random_gate(compiled, seed=3)
+        config = Configuration(
+            strategy="combined", seed=1, static_analysis=False
+        )
+        result = EquivalenceCheckingManager(circuit, broken, config).run()
+        assert result.equivalence is Equivalence.NOT_EQUIVALENT
+        assert "simulation" not in result.statistics
+        assert result.statistics["first_mismatch"] >= 1
+
 
 class TestTimeout:
     def test_timeout_result(self):

@@ -67,9 +67,9 @@ def test_dd_kernel_smoke_detects_error():
 
 @pytest.mark.bench_smoke
 def test_batched_simulation_smoke():
-    """Batched array-engine simulation on a compiled GHZ pair must not
-    be slower than the per-stimulus object-engine loop, and both must
-    consume the byte-identical stimulus sequence (same sha256 digest)."""
+    """Batched simulation on a compiled GHZ pair must not be slower on
+    the array engine than on the object engine, and both must consume
+    the byte-identical stimulus sequence (same sha256 digest)."""
     from repro.bench.algorithms import ghz_state as ghz
     from repro.compile import manhattan_architecture
 
@@ -103,6 +103,26 @@ def test_batched_simulation_smoke():
     assert elapsed["batched"] <= elapsed["legacy"] * 1.1 + 0.05
     counters = result.statistics["perf"]["counters"]
     assert counters.get("dd.batch_width") == 8
+
+
+@pytest.mark.bench_smoke
+def test_compiled_checks_stay_on_the_active_register():
+    """GHZ-16 compiled to the 65-qubit Manhattan device touches only its
+    16 data wires after logical form: the DD checkers must build their
+    vectors and matrices on those 16 levels, not on all 65."""
+    from repro.compile import manhattan_architecture
+
+    original = ghz_state(16)
+    compiled = compile_circuit(original, manhattan_architecture())
+    assert compiled.num_qubits == 65
+    for strategy in ("simulation", "alternating"):
+        config = Configuration(
+            strategy=strategy, seed=0, static_analysis=False
+        )
+        result = EquivalenceCheckingManager(original, compiled, config).run()
+        assert result.statistics["active_qubits"] == 16, strategy
+    assert result.equivalence in POSITIVE
+    assert result.statistics["max_dd_size"] <= 4 * 16
 
 
 @pytest.mark.bench_smoke

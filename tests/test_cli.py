@@ -44,6 +44,20 @@ class TestVerifyCommand:
         ])
         assert "max_dd_size" in capsys.readouterr().out
 
+    def test_verbose_prints_the_active_width(self, qasm_files, capsys):
+        from repro.circuit import QuantumCircuit
+
+        original, _ = qasm_files
+        padded = original.parent / "ghz_padded.qasm"
+        padded.write_text(circuit_to_qasm(
+            QuantumCircuit(5, operations=list(ghz_state(3)))
+        ))
+        main([
+            "verify", str(original), str(padded),
+            "--strategy", "alternating", "-v",
+        ])
+        assert "checked 3 of 5 wires" in capsys.readouterr().out
+
     def test_stimuli_and_seed_options(self, qasm_files):
         original, _ = qasm_files
         code = main([
