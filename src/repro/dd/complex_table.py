@@ -41,17 +41,18 @@ class ComplexTable:
             raise ValueError("tolerance must be positive")
         self._tolerance = tolerance
         # Bucket edge equals the tolerance: two values in the same bucket
-        # are always within tolerance, so a bucket never holds two distinct
-        # canonical values, and values within tolerance across a bucket
-        # boundary are found by the 3x3 neighborhood probe.
+        # are within tolerance (up to float spacing, see ``lookup``), and
+        # values within tolerance across a bucket boundary are found by
+        # the 3x3 neighborhood probe.
         self._bucket = tolerance
         self._table: Dict[Tuple[int, int], complex] = {}
         # Every canonical value gets a small sequential integer id so that
         # compute-table keys can be pure integer tuples (cheap to hash and
         # compare) instead of hashing raw complex ratios.  ``_values`` is
-        # the inverse map (id -> canonical value): the array-native DD
-        # engine stores *only* weight ids in its node arrays and resolves
-        # them through this list.
+        # the inverse map (id -> canonical value): the DD package stores
+        # *only* weight ids in its node arrays and resolves them through
+        # this list, so ``value_of(id_of(v)) == v`` must hold for every
+        # canonical value.
         self._ids: Dict[complex, int] = {}
         self._values: List[complex] = []
         self.hits = 0
@@ -96,8 +97,13 @@ class ComplexTable:
                 return stored
         self.misses += 1
         self._table[key] = value
-        self._ids[value] = len(self._ids)
-        self._values.append(value)
+        # Above ~1e6 in magnitude float spacing exceeds the bucket width,
+        # so a new value can overwrite an older canonical value's bucket
+        # and that older value then misses here.  It is still canonical:
+        # it keeps its id, or every later id would resolve one value off.
+        if value not in self._ids:
+            self._ids[value] = len(self._values)
+            self._values.append(value)
         return value
 
     def id_of(self, canonical: complex) -> int:

@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.qasm import circuit_to_qasm
-from repro.dd.array_gates import apply_operation_columns
+from repro.dd.gates import apply_operation_columns
 from repro.ec.configuration import Configuration
 from repro.ec.dd_checker import _check_deadline, make_package
 from repro.ec.permutations import active_width, to_logical_form
@@ -65,7 +65,6 @@ def simulation_check(
     width = active_width(logical1, logical2, data_qubits)
     rng = random.Random(config.seed)
     pkg = make_package(config)
-    direct = config.direct_application
     perf = PerfCounters()
     # Running digest over the serialized stimuli: two runs with the same
     # seed must report byte-identical sequences (reproducibility contract,
@@ -89,9 +88,7 @@ def simulation_check(
                     circuit_to_qasm(stimulus).encode("utf-8")
                 )
                 stimuli.append(stimulus)
-            columns = prepare_stimulus_columns(
-                pkg, stimuli, width, direct=direct
-            )
+            columns = prepare_stimulus_columns(pkg, stimuli, width)
         perf.count("dd.batch_width", batch)
         with perf.phase("simulation"):
             states = []
@@ -99,9 +96,7 @@ def simulation_check(
                 current = columns
                 for op in logical:
                     _check_deadline(deadline)
-                    current = apply_operation_columns(
-                        pkg, current, op, width, direct=direct
-                    )
+                    current = apply_operation_columns(pkg, current, op)
                     perf.count("dd.batched_gate_applications")
                 states.append(current)
         with perf.phase("fidelity"):

@@ -67,6 +67,37 @@ class TestLookup:
         assert a is b
 
 
+class TestWeightIds:
+    """Ids stay in step with values, even when values share a bucket."""
+
+    # Above ~1e6 float spacing exceeds the 1e-10 bucket width: these two
+    # distinct values share one bucket, so the second overwrites the
+    # first's slot and the first misses when it is looked up again.
+    SHARED_BUCKET = (
+        562343953.9960787 - 1853799549.34334j,
+        562343953.9960787 - 1853799549.3433397j,
+    )
+
+    def test_overwritten_value_keeps_its_id(self):
+        table = ComplexTable()
+        a, b = self.SHARED_BUCKET
+        first = table.lookup_id(a)
+        table.lookup_id(b)
+        assert table.lookup_id(a) == first
+        fresh = table.lookup_id(0.25 + 0.5j)
+        assert table.value_of(fresh) == 0.25 + 0.5j
+        assert table.value_of(first) == a
+
+    def test_every_interned_value_resolves_to_itself(self):
+        table = ComplexTable()
+        values = list(self.SHARED_BUCKET) * 3 + [0.25 + 0.5j, 0.3, 1e7 + 1j]
+        for value in values:
+            table.lookup(value)
+        assert table.num_ids() == len(table._ids)
+        for value in table._ids:
+            assert table.value_of(table.id_of(value)) == value
+
+
 class TestLookupProperties:
     @settings(max_examples=200, deadline=None)
     @given(

@@ -138,39 +138,33 @@ class TestCorrectionSwaps:
 
 
 class TestEarlyExit:
-    @pytest.mark.parametrize("array_dd", (True, False))
-    def test_first_stimulus_mismatch_runs_one_simulation(self, array_dd):
+    def test_first_stimulus_mismatch_runs_one_simulation(self):
         circuit = random_circuit(3, 10, seed=2, gate_set="clifford_t")
         # Flipping an input bit maps every basis stimulus to an
         # orthogonal output.
         broken = QuantumCircuit(3).x(0)
         for op in circuit:
             broken.append(op)
-        result = simulation_check(
-            circuit, broken, Configuration(seed=0, array_dd=array_dd)
-        )
+        result = simulation_check(circuit, broken, Configuration(seed=0))
         assert result.equivalence is Equivalence.NOT_EQUIVALENT
         assert result.statistics["first_mismatch"] == 1
         assert result.statistics["simulations_run"] == 1
         counters = result.statistics["perf"]["counters"]
         assert counters["dd.batch_width"] == 1
 
-    def test_engines_agree_on_not_equivalent_statistics(self):
+    def test_not_equivalent_statistics_are_pinned(self):
+        """The statistics two DD engines once agreed on, NEQ included."""
         circuit = random_circuit(4, 30, seed=3)
         compiled = compile_circuit(circuit, line_architecture(6))
         broken = remove_random_gate(compiled, seed=3)
-        results = [
-            simulation_check(
-                circuit, broken, Configuration(seed=7, array_dd=array_dd)
-            )
-            for array_dd in (False, True)
-        ]
+        result = simulation_check(circuit, broken, Configuration(seed=7))
+        assert result.equivalence is Equivalence.NOT_EQUIVALENT
         keys = ("simulations_run", "first_mismatch", "stimuli_digest")
-        assert [r.equivalence for r in results] == [
-            Equivalence.NOT_EQUIVALENT
-        ] * 2
-        assert {k: results[0].statistics[k] for k in keys} == {
-            k: results[1].statistics[k] for k in keys
+        assert {k: result.statistics[k] for k in keys} == {
+            "simulations_run": 1,
+            "first_mismatch": 1,
+            "stimuli_digest": "106679073e83c6fb5043f6aeff4bc92e"
+            "161f8f67ee0c108af8335a437a14e376",
         }
 
     def test_batches_double_until_every_stimulus_ran(self):

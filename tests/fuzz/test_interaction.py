@@ -65,8 +65,9 @@ class TestIncrementalZxEquivalence:
     def test_incremental_and_legacy_zx_never_contradict(self, labeled_pairs):
         # ZX is an incomplete method: the engines may differ in *power*
         # (one reduces to a clean identity where the other gives up with
-        # NO_INFORMATION — seed 151's compiled ancilla pair does exactly
-        # that), but two decisive verdicts must never contradict.
+        # NO_INFORMATION; none of these 200 pairs does, but the
+        # default-size pair pinned in tests/zx/test_incremental.py does),
+        # yet two decisive verdicts must never contradict.
         base = Configuration(strategy="zx", timeout=20.0, seed=0)
         incremental = dataclasses.replace(base, incremental_zx=True)
         legacy = dataclasses.replace(base, incremental_zx=False)

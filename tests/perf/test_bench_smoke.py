@@ -8,8 +8,9 @@ They are deliberately tiny (well under 5 seconds) — the full baseline
 comparisons live in ``benchmarks/bench_dd_kernels.py`` and
 ``benchmarks/bench_zx_simplify.py``, which write
 ``BENCH_dd_kernels.json`` / ``BENCH_zx_simplify.json``.  Here we only
-guard the invariants the benchmarks rely on: the fast and legacy paths
-agree on a small pair, and the fast paths stay fast enough for tier-1.
+guard the invariants the benchmarks rely on: the DD checkers return the
+golden fixture's verdicts and stimulus digests (``tests/dd/golden_dd.json``)
+and stay fast enough for tier-1.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.bench.algorithms import ghz_state
 from repro.compile import compile_circuit, line_architecture
 from repro.ec import Configuration, EquivalenceCheckingManager
 from repro.ec.results import Equivalence
+from tests.dd import golden
 
 POSITIVE = (
     Equivalence.EQUIVALENT,
@@ -29,26 +31,34 @@ POSITIVE = (
 )
 
 
+def _compiled_ghz16():
+    """Table-1 cell ``compiled/ghz_16/equivalent`` of the golden fixture."""
+    from repro.compile import manhattan_architecture
+
+    original = ghz_state(16)
+    return original, compile_circuit(original, manhattan_architecture())
+
+
+def _golden_check(strategy):
+    """Run one strategy on the GHZ-16 cell as the fixture did; time it."""
+    original, compiled = _compiled_ghz16()
+    config = Configuration(strategy=strategy, seed=0, static_analysis=False)
+    start = time.perf_counter()
+    result = EquivalenceCheckingManager(original, compiled, config).run()
+    elapsed = time.perf_counter() - start
+    expected = golden.load()["table1"]["compiled/ghz_16/equivalent"][strategy]
+    return result, expected, elapsed
+
+
 @pytest.mark.bench_smoke
 def test_dd_kernel_smoke():
-    original = ghz_state(8)
-    compiled = compile_circuit(original, line_architecture(10))
-
-    verdicts = {}
-    elapsed = {}
-    for label, direct in (("direct", True), ("legacy", False)):
-        config = Configuration(
-            strategy="alternating", seed=0, direct_application=direct
-        )
-        start = time.perf_counter()
-        result = EquivalenceCheckingManager(original, compiled, config).run()
-        elapsed[label] = time.perf_counter() - start
-        verdicts[label] = result.equivalence
-        assert result.equivalence in POSITIVE, label
-
-    assert verdicts["direct"] == verdicts["legacy"]
+    result, expected, elapsed = _golden_check("alternating")
+    assert result.equivalence in POSITIVE
+    assert result.equivalence.value == expected["verdict"]
+    for key in ("max_dd_size", "final_dd_size", "unique_nodes"):
+        assert result.statistics[key] == expected[key], key
     # Generous bound: this pair takes ~0.1 s; 5 s means something broke.
-    assert elapsed["direct"] < 5.0
+    assert elapsed < 5.0
 
 
 @pytest.mark.bench_smoke
@@ -67,42 +77,17 @@ def test_dd_kernel_smoke_detects_error():
 
 @pytest.mark.bench_smoke
 def test_batched_simulation_smoke():
-    """Batched simulation on a compiled GHZ pair must not be slower on
-    the array engine than on the object engine, and both must consume
-    the byte-identical stimulus sequence (same sha256 digest)."""
-    from repro.bench.algorithms import ghz_state as ghz
-    from repro.compile import manhattan_architecture
-
-    original = ghz(16)
-    compiled = compile_circuit(original, manhattan_architecture())
-
-    elapsed = {}
-    digests = {}
-    verdicts = {}
-    for label, array_dd in (("legacy", False), ("batched", True)):
-        config = Configuration(
-            strategy="simulation", seed=0, num_simulations=8,
-            array_dd=array_dd,
-        )
-        best = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            result = EquivalenceCheckingManager(
-                original, compiled, config
-            ).run()
-            best = min(best, time.perf_counter() - start)
-        elapsed[label] = best
-        digests[label] = result.statistics["stimuli_digest"]
-        verdicts[label] = result.equivalence
-        assert result.equivalence is Equivalence.PROBABLY_EQUIVALENT, label
-
-    assert digests["batched"] == digests["legacy"]
-    assert verdicts["batched"] == verdicts["legacy"]
-    # The array kernels win this cell ~2.4x; equality with a small
-    # scheduling allowance still catches a batching regression.
-    assert elapsed["batched"] <= elapsed["legacy"] * 1.1 + 0.05
+    """Batched simulation on the compiled GHZ-16 cell consumes the
+    fixture's byte-identical stimulus sequence (same sha256 digest)."""
+    result, expected, elapsed = _golden_check("simulation")
+    assert result.equivalence is Equivalence.PROBABLY_EQUIVALENT
+    assert result.equivalence.value == expected["verdict"]
+    assert result.statistics["stimuli_digest"] == expected["stimuli_digest"]
+    assert result.statistics["simulations_run"] == expected["simulations_run"]
+    # Generous bound: this pair takes ~0.1 s; 5 s means something broke.
+    assert elapsed < 5.0
     counters = result.statistics["perf"]["counters"]
-    assert counters.get("dd.batch_width") == 8
+    assert counters.get("dd.batch_width") == 16
 
 
 @pytest.mark.bench_smoke

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.algorithms import ghz_state
-from repro.dd import DDPackage
+from repro.dd import ArrayDDPackage
 from repro.dd.gates import circuit_dd, simulate_circuit_dd
 from repro.ec import Configuration, EquivalenceCheckingManager
 from repro.perf import PerfCounters, package_statistics
@@ -54,7 +54,7 @@ class TestPerfCounters:
 
 class TestPackageStatistics:
     def test_snapshot_keys(self):
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         circuit_dd(pkg, random_circuit(4, 20, seed=0))
         simulate_circuit_dd(pkg, random_circuit(4, 10, seed=1))
         stats = package_statistics(pkg)
@@ -65,6 +65,7 @@ class TestPackageStatistics:
             "unique_vector_nodes",
             "matrix_nodes_created",
             "vector_nodes_created",
+            "node_stores",
         }
         assert stats["matrix_nodes_created"] > 0
         assert stats["vector_nodes_created"] > 0
@@ -76,7 +77,7 @@ class TestPackageStatistics:
         assert tables["apply_vec"]["misses"] > 0
 
     def test_nodes_created_counts_unique_table_misses_only(self):
-        pkg = DDPackage()
+        pkg = ArrayDDPackage()
         circuit = random_circuit(3, 10, seed=5)
         circuit_dd(pkg, circuit)
         created = pkg.matrix_nodes_created
@@ -113,22 +114,6 @@ class TestCheckerStatistics:
         counters = result.statistics["perf"]["counters"]
         assert counters["gate_applications"] == 2 * len(circuit)
 
-    def test_legacy_and_direct_checkers_agree(self):
-        circuit = ghz_state(5)
-        results = {}
-        for direct in (True, False):
-            config = Configuration(
-                strategy="alternating", seed=0, direct_application=direct
-            )
-            results[direct] = EquivalenceCheckingManager(
-                circuit, circuit, config
-            ).run()
-        assert results[True].equivalence == results[False].equivalence
-        assert (
-            results[True].statistics["max_dd_size"]
-            == results[False].statistics["max_dd_size"]
-        )
-
 
 class TestCliSurfacing:
     @pytest.fixture
@@ -152,15 +137,6 @@ class TestCliSurfacing:
         assert "phase_seconds:" in out
         assert "complex_table:" in out
         assert "apply_left:" in out
-
-    def test_legacy_kernels_flag(self, qasm_file):
-        from repro.cli import main
-
-        code = main([
-            "verify", str(qasm_file), str(qasm_file),
-            "--strategy", "alternating", "--legacy-kernels",
-        ])
-        assert code == 0
 
     def test_compute_table_size_flag(self, qasm_file):
         from repro.cli import main

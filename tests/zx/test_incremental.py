@@ -215,3 +215,59 @@ class TestEngineAgreementLargerCircuit:
         legacy, incremental = _reduce_both(circuit, broken)
         assert legacy.num_spiders == incremental.num_spiders
         assert not incremental.is_identity_diagram()
+
+
+class TestRescanOnlyRewriteOrder:
+    """``generate_instance(127, "rotations")``: the one default-size pair
+    (seeds 0-599, four concrete families, no pre-pass) the two engines
+    decide differently.  It is a compiled 4-qubit pair, 19 against 49
+    gates, and equivalent.  The rescan drivers reduce it to the identity;
+    the worklist engine stops with 6 spiders left.  The rescan drivers
+    stay until the worklist engine decides it too."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        from repro.fuzz.generator import generate_instance
+
+        _, pair = generate_instance(127, "rotations")
+        return pair
+
+    @staticmethod
+    def _zx(pair, incremental):
+        from repro.ec import Configuration, EquivalenceCheckingManager
+
+        config = Configuration(
+            strategy="zx", static_analysis=False, incremental_zx=incremental
+        )
+        return EquivalenceCheckingManager(
+            pair.circuit1, pair.circuit2, config
+        ).run()
+
+    def test_dense_truth_says_equivalent(self, pair):
+        from repro.circuit import circuit_unitary, unitaries_equivalent
+        from repro.ec.permutations import to_logical_form
+
+        unitaries = [
+            circuit_unitary(to_logical_form(circuit, pair.num_qubits)[0])
+            for circuit in (pair.circuit1, pair.circuit2)
+        ]
+        assert pair.label == "equivalent"
+        assert unitaries_equivalent(*unitaries)
+
+    def test_rescan_drivers_decide(self, pair):
+        from repro.ec.results import Equivalence
+
+        result = self._zx(pair, incremental=False)
+        assert result.equivalence is Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE
+        assert result.statistics["spiders_remaining"] == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the worklist engine lacks a rewrite order the rescan "
+        "drivers find on this pair",
+    )
+    def test_worklist_engine_decides(self, pair):
+        from repro.ec.results import Equivalence
+
+        result = self._zx(pair, incremental=True)
+        assert result.equivalence is Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE
