@@ -40,18 +40,12 @@ from typing import Dict, List, Optional
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
-from repro.errors import (
-    CheckCrashed,
-    CheckWorkerLost,
-    InvalidInput,
-    PortfolioDisagreement,
-    error_from_dict,
-)
+from repro.errors import InvalidInput, PortfolioDisagreement, error_from_dict
 from repro.harness.chaos import ChaosSpec
 from repro.harness.sandbox import (
-    _FATAL_SIGNALS,
     _child_main,
     _start_method,
+    classify_death,
     DEFAULT_GRACE_SECONDS,
 )
 
@@ -200,31 +194,6 @@ class _Lane:
         self.hard_deadline: Optional[float] = None
 
 
-def _death_error(lane: _Lane) -> Dict[str, object]:
-    """Classify a child that died without reporting (after join)."""
-    exitcode = lane.process.exitcode
-    if exitcode is not None and exitcode < 0:
-        number = -exitcode
-        name = _FATAL_SIGNALS.get(number)
-        if name is not None:
-            return CheckCrashed(
-                f"racer child died on {name}",
-                signal=number,
-                signal_name=name,
-                pid=lane.process.pid,
-            ).to_dict()
-        return CheckWorkerLost(
-            f"racer child killed by signal {number}",
-            signal=number,
-            pid=lane.process.pid,
-        ).to_dict()
-    return CheckWorkerLost(
-        "racer child exited without reporting a result",
-        exitcode=exitcode,
-        pid=lane.process.pid,
-    ).to_dict()
-
-
 def _is_sound(result: Optional[EquivalenceCheckingResult]) -> bool:
     """A verdict that may terminate the race: a proof, not evidence."""
     return result is not None and result.proven
@@ -364,7 +333,9 @@ def race_checks(
         lane.conn.close()
         if payload is None:
             lane.outcome.status = "failed"
-            lane.outcome.error = _death_error(lane)
+            lane.outcome.error = classify_death(
+                lane.process, "racer child"
+            ).to_dict()
         elif payload.get("ok"):
             lane.outcome.status = "completed"
             lane.outcome.result = EquivalenceCheckingResult.from_dict(

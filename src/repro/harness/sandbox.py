@@ -189,6 +189,33 @@ _FATAL_SIGNALS = {
 }
 
 
+def classify_death(process: Any, who: str) -> CheckCrashed:
+    """Classify a child that died without reporting a result (after join).
+
+    The sandbox, the race and the pool share this mapping: a fatal
+    signal is a crash of the check, any other death a lost worker.
+    """
+    exitcode = process.exitcode
+    if exitcode is not None and exitcode < 0:
+        number = -exitcode
+        name = _FATAL_SIGNALS.get(number)
+        if name is not None:
+            return CheckCrashed(
+                f"{who} died on {name}",
+                signal=number,
+                signal_name=name,
+                pid=process.pid,
+            )
+        return CheckWorkerLost(
+            f"{who} killed by signal {number}", signal=number, pid=process.pid
+        )
+    return CheckWorkerLost(
+        f"{who} exited without reporting a result",
+        exitcode=exitcode,
+        pid=process.pid,
+    )
+
+
 def _start_method() -> str:
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else methods[0]
@@ -280,27 +307,7 @@ def run_check_isolated(
             parent_conn.close()
 
     if payload is None:
-        exitcode = process.exitcode
-        if exitcode is not None and exitcode < 0:
-            number = -exitcode
-            name = _FATAL_SIGNALS.get(number)
-            if name is not None:
-                raise CheckCrashed(
-                    f"worker died on {name}",
-                    signal=number,
-                    signal_name=name,
-                    pid=process.pid,
-                )
-            raise CheckWorkerLost(
-                f"worker killed by signal {number}",
-                signal=number,
-                pid=process.pid,
-            )
-        raise CheckWorkerLost(
-            "worker exited without reporting a result",
-            exitcode=exitcode,
-            pid=process.pid,
-        )
+        raise classify_death(process, "worker")
     if not payload.get("ok"):
         from repro.errors import error_from_dict
 

@@ -58,6 +58,7 @@ ACQUIRE_NAMES = {
     "accept": "an accepted connection",
     "Client": "a client connection",
     "Listener": "a listener socket",
+    "socket": "a socket",
 }
 
 #: Method names whose receiver is released.

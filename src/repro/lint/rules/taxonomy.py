@@ -13,8 +13,8 @@ Three checks, scoped to ``harness/`` and ``service/``:
   ``KeyboardInterrupt`` and has no legitimate use here.
 * ``except Exception:`` / ``except BaseException:`` that *swallows* —
   flagged unless the handler body re-raises, classifies
-  (``classify_exception`` / ``error_from_dict``), or is a worker-exit
-  path (``os._exit``).  Logging alone is swallowing.
+  (``classify_exception`` / ``classify_death`` / ``error_from_dict``),
+  or is a worker-exit path (``os._exit``).  Logging alone is swallowing.
 * ``raise X(...)`` of a class outside the taxonomy — allowed classes
   are the ``repro.errors`` hierarchy, stdlib contract errors
   (``ValueError``, ``TypeError``, ``KeyError``,
@@ -43,7 +43,7 @@ STDLIB_ALLOWED = {
 }
 
 #: Calls in a handler body that count as classifying the exception.
-CLASSIFIER_CALLS = {"classify_exception", "error_from_dict"}
+CLASSIFIER_CALLS = {"classify_exception", "classify_death", "error_from_dict"}
 
 #: Calls that mark a worker-exit path (the child reports via its exit
 #: status, not an exception object).

@@ -37,8 +37,9 @@ answer (verdict and degradation shape) matches a direct
 The pool is deliberately single-threaded on the supervisor side: one
 owner (the caller of :meth:`WorkerPool.pump` / :meth:`run_batch` /
 :meth:`drain`) drives the event loop, which keeps the state machine
-auditable.  :mod:`repro.service.server` wraps it in exactly one
-dispatcher thread.
+auditable.  :mod:`repro.service.server` is that owner: it hands its
+listening socket and client connections to :meth:`WorkerPool.pump`, so
+one wait covers them and every worker pipe.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
@@ -59,7 +60,6 @@ from repro.ec.results import EquivalenceCheckingResult
 from repro.errors import (
     CheckError,
     CheckTimeout,
-    CheckWorkerLost,
     InvalidInput,
     PoolBroken,
     PoolSaturated,
@@ -71,8 +71,8 @@ from repro.harness.sandbox import (
     DEFAULT_GRACE_SECONDS,
     _apply_memory_limit,
     _failure_result,
-    _FATAL_SIGNALS,
     _start_method,
+    classify_death,
 )
 from repro.perf import PerfCounters
 from repro.service.cache import VerdictCache, cache_key
@@ -80,7 +80,8 @@ from repro.service.quarantine import QuarantineStore
 
 _MIB = 1024 * 1024
 
-#: Upper bound on one supervision-loop sleep.
+#: Upper bound on one supervision-loop wait (and so on how late the
+#: serve loop sees a stop request).
 _MAX_POLL_SECONDS = 0.05
 
 
@@ -564,17 +565,25 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # supervision loop
     # ------------------------------------------------------------------
-    def pump(self, max_wait: float = _MAX_POLL_SECONDS) -> None:
-        """One supervision step: respawn, dispatch, wait, settle, audit."""
+    def pump(
+        self, max_wait: float = _MAX_POLL_SECONDS, watch: Sequence[Any] = ()
+    ) -> List[Any]:
+        """One supervision step: respawn, dispatch, wait, settle, audit.
+
+        The wait also covers ``watch``, the caller's own sockets and
+        connections; the ones that became ready are returned for the
+        caller to handle.
+        """
         if not self._started:
             self.start()
         now = time.monotonic()
         self._respawn_due(now)
         self._dispatch(now)
-        self._wait_and_receive(now, max_wait)
+        ready = self._wait_and_receive(now, max_wait, watch)
         now = time.monotonic()
         self._enforce_deadlines(now)
         self._heartbeat(now)
+        return ready
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Pump until every submitted job is resolved.
@@ -665,15 +674,12 @@ class WorkerPool:
                 self._queue.appendleft(job)
                 self._worker_died(worker, now)
 
-    def _wait_and_receive(self, now: float, max_wait: float) -> None:
-        if not self._workers:
-            # Everything is dead and waiting on backoff: sleep until the
-            # earliest respawn (bounded) so restarts stay timely.
-            horizon = min(self._respawn_at) if self._respawn_at else (
-                now + max_wait
-            )
-            time.sleep(min(max(0.0, horizon - now), max_wait))
-            return
+    def _wait_and_receive(
+        self, now: float, max_wait: float, watch: Sequence[Any]
+    ) -> List[Any]:
+        """Wait on every worker pipe and ``watch`` until the earliest job
+        deadline, ping deadline or respawn (at most ``max_wait``); returns
+        the ready members of ``watch``."""
         horizons = [now + max_wait]
         horizons.extend(
             worker.job_deadline
@@ -687,21 +693,18 @@ class WorkerPool:
         )
         horizons.extend(self._respawn_at)
         wait_timeout = max(0.0, min(horizons) - now)
+        workers = {worker.conn: worker for worker in self._workers}
         try:
-            ready = connection_wait(
-                [worker.conn for worker in self._workers],
-                timeout=wait_timeout,
-            )
+            ready = connection_wait([*workers, *watch], timeout=wait_timeout)
         except OSError:  # pragma: no cover - closed under our feet
             ready = []
         now = time.monotonic()
         for conn in ready:
-            worker = next(
-                (w for w in self._workers if w.conn is conn), None
-            )
-            if worker is None:  # settled by a prior step this pump
-                continue
-            self._receive(worker, now)
+            worker = workers.get(conn)
+            # A worker settled by a prior step of this pump is skipped.
+            if worker is not None and worker in self._workers:
+                self._receive(worker, now)
+        return [item for item in ready if item not in workers]
 
     def _receive(self, worker: _Worker, now: float) -> None:
         try:
@@ -852,25 +855,12 @@ class WorkerPool:
             pass
         job = worker.job
         worker.job = None
-        exitcode = worker.process.exitcode
-        if exitcode is not None and exitcode < 0:
-            number = -exitcode
-            name = _FATAL_SIGNALS.get(number)
-            error: CheckError = CheckWorkerLost(
-                f"pool worker died on signal {number}"
-                + (f" ({name})" if name else ""),
-                signal=number,
-                pid=worker.process.pid,
-            )
-        else:
-            error = CheckWorkerLost(
-                "pool worker exited without reporting a result",
-                exitcode=exitcode,
-                pid=worker.process.pid,
-            )
         self.counters.count("service.worker_deaths")
         if job is not None and job.state == _RUNNING:
-            self._job_failed(job, error, worker_killed=True)
+            self._job_failed(
+                job, classify_death(worker.process, "pool worker"),
+                worker_killed=True,
+            )
         elif self._note_jobless_death(now):
             return  # breaker tripped: no respawn
         self._schedule_respawn(now)

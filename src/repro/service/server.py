@@ -1,7 +1,7 @@
 """Local-socket batch API over a :class:`~repro.service.pool.WorkerPool`.
 
-``python -m repro serve`` binds a ``multiprocessing.connection``
-listener on an ``AF_UNIX`` socket and serves *batches*: a client
+``python -m repro serve`` listens on an ``AF_UNIX`` socket and serves
+*batches* over ``multiprocessing.connection`` framing: a client
 submits a list of circuit pairs plus one configuration and receives the
 list of verdict payloads when every job has resolved.  Circuits cross
 the socket as canonical OpenQASM plus layout metadata — the same
@@ -18,31 +18,31 @@ request) the server stops accepting new batches, resolves every job in
 flight, answers the clients that are owed replies, and only then tears
 the pool down — no job is ever silently dropped.
 
-Concurrency model: one background thread accepts connections and hands
-them over; the main serve loop is the pool's single owner — it polls
-client sockets, submits jobs, pumps the supervisor, and replies.  This
-keeps the pool free of locks at the cost of one thread, which never
-touches pool state.
+Concurrency model: one thread, one event loop, which is the pool's only
+owner.  Each turn is one :meth:`WorkerPool.pump`, whose single wait
+covers the listening socket, every client connection and every worker
+pipe; the loop then accepts, reads and answers exactly what became
+ready.  A request is handled as soon as it arrives, even while every
+worker is busy, and the pool needs no locks.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import queue
 import signal
-import threading
+import socket
 import time
-from multiprocessing.connection import Client, Connection, Listener
+from multiprocessing.connection import Client, Connection
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.circuit import circuit_from_qasm, circuit_to_qasm
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
-from repro.errors import CheckError, PoolSaturated
+from repro.errors import CheckError, InvalidInput, PoolSaturated
 from repro.service.pool import WorkerPool
 
-#: Handshake token so a stray client on the socket fails loudly.
+#: Address family of the service socket (clients pass it to ``Client``).
 _FAMILY = "AF_UNIX"
 
 DEFAULT_SOCKET = "repro-service.sock"
@@ -65,11 +65,13 @@ def circuit_from_payload(payload: Dict[str, Any]) -> QuantumCircuit:
     circuit = circuit_from_qasm(str(payload["qasm"]))
     layout = payload.get("initial_layout")
     if layout:
-        circuit.initial_layout = {int(k): int(v) for k, v in layout.items()}
+        circuit.initial_layout = {
+            int(k): int(v) for k, v in dict(layout).items()
+        }
     permutation = payload.get("output_permutation")
     if permutation:
         circuit.output_permutation = {
-            int(k): int(v) for k, v in permutation.items()
+            int(k): int(v) for k, v in dict(permutation).items()
         }
     return circuit
 
@@ -89,8 +91,29 @@ def configuration_from_payload(
         return None
     known = {field.name for field in dataclasses.fields(Configuration)}
     return Configuration(
-        **{key: value for key, value in payload.items() if key in known}
+        **{key: value for key, value in dict(payload).items() if key in known}
     )
+
+
+def batch_from_payload(
+    request: Dict[str, Any],
+) -> Tuple[List[Tuple[QuantumCircuit, QuantumCircuit]], Optional[Configuration]]:
+    """Decode a whole ``submit`` request before any of it is admitted.
+
+    Raises:
+        InvalidInput: Any pair or the configuration is malformed.
+    """
+    try:
+        configuration = configuration_from_payload(request.get("configuration"))
+        if configuration is not None:
+            configuration.validate()
+        pairs = [
+            (circuit_from_payload(payload1), circuit_from_payload(payload2))
+            for payload1, payload2 in request.get("pairs") or []
+        ]
+    except (KeyError, TypeError, ValueError) as error:
+        raise InvalidInput(f"malformed submit request: {error!r}") from error
+    return pairs, configuration
 
 
 # ----------------------------------------------------------------------
@@ -118,10 +141,8 @@ class ServiceServer:
     def __init__(self, pool: WorkerPool, socket_path: str) -> None:
         self.pool = pool
         self.socket_path = str(socket_path)
-        self._listener: Optional[Listener] = None
-        self._inbox: "queue.Queue[Connection]" = queue.Queue()
-        self._accept_thread: Optional[threading.Thread] = None
-        self._stopping = threading.Event()
+        self._listener: Optional[socket.socket] = None
+        self._stopping = False
         self._clients: List[Connection] = []
         self._pending: List[_PendingBatch] = []
 
@@ -131,45 +152,44 @@ class ServiceServer:
             # A stale socket from a crashed predecessor; binding over it
             # requires the unlink (AF_UNIX sockets are filesystem nodes).
             os.unlink(self.socket_path)
-        self._listener = Listener(self.socket_path, family=_FAMILY)
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            listener.bind(self.socket_path)
+            listener.listen()
+        except OSError:
+            listener.close()
+            raise
+        listener.setblocking(False)
+        self._listener = listener
         self.pool.start()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-service-accept", daemon=True
-        )
-        self._accept_thread.start()
         return self
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stopping.is_set():
-            try:
-                conn = self._listener.accept()
-            except (OSError, EOFError):  # listener closed: shutting down
-                break
-            self._inbox.put(conn)
-
     def request_stop(self, *_signal_args: object) -> None:
-        """Begin a draining shutdown (signal-handler compatible)."""
-        self._stopping.set()
+        """Begin a draining shutdown (signal-handler compatible).
+
+        The serve loop sees the request when its current wait ends,
+        which the pool caps at ``_MAX_POLL_SECONDS``.
+        """
+        self._stopping = True
 
     def install_signal_handlers(self) -> None:
         signal.signal(signal.SIGINT, self.request_stop)
         signal.signal(signal.SIGTERM, self.request_stop)
 
     # -- serve loop -----------------------------------------------------
-    def serve_forever(self, poll_interval: float = 0.05) -> None:
+    def serve_forever(self) -> None:
         """Run until a stop is requested, then drain and tear down."""
         if self._listener is None:
             self.start()
         try:
-            while not self._stopping.is_set():
-                self._step(poll_interval)
+            while not self._stopping:
+                self._step()
             # Draining shutdown: stop accepting, finish what was
             # admitted, answer everyone who is owed a reply.
             self._close_listener()
             deadline = time.monotonic() + 60.0
             while self._pending and time.monotonic() < deadline:
-                self._step(poll_interval, accept_new=False)
+                self._step()
         finally:
             self._close_listener()
             for conn in self._clients:
@@ -190,26 +210,37 @@ class ServiceServer:
                 pass
             self._listener = None
 
-    def _step(self, poll_interval: float, accept_new: bool = True) -> None:
-        """One serve-loop turn: admit, read, pump, reply."""
-        if accept_new:
-            try:
-                while True:
-                    self._clients.append(self._inbox.get_nowait())
-            except queue.Empty:
-                pass
-        for conn in list(self._clients):
-            try:
-                if conn.poll(0):
-                    self._handle_request(conn, conn.recv())
-            except (EOFError, OSError):
-                self._drop_client(conn)
-        if self.pool.pending_jobs:
-            self.pool.pump(max_wait=poll_interval)
-        else:
-            self.pool.pump(max_wait=0.0)
-            time.sleep(poll_interval / 10)
+    def _step(self) -> None:
+        """One serve-loop turn: reply, wait on everything, handle, reply.
+
+        Cache hits and quarantine answers resolve inside ``submit``, so
+        the closing reply sends them in the turn their request arrived.
+        """
         self._reply_finished()
+        watch: List[Any] = list(self._clients)
+        if self._listener is not None:
+            watch.append(self._listener)
+        for ready in self.pool.pump(watch=watch):
+            if ready is self._listener:
+                self._accept_pending(ready)
+                continue
+            try:
+                self._handle_request(ready, ready.recv())
+            except (EOFError, OSError):
+                self._drop_client(ready)
+        self._reply_finished()
+
+    def _accept_pending(self, listener: socket.socket) -> None:
+        """Accept every connection waiting on the listening socket."""
+        while True:
+            try:
+                sock = listener.accept()[0]
+            except OSError:  # none left (BlockingIOError) or it vanished
+                return
+            # The framing of multiprocessing.connection, as Listener.accept
+            # builds it when there is no authkey.
+            sock.setblocking(True)
+            self._clients.append(Connection(sock.detach()))
 
     def _drop_client(self, conn: Connection) -> None:
         if conn in self._clients:
@@ -224,65 +255,63 @@ class ServiceServer:
         except OSError:  # pragma: no cover
             pass
 
-    def _handle_request(self, conn: Connection, request: Dict[str, Any]) -> None:
+    def _handle_request(self, conn: Connection, request: object) -> None:
+        try:
+            reply = self._answer(conn, request)
+        except CheckError as error:
+            reply = {"ok": False, "error": error.to_dict()}
+        if reply is not None:
+            conn.send(reply)
+
+    def _answer(
+        self, conn: Connection, request: object
+    ) -> Optional[Dict[str, Any]]:
+        """The reply to one request; None for a batch still in flight."""
+        if not isinstance(request, dict):
+            raise InvalidInput(
+                f"a request is a dict, not {type(request).__name__}"
+            )
         op = request.get("op")
         if op == "submit":
-            self._handle_submit(conn, request)
-        elif op == "stats":
-            conn.send(
-                {
-                    "ok": True,
-                    "counters": self.pool.counters.as_dict(),
-                    "pending_jobs": self.pool.pending_jobs,
-                    "quarantined": len(self.pool.quarantine),
-                    "broken": self.pool.broken,
-                }
-            )
-        elif op == "ping":
-            conn.send({"ok": True})
-        elif op == "shutdown":
-            conn.send({"ok": True, "stopping": True})
+            return self._submit(conn, request)
+        if op == "stats":
+            return {
+                "ok": True,
+                "counters": self.pool.counters.as_dict(),
+                "pending_jobs": self.pool.pending_jobs,
+                "quarantined": len(self.pool.quarantine),
+                "broken": self.pool.broken,
+            }
+        if op == "ping":
+            return {"ok": True}
+        if op == "shutdown":
             self.request_stop()
-        else:
-            conn.send(
-                {"ok": False, "error": {"kind": "invalid_input",
-                                        "message": f"unknown op {op!r}"}}
-            )
+            return {"ok": True, "stopping": True}
+        raise InvalidInput(f"unknown op {op!r}")
 
-    def _handle_submit(self, conn: Connection, request: Dict[str, Any]) -> None:
-        pairs = request.get("pairs") or []
-        configuration = configuration_from_payload(
-            request.get("configuration")
-        )
+    def _submit(
+        self, conn: Connection, request: Dict[str, Any]
+    ) -> Optional[Dict[str, Any]]:
+        pairs, configuration = batch_from_payload(request)
         # Admission control up front: a batch is admitted whole or
         # rejected whole, so a client never gets a half-submitted batch.
         if len(pairs) > self.pool.capacity_left():
             self.pool.counters.count("service.rejected_busy")
-            conn.send(
-                {
-                    "ok": False,
-                    "busy": True,
-                    "retry_after": self.pool.retry_after_estimate(),
-                    "error": PoolSaturated(
-                        "job queue is full",
-                        retry_after=self.pool.retry_after_estimate(),
-                    ).to_dict(),
-                }
-            )
-            return
-        try:
-            job_ids = [
-                self.pool.submit(
-                    circuit_from_payload(payload1),
-                    circuit_from_payload(payload2),
-                    configuration,
-                )
-                for payload1, payload2 in pairs
-            ]
-        except CheckError as error:
-            conn.send({"ok": False, "error": error.to_dict()})
-            return
+            retry_after = self.pool.retry_after_estimate()
+            return {
+                "ok": False,
+                "busy": True,
+                "retry_after": retry_after,
+                "error": PoolSaturated(
+                    "job queue is full", retry_after=retry_after
+                ).to_dict(),
+            }
+        job_ids = [
+            self.pool.submit(circuit1, circuit2, configuration)
+            for circuit1, circuit2 in pairs
+        ]
         self._pending.append(_PendingBatch(conn, job_ids))
+        return None
 
     def _reply_finished(self) -> None:
         for batch in list(self._pending):

@@ -92,6 +92,26 @@ class TestNormalPathLeaks:
         assert findings[0].line == 5
         assert "pipe file descriptors" in findings[0].message
 
+    def test_socket_closed_only_on_the_happy_path_is_flagged(self, fake_tree):
+        root = fake_tree(
+            {
+                "service/demo.py": """\
+                import socket
+
+
+                def probe(path):
+                    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                    sock.bind(path)
+                    sock.close()
+                """
+            }
+        )
+        findings = lint_with(root, ResourceLeakRule())
+        assert [f.rule for f in findings] == ["resource-leak"]
+        assert findings[0].line == 5
+        assert "a socket" in findings[0].message
+        assert "exceptional paths" in findings[0].message
+
 
 class TestEscapes:
     def test_returned_handle_is_the_callers_problem(self, fake_tree):

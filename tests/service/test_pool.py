@@ -144,6 +144,10 @@ class TestFaultSupervision:
             assert result.equivalence is Equivalence.NO_INFORMATION
             assert result.statistics["quarantined"] is True
             assert result.statistics["strikes"] == 2
+            # Classified as the sandbox and the race classify a SIGSEGV.
+            failure = result.statistics["failure"]
+            assert failure["kind"] == "crashed"
+            assert failure["diagnostics"]["signal_name"] == "SIGSEGV"
             assert len(pool.quarantine) == 1
 
             # A resubmission is answered from the record: no worker dies.

@@ -1,6 +1,8 @@
-"""Batch API server/client: round-trips, backpressure, draining shutdown."""
+"""Batch API server/client: round-trips, backpressure, malformed requests,
+draining shutdown, and one event loop that never blocks on a busy pool."""
 
 import threading
+import time
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.bench.algorithms import ghz_state, qft
 from repro.compile import compile_circuit, line_architecture
 from repro.ec.configuration import Configuration
 from repro.errors import PoolSaturated, RetryPolicy
+from repro.harness.chaos import ChaosSpec
 from repro.service import PoolConfig, ServiceClient, ServiceServer, WorkerPool
 from repro.service.server import (
     circuit_from_payload,
@@ -142,4 +145,98 @@ class TestServerRoundTrip:
             with ServiceClient(socket_path) as closer:
                 closer.shutdown_server()
             thread.join(timeout=60.0)
+        assert pool.audit()["leaked"] == 0
+
+    def test_malformed_requests_are_answered_not_fatal(self):
+        pool = WorkerPool(
+            PoolConfig(workers=1, restart_backoff=_FAST_BACKOFF)
+        )
+        server, thread, socket_path = _serve(pool)
+        good = circuit_to_payload(ghz_state(2))
+        bogus = {"qasm": "OPENQASM 2.0; qreg q[1]; bogus q[0];"}
+        one_qubit = {"qasm": "OPENQASM 2.0; qreg q[1];"}
+        requests = {
+            "malformed qasm": {
+                "op": "submit", "pairs": [(bogus, one_qubit)],
+                "configuration": None,
+            },
+            "not a dict": ["submit"],
+            "pair without qasm": {
+                "op": "submit", "pairs": [({}, one_qubit)],
+                "configuration": None,
+            },
+            "configuration field of the wrong type": {
+                "op": "submit", "pairs": [(good, good)],
+                "configuration": {"num_simulations": "many"},
+            },
+            "configuration not a dict": {
+                "op": "submit", "pairs": [(good, good)],
+                "configuration": ["timeout"],
+            },
+            "layout not a dict": {
+                "op": "submit",
+                "pairs": [(dict(good, initial_layout=[1]), good)],
+                "configuration": None,
+            },
+            # Decoded whole before anything is admitted: the good first
+            # pair must not run.
+            "bad second pair": {
+                "op": "submit", "pairs": [(good, good), (good, bogus)],
+                "configuration": None,
+            },
+        }
+        try:
+            with ServiceClient(socket_path) as client:
+                for name, request in requests.items():
+                    reply = client._request(request)
+                    assert reply["ok"] is False, name
+                    assert reply["error"]["kind"] == "invalid_input", name
+                counters = client.stats()["counters"]["counters"]
+                assert counters.get("service.jobs_submitted", 0) == 0
+                # The same server still answers a ping and a real batch.
+                assert client.ping()
+                results = client.submit_batch(
+                    _pairs(), Configuration(timeout=10.0, seed=0)
+                )
+        finally:
+            with ServiceClient(socket_path) as closer:
+                closer.shutdown_server()
+            thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert [payload["equivalence"] for payload in results] == [
+            "equivalent",
+            "equivalent",
+        ]
+        assert pool.audit()["leaked"] == 0
+
+
+class TestEventLoop:
+    def test_pings_are_not_blocked_by_a_hanging_worker(self):
+        pool = WorkerPool(
+            PoolConfig(workers=1, restart_backoff=_FAST_BACKOFF)
+        )
+        # Submitted before the serve loop starts, so this thread may
+        # still drive the pool; the only worker then hangs on it.
+        pool.submit(
+            *_pairs()[0], Configuration(timeout=10.0, seed=0),
+            chaos=ChaosSpec(mode="hang"),
+        )
+        server, thread, socket_path = _serve(pool)
+        try:
+            with ServiceClient(socket_path) as client:
+                assert client.ping()
+                start = time.perf_counter()
+                for _ in range(40):
+                    assert client.ping()
+                elapsed = time.perf_counter() - start
+                stats = client.stats()
+            names = {running.name for running in threading.enumerate()}
+        finally:
+            with ServiceClient(socket_path) as closer:
+                closer.shutdown_server()
+            thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert stats["pending_jobs"] == 1  # the hang outlived the pings
+        assert elapsed < 0.5
+        assert "repro-service-accept" not in names
         assert pool.audit()["leaked"] == 0

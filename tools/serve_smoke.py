@@ -4,9 +4,11 @@
 Starts a real :class:`repro.service.server.ServiceServer` (worker pool,
 verdict cache, ``AF_UNIX`` socket) in a background thread, submits the
 same 20-pair batch twice through a :class:`repro.service.ServiceClient`,
-and asserts:
+with one malformed submit from a second client in between, and asserts:
 
 * every verdict in both batches is equivalent (up to global phase);
+* the malformed submit is answered ``invalid_input`` and the server
+  keeps serving;
 * the second batch is served (almost) entirely from the verdict cache —
   at least 19 of 20 hits, i.e. the cache key is stable across submits;
 * cached and fresh verdicts agree pairwise on the equivalence field;
@@ -38,6 +40,18 @@ from repro.service import (  # noqa: E402
 )
 
 PAIRS = 20
+
+#: A submit whose first circuit does not parse.
+MALFORMED = {
+    "op": "submit",
+    "pairs": [
+        (
+            {"qasm": "OPENQASM 2.0; qreg q[1]; bogus q[0];"},
+            {"qasm": "OPENQASM 2.0; qreg q[1];"},
+        )
+    ],
+    "configuration": None,
+}
 
 
 def _fail(message: str) -> "NoReturn":  # type: ignore[name-defined]  # noqa: F821
@@ -72,6 +86,8 @@ def main() -> int:
                 if not client.ping():
                     _fail("server did not answer ping")
                 first = client.submit_batch(pairs, configuration)
+                with ServiceClient(socket_path) as intruder:
+                    rejected = intruder._request(MALFORMED)
                 second = client.submit_batch(pairs, configuration)
                 stats = client.stats()
         finally:
@@ -84,6 +100,8 @@ def main() -> int:
 
         if thread.is_alive():
             _fail("serve loop did not drain and exit within 60s")
+        if (rejected.get("error") or {}).get("kind") != "invalid_input":
+            _fail(f"malformed submit was not rejected as invalid_input: {rejected}")
         for label, batch in (("first", first), ("second", second)):
             if len(batch) != PAIRS:
                 _fail(f"{label} batch returned {len(batch)}/{PAIRS} verdicts")
@@ -113,7 +131,8 @@ def main() -> int:
 
     print(
         f"serve-smoke: OK — {PAIRS} pairs twice, {hits} cache hits, "
-        f"{audit['spawned']} workers spawned, 0 leaked"
+        f"1 malformed submit rejected, {audit['spawned']} workers spawned, "
+        "0 leaked"
     )
     return 0
 
