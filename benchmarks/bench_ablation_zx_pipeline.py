@@ -13,20 +13,22 @@ from repro.bench import algorithms
 from repro.compile import compile_circuit, line_architecture
 from repro.ec.permutations import to_logical_form
 from repro.zx import circuit_to_zx
-from repro.zx.simplify import (
+from repro.zx.worklist import (
+    _run_rule,
+    _with_tracker,
     clifford_simp,
     full_reduce,
-    gadget_simp,
-    id_simp,
     interior_clifford_simp,
-    pivot_gadget_simp,
-    to_graph_like,
 )
 
 
 def _fusion_only(diagram):
-    to_graph_like(diagram)
-    id_simp(diagram)
+    """Graph-like fusion plus the worklist ``id`` rule alone."""
+    _with_tracker(
+        diagram,
+        None,
+        lambda tracker: _run_rule(diagram, tracker, "id", None, None),
+    )
 
 
 def _interior_clifford(diagram):

@@ -26,11 +26,8 @@ from repro.ec.results import (
 )
 from repro.perf import PerfCounters
 from repro.zx.circuit_conv import circuit_to_zx
-from repro.zx.simplify import (
-    SimplificationTimeout,
-    contract_unitary_chains,
-    full_reduce,
-)
+from repro.zx.simplify import SimplificationTimeout, contract_unitary_chains
+from repro.zx.worklist import full_reduce
 
 
 def zx_check(
@@ -57,12 +54,7 @@ def zx_check(
     initial_spiders = diagram.num_spiders
     try:
         with perf.phase("simplify"):
-            rewrites = full_reduce(
-                diagram,
-                deadline=deadline,
-                incremental=config.incremental_zx,
-                counters=perf,
-            )
+            rewrites = full_reduce(diagram, deadline=deadline, counters=perf)
         # Reproduction extension: circuits decomposed with different Euler
         # conventions leave numerically-identity single-qubit chains the
         # symbolic rules cannot see; contract them and re-reduce.
@@ -71,18 +63,15 @@ def zx_check(
                 diagram, config.tolerance * 1e4, deadline=deadline
             ):
                 rewrites += full_reduce(
-                    diagram,
-                    deadline=deadline,
-                    incremental=config.incremental_zx,
-                    counters=perf,
+                    diagram, deadline=deadline, counters=perf
                 )
     except SimplificationTimeout as exc:
         raise EquivalenceCheckingTimeout() from exc
     statistics = {
         "initial_spiders": initial_spiders,
         "spiders_remaining": diagram.num_spiders,
+        "edges_remaining": diagram.num_edges,
         "zx_rewrites": rewrites,
-        "zx_engine": "incremental" if config.incremental_zx else "legacy",
         "perf": perf.as_dict(),
     }
     permutation = diagram.wire_permutation()

@@ -3,10 +3,12 @@
 ``python -m repro serve`` listens on an ``AF_UNIX`` socket and serves
 *batches* over ``multiprocessing.connection`` framing: a client
 submits a list of circuit pairs plus one configuration and receives the
-list of verdict payloads when every job has resolved.  Circuits cross
-the socket as canonical OpenQASM plus layout metadata — the same
-serialization the verdict cache keys on — so client and server never
-exchange pickled checker objects.
+list of verdict payloads when every job has resolved.  Every message is
+one JSON document (``send_bytes``/``recv_bytes``), so the server never
+unpickles what a client sends, and a message that does not decode is
+answered ``invalid_input`` like any other malformed request.  Circuits
+cross the socket as canonical OpenQASM plus layout metadata — the same
+serialization the verdict cache keys on.
 
 Backpressure is explicit: when accepting a batch would push the pool
 past its bounded queue depth, the server answers ``busy`` with a
@@ -29,6 +31,7 @@ worker is busy, and the pool needs no locks.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import signal
 import socket
@@ -51,6 +54,19 @@ DEFAULT_SOCKET = "repro-service.sock"
 # ----------------------------------------------------------------------
 # wire format
 # ----------------------------------------------------------------------
+def _encode(message: object) -> bytes:
+    """One wire message, in the verdict cache's JSON convention."""
+    return json.dumps(message, default=repr).encode()
+
+
+def _decode(message: bytes) -> object:
+    """Parse one request; a message that is not JSON is malformed."""
+    try:
+        return json.loads(message)
+    except ValueError as error:
+        raise InvalidInput(f"undecodable request: {error}") from error
+
+
 def circuit_to_payload(circuit: QuantumCircuit) -> Dict[str, object]:
     """Serialize one circuit for the socket (QASM + layout metadata)."""
     return {
@@ -225,7 +241,7 @@ class ServiceServer:
                 self._accept_pending(ready)
                 continue
             try:
-                self._handle_request(ready, ready.recv())
+                self._handle_request(ready, ready.recv_bytes())
             except (EOFError, OSError):
                 self._drop_client(ready)
         self._reply_finished()
@@ -255,13 +271,13 @@ class ServiceServer:
         except OSError:  # pragma: no cover
             pass
 
-    def _handle_request(self, conn: Connection, request: object) -> None:
+    def _handle_request(self, conn: Connection, message: bytes) -> None:
         try:
-            reply = self._answer(conn, request)
+            reply = self._answer(conn, _decode(message))
         except CheckError as error:
             reply = {"ok": False, "error": error.to_dict()}
         if reply is not None:
-            conn.send(reply)
+            conn.send_bytes(_encode(reply))
 
     def _answer(
         self, conn: Connection, request: object
@@ -326,7 +342,7 @@ class ServiceServer:
             for job_id in batch.job_ids:
                 self.pool.forget(job_id)
             try:
-                batch.conn.send(payload)
+                batch.conn.send_bytes(_encode(payload))
             except (BrokenPipeError, OSError):
                 self._drop_client(batch.conn)
 
@@ -351,8 +367,8 @@ class ServiceClient:
         self.close()
 
     def _request(self, payload: Dict[str, object]) -> Dict[str, Any]:
-        self._conn.send(payload)
-        return self._conn.recv()
+        self._conn.send_bytes(_encode(payload))
+        return json.loads(self._conn.recv_bytes())
 
     def ping(self) -> bool:
         return bool(self._request({"op": "ping"}).get("ok"))

@@ -18,12 +18,8 @@ from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
 from repro.zx.phase import normalize_phase, phase_to_radians, is_pauli_phase, is_proper_clifford_phase
 from repro.zx.circuit_conv import circuit_to_zx
 from repro.zx.tensor import diagram_to_matrix, diagrams_proportional
-from repro.zx.simplify import (
-    contract_unitary_chains,
-    full_reduce,
-    interior_clifford_simp,
-    to_graph_like,
-)
+from repro.zx.simplify import contract_unitary_chains, to_graph_like
+from repro.zx.worklist import full_reduce, interior_clifford_simp
 from repro.zx.extract import ExtractionError, extract_circuit
 from repro.zx.optimize import zx_optimize
 

@@ -23,7 +23,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.compile.optimize import optimize_circuit
 from repro.zx.circuit_conv import circuit_to_zx
 from repro.zx.extract import ExtractionError, extract_circuit
-from repro.zx.simplify import full_reduce
+from repro.zx.worklist import full_reduce
 
 
 def zx_optimize(

@@ -1,6 +1,6 @@
 """Primitive ZX rewrite rules (the paper's Fig. 5 axioms, operationalized).
 
-The simplification pipeline in :mod:`repro.zx.simplify` applies these rules
+The simplification pipeline in :mod:`repro.zx.worklist` applies these rules
 wholesale; this module exposes them one application at a time, which is
 what Example 6/7-style manual derivations and the axiom-soundness tests
 (against the tensor semantics) need.
@@ -97,13 +97,14 @@ def hopf(diagram: ZXDiagram, u: int, v: int) -> None:
 
 
 def local_complement(diagram: ZXDiagram, vertex: int) -> None:
-    """One local-complementation application (see
-    :func:`repro.zx.simplify.lcomp_simp` for the applicability conditions,
-    which are *not* re-checked here)."""
+    """One local-complementation application (the applicability
+    conditions of :func:`repro.zx.simplify._lcomp_applicable` are *not*
+    re-checked here)."""
     lcomp_step(diagram, vertex)
 
 
 def pivot(diagram: ZXDiagram, u: int, v: int) -> None:
-    """One pivot application along the Hadamard edge ``(u, v)`` (conditions
-    as in :func:`repro.zx.simplify.pivot_simp`, not re-checked here)."""
+    """One pivot application along the Hadamard edge ``(u, v)`` (both
+    endpoints must pass :func:`repro.zx.simplify._pivot_endpoint_applicable`;
+    not re-checked here)."""
     pivot_step(diagram, u, v)

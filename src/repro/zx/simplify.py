@@ -9,16 +9,17 @@ possible using the local complementation and pivoting rules").
 
 A diagram is *graph-like* when every spider is a Z spider, spiders are only
 connected by Hadamard edges, and there are no parallel edges or self-loops.
-On graph-like diagrams the following rewrite families apply:
+On graph-like diagrams the following rewrite families apply, each as a
+rewrite step plus a match predicate:
 
-* ``id_simp`` — remove phase-0 degree-2 spiders,
-* ``lcomp_simp`` — local complementation, eliminating interior spiders with
-  phase ±pi/2,
-* ``pivot_simp`` — pivoting, eliminating pairs of adjacent interior Pauli
+* identity removal (``id_step``) — remove phase-0 degree-2 spiders,
+* local complementation (``lcomp_step``) — eliminate interior spiders
+  with phase ±pi/2,
+* pivoting (``pivot_step``) — eliminate pairs of adjacent interior Pauli
   spiders,
-* ``pivot_gadget_simp`` / ``pivot_boundary_simp`` — pivot variants that
+* ``pivot_gadget_step`` / ``pivot_boundary_step`` — pivot variants that
   first gadgetize a non-Pauli partner or detach a boundary-adjacent one,
-* ``gadget_simp`` — fusion of phase gadgets with identical support.
+* ``gadget_fuse_step`` — fusion of phase gadgets with identical support.
 
 All rewrites hold up to a global scalar, which the equivalence-checking
 use-case does not need (tensor tests compare up to proportionality).
@@ -26,29 +27,22 @@ The number of spiders never increases — the property the paper highlights
 ("because the number of spiders are non-increasing [...] the size of the
 diagram does not blow up").
 
-Two execution engines share the rule *steps* and *match predicates* defined
-here:
-
-* the **legacy rescan drivers** in this module (``id_simp`` & friends)
-  rescan every vertex/edge after each application — O(rounds × |G|); they
-  are kept as the A/B baseline behind ``full_reduce(..., incremental=False)``
-  (CLI ``--legacy-zx-simp``), and
-
-* the **incremental worklist engine** in :mod:`repro.zx.worklist`, the
-  default, which re-examines only vertices whose neighborhood changed.
+This module holds the graph-like transformation, the rule steps and
+their match predicates; :mod:`repro.zx.worklist` schedules them
+(``full_reduce`` and its Clifford sub-pipelines), re-examining only the
+vertices whose neighborhood a rewrite changed.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
 from repro.zx.phase import SymbolicPhase, negate_phase
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 _ONE = Fraction(1)
 
 
@@ -229,32 +223,6 @@ def id_step(diagram: ZXDiagram, vertex: int) -> None:
         _fuse(diagram, n1, n2)
 
 
-def id_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
-    """Remove phase-0 Z spiders of degree two; returns number removed.
-
-    Legacy rescan driver (the incremental engine lives in
-    :mod:`repro.zx.worklist`).
-    """
-    removed = 0
-    again = True
-    while again:
-        _check_deadline(deadline)
-        again = False
-        # repro: allow(deadline-loop): deadline is consulted once per rescan round by the enclosing while; a per-vertex check would skew the legacy A/B baseline
-        for vertex in list(diagram.vertices()):
-            if vertex not in diagram._types:
-                continue
-            if not _id_applicable(diagram, vertex):
-                continue
-            id_step(diagram, vertex)
-            removed += 1
-            again = True
-    if counters is not None and removed:
-        counters.count("zx.id.matches", removed)
-        counters.count("zx.id.rewrites", removed)
-    return removed
-
-
 # ---------------------------------------------------------------------------
 # local complementation
 # ---------------------------------------------------------------------------
@@ -323,31 +291,6 @@ def _lcomp_applicable(diagram: ZXDiagram, vertex: int) -> bool:
     )
 
 
-def lcomp_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
-    """Eliminate interior ±pi/2 spiders via local complementation.
-
-    Legacy rescan driver (the incremental engine lives in
-    :mod:`repro.zx.worklist`).
-    """
-    applied = 0
-    again = True
-    while again:
-        _check_deadline(deadline)
-        again = False
-        # repro: allow(deadline-loop): deadline is consulted once per rescan round by the enclosing while; a per-vertex check would skew the legacy A/B baseline
-        for vertex in list(diagram.vertices()):
-            if vertex not in diagram._types:
-                continue
-            if _lcomp_applicable(diagram, vertex):
-                lcomp_step(diagram, vertex)
-                applied += 1
-                again = True
-    if counters is not None and applied:
-        counters.count("zx.lcomp.matches", applied)
-        counters.count("zx.lcomp.rewrites", applied)
-    return applied
-
-
 # ---------------------------------------------------------------------------
 # pivoting
 # ---------------------------------------------------------------------------
@@ -388,43 +331,6 @@ def _pivot_endpoint_applicable(diagram: ZXDiagram, vertex: int) -> bool:
         and _stored_pauli(diagram._phases[vertex])
         and _hh_z_neighborhood(diagram, vertex)
     )
-
-
-def _pivot_applicable(diagram: ZXDiagram, u: int, v: int) -> bool:
-    return (
-        diagram._adjacency[u].get(v) is EdgeType.HADAMARD
-        and _pivot_endpoint_applicable(diagram, u)
-        and _pivot_endpoint_applicable(diagram, v)
-    )
-
-
-def pivot_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
-    """Eliminate adjacent interior Pauli spider pairs via pivoting.
-
-    Legacy rescan driver (the incremental engine lives in
-    :mod:`repro.zx.worklist`).
-    """
-    applied = 0
-    again = True
-    while again:
-        _check_deadline(deadline)
-        again = False
-        # repro: allow(deadline-loop): deadline is consulted once per rescan round by the enclosing while; a per-edge check would skew the legacy A/B baseline
-        for u, v, edge_type in list(diagram.edges()):
-            if u not in diagram._types or v not in diagram._types:
-                continue
-            if not diagram.connected(u, v):
-                continue  # edge toggled away by an earlier rewrite
-            if diagram.edge_type(u, v) is not EdgeType.HADAMARD:
-                continue
-            if _pivot_applicable(diagram, u, v):
-                pivot_step(diagram, u, v)
-                applied += 1
-                again = True
-    if counters is not None and applied:
-        counters.count("zx.pivot.matches", applied)
-        counters.count("zx.pivot.rewrites", applied)
-    return applied
 
 
 # ---------------------------------------------------------------------------
@@ -470,61 +376,16 @@ def _pivot_gadget_partner_applicable(diagram: ZXDiagram, b: int) -> bool:
     )
 
 
-def _pivot_gadget_applicable(diagram: ZXDiagram, a: int, b: int) -> bool:
-    """Interior Pauli spider ``a`` against interior non-Pauli partner ``b``.
-
-    Neither endpoint may belong to an existing gadget (be, or be adjacent
-    to, a degree-1 leaf): re-gadgetizing gadget structure would cycle
-    forever.  The partner's phase screen goes first — during the
-    Clifford-dominated rounds most partners are Pauli, so most calls exit
-    after two dictionary loads.
-    """
-    return _pivot_gadget_partner_applicable(
-        diagram, b
-    ) and _pivot_gadget_anchor_applicable(diagram, a)
-
-
 def pivot_gadget_step(diagram: ZXDiagram, a: int, b: int) -> None:
-    """Gadgetize the non-Pauli partner ``b``, then pivot along ``(a, b)``."""
+    """Gadgetize the non-Pauli partner ``b``, then pivot along ``(a, b)``.
+
+    Extracting the partner's phase into a phase gadget makes it a Pauli
+    spider, so a regular pivot removes the pair.  This is what drives
+    non-Clifford circuits towards the reduced gadget form of Kissinger &
+    van de Wetering.
+    """
     _gadgetize(diagram, b)
     pivot_step(diagram, a, b)
-
-
-def pivot_gadget_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
-    """Pivot interior Pauli spiders against non-Pauli partners.
-
-    The non-Pauli partner's phase is first extracted into a phase gadget,
-    making the partner a Pauli spider, after which a regular pivot removes
-    the original pair.  This is what drives non-Clifford circuits towards
-    the reduced gadget form of Kissinger & van de Wetering.
-
-    Legacy rescan driver (the incremental engine lives in
-    :mod:`repro.zx.worklist`).
-    """
-    applied = 0
-    again = True
-    while again:
-        _check_deadline(deadline)
-        again = False
-        # repro: allow(deadline-loop): deadline is consulted once per rescan round by the enclosing while; a per-edge check would skew the legacy A/B baseline
-        for u, v, edge_type in list(diagram.edges()):
-            if u not in diagram._types or v not in diagram._types:
-                continue
-            if not diagram.connected(u, v):
-                continue  # edge toggled away by an earlier rewrite
-            if diagram.edge_type(u, v) is not EdgeType.HADAMARD:
-                continue
-            # repro: allow(deadline-loop): bounded two-iteration orientation loop
-            for a, b in ((u, v), (v, u)):
-                if _pivot_gadget_applicable(diagram, a, b):
-                    pivot_gadget_step(diagram, a, b)
-                    applied += 1
-                    again = True
-                    break
-    if counters is not None and applied:
-        counters.count("zx.pivot_gadget.matches", applied)
-        counters.count("zx.pivot_gadget.rewrites", applied)
-    return applied
 
 
 def _pivot_boundary_partner_applicable(diagram: ZXDiagram, b: int) -> bool:
@@ -546,18 +407,13 @@ def _pivot_boundary_partner_applicable(diagram: ZXDiagram, b: int) -> bool:
     return boundary_adjacent
 
 
-def _pivot_boundary_applicable(diagram: ZXDiagram, a: int, b: int) -> bool:
-    """Interior Pauli spider ``a`` against boundary-adjacent partner ``b``."""
-    return _pivot_boundary_partner_applicable(
-        diagram, b
-    ) and _pivot_endpoint_applicable(diagram, a)
-
-
 def pivot_boundary_step(diagram: ZXDiagram, a: int, b: int) -> None:
     """Buffer ``b``'s boundary wires with fresh spiders, then pivot.
 
     The buffering makes ``b`` interior with all-Hadamard edges, so the
-    regular pivot applies.
+    regular pivot applies.  The net effect removes one interior Pauli
+    spider without growing the spider count (the pivot removes one
+    spider for each buffer inserted).
     """
     for boundary in [
         n for n in diagram.neighbors(b) if diagram.is_boundary(n)
@@ -574,43 +430,6 @@ def pivot_boundary_step(diagram: ZXDiagram, a: int, b: int) -> None:
             else EdgeType.HADAMARD,
         )
     pivot_step(diagram, a, b)
-
-
-def pivot_boundary_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
-    """Pivot interior Pauli spiders against boundary-adjacent partners.
-
-    The partner's boundary wires are first buffered with fresh spiders so
-    it becomes interior; the net effect removes one interior Pauli spider
-    per application without growing the spider count (one removed by the
-    pivot for each one inserted).
-
-    Legacy rescan driver (the incremental engine lives in
-    :mod:`repro.zx.worklist`).
-    """
-    applied = 0
-    again = True
-    while again:
-        _check_deadline(deadline)
-        again = False
-        # repro: allow(deadline-loop): deadline is consulted once per rescan round by the enclosing while; a per-edge check would skew the legacy A/B baseline
-        for u, v, edge_type in list(diagram.edges()):
-            if u not in diagram._types or v not in diagram._types:
-                continue
-            if not diagram.connected(u, v):
-                continue  # edge toggled away by an earlier rewrite
-            if diagram.edge_type(u, v) is not EdgeType.HADAMARD:
-                continue
-            # repro: allow(deadline-loop): bounded two-iteration orientation loop
-            for a, b in ((u, v), (v, u)):
-                if _pivot_boundary_applicable(diagram, a, b):
-                    pivot_boundary_step(diagram, a, b)
-                    applied += 1
-                    again = True
-                    break
-    if counters is not None and applied:
-        counters.count("zx.pivot_boundary.matches", applied)
-        counters.count("zx.pivot_boundary.rewrites", applied)
-    return applied
 
 
 # ---------------------------------------------------------------------------
@@ -648,132 +467,6 @@ def gadget_fuse_step(
     diagram.add_to_phase(keep_leaf, diagram.phase(merge_leaf))
     diagram.remove_vertex(merge_leaf)
     diagram.remove_vertex(merge_axis)
-
-
-def gadget_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
-    """Fuse phase gadgets with identical support (reduced gadget form).
-
-    Legacy rescan driver (the incremental engine lives in
-    :mod:`repro.zx.worklist`).
-    """
-    applied = 0
-    gadgets: Dict[FrozenSet[int], Tuple[int, int]] = {}
-    for leaf in list(diagram.vertices()):
-        _check_deadline(deadline)
-        if leaf not in diagram._types:
-            continue
-        shape = _gadget_shape(diagram, leaf)
-        if shape is None:
-            continue
-        axis, support = shape
-        if support in gadgets:
-            other_axis, other_leaf = gadgets[support]
-            gadget_fuse_step(diagram, other_leaf, axis, leaf)
-            applied += 1
-        else:
-            gadgets[support] = (axis, leaf)
-    if counters is not None and applied:
-        counters.count("zx.gadget.matches", applied)
-        counters.count("zx.gadget.rewrites", applied)
-    return applied
-
-
-# ---------------------------------------------------------------------------
-# pipelines
-# ---------------------------------------------------------------------------
-def interior_clifford_simp(
-    diagram: ZXDiagram, deadline=None, incremental: bool = True, counters=None
-) -> int:
-    """Spider fusion + identity + pivoting + local complementation loop."""
-    if incremental:
-        from repro.zx.worklist import interior_clifford_simp_incremental
-
-        return interior_clifford_simp_incremental(
-            diagram, deadline=deadline, counters=counters
-        )
-    total = 0
-    to_graph_like(diagram, deadline=deadline)
-    while True:
-        applied = id_simp(diagram, deadline, counters)
-        applied += pivot_simp(diagram, deadline, counters)
-        applied += lcomp_simp(diagram, deadline, counters)
-        total += applied
-        if not applied:
-            return total
-
-
-def clifford_simp(
-    diagram: ZXDiagram, deadline=None, incremental: bool = True, counters=None
-) -> int:
-    """Interior Clifford simplification plus boundary pivots."""
-    if incremental:
-        from repro.zx.worklist import clifford_simp_incremental
-
-        return clifford_simp_incremental(
-            diagram, deadline=deadline, counters=counters
-        )
-    total = 0
-    while True:
-        applied = interior_clifford_simp(
-            diagram, deadline, incremental=False, counters=counters
-        )
-        applied += pivot_boundary_simp(diagram, deadline, counters)
-        total += applied
-        if not applied:
-            return total
-
-
-def full_reduce(
-    diagram: ZXDiagram,
-    max_rounds: int = 10_000,
-    deadline=None,
-    incremental: bool = True,
-    counters=None,
-) -> int:
-    """The full simplification strategy (PyZX's ``full_reduce``).
-
-    Returns the total number of rewrite applications.  Termination is
-    guaranteed because every constituent strictly reduces a well-founded
-    measure; ``max_rounds`` is a safety backstop only.
-
-    ``incremental`` selects the worklist engine of
-    :mod:`repro.zx.worklist` (the default); ``False`` runs the legacy
-    rescan-to-fixpoint drivers in this module (CLI ``--legacy-zx-simp``).
-    ``counters``, when given, is a :class:`repro.perf.PerfCounters`-style
-    object that receives per-rule ``zx.<rule>.matches`` /
-    ``zx.<rule>.rewrites`` counts plus ``zx.rounds``.
-    """
-    # An expired deadline must fire even when the diagram offers no
-    # matches (the per-rule checks only run inside match loops).
-    _check_deadline(deadline)
-    if incremental:
-        from repro.zx.worklist import full_reduce_incremental
-
-        return full_reduce_incremental(
-            diagram, max_rounds=max_rounds, deadline=deadline,
-            counters=counters,
-        )
-    total = interior_clifford_simp(
-        diagram, deadline, incremental=False, counters=counters
-    )
-    total += pivot_gadget_simp(diagram, deadline, counters)
-    rounds = 0
-    for _ in range(max_rounds):
-        rounds += 1
-        applied = clifford_simp(
-            diagram, deadline, incremental=False, counters=counters
-        )
-        applied += gadget_simp(diagram, deadline, counters)
-        applied += interior_clifford_simp(
-            diagram, deadline, incremental=False, counters=counters
-        )
-        applied += pivot_gadget_simp(diagram, deadline, counters)
-        total += applied
-        if not applied:
-            break
-    if counters is not None:
-        counters.count("zx.rounds", rounds)
-    return total
 
 
 # ---------------------------------------------------------------------------

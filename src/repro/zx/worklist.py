@@ -1,9 +1,10 @@
-"""Incremental worklist-driven ZX simplification engine.
+"""Worklist-driven ZX simplification: ``full_reduce`` and its pipelines.
 
-The legacy drivers in :mod:`repro.zx.simplify` rescan *every* vertex/edge
-after each rewrite, giving O(rounds × |G|) work even when a rewrite only
-perturbs a small neighborhood.  This module replaces that architecture
-with a dirty-vertex worklist (PyZX-style match-then-rewrite):
+The rewrite *steps* and match *predicates* live in
+:mod:`repro.zx.simplify`; this module schedules them.  Instead of
+rescanning every vertex/edge after each rewrite (O(rounds × |G|) work
+even when a rewrite only perturbs a small neighborhood), it keeps a
+dirty-vertex worklist (PyZX-style match-then-rewrite):
 
 * A :class:`DirtyTracker` attaches to the :class:`~repro.zx.diagram.ZXDiagram`
   and receives a ``touch(v)`` notification for every mutation that can
@@ -12,13 +13,21 @@ with a dirty-vertex worklist (PyZX-style match-then-rewrite):
   its *own* dirty set, seeded with every vertex, so a vertex dirtied while
   one rule runs is still pending for all the others.
 
-* Every rule match is *local*: whether a rule applies at a vertex (or
-  edge) depends only on that vertex and its direct neighbors — plus, for
-  the gadget guards, neighbor degrees, which are themselves invalidated
-  only by edge mutations that touch the middle vertex.  Draining a rule's
-  dirty set therefore returns the dirty vertices **plus their current
-  neighbors** as the complete candidate set; everything else is provably
-  still a non-match.
+* Every match predicate but one is *local*: whether a rule applies at a
+  vertex (or edge) depends only on that vertex and its direct neighbors —
+  plus, for the gadget guards, neighbor degrees, which are themselves
+  invalidated only by edge mutations that touch the middle vertex.
+  Draining a rule's dirty set therefore returns the dirty vertices **plus
+  their current neighbors** as the complete candidate set; everything
+  else is provably still a non-match.
+
+* Phase-gadget fusion is the one non-local match: two gadgets with the
+  same support sit leaf–axis–support–axis–leaf apart.  A cache
+  (:attr:`DirtyTracker.gadget_supports`, support -> registered gadget)
+  bridges them.  A round drops the entry of every candidate axis, whose
+  support may have changed, and re-examines that entry's leaf in the same
+  round, so every live gadget stays registered and a later gadget with
+  the same support finds it.
 
 * The tracker additionally maintains *phase-indexed spider sets*
   (:attr:`DirtyTracker.pauli_spiders` / ``clifford_spiders``) so the
@@ -32,9 +41,6 @@ with a dirty-vertex worklist (PyZX-style match-then-rewrite):
   round via :meth:`DirtyTracker.retry`.  Collected matches are re-validated
   immediately before application, because a spider-fusion cascade inside
   ``id_step`` may reach beyond its claim.
-
-Rewrite *steps* and match *predicates* are shared with the legacy module —
-both engines apply bit-identical rewrites; only the scheduling differs.
 """
 
 from __future__ import annotations
@@ -375,17 +381,22 @@ def _gadget_round(
         return 0
     supports = tracker.gadget_supports
     axis_key = tracker._axis_key
-    # Invalidate cache entries whose axis neighborhood may have changed.
+    # Invalidate cache entries whose axis neighborhood may have changed,
+    # and re-examine their leaves this round: a leaf is two hops from the
+    # dirty support spider, so it is usually not a candidate itself, and
+    # a gadget left unregistered would never fuse with a later one.
+    leaves = set(candidates)
     for vertex in candidates:
         key = axis_key.pop(vertex, None)
         if key is not None:
             entry = supports.get(key)
             if entry is not None and entry[0] == vertex:
                 del supports[key]
+                leaves.add(entry[1])
     alive = diagram._types
     matched = 0
     applied = 0
-    for leaf in candidates:
+    for leaf in sorted(leaves):
         if leaf not in alive:
             continue
         shape = _gadget_shape(diagram, leaf)
@@ -443,7 +454,7 @@ def _run_rule(
 
 
 # ---------------------------------------------------------------------------
-# pipelines (scheduling mirrors the legacy ones in repro.zx.simplify)
+# pipelines
 # ---------------------------------------------------------------------------
 def _interior_clifford(diagram, tracker, deadline, counters) -> int:
     total = 0
@@ -468,9 +479,9 @@ def _clifford(diagram, tracker, deadline, counters) -> int:
             return total
 
 
-def _with_tracker(diagram: ZXDiagram, body) -> int:
+def _with_tracker(diagram: ZXDiagram, deadline, body) -> int:
     """Graph-like normalization, tracker attach/run/detach."""
-    to_graph_like(diagram)
+    to_graph_like(diagram, deadline=deadline)
     tracker = DirtyTracker(diagram)
     diagram.attach_tracker(tracker)
     try:
@@ -479,42 +490,50 @@ def _with_tracker(diagram: ZXDiagram, body) -> int:
         diagram.detach_tracker()
 
 
-def interior_clifford_simp_incremental(
+def interior_clifford_simp(
     diagram: ZXDiagram, deadline=None, counters=None
 ) -> int:
-    """Worklist-driven :func:`repro.zx.simplify.interior_clifford_simp`."""
+    """Spider fusion + identity + pivoting + local complementation loop."""
     return _with_tracker(
         diagram,
+        deadline,
         lambda tracker: _interior_clifford(
             diagram, tracker, deadline, counters
         ),
     )
 
 
-def clifford_simp_incremental(
-    diagram: ZXDiagram, deadline=None, counters=None
-) -> int:
-    """Worklist-driven :func:`repro.zx.simplify.clifford_simp`."""
+def clifford_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
+    """Interior Clifford simplification plus boundary pivots."""
     return _with_tracker(
         diagram,
+        deadline,
         lambda tracker: _clifford(diagram, tracker, deadline, counters),
     )
 
 
-def full_reduce_incremental(
+def full_reduce(
     diagram: ZXDiagram,
     max_rounds: int = 10_000,
     deadline=None,
     counters=None,
 ) -> int:
-    """Worklist-driven :func:`repro.zx.simplify.full_reduce`.
+    """The full simplification strategy (PyZX's ``full_reduce``).
 
-    Same rule schedule as the legacy pipeline; after the initial sweep
-    (every rule's dirty set starts full) each subsequent pass only touches
+    Returns the total number of rewrite applications.  Termination is
+    guaranteed because every constituent strictly reduces a well-founded
+    measure; ``max_rounds`` is a safety backstop only.  After the initial
+    sweep (every rule's dirty set starts full) each pass only touches
     vertices whose neighborhood a rewrite actually changed, so the
-    quiescent passes that dominate the legacy engine degenerate to empty
-    set checks.
+    quiescent passes degenerate to empty set checks.
+
+    ``counters``, when given, is a :class:`repro.perf.PerfCounters`-style
+    object that receives per-rule ``zx.<rule>.matches`` /
+    ``zx.<rule>.rewrites`` counts plus ``zx.rounds``.
     """
+    # An expired deadline must fire even when the diagram offers no
+    # matches (the per-rule checks only run inside match loops).
+    _check_deadline(deadline)
 
     def body(tracker: DirtyTracker) -> int:
         total = _interior_clifford(diagram, tracker, deadline, counters)
@@ -538,4 +557,4 @@ def full_reduce_incremental(
         _count(counters, "zx.rounds", rounds)
         return total
 
-    return _with_tracker(diagram, body)
+    return _with_tracker(diagram, deadline, body)

@@ -1,4 +1,4 @@
-"""Tier-1 smoke benchmarks for the DD fast-path kernels and ZX engines.
+"""Tier-1 smoke benchmarks for the DD fast-path kernels and the ZX engine.
 
 Marked ``bench_smoke`` so they can be selected alone::
 
@@ -9,8 +9,9 @@ comparisons live in ``benchmarks/bench_dd_kernels.py`` and
 ``benchmarks/bench_zx_simplify.py``, which write
 ``BENCH_dd_kernels.json`` / ``BENCH_zx_simplify.json``.  Here we only
 guard the invariants the benchmarks rely on: the DD checkers return the
-golden fixture's verdicts and stimulus digests (``tests/dd/golden_dd.json``)
-and stay fast enough for tier-1.
+golden fixture's verdicts and stimulus digests (``tests/dd/golden_dd.json``),
+the ZX checker its verdict and final counts (``tests/zx/golden_zx.json``),
+and both stay fast enough for tier-1.
 """
 
 from __future__ import annotations
@@ -112,32 +113,25 @@ def test_compiled_checks_stay_on_the_active_register():
 
 @pytest.mark.bench_smoke
 def test_zx_simplify_smoke():
-    """Incremental and legacy ZX engines agree end-to-end and stay fast."""
-    from repro.bench.algorithms import qft
+    """The ZX checker reproduces its golden record on the compiled GHZ-16
+    cell and stays fast."""
+    from tests.zx import golden as zx_golden
 
-    original = qft(5)
-
-    verdicts = {}
-    spiders = {}
-    elapsed = {}
-    for label, incremental in (("incremental", True), ("legacy", False)):
-        config = Configuration(
-            strategy="zx", seed=0, incremental_zx=incremental
-        )
-        start = time.perf_counter()
-        result = EquivalenceCheckingManager(original, original, config).run()
-        elapsed[label] = time.perf_counter() - start
-        verdicts[label] = result.equivalence
-        spiders[label] = result.statistics["spiders_remaining"]
-        assert result.equivalence in POSITIVE, label
-        assert result.statistics["zx_engine"] == label
-        counters = result.statistics["perf"]["counters"]
-        assert counters.get("zx.rounds", 0) >= 1, label
-
-    assert verdicts["incremental"] == verdicts["legacy"]
-    assert spiders["incremental"] == spiders["legacy"] == 0
+    original, compiled = _compiled_ghz16()
+    config = Configuration(strategy="zx", seed=0, static_analysis=False)
+    start = time.perf_counter()
+    result = EquivalenceCheckingManager(original, compiled, config).run()
+    elapsed = time.perf_counter() - start
+    assert result.equivalence in POSITIVE
+    record = {"verdict": result.equivalence.value}
+    record.update((key, result.statistics[key]) for key in zx_golden.FIELDS)
+    assert record == (
+        zx_golden.load()["table1"]["compiled/ghz_16/equivalent"]
+    )
+    counters = result.statistics["perf"]["counters"]
+    assert counters.get("zx.rounds", 0) >= 1
     # Generous bound: this pair takes ~0.05 s; 5 s means something broke.
-    assert elapsed["incremental"] < 5.0
+    assert elapsed < 5.0
 
 
 @pytest.mark.bench_smoke

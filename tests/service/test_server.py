@@ -209,6 +209,46 @@ class TestServerRoundTrip:
         ]
         assert pool.audit()["leaked"] == 0
 
+    def test_undecodable_messages_are_answered_not_fatal(self):
+        import json
+        import pickle
+        from multiprocessing.connection import Client
+
+        pool = WorkerPool(
+            PoolConfig(workers=1, restart_backoff=_FAST_BACKOFF)
+        )
+        server, thread, socket_path = _serve(pool)
+        messages = {
+            "garbage bytes": b"\x80\x04not a pickle",
+            "pickled dict": pickle.dumps({"op": "ping"}),
+        }
+        try:
+            raw = Client(socket_path, family="AF_UNIX")
+            try:
+                for name, message in messages.items():
+                    raw.send_bytes(message)
+                    reply = json.loads(raw.recv_bytes())
+                    assert reply["ok"] is False, name
+                    assert reply["error"]["kind"] == "invalid_input", name
+            finally:
+                raw.close()
+            # The same server still answers a ping and a real batch.
+            with ServiceClient(socket_path) as client:
+                assert client.ping()
+                results = client.submit_batch(
+                    _pairs(), Configuration(timeout=10.0, seed=0)
+                )
+        finally:
+            with ServiceClient(socket_path) as closer:
+                closer.shutdown_server()
+            thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert [payload["equivalence"] for payload in results] == [
+            "equivalent",
+            "equivalent",
+        ]
+        assert pool.audit()["leaked"] == 0
+
 
 class TestEventLoop:
     def test_pings_are_not_blocked_by_a_hanging_worker(self):

@@ -7,9 +7,14 @@ from fractions import Fraction
 import pytest
 
 from repro.circuit import QuantumCircuit, circuit_unitary
-from repro.zx import circuit_to_zx, diagram_to_matrix, diagrams_proportional
+from repro.zx import (
+    circuit_to_zx,
+    contract_unitary_chains,
+    diagram_to_matrix,
+    diagrams_proportional,
+    full_reduce,
+)
 from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
-from repro.zx.simplify import contract_unitary_chains, full_reduce
 
 
 def wire_with_phases(phases_and_hadamards):

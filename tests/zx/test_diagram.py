@@ -138,10 +138,10 @@ class TestStructuralOps:
 
     def test_compose_bare_wires(self):
         composed = bare_wire().compose(bare_wire())
-        # junction spiders are phase-0 Z spiders, removable by id_simp
-        from repro.zx.simplify import id_simp
+        # junction spiders are phase-0 Z spiders, removed by the id rule
+        from repro.zx import full_reduce
 
-        id_simp(composed)
+        full_reduce(composed)
         assert composed.wire_permutation() == {0: 0}
 
 

@@ -1,12 +1,13 @@
-"""Tests for the incremental worklist engine (`repro.zx.worklist`).
+"""Tests for the worklist engine (`repro.zx.worklist`).
 
-The engine shares every rule step and match predicate with the legacy
-rescan drivers — these tests pin down the contract that only the
-*scheduling* differs: on random Clifford+T verification instances
-(equivalent pairs, one-gate-missing pairs, flipped-CNOT pairs) both
-engines must reach final diagrams with equal spider and edge counts
-that are tensor-proportional, and the :class:`DirtyTracker` candidate
-indexes must always mirror the live diagram.
+On random Clifford+T verification instances (equivalent pairs,
+one-gate-missing pairs, flipped-CNOT pairs) the reduced diagram must
+still denote the unreduced pair (dense truth), must be the identity
+exactly when the pair is equivalent and ZX decides it, and must be
+``full_reduce``'s own fixpoint: a second pass that finds a rewrite has
+found a match the first pass lost.  The :class:`DirtyTracker` candidate
+indexes must always mirror the live diagram, and its gadget cache must
+not lose a gadget whose support spider changed.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.errors import flip_random_cnot, remove_random_gate
-from repro.circuit import QuantumCircuit
+from repro.circuit import QuantumCircuit, circuit_unitary
 from repro.zx import (
     circuit_to_zx,
     diagram_to_matrix,
@@ -23,8 +24,8 @@ from repro.zx import (
     full_reduce,
     to_graph_like,
 )
-from repro.zx.diagram import EdgeType, VertexType
-from repro.zx.worklist import RULES, DirtyTracker
+from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
+from repro.zx.worklist import RULES, DirtyTracker, _run_rule
 from tests.conftest import random_circuit
 
 
@@ -32,13 +33,18 @@ def _composed(circuit1, circuit2):
     return circuit_to_zx(circuit1).adjoint().compose(circuit_to_zx(circuit2))
 
 
-def _reduce_both(circuit1, circuit2):
-    """Run both engines on the same composed pair; return the diagrams."""
-    legacy = _composed(circuit1, circuit2)
-    incremental = legacy.copy()
-    full_reduce(legacy, incremental=False)
-    full_reduce(incremental, incremental=True)
-    return legacy, incremental
+def _reduced(circuit1, circuit2):
+    """The reduced ``G'·G†`` diagram, checked to be its own fixpoint."""
+    diagram = _composed(circuit1, circuit2)
+    full_reduce(diagram)
+    assert full_reduce(diagram) == 0
+    return diagram
+
+
+def _denotes_pair(diagram, circuit1, circuit2):
+    """The diagram is proportional to ``U2 · U1†`` (dense truth)."""
+    truth = circuit_unitary(circuit2) @ circuit_unitary(circuit1).conj().T
+    return diagrams_proportional(diagram_to_matrix(diagram), truth)
 
 
 def _variant(circuit, kind, seed):
@@ -51,62 +57,57 @@ def _variant(circuit, kind, seed):
     raise ValueError(kind)
 
 
-class TestEngineAgreement:
-    """Equal final sizes on random Clifford+T verification instances."""
+class TestReduction:
+    """Random Clifford+T verification instances against dense truth."""
 
     @pytest.mark.parametrize("kind", [
         "equivalent", "gate_missing", "flipped_cnot",
     ])
     @pytest.mark.parametrize("num_qubits", [4, 6])
     @pytest.mark.parametrize("seed", range(3))
-    def test_equal_final_counts(self, kind, num_qubits, seed):
+    def test_fixpoint_denotes_the_pair(self, kind, num_qubits, seed):
         circuit = random_circuit(
             num_qubits, 6 * num_qubits, seed=seed, gate_set="clifford_t"
         )
         other = _variant(circuit, kind, seed)
-        legacy, incremental = _reduce_both(circuit, other)
-        assert legacy.num_spiders == incremental.num_spiders
-        assert legacy.num_edges == incremental.num_edges
+        diagram = _reduced(circuit, other)
+        assert _denotes_pair(diagram, circuit, other)
         if kind == "equivalent":
-            assert incremental.is_identity_diagram()
+            assert diagram.is_identity_diagram()
 
     @pytest.mark.parametrize("kind", [
         "equivalent", "gate_missing", "flipped_cnot",
     ])
     @pytest.mark.parametrize("seed", range(3))
     def test_tensor_proportional(self, kind, seed):
-        """At 3 qubits the dense semantics are cheap enough to compare."""
+        """At 3 qubits the unreduced diagram itself is cheap to evaluate."""
         circuit = random_circuit(3, 18, seed=seed, gate_set="clifford_t")
         other = _variant(circuit, kind, seed)
-        legacy, incremental = _reduce_both(circuit, other)
-        assert legacy.num_spiders == incremental.num_spiders
-        assert diagrams_proportional(
-            diagram_to_matrix(legacy), diagram_to_matrix(incremental)
-        )
+        before = diagram_to_matrix(_composed(circuit, other))
+        diagram = _reduced(circuit, other)
+        assert diagrams_proportional(diagram_to_matrix(diagram), before)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
-    def test_equal_counts_property(self, seed):
+    def test_self_composition_property(self, seed):
         circuit = random_circuit(4, 24, seed=seed, gate_set="clifford_t")
-        legacy, incremental = _reduce_both(circuit, circuit)
-        assert legacy.num_spiders == incremental.num_spiders
-        assert legacy.num_edges == incremental.num_edges
+        assert _reduced(circuit, circuit).is_identity_diagram()
 
-    def test_incremental_preserves_semantics_vs_input(self):
+    def test_preserves_semantics_vs_input(self):
         circuit = random_circuit(3, 20, seed=11, gate_set="clifford_t")
         diagram = _composed(circuit, circuit)
         before = diagram_to_matrix(diagram)
-        full_reduce(diagram, incremental=True)
+        full_reduce(diagram)
         assert diagrams_proportional(diagram_to_matrix(diagram), before)
 
     def test_tracker_detached_after_reduce(self):
         """full_reduce must not leave its tracker attached (copy/re-reduce)."""
         circuit = random_circuit(3, 10, seed=0, gate_set="clifford_t")
         diagram = _composed(circuit, circuit)
-        full_reduce(diagram, incremental=True)
+        full_reduce(diagram)
         assert diagram._tracker is None
         # a second reduction attaches a fresh tracker without complaint
-        assert full_reduce(diagram, incremental=True) == 0
+        assert full_reduce(diagram) == 0
 
 
 def _recomputed_indexes(diagram):
@@ -198,32 +199,80 @@ class TestDirtyTracker:
         diagram.attach_tracker(DirtyTracker(diagram))
 
 
-class TestEngineAgreementLargerCircuit:
-    def test_mixed_gate_set_agreement(self):
-        """Non-Clifford phases exercise the gadget machinery in both."""
+class TestLargerCircuit:
+    def test_mixed_gate_set_reduces_to_identity(self):
+        """Non-Clifford phases exercise the gadget machinery."""
         circuit = random_circuit(4, 30, seed=3, gate_set="mixed")
-        legacy, incremental = _reduce_both(circuit, circuit)
-        assert legacy.num_spiders == incremental.num_spiders
-        assert legacy.num_edges == incremental.num_edges
-        assert incremental.is_identity_diagram()
+        assert _reduced(circuit, circuit).is_identity_diagram()
 
     def test_unequal_pair_stays_unequal(self):
         circuit = random_circuit(4, 30, seed=5, gate_set="clifford_t")
         broken_ops = list(circuit.operations)
         del broken_ops[len(broken_ops) // 2]
         broken = QuantumCircuit(4, operations=broken_ops)
-        legacy, incremental = _reduce_both(circuit, broken)
-        assert legacy.num_spiders == incremental.num_spiders
-        assert not incremental.is_identity_diagram()
+        diagram = _reduced(circuit, broken)
+        assert not diagram.is_identity_diagram()
+        assert _denotes_pair(diagram, circuit, broken)
 
 
-class TestRescanOnlyRewriteOrder:
-    """``generate_instance(127, "rotations")``: the one default-size pair
-    (seeds 0-599, four concrete families, no pre-pass) the two engines
-    decide differently.  It is a compiled 4-qubit pair, 19 against 49
-    gates, and equivalent.  The rescan drivers reduce it to the identity;
-    the worklist engine stops with 6 spiders left.  The rescan drivers
-    stay until the worklist engine decides it too."""
+def _wired_support_spider(diagram, phase):
+    """A Z spider on its own wire, between an input and an output."""
+    i = diagram.add_vertex(VertexType.BOUNDARY)
+    spider = diagram.add_vertex(VertexType.Z, phase)
+    o = diagram.add_vertex(VertexType.BOUNDARY)
+    diagram.connect(i, spider)
+    diagram.connect(spider, o)
+    diagram.inputs.append(i)
+    diagram.outputs.append(o)
+    return spider
+
+
+def _add_gadget(diagram, support, phase):
+    """A phase gadget (axis + leaf) on ``support``; returns the leaf."""
+    axis = diagram.add_vertex(VertexType.Z)
+    leaf = diagram.add_vertex(VertexType.Z, phase)
+    for spider in support:
+        diagram.connect(axis, spider, EdgeType.HADAMARD)
+    diagram.connect(axis, leaf, EdgeType.HADAMARD)
+    return leaf
+
+
+class TestGadgetCache:
+    """Gadget fusion is the one non-local match: the cache bridges two
+    gadgets on the same support, so it must not lose a registered one."""
+
+    def test_gadget_survives_a_support_phase_change(self):
+        diagram = ZXDiagram()
+        support = [
+            _wired_support_spider(diagram, Fraction(1, 4)),
+            _wired_support_spider(diagram, Fraction(1, 4)),
+        ]
+        first_leaf = _add_gadget(diagram, support, Fraction(1, 4))
+        tracker = DirtyTracker(diagram)
+        diagram.attach_tracker(tracker)
+        try:
+            # The first round registers the gadget in the support cache.
+            assert _run_rule(diagram, tracker, "gadget", None, None) == 0
+            assert frozenset(support) in tracker.gadget_supports
+            # A support spider changes, dirtying the cached gadget's axis
+            # but not its leaf, while a second gadget on the same support
+            # appears.
+            diagram.set_phase(support[0], Fraction(3, 8))
+            second_leaf = _add_gadget(diagram, support, Fraction(1, 8))
+            before = diagram_to_matrix(diagram)
+            assert _run_rule(diagram, tracker, "gadget", None, None) == 1
+        finally:
+            diagram.detach_tracker()
+        assert second_leaf not in diagram._types
+        assert diagram.phase(first_leaf) == Fraction(3, 8)
+        assert diagrams_proportional(diagram_to_matrix(diagram), before)
+
+
+class TestLostGadgetFusion:
+    """``generate_instance(127, "rotations")``, a compiled 4-qubit pair
+    (19 against 49 gates) that is equivalent.  The worklist engine used to
+    stop with 6 spiders left: two support spiders and two gadgets on
+    exactly that support, whose fusion the gadget cache had lost."""
 
     @pytest.fixture(scope="class")
     def pair(self):
@@ -232,19 +281,8 @@ class TestRescanOnlyRewriteOrder:
         _, pair = generate_instance(127, "rotations")
         return pair
 
-    @staticmethod
-    def _zx(pair, incremental):
-        from repro.ec import Configuration, EquivalenceCheckingManager
-
-        config = Configuration(
-            strategy="zx", static_analysis=False, incremental_zx=incremental
-        )
-        return EquivalenceCheckingManager(
-            pair.circuit1, pair.circuit2, config
-        ).run()
-
     def test_dense_truth_says_equivalent(self, pair):
-        from repro.circuit import circuit_unitary, unitaries_equivalent
+        from repro.circuit import unitaries_equivalent
         from repro.ec.permutations import to_logical_form
 
         unitaries = [
@@ -254,20 +292,13 @@ class TestRescanOnlyRewriteOrder:
         assert pair.label == "equivalent"
         assert unitaries_equivalent(*unitaries)
 
-    def test_rescan_drivers_decide(self, pair):
+    def test_zx_decides(self, pair):
+        from repro.ec import Configuration, EquivalenceCheckingManager
         from repro.ec.results import Equivalence
 
-        result = self._zx(pair, incremental=False)
+        config = Configuration(strategy="zx", static_analysis=False)
+        result = EquivalenceCheckingManager(
+            pair.circuit1, pair.circuit2, config
+        ).run()
         assert result.equivalence is Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE
         assert result.statistics["spiders_remaining"] == 0
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the worklist engine lacks a rewrite order the rescan "
-        "drivers find on this pair",
-    )
-    def test_worklist_engine_decides(self, pair):
-        from repro.ec.results import Equivalence
-
-        result = self._zx(pair, incremental=True)
-        assert result.equivalence is Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE

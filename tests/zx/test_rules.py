@@ -16,7 +16,7 @@ from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
 from repro.zx.rules import color_change, fuse, local_complement, pivot, remove_identity
 from repro.zx.simplify import (
     _lcomp_applicable,
-    _pivot_applicable,
+    _pivot_endpoint_applicable,
     to_graph_like,
 )
 from tests.conftest import random_circuit
@@ -146,8 +146,10 @@ class TestPivot:
         diagram = _graph_like_ec_diagram(seed)
         match = None
         for u, v, edge_type in diagram.edges():
-            if edge_type is EdgeType.HADAMARD and _pivot_applicable(
-                diagram, u, v
+            if (
+                edge_type is EdgeType.HADAMARD
+                and _pivot_endpoint_applicable(diagram, u)
+                and _pivot_endpoint_applicable(diagram, v)
             ):
                 match = (u, v)
                 break
@@ -214,7 +216,8 @@ class TestPivotDeterministic:
         d.connect(v, only_v, EdgeType.HADAMARD)
         d.connect(u, common, EdgeType.HADAMARD)
         d.connect(v, common, EdgeType.HADAMARD)
-        assert _pivot_applicable(d, u, v)
+        assert _pivot_endpoint_applicable(d, u)
+        assert _pivot_endpoint_applicable(d, v)
         before = diagram_to_matrix(d)
         pivot(d, u, v)
         assert diagrams_proportional(diagram_to_matrix(d), before)

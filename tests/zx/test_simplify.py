@@ -1,4 +1,5 @@
-"""Tests for the graph-like simplification pipeline (`repro.zx.simplify`)."""
+"""Tests for the graph-like simplification pipeline (`repro.zx.simplify`
+rules, scheduled by `repro.zx.worklist`)."""
 
 import time
 
@@ -14,17 +15,23 @@ from repro.zx import (
     to_graph_like,
 )
 from repro.zx.diagram import EdgeType, VertexType
-from repro.zx.simplify import (
-    SimplificationTimeout,
+from repro.zx.simplify import SimplificationTimeout
+from repro.zx.worklist import (
+    _run_rule,
+    _with_tracker,
     clifford_simp,
-    gadget_simp,
-    id_simp,
     interior_clifford_simp,
-    lcomp_simp,
-    pivot_gadget_simp,
-    pivot_simp,
 )
 from tests.conftest import random_circuit
+
+
+def run_rule(diagram, rule, deadline=None):
+    """Drive one worklist rule to its fixpoint on the graph-like diagram."""
+    return _with_tracker(
+        diagram,
+        deadline,
+        lambda tracker: _run_rule(diagram, tracker, rule, deadline, None),
+    )
 
 
 def _assert_graph_like(diagram):
@@ -56,26 +63,24 @@ class TestToGraphLike:
 
 class TestIndividualPasses:
     @pytest.mark.parametrize(
-        "simp",
-        [id_simp, pivot_simp, lcomp_simp, pivot_gadget_simp],
-        ids=lambda f: f.__name__,
+        "rule", ["id", "pivot", "lcomp", "pivot_gadget", "pivot_boundary"]
     )
     @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_pass_preserves_semantics(self, simp, seed):
+    def test_pass_preserves_semantics(self, rule, seed):
         circuit = random_circuit(3, 15, seed=seed)
         diagram = circuit_to_zx(circuit)
         to_graph_like(diagram)
         before = diagram_to_matrix(diagram)
-        simp(diagram)
+        run_rule(diagram, rule)
         assert diagrams_proportional(diagram_to_matrix(diagram), before)
 
-    def test_gadget_simp_merges_equal_support(self):
+    def test_gadget_rule_merges_equal_support(self):
         # two rzz phase gadgets on the same pair of qubits
         circuit = QuantumCircuit(2).rzz(0.4, 0, 1).h(0).h(0).rzz(0.3, 0, 1)
         diagram = circuit_to_zx(circuit)
         before = diagram_to_matrix(diagram)
         to_graph_like(diagram)
-        gadget_simp(diagram)
+        run_rule(diagram, "gadget")
         assert diagrams_proportional(diagram_to_matrix(diagram), before)
 
 
@@ -134,22 +139,24 @@ class TestFullReduce:
         with pytest.raises(SimplificationTimeout):
             full_reduce(diagram, deadline=time.monotonic() - 1.0)
 
-    def test_legacy_deadline_raises(self):
+    @pytest.mark.parametrize(
+        "pipeline", [interior_clifford_simp, clifford_simp],
+        ids=lambda f: f.__name__,
+    )
+    def test_clifford_pipeline_deadline_raises(self, pipeline):
         circuit = random_circuit(5, 200, seed=1, gate_set="mixed")
         diagram = (
             circuit_to_zx(circuit).adjoint().compose(circuit_to_zx(circuit))
         )
         with pytest.raises(SimplificationTimeout):
-            full_reduce(
-                diagram, deadline=time.monotonic() - 1.0, incremental=False
-            )
+            pipeline(diagram, deadline=time.monotonic() - 1.0)
 
-    def test_gadget_simp_deadline_raises(self):
-        """gadget_simp honours the deadline even with no fusable gadget."""
+    def test_gadget_rule_deadline_raises(self):
+        """The gadget rule honours the deadline even with no fusable gadget."""
         circuit = QuantumCircuit(2).rzz(0.4, 0, 1).h(0).h(0).rzz(0.3, 0, 1)
         diagram = to_graph_like(circuit_to_zx(circuit))
         with pytest.raises(SimplificationTimeout):
-            gadget_simp(diagram, deadline=time.monotonic() - 1.0)
+            run_rule(diagram, "gadget", deadline=time.monotonic() - 1.0)
 
     def test_error_injected_does_not_reduce_to_identity(self):
         circuit = random_circuit(4, 30, seed=5, gate_set="mixed")
@@ -172,4 +179,5 @@ class TestCliffordSimp:
         applied = interior_clifford_simp(diagram)
         assert applied > 0
         # running again finds nothing new
+        assert interior_clifford_simp(diagram) == 0
         assert clifford_simp(diagram) >= 0

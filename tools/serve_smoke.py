@@ -4,11 +4,12 @@
 Starts a real :class:`repro.service.server.ServiceServer` (worker pool,
 verdict cache, ``AF_UNIX`` socket) in a background thread, submits the
 same 20-pair batch twice through a :class:`repro.service.ServiceClient`,
-with one malformed submit from a second client in between, and asserts:
+with one malformed submit and one raw message that is not JSON from a
+second client in between, and asserts:
 
 * every verdict in both batches is equivalent (up to global phase);
-* the malformed submit is answered ``invalid_input`` and the server
-  keeps serving;
+* the malformed submit and the undecodable message are each answered
+  ``invalid_input`` and the server keeps serving;
 * the second batch is served (almost) entirely from the verdict cache —
   at least 19 of 20 hits, i.e. the cache key is stable across submits;
 * cached and fresh verdicts agree pairwise on the equivalence field;
@@ -22,6 +23,7 @@ it into the smoke job.
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 import threading
@@ -52,6 +54,9 @@ MALFORMED = {
     ],
     "configuration": None,
 }
+
+#: A message that is not JSON (here: the start of a pickle).
+GARBAGE = b"\x80\x04not a pickle"
 
 
 def _fail(message: str) -> "NoReturn":  # type: ignore[name-defined]  # noqa: F821
@@ -88,6 +93,8 @@ def main() -> int:
                 first = client.submit_batch(pairs, configuration)
                 with ServiceClient(socket_path) as intruder:
                     rejected = intruder._request(MALFORMED)
+                    intruder._conn.send_bytes(GARBAGE)
+                    undecodable = json.loads(intruder._conn.recv_bytes())
                 second = client.submit_batch(pairs, configuration)
                 stats = client.stats()
         finally:
@@ -102,6 +109,11 @@ def main() -> int:
             _fail("serve loop did not drain and exit within 60s")
         if (rejected.get("error") or {}).get("kind") != "invalid_input":
             _fail(f"malformed submit was not rejected as invalid_input: {rejected}")
+        if (undecodable.get("error") or {}).get("kind") != "invalid_input":
+            _fail(
+                "undecodable message was not rejected as invalid_input: "
+                f"{undecodable}"
+            )
         for label, batch in (("first", first), ("second", second)):
             if len(batch) != PAIRS:
                 _fail(f"{label} batch returned {len(batch)}/{PAIRS} verdicts")
@@ -131,7 +143,8 @@ def main() -> int:
 
     print(
         f"serve-smoke: OK — {PAIRS} pairs twice, {hits} cache hits, "
-        f"1 malformed submit rejected, {audit['spawned']} workers spawned, "
+        "1 malformed submit and 1 undecodable message rejected, "
+        f"{audit['spawned']} workers spawned, "
         "0 leaked"
     )
     return 0
