@@ -23,7 +23,7 @@ worst-case behaviour and the advice can never cost correctness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.gateset import (
     FRAGMENT_CLIFFORD,
@@ -214,27 +214,20 @@ def advise(
 class PortfolioSlot:
     """One lane of a portfolio race.
 
+    The plan only orders and staggers lanes; every lane's timeout and
+    memory ceiling come from the check's own ``Configuration``.
+
     Attributes:
         strategy: The checker strategy this lane runs.
         delay: Seconds after race start before the lane launches (lanes
             are promoted early when another lane finishes undecided).
-        time_budget: Per-lane wall-clock budget in seconds, ``None`` =
-            bounded only by the shared race deadline.
-        memory_mb: RLIMIT_AS headroom for the lane's child, in MiB.
     """
 
     strategy: str
     delay: float = 0.0
-    time_budget: Optional[float] = None
-    memory_mb: Optional[int] = None
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "strategy": self.strategy,
-            "delay": round(self.delay, 6),
-            "time_budget": self.time_budget,
-            "memory_mb": self.memory_mb,
-        }
+        return {"strategy": self.strategy, "delay": round(self.delay, 6)}
 
 
 @dataclass(frozen=True)
@@ -265,8 +258,6 @@ def seed_portfolio(
     estimate: CostEstimate,
     *,
     head_start: float = 0.25,
-    timeout: Optional[float] = None,
-    memory_mb: Optional[int] = None,
 ) -> PortfolioPlan:
     """Turn the static cost evidence into a portfolio launch plan.
 
@@ -307,12 +298,7 @@ def seed_portfolio(
         if strategy in applicable and strategy not in ordered
     )
     slots = tuple(
-        PortfolioSlot(
-            strategy=strategy,
-            delay=0.0 if index < 2 else head_start,
-            time_budget=timeout,
-            memory_mb=memory_mb,
-        )
+        PortfolioSlot(strategy, delay=0.0 if index < 2 else head_start)
         for index, strategy in enumerate(ordered)
     )
     rationale = advice.rationale + (

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
@@ -85,29 +85,26 @@ def plan_portfolio(
         profiles = (profile_gate_set(logical1), profile_gate_set(logical2))
         estimate = estimate_cost((logical1, logical2), profiles)
     return seed_portfolio(
-        profiles,
-        estimate,
-        head_start=configuration.portfolio_head_start,
-        timeout=configuration.timeout,
-        memory_mb=configuration.memory_limit_mb,
+        profiles, estimate, head_start=configuration.portfolio_head_start
     )
 
 
 def _child_configuration(
-    configuration: Configuration, strategy: str, remaining: Optional[float]
+    configuration: Configuration, strategy: str, timeout: Optional[float]
 ) -> Configuration:
     """One lane's configuration: a single strategy, no nested portfolio.
 
     The child skips the static pre-pass (the parent already ran it once
-    for the whole race) and keeps the parent's seeds and table bounds so
-    lane verdicts are bit-identical to the same strategy run alone.
+    for the whole race) and keeps the parent's seeds, table bounds and
+    memory ceiling so lane verdicts are bit-identical to the same
+    strategy run alone.
     """
     return dataclasses.replace(
         configuration,
         strategy=strategy,
         portfolio=False,
         static_analysis=False,
-        timeout=remaining,
+        timeout=timeout,
     )
 
 
@@ -158,30 +155,25 @@ def run_portfolio(
     plan = plan_portfolio(circuit1, circuit2, configuration, report)
     now = time.monotonic()
     remaining = None if deadline is None else max(0.01, deadline - now)
-    entries: List[RaceEntry] = []
-    for slot in plan.slots:
-        lane_budget = slot.time_budget
-        if remaining is not None:
-            lane_budget = (
-                remaining if lane_budget is None
-                else min(lane_budget, remaining)
-            )
-        entries.append(
-            RaceEntry(
-                name=slot.strategy,
-                configuration=_child_configuration(
-                    configuration, slot.strategy, lane_budget
-                ),
-                delay=slot.delay,
-                memory_mb=slot.memory_mb
-                if slot.memory_mb is not None
-                else configuration.memory_limit_mb,
-            )
+    # Each lane's cooperative timeout: what is left of the check's.
+    lane_timeout = min(
+        (t for t in (configuration.timeout, remaining) if t is not None),
+        default=None,
+    )
+    entries = [
+        RaceEntry(
+            name=slot.strategy,
+            configuration=_child_configuration(
+                configuration, slot.strategy, lane_timeout
+            ),
+            delay=slot.delay,
         )
+        for slot in plan.slots
+    ]
     outcome = race_checks(circuit1, circuit2, entries, shared_budget=remaining)
     counters.count(
         "portfolio.children_launched",
-        sum(1 for child in outcome.children if child.status != "skipped"),
+        sum(1 for child in outcome.children if child.pid is not None),
     )
     counters.count(
         "portfolio.losers_killed",
@@ -245,7 +237,7 @@ def run_portfolio(
         "all_reaped": all(
             child.reaped
             for child in outcome.children
-            if child.status != "skipped"
+            if child.pid is not None
         ),
         "race_elapsed": round(outcome.elapsed, 6),
         "start_method": outcome.start_method,

@@ -10,14 +10,17 @@ exponential backoff; :func:`run_check` degrades every failure into a
 ``NO_INFORMATION``/``TIMEOUT`` result so batch drivers (the Table-1
 harness) never lose the remaining cells to one bad instance.
 
-:mod:`repro.harness.race` generalizes the one-shot sandbox into a
-multi-child racer — the execution substrate of the concurrent strategy
-portfolio (:mod:`repro.ec.portfolio`): staggered launches under one
-shared deadline, first sound verdict wins, losers SIGKILLed and reaped.
+:mod:`repro.harness.race` runs several such children as a race — the
+execution substrate of the concurrent strategy portfolio
+(:mod:`repro.ec.portfolio`): staggered launches under one shared
+deadline, first sound verdict wins, losers SIGKILLed and reaped.  The
+sandbox is the race's one-lane case.  :mod:`repro.harness.child` is
+the one place that forks, limits, kills, reaps and classifies a child,
+for the sandbox, the race and the service pool alike.
 
 Entry points::
 
-    from repro.harness import run_check, run_check_isolated, ResourceLimits
+    from repro.harness import run_check, run_check_isolated
 
     result = run_check(c1, c2, configuration)           # never raises
     result = run_check_isolated(c1, c2, configuration)  # raises CheckError
@@ -27,6 +30,7 @@ Entry points::
     outcome = race_checks(c1, c2, entries, shared_budget=60.0)
 """
 
+from repro.harness.child import DEFAULT_GRACE_SECONDS
 from repro.harness.journal import Journal, JournalMismatch
 from repro.harness.race import (
     ChildOutcome,
@@ -34,12 +38,7 @@ from repro.harness.race import (
     RaceOutcome,
     race_checks,
 )
-from repro.harness.sandbox import (
-    DEFAULT_GRACE_SECONDS,
-    ResourceLimits,
-    run_check,
-    run_check_isolated,
-)
+from repro.harness.sandbox import run_check, run_check_isolated
 
 __all__ = [
     "ChildOutcome",
@@ -48,7 +47,6 @@ __all__ = [
     "JournalMismatch",
     "RaceEntry",
     "RaceOutcome",
-    "ResourceLimits",
     "race_checks",
     "run_check",
     "run_check_isolated",

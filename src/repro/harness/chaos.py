@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import signal
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 #: Supported fault modes.  ``leak`` and ``exit`` target *long-lived
 #: workers* (:mod:`repro.service.pool`): a leak survives the check that
@@ -65,21 +65,6 @@ class ChaosSpec:
             raise ValueError(f"unknown chaos mode {self.mode!r}")
         if self.balloon_mb < 1:
             raise ValueError("balloon_mb must be positive")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "mode": self.mode,
-            "balloon_mb": self.balloon_mb,
-            "signal_number": int(self.signal_number),
-        }
-
-    @staticmethod
-    def from_dict(payload: Dict[str, object]) -> "ChaosSpec":
-        return ChaosSpec(
-            mode=str(payload.get("mode", "none")),
-            balloon_mb=int(payload.get("balloon_mb", 256)),
-            signal_number=int(payload.get("signal_number", signal.SIGSEGV)),
-        )
 
 
 #: The armed fault of this process (None = chaos disabled).

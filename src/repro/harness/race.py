@@ -1,14 +1,16 @@
 """Multi-child racing of sandboxed equivalence checks.
 
-Generalizes :func:`repro.harness.sandbox.run_check_isolated` from one
-fork-and-wait child into a racer: every entry runs the same circuit pair
-under its own configuration (typically one strategy each) in its own
-sandboxed child, all children share one wall-clock deadline, and the
-race is decided the moment any child reports a *sound* verdict — a
-proof of (non-)equivalence, :attr:`EquivalenceCheckingResult.proven`.
-Losers are SIGKILLed immediately; probabilistic evidence
-(``PROBABLY_EQUIVALENT`` from random stimuli) never terminates the
-race early and only wins if nothing sound arrives before the deadline.
+Every entry runs the same circuit pair under its own configuration
+(typically one strategy each) in its own forked child
+(:class:`repro.harness.child.Child`), all children share one wall-clock
+deadline, and the race is decided the moment any child reports a
+*sound* verdict — a proof of (non-)equivalence,
+:attr:`EquivalenceCheckingResult.proven`.  Losers are SIGKILLed
+immediately; probabilistic evidence (``PROBABLY_EQUIVALENT`` from
+random stimuli) never terminates the race early and only wins if
+nothing sound arrives before the deadline.  The one-shot sandbox,
+:func:`repro.harness.sandbox.run_check_isolated`, is a race with one
+lane.
 
 Scheduling is a staggered launch plan: each entry carries a ``delay``
 relative to the race start (the cost advisor puts the predicted winner
@@ -17,10 +19,12 @@ companions behind a short head start), and whenever a running child
 completes *without* deciding the race, the earliest pending entry is
 promoted immediately — an idle CPU never waits out a head start.
 
-Containment matches the one-shot sandbox: per-child RLIMIT_AS headroom,
-per-child hard wall budgets, and a ``multiprocessing.connection.wait``
-(select/poll) result loop in the parent.  Every child is joined before
-:func:`race_checks` returns — no zombies — and the per-child
+Containment: per-child RLIMIT_AS headroom
+(``Configuration.memory_limit_mb``), per-child hard wall budgets, and a
+``multiprocessing.connection.wait`` (select/poll) result loop in the
+parent.  A lane whose fork fails is ``failed`` with a ``worker_lost``
+record and the race goes on with the others.  Every child is joined
+before :func:`race_checks` returns — no zombies — and the per-child
 bookkeeping (verdicts of completed losers, kill codes, reap states) is
 returned for the portfolio statistics block.
 
@@ -31,7 +35,6 @@ swallowed.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
@@ -40,13 +43,14 @@ from typing import Dict, List, Optional
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
-from repro.errors import InvalidInput, PortfolioDisagreement, error_from_dict
+from repro.errors import CheckWorkerLost, InvalidInput, PortfolioDisagreement
 from repro.harness.chaos import ChaosSpec
-from repro.harness.sandbox import (
-    _child_main,
-    _start_method,
+from repro.harness.child import (
+    Child,
+    check_main,
     classify_death,
-    DEFAULT_GRACE_SECONDS,
+    fork_context,
+    hard_budget,
 )
 
 #: Upper bound on one poll-loop sleep, so launch times stay responsive.
@@ -65,13 +69,13 @@ class RaceEntry:
     Attributes:
         name: Stable label (the strategy name in portfolio races).
         configuration: Full child configuration — strategy, cooperative
-            timeout, seeds.  Validated before any child is forked.
+            timeout, seeds, ``memory_limit_mb`` (the child's RLIMIT_AS
+            headroom).  Validated before any child is forked.
         delay: Seconds after race start before this child launches
             (subject to early promotion when a lane frees up).
         budget: Hard per-child wall budget in seconds from *launch*
             (SIGKILL on overrun), or ``None`` to derive it from the
             configuration's cooperative timeout plus a grace period.
-        memory_mb: RLIMIT_AS headroom for this child, in MiB.
         chaos: Deterministic fault injected into this child only.
     """
 
@@ -79,7 +83,6 @@ class RaceEntry:
     configuration: Configuration
     delay: float = 0.0
     budget: Optional[float] = None
-    memory_mb: Optional[int] = None
     chaos: Optional[ChaosSpec] = None
 
     def validate(self) -> None:
@@ -91,14 +94,6 @@ class RaceEntry:
             raise InvalidInput(f"entry {self.name!r}: negative delay")
         if self.budget is not None and self.budget <= 0:
             raise InvalidInput(f"entry {self.name!r}: non-positive budget")
-
-    def hard_budget(self) -> Optional[float]:
-        """Per-child SIGKILL budget in seconds from launch."""
-        if self.budget is not None:
-            return self.budget
-        if self.configuration.timeout is not None:
-            return self.configuration.timeout + DEFAULT_GRACE_SECONDS
-        return None
 
 
 @dataclass
@@ -182,15 +177,12 @@ class RaceOutcome:
 class _Lane:
     """Mutable parent-side state of one launched child."""
 
-    __slots__ = ("entry", "outcome", "process", "conn", "launched_at",
-                 "hard_deadline")
+    __slots__ = ("entry", "outcome", "child", "hard_deadline")
 
     def __init__(self, entry: RaceEntry, outcome: ChildOutcome) -> None:
         self.entry = entry
         self.outcome = outcome
-        self.process = None
-        self.conn = None
-        self.launched_at: Optional[float] = None
+        self.child: Optional[Child] = None
         self.hard_deadline: Optional[float] = None
 
 
@@ -270,7 +262,7 @@ def race_checks(
     for entry in entries:
         entry.validate()
 
-    ctx = multiprocessing.get_context(_start_method())
+    ctx = fork_context()
     start = time.monotonic()
     race_deadline = None if shared_budget is None else start + shared_budget
 
@@ -283,58 +275,54 @@ def race_checks(
         lane.entry.name: start + lane.entry.delay for lane in lanes
     }
     running: List[_Lane] = []
-    decided = False
     deadline_expired = False
 
     def launch(lane: _Lane, now: float) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_child_main,
-            args=(
-                child_conn,
-                circuit1,
-                circuit2,
-                lane.entry.configuration,
-                lane.entry.memory_mb,
-                lane.entry.chaos.to_dict()
-                if lane.entry.chaos is not None
-                else None,
-            ),
-            daemon=True,
+        entry = lane.entry
+        try:
+            lane.child = Child.spawn(
+                ctx,
+                check_main,
+                (circuit1, circuit2, entry.configuration, entry.chaos),
+            )
+        except CheckWorkerLost as error:
+            # The lane fails; the race goes on with the others.
+            lane.outcome.status = "failed"
+            lane.outcome.error = error.to_dict()
+            return
+        budget = (
+            entry.budget
+            if entry.budget is not None
+            else hard_budget(entry.configuration.timeout)
         )
-        process.start()
-        child_conn.close()
-        lane.process = process
-        lane.conn = parent_conn
-        lane.launched_at = now
-        budget = lane.entry.hard_budget()
         lane.hard_deadline = None if budget is None else now + budget
         lane.outcome.status = "running"
-        lane.outcome.pid = process.pid
+        lane.outcome.pid = lane.child.pid
         lane.outcome.launched_after = now - start
         running.append(lane)
+
+    def record_exit(lane: _Lane, now: float) -> None:
+        """Record one lane's exit once its child is reaped."""
+        lane.outcome.exitcode = lane.child.process.exitcode
+        lane.outcome.reaped = lane.outcome.exitcode is not None
+        lane.outcome.wall_seconds = now - start - lane.outcome.launched_after
 
     def settle(lane: _Lane, now: float) -> None:
         """Receive one lane's payload (or its death) and finalize it."""
         running.remove(lane)
         payload = None
         try:
-            if lane.conn.poll(0):
-                payload = lane.conn.recv()
+            if lane.child.conn.poll(0):
+                payload = lane.child.conn.recv()
         except (EOFError, OSError):
             payload = None
-        lane.process.join(5.0)
-        if lane.process.is_alive():  # pragma: no cover - kill is final
-            lane.process.kill()
-            lane.process.join(1.0)
-        lane.outcome.exitcode = lane.process.exitcode
-        lane.outcome.reaped = lane.process.exitcode is not None
-        lane.outcome.wall_seconds = now - lane.launched_at
-        lane.conn.close()
+        finally:
+            lane.child.reap()
+        record_exit(lane, now)
         if payload is None:
             lane.outcome.status = "failed"
             lane.outcome.error = classify_death(
-                lane.process, "racer child"
+                lane.child.process, "racer child"
             ).to_dict()
         elif payload.get("ok"):
             lane.outcome.status = "completed"
@@ -343,11 +331,7 @@ def race_checks(
             )
         else:
             lane.outcome.status = "failed"
-            error = payload.get("error")
-            lane.outcome.error = (
-                dict(error) if isinstance(error, dict) else
-                error_from_dict({}).to_dict()
-            )
+            lane.outcome.error = payload["error"]
 
     def kill(lane: _Lane, code: str, now: float) -> None:
         """SIGKILL one running lane, draining a last-instant payload first."""
@@ -355,46 +339,31 @@ def race_checks(
         # finished — record its verdict (a "completed loser") instead of
         # pretending the kill preempted it.
         try:
-            has_payload = lane.conn.poll(0)
+            has_payload = lane.child.conn.poll(0)
         except (EOFError, OSError):
             has_payload = False
         if has_payload:
             settle(lane, now)
             return
-        lane.process.kill()
         running.remove(lane)
-        lane.process.join(5.0)
+        lane.child.kill()
+        record_exit(lane, now)
         lane.outcome.status = "killed"
         lane.outcome.kill_code = code
-        lane.outcome.exitcode = lane.process.exitcode
-        lane.outcome.reaped = lane.process.exitcode is not None
-        lane.outcome.wall_seconds = now - lane.launched_at
-        lane.conn.close()
 
     winner: Optional[str] = None
     try:
-        while running or (pending and not decided and not deadline_expired):
+        while running or pending:
             now = time.monotonic()
             # Launch every pending lane whose time has come.
-            if not decided and not deadline_expired:
-                due = [
-                    lane for lane in pending
-                    if launch_at[lane.entry.name] <= now
-                ]
-                for lane in due:
-                    pending.remove(lane)
-                    launch(lane, now)
-            if not running:
-                if decided or deadline_expired:
-                    break
-                # Nothing running yet: sleep until the next launch.
-                next_launch = min(
-                    launch_at[lane.entry.name] for lane in pending
-                )
-                time.sleep(
-                    min(max(0.0, next_launch - now), _MAX_POLL_SECONDS)
-                )
-                continue
+            due = [
+                lane for lane in pending if launch_at[lane.entry.name] <= now
+            ]
+            for lane in due:
+                pending.remove(lane)
+                launch(lane, now)
+            if not running and not pending:
+                break  # every remaining fork failed
             # Sleep until something reports, a budget expires, or the
             # next pending launch is due — whichever comes first.
             horizons = [now + _MAX_POLL_SECONDS]
@@ -405,33 +374,30 @@ def race_checks(
                 for lane in running
                 if lane.hard_deadline is not None
             )
-            if pending and not decided:
+            if pending:
                 horizons.append(
                     min(launch_at[lane.entry.name] for lane in pending)
                 )
             timeout = max(0.0, min(horizons) - now)
             ready = connection_wait(
-                [lane.conn for lane in running], timeout=timeout
+                [lane.child.conn for lane in running], timeout=timeout
             )
             now = time.monotonic()
             finished_without_decision = 0
             for conn in ready:
-                lane = next(l for l in running if l.conn is conn)
+                lane = next(l for l in running if l.child.conn is conn)
                 settle(lane, now)
-                if _is_sound(lane.outcome.result):
-                    decided = True
-                    if winner is None:
-                        winner = lane.entry.name
-                else:
+                if not _is_sound(lane.outcome.result):
                     finished_without_decision += 1
+                elif winner is None:
+                    winner = lane.entry.name
             # Contradictory sound verdicts among everything received so
             # far (the decisive batch may hold several payloads).
             check_sound_consistency([lane.outcome for lane in lanes])
-            if decided:
+            if winner is not None:
                 for lane in list(running):
                     kill(lane, KILL_LOSER, now)
                 check_sound_consistency([lane.outcome for lane in lanes])
-                pending.clear()
                 break
             # Per-child hard budgets.
             for lane in list(running):
@@ -446,7 +412,6 @@ def race_checks(
                 deadline_expired = True
                 for lane in list(running):
                     kill(lane, KILL_DEADLINE, now)
-                pending.clear()
                 break
             # Early promotion: freed lanes pull the next pending launch
             # forward so a head start never idles the machine.
@@ -467,11 +432,6 @@ def race_checks(
         now = time.monotonic()
         for lane in list(running):
             kill(lane, KILL_DEADLINE if deadline_expired else KILL_LOSER, now)
-        for lane in lanes:
-            if lane.process is not None and lane.process.exitcode is None:
-                lane.process.join(1.0)  # pragma: no cover - settled above
-                lane.outcome.exitcode = lane.process.exitcode
-                lane.outcome.reaped = lane.process.exitcode is not None
 
     return RaceOutcome(
         children=[lane.outcome for lane in lanes],

@@ -32,18 +32,18 @@ GLOBAL_RANDOM_FUNCS = {
 
 #: Call chains that create a child process.
 FORK_CALLS = {
-    "os.fork": "os.fork()",
-    "os.forkpty": "os.forkpty()",
-    "os.posix_spawn": "os.posix_spawn()",
-    "os.system": "os.system()",
-    "subprocess.Popen": "subprocess.Popen()",
-    "subprocess.run": "subprocess.run()",
-    "subprocess.call": "subprocess.call()",
-    "subprocess.check_call": "subprocess.check_call()",
-    "subprocess.check_output": "subprocess.check_output()",
-    "multiprocessing.Process": "multiprocessing.Process()",
-    "multiprocessing.Pool": "multiprocessing.Pool()",
-    "multiprocessing.get_context": "multiprocessing.get_context()",
+    "os.fork",
+    "os.forkpty",
+    "os.posix_spawn",
+    "os.system",
+    "subprocess.Popen",
+    "subprocess.run",
+    "subprocess.call",
+    "subprocess.check_call",
+    "subprocess.check_output",
+    "multiprocessing.Process",
+    "multiprocessing.Pool",
+    "multiprocessing.get_context",
 }
 
 #: Bare-name process constructors (``from multiprocessing import Process``).
@@ -158,23 +158,22 @@ class NoWallclockRule(Rule):
 
 
 class NoForkRule(Rule):
-    """Process creation is banned outside the harness and pool supervisor."""
+    """Process creation is banned outside the harness."""
 
     id = "no-fork"
 
     def run(self, project: Project) -> List[Finding]:
         findings: List[Finding] = []
         for module in project.iter_modules():
-            package = module.relpath.split("/", 1)[0]
-            # The supervised worker pool is the one non-harness module
-            # that legitimately owns child processes.
-            if package == "harness" or module.relpath == "service/pool.py":
+            # repro.harness.child forks for the sandbox, the racer and
+            # the service pool alike.
+            if module.relpath.split("/", 1)[0] == "harness":
                 continue
             for node, call, info in iter_call_sites(module):
                 dotted = dotted_name(call.func)
                 message = None
                 if dotted in FORK_CALLS:
-                    message = f"{FORK_CALLS[dotted]} outside repro.harness"
+                    message = f"{dotted}() outside repro.harness"
                 elif (
                     dotted is not None
                     and dotted.split(".")[-1] in FORK_NAMES
@@ -194,8 +193,8 @@ class NoForkRule(Rule):
                             module,
                             call.lineno,
                             message
-                            + " (route child processes through the "
-                            "sandbox/racer in repro.harness)",
+                            + " (route child processes through "
+                            "repro.harness.child)",
                             info,
                         )
                     )

@@ -5,7 +5,10 @@ teardown per check — the right trade for a batch study, the wrong one
 for a service where the same few worker images could amortize across
 thousands of jobs.  This module keeps ``N`` forked workers alive behind
 a job queue and moves every failure mode the one-shot sandbox handles
-per-check into a *supervision loop*:
+per-check into a *supervision loop*.  Workers are forked, reaped and
+classified through :mod:`repro.harness.child` and run each job with
+:func:`~repro.harness.child.run_job`, exactly like the sandbox and the
+racer:
 
 * **Liveness** — each worker owns a duplex pipe; any message refreshes
   its heartbeat, idle workers are pinged, and a worker that neither
@@ -19,8 +22,9 @@ per-check into a *supervision loop*:
 * **Resilience** — crashed/hung/lost workers are replaced with
   deterministic jittered exponential backoff
   (:class:`repro.errors.RetryPolicy`), and a restart storm (workers
-  dying independent of any job, e.g. at startup) trips a circuit
-  breaker that fails the pool loudly instead of fork-bombing the host.
+  dying independent of any job, e.g. at startup, or forks failing)
+  trips a circuit breaker that fails the pool loudly instead of
+  fork-bombing the host.
 * **Poison quarantine** — a job whose execution kills its worker twice
   is handed to :class:`repro.service.quarantine.QuarantineStore` and
   answered with a degraded verdict; it can never take a third worker
@@ -44,8 +48,6 @@ one wait covers them and every worker pipe.
 
 from __future__ import annotations
 
-import dataclasses
-import multiprocessing
 import os
 import signal
 import time
@@ -60,6 +62,7 @@ from repro.ec.results import EquivalenceCheckingResult
 from repro.errors import (
     CheckError,
     CheckTimeout,
+    CheckWorkerLost,
     InvalidInput,
     PoolBroken,
     PoolSaturated,
@@ -67,74 +70,40 @@ from repro.errors import (
     error_from_dict,
 )
 from repro.harness.chaos import ChaosSpec
-from repro.harness.sandbox import (
+from repro.harness.child import (
     DEFAULT_GRACE_SECONDS,
-    _apply_memory_limit,
-    _failure_result,
-    _start_method,
+    Child,
+    apply_memory_limit,
     classify_death,
+    fork_context,
+    hard_budget,
+    rss_mb,
+    run_job,
 )
+from repro.harness.sandbox import _failure_result
 from repro.perf import PerfCounters
 from repro.service.cache import VerdictCache, cache_key
 from repro.service.quarantine import QuarantineStore
-
-_MIB = 1024 * 1024
 
 #: Upper bound on one supervision-loop wait (and so on how late the
 #: serve loop sees a stop request).
 _MAX_POLL_SECONDS = 0.05
 
 
-def _worker_rss_mb() -> Optional[float]:
-    """Resident set of this process in MiB (None off-/proc platforms)."""
-    try:
-        with open("/proc/self/statm") as handle:
-            fields = handle.read().split()
-        return int(fields[1]) * os.sysconf("SC_PAGESIZE") / _MIB
-    except (OSError, ValueError, IndexError):  # pragma: no cover - no /proc
-        return None
-
-
 def _execute_job(message: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one check inside the worker; always returns a structured payload."""
-    from repro.ec.manager import EquivalenceCheckingManager
-    from repro.errors import CheckOutOfMemory, classify_exception
-    from repro.harness import chaos as chaos_module
-
-    chaos_payload = message.get("chaos")
-    try:
-        if chaos_payload is not None:
-            chaos_module.activate(ChaosSpec.from_dict(chaos_payload))
-        # Raw failures must reach the classifier: degradation is the
-        # supervisor's job, exactly as in the one-shot sandbox.
-        config = dataclasses.replace(
-            message["configuration"], graceful_degradation=False
-        )
-        result = EquivalenceCheckingManager(
-            message["circuit1"], message["circuit2"], config
-        ).run()
-        return {"ok": True, "result": result.to_dict()}
-    except MemoryError:
-        import gc
-
-        gc.collect()
-        return {
-            "ok": False,
-            "oom": True,
-            "error": CheckOutOfMemory(
-                "check exceeded the worker's address-space limit"
-            ).to_dict(),
-        }
-    except BaseException as exc:  # noqa: BLE001 - containment is the point
-        return {"ok": False, "error": classify_exception(exc).to_dict()}
-    finally:
-        chaos_module.deactivate()
+    """Run one job inside the worker; always returns a structured payload."""
+    return run_job(
+        message["circuit1"],
+        message["circuit2"],
+        message["configuration"],
+        message["chaos"],
+    )
 
 
 def _worker_main(
     conn: Any,
     memory_mb: Optional[int],
-    startup_chaos: Optional[Dict[str, Any]],
+    startup_chaos: Optional[ChaosSpec],
 ) -> None:
     """Long-lived worker loop: serve jobs until told to shut down.
 
@@ -151,9 +120,9 @@ def _worker_main(
     except (ValueError, OSError):  # pragma: no cover - exotic platform
         pass
     if memory_mb is not None:
-        _apply_memory_limit(memory_mb)
+        apply_memory_limit(memory_mb)
     if startup_chaos is not None:
-        chaos_module.trigger(ChaosSpec.from_dict(startup_chaos))
+        chaos_module.trigger(startup_chaos)
     jobs_done = 0
     try:
         conn.send({"type": "ready", "pid": os.getpid()})
@@ -167,7 +136,7 @@ def _worker_main(
                 conn.send({"type": "bye", "jobs_done": jobs_done})
                 break
             if kind == "ping":
-                conn.send({"type": "pong", "rss_mb": _worker_rss_mb()})
+                conn.send({"type": "pong", "rss_mb": rss_mb()})
                 continue
             if kind != "job":  # pragma: no cover - unknown message
                 continue
@@ -178,7 +147,7 @@ def _worker_main(
                 {
                     "type": "result",
                     "id": message["id"],
-                    "rss_mb": _worker_rss_mb(),
+                    "rss_mb": rss_mb(),
                     "jobs_done": jobs_done,
                 }
             )
@@ -295,23 +264,17 @@ class _Job:
     result: Optional[EquivalenceCheckingResult] = None
     primary_id: Optional[int] = None  # set on coalesced duplicates
 
-    def hard_budget(self, grace: float) -> Optional[float]:
-        if self.configuration.timeout is None:
-            return None
-        return self.configuration.timeout + grace
-
 
 class _Worker:
     """Supervisor-side state of one live worker process."""
 
     __slots__ = (
-        "process", "conn", "ready", "job", "job_deadline", "jobs_done",
+        "child", "ready", "job", "job_deadline", "jobs_done",
         "last_seen", "ping_deadline", "retiring", "spawned_at",
     )
 
-    def __init__(self, process: Any, conn: Any, now: float) -> None:
-        self.process = process
-        self.conn = conn
+    def __init__(self, child: Child, now: float) -> None:
+        self.child = child
         self.ready = False
         self.job: Optional[_Job] = None
         self.job_deadline: Optional[float] = None
@@ -354,7 +317,7 @@ class WorkerPool:
             QuarantineStore()
         )
         self.broken = False
-        self._ctx = multiprocessing.get_context(_start_method())
+        self._ctx = fork_context()
         self._workers: List[_Worker] = []
         self._respawn_at: List[float] = []  # one entry per dead slot
         self._consecutive_deaths = 0
@@ -382,22 +345,18 @@ class WorkerPool:
 
     def _spawn_worker(self) -> None:
         now = time.monotonic()
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                self.config.memory_mb,
-                self.config.startup_chaos.to_dict()
-                if self.config.startup_chaos is not None
-                else None,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self._workers.append(_Worker(process, parent_conn, now))
-        self._all_processes.append(process)
+        try:
+            child = Child.spawn(
+                self._ctx,
+                _worker_main,
+                (self.config.memory_mb, self.config.startup_chaos),
+                duplex=True,
+            )
+        except CheckWorkerLost:
+            self._route_death(None, None, now)
+            return
+        self._workers.append(_Worker(child, now))
+        self._all_processes.append(child.process)
         self.counters.count("service.workers_spawned")
 
     def __enter__(self) -> "WorkerPool":
@@ -647,20 +606,20 @@ class WorkerPool:
             job.executions += 1
             worker.job = job
             worker.ping_deadline = None
-            budget = job.hard_budget(self.config.grace)
+            budget = hard_budget(job.configuration.timeout, self.config.grace)
             worker.job_deadline = None if budget is None else now + budget
             chaos = job.chaos
             if chaos is not None and job.chaos_once and job.executions > 1:
                 chaos = None  # one-shot fault: retries run clean
             try:
-                worker.conn.send(
+                worker.child.conn.send(
                     {
                         "type": "job",
                         "id": job.id,
                         "circuit1": job.circuit1,
                         "circuit2": job.circuit2,
                         "configuration": job.configuration,
-                        "chaos": chaos.to_dict() if chaos is not None else None,
+                        "chaos": chaos,
                     }
                 )
             except (BrokenPipeError, OSError):
@@ -693,7 +652,7 @@ class WorkerPool:
         )
         horizons.extend(self._respawn_at)
         wait_timeout = max(0.0, min(horizons) - now)
-        workers = {worker.conn: worker for worker in self._workers}
+        workers = {worker.child.conn: worker for worker in self._workers}
         try:
             ready = connection_wait([*workers, *watch], timeout=wait_timeout)
         except OSError:  # pragma: no cover - closed under our feet
@@ -708,7 +667,7 @@ class WorkerPool:
 
     def _receive(self, worker: _Worker, now: float) -> None:
         try:
-            message = worker.conn.recv()
+            message = worker.child.conn.recv()
         except (EOFError, OSError):
             self._worker_died(worker, now)
             return
@@ -754,7 +713,7 @@ class WorkerPool:
             if self.cache is not None and job.chaos is None:
                 self.cache.put(job.key, result.to_dict())
             result.statistics["service"] = {
-                "worker_pid": worker.process.pid,
+                "worker_pid": worker.child.pid,
                 "executions": job.executions,
                 "strikes": len(job.strikes),
                 "cached": False,
@@ -845,22 +804,25 @@ class WorkerPool:
     def _worker_died(self, worker: _Worker, now: float) -> None:
         """Reap one dead worker and route the consequences."""
         self._remove_worker(worker)
-        worker.process.join(1.0)
-        if worker.process.is_alive():  # pragma: no cover - EOF yet alive
-            worker.process.kill()
-            worker.process.join(1.0)
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        worker.child.reap()
         job = worker.job
         worker.job = None
+        self._route_death(
+            job, classify_death(worker.child.process, "pool worker"), now
+        )
+
+    def _route_death(
+        self, job: Optional[_Job], error: Optional[CheckError], now: float
+    ) -> None:
+        """Count one worker death, strike or note it, and respawn.
+
+        The running job, if any, takes a strike for ``error``; a death no
+        job explains (a startup crash, an idle keel-over, a failed fork)
+        feeds the restart-storm breaker instead.
+        """
         self.counters.count("service.worker_deaths")
         if job is not None and job.state == _RUNNING:
-            self._job_failed(
-                job, classify_death(worker.process, "pool worker"),
-                worker_killed=True,
-            )
+            self._job_failed(job, error, worker_killed=True)
         elif self._note_jobless_death(now):
             return  # breaker tripped: no respawn
         self._schedule_respawn(now)
@@ -914,18 +876,11 @@ class WorkerPool:
             return
         worker.retiring = True
         try:
-            worker.conn.send({"type": "shutdown"})
+            worker.child.conn.send({"type": "shutdown"})
         except (BrokenPipeError, OSError):
             pass
         self._remove_worker(worker)
-        worker.process.join(2.0)
-        if worker.process.is_alive():  # pragma: no cover - refuses to die
-            worker.process.kill()
-            worker.process.join(1.0)
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        worker.child.reap()
         self.counters.count("service.workers_recycled")
         self.counters.count(f"service.recycled_{reason}")
         if not self.broken:
@@ -933,12 +888,7 @@ class WorkerPool:
 
     def _kill_worker(self, worker: _Worker) -> None:
         self._remove_worker(worker)
-        worker.process.kill()
-        worker.process.join(5.0)
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        worker.child.kill()
 
     def _remove_worker(self, worker: _Worker) -> None:
         if worker in self._workers:
@@ -952,24 +902,19 @@ class WorkerPool:
             worker.job = None
             self._kill_worker(worker)
             self.counters.count("service.deadline_kills")
-            self.counters.count("service.worker_deaths")
-            if job is not None and job.state == _RUNNING:
-                budget = job.hard_budget(self.config.grace)
-                self._job_failed(
-                    job,
-                    CheckTimeout(
-                        "hard wall-clock budget exceeded; worker killed",
-                        hard=True,
-                        budget_seconds=budget,
-                        pid=worker.process.pid,
-                    ),
-                    worker_killed=True,
-                )
-            self._schedule_respawn(now)
+            timeout = CheckTimeout(
+                "hard wall-clock budget exceeded; worker killed",
+                hard=True,
+                budget_seconds=hard_budget(
+                    job.configuration.timeout, self.config.grace
+                ),
+                pid=worker.child.pid,
+            )
+            self._route_death(job, timeout, now)
 
     def _heartbeat(self, now: float) -> None:
         for worker in list(self._workers):
-            if not worker.process.is_alive():
+            if not worker.child.process.is_alive():
                 self._worker_died(worker, now)
                 continue
             if worker.job is not None or worker.retiring:
@@ -981,10 +926,8 @@ class WorkerPool:
                 # An idle worker that ignores pings is lost even though
                 # the process object still looks alive.
                 self.counters.count("service.heartbeat_kills")
-                self.counters.count("service.worker_deaths")
                 self._kill_worker(worker)
-                if not self._note_jobless_death(now):
-                    self._schedule_respawn(now)
+                self._route_death(None, None, now)
                 continue
             if (
                 worker.ready
@@ -992,7 +935,7 @@ class WorkerPool:
                 and now - worker.last_seen > self.config.heartbeat_interval
             ):
                 try:
-                    worker.conn.send({"type": "ping"})
+                    worker.child.conn.send({"type": "ping"})
                     worker.ping_deadline = (
                         now + self.config.heartbeat_timeout
                     )
@@ -1012,18 +955,11 @@ class WorkerPool:
         for worker in list(self._workers):
             worker.retiring = True
             try:
-                worker.conn.send({"type": "shutdown"})
+                worker.child.conn.send({"type": "shutdown"})
             except (BrokenPipeError, OSError):
                 pass
         for worker in list(self._workers):
-            worker.process.join(2.0)
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join(2.0)
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass
+            worker.child.reap()
         self._workers.clear()
         self._respawn_at.clear()
         self._started = False

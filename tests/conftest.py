@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import math
+import multiprocessing
+import os
 import random
 
 import numpy as np
@@ -65,6 +68,33 @@ def random_circuit(
 @pytest.fixture
 def rng():
     return random.Random(1234)
+
+
+@pytest.fixture
+def failing_fork(monkeypatch):
+    """``failing_fork(n)`` makes the n-th next fork fail once with EAGAIN.
+
+    Patches ``Process.start`` of the fork context, which every
+    supervisor forks from; all other starts fork as usual.
+    """
+    process_class = multiprocessing.get_context("fork").Process
+    real_start = process_class.start
+    countdown = []
+
+    def start(process):
+        if countdown:
+            countdown[0] -= 1
+            if countdown[0] == 0:
+                countdown.clear()
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_start(process)
+
+    monkeypatch.setattr(process_class, "start", start)
+
+    def arm(nth=1):
+        countdown[:] = [nth]
+
+    return arm
 
 
 def assert_allclose(actual, expected, atol: float = 1e-9) -> None:

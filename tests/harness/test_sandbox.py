@@ -24,8 +24,9 @@ from repro.errors import (
     InvalidInput,
     RetryPolicy,
 )
-from repro.harness import ResourceLimits, run_check, run_check_isolated
+from repro.harness import DEFAULT_GRACE_SECONDS, run_check, run_check_isolated
 from repro.harness.chaos import ChaosSpec
+from repro.harness.child import hard_budget
 
 
 @pytest.fixture(scope="module")
@@ -71,19 +72,26 @@ class TestIsolatedExecution:
                 original, compiled, Configuration(strategy="imaginary")
             )
 
-    def test_limits_validation(self):
-        with pytest.raises(ValueError):
-            ResourceLimits(wall_time=-1.0).validate()
-        with pytest.raises(ValueError):
-            ResourceLimits(memory_mb=0).validate()
-        with pytest.raises(ValueError):
-            ResourceLimits(memory_mb=True).validate()
+    def test_limits_validation(self, tiny_pair, monkeypatch):
+        """An invalid memory ceiling is InvalidInput before any fork."""
+        import multiprocessing
+
+        def no_fork(_process):
+            raise AssertionError("forked despite an invalid configuration")
+
+        monkeypatch.setattr(
+            multiprocessing.get_context("fork").Process, "start", no_fork
+        )
+        for limit in (0, -64, True, 1.5):
+            with pytest.raises(InvalidInput):
+                run_check_isolated(
+                    *tiny_pair, Configuration(memory_limit_mb=limit)
+                )
 
     def test_hard_budget_derivation(self):
-        config = Configuration(timeout=3.0)
-        assert ResourceLimits(grace=2.0).hard_budget(config) == 5.0
-        assert ResourceLimits(wall_time=1.0).hard_budget(config) == 1.0
-        assert ResourceLimits().hard_budget(Configuration()) is None
+        assert hard_budget(3.0) == 3.0 + DEFAULT_GRACE_SECONDS
+        assert hard_budget(3.0, grace=0.5) == 3.5
+        assert hard_budget(None) is None
 
 
 @pytest.mark.chaos
@@ -94,25 +102,23 @@ class TestChaosContainment:
         start = time.monotonic()
         with pytest.raises(CheckTimeout) as info:
             run_check_isolated(
-                original,
-                compiled,
-                config,
-                limits=ResourceLimits(wall_time=1.0),
-                chaos=ChaosSpec(mode="hang"),
+                original, compiled, config, chaos=ChaosSpec(mode="hang")
             )
         elapsed = time.monotonic() - start
         assert info.value.diagnostics["hard"] is True
+        assert info.value.diagnostics["budget_seconds"] == hard_budget(0.2)
         assert elapsed < 10.0  # killed, not waited out
 
     def test_memory_balloon_is_contained(self, tiny_pair):
         original, compiled = tiny_pair
-        config = Configuration(strategy="combined", seed=0, timeout=30)
+        config = Configuration(
+            strategy="combined", seed=0, timeout=30, memory_limit_mb=64
+        )
         with pytest.raises(CheckOutOfMemory):
             run_check_isolated(
                 original,
                 compiled,
                 config,
-                limits=ResourceLimits(memory_mb=64),
                 chaos=ChaosSpec(mode="memory_balloon", balloon_mb=1024),
             )
 
@@ -286,11 +292,7 @@ class TestRunCheckDegradation:
             strategy="combined", seed=0, timeout=0.2, max_retries=0
         )
         result = run_check(
-            original,
-            compiled,
-            config,
-            limits=ResourceLimits(wall_time=1.0),
-            chaos=ChaosSpec(mode="hang"),
+            original, compiled, config, chaos=ChaosSpec(mode="hang")
         )
         assert result.equivalence is Equivalence.TIMEOUT
         assert result.failure["kind"] == "timeout"
@@ -314,6 +316,35 @@ class TestRunCheckDegradation:
         original, compiled = tiny_pair
         config = Configuration(strategy="zx", seed=0, timeout=30)
         result = run_check(original, compiled, config)
+        assert result.considered_equivalent
+        assert result.failure is None
+
+
+class TestFailedFork:
+    """A fork that fails (EAGAIN) is a lost worker: transient, retried,
+    and degraded like any other — never an exception out of run_check."""
+
+    def test_degrades_to_worker_lost_without_retries(
+        self, tiny_pair, failing_fork
+    ):
+        config = Configuration(strategy="combined", seed=0, timeout=30)
+        failing_fork()
+        result = run_check(
+            *tiny_pair, config, isolate=True, retry=RetryPolicy(max_retries=0)
+        )
+        assert result.equivalence is Equivalence.NO_INFORMATION
+        assert result.failure["kind"] == "worker_lost"
+
+    def test_retry_returns_the_real_verdict(self, tiny_pair, failing_fork):
+        config = Configuration(strategy="combined", seed=0, timeout=30)
+        failing_fork()
+        result = run_check(
+            *tiny_pair,
+            config,
+            isolate=True,
+            retry=RetryPolicy(max_retries=1, backoff_base=0.01),
+            sleep=lambda _seconds: None,
+        )
         assert result.considered_equivalent
         assert result.failure is None
 

@@ -7,6 +7,9 @@ clean, persistent killers are quarantined after two strikes, and a
 restart storm trips the circuit breaker instead of looping forever.
 """
 
+import multiprocessing
+import os
+import signal
 import time
 
 import pytest
@@ -210,6 +213,30 @@ class TestFaultSupervision:
             assert counters["service.breaker_trips"] == 1
         finally:
             pool.shutdown(drain=False)
+        assert pool.audit()["leaked"] == 0
+
+
+@pytest.mark.chaos
+class TestFailedFork:
+    def test_failed_respawn_is_a_death_and_the_next_job_is_served(
+        self, small_pair, failing_fork
+    ):
+        with WorkerPool(
+            PoolConfig(workers=1, restart_backoff=_FAST_BACKOFF)
+        ) as pool:
+            (worker,) = multiprocessing.active_children()
+            failing_fork()
+            os.kill(worker.pid, signal.SIGKILL)
+            job_id = pool.submit(*small_pair, _config())
+            pool.drain(timeout=120.0)
+            result = pool.result(job_id)
+            counters = pool.counters.as_dict()["counters"]
+        # The SIGKILL and the failed fork are both job-independent
+        # deaths; the respawn after them serves the job.
+        assert result.equivalence is Equivalence.EQUIVALENT
+        assert result.statistics["service"]["strikes"] == 0
+        assert counters["service.worker_deaths"] == 2
+        assert counters["service.workers_spawned"] == 2
         assert pool.audit()["leaked"] == 0
 
 

@@ -1,6 +1,9 @@
 """Batch API server/client: round-trips, backpressure, malformed requests,
 draining shutdown, and one event loop that never blocks on a busy pool."""
 
+import multiprocessing
+import os
+import signal
 import threading
 import time
 
@@ -279,4 +282,38 @@ class TestEventLoop:
         assert stats["pending_jobs"] == 1  # the hang outlived the pings
         assert elapsed < 0.5
         assert "repro-service-accept" not in names
+        assert pool.audit()["leaked"] == 0
+
+
+@pytest.mark.chaos
+class TestFailedFork:
+    def test_server_keeps_answering_after_a_failed_respawn(
+        self, failing_fork
+    ):
+        pool = WorkerPool(
+            PoolConfig(workers=1, restart_backoff=_FAST_BACKOFF)
+        ).start()
+        (worker,) = multiprocessing.active_children()
+        server, thread, socket_path = _serve(pool)
+        try:
+            with ServiceClient(socket_path) as client:
+                assert client.ping()
+                failing_fork()
+                os.kill(worker.pid, signal.SIGKILL)
+                results = client.submit_batch(
+                    _pairs(), Configuration(timeout=10.0, seed=0)
+                )
+                assert client.ping()
+                stats = client.stats()
+        finally:
+            with ServiceClient(socket_path) as closer:
+                closer.shutdown_server()
+            thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert [payload["equivalence"] for payload in results] == [
+            "equivalent",
+            "equivalent",
+        ]
+        assert stats["counters"]["counters"]["service.worker_deaths"] == 2
+        assert not stats["broken"]
         assert pool.audit()["leaked"] == 0

@@ -191,6 +191,16 @@ class TestNoWallclockRule:
         )
         assert findings == []
 
+    def test_service_pool_is_not_exempt(self, tmp_path):
+        """The pool forks through repro.harness.child like everyone else."""
+        findings = _run_on(
+            tmp_path,
+            "service/pool.py",
+            "import multiprocessing\n"
+            "p = multiprocessing.Process(target=print)\n",
+        )
+        assert [f.rule for f in findings] == ["no-fork"]
+
     def test_harness_layer_is_exempt(self, tmp_path):
         findings = _run_on(
             tmp_path,
@@ -227,6 +237,16 @@ class TestNoForkRule:
             "p = ctx.Process(target=print)\n",
         )
         assert "no-fork" in [f.rule for f in findings]
+
+    def test_service_pool_is_not_exempt(self, tmp_path):
+        """The pool forks through repro.harness.child like everyone else."""
+        findings = _run_on(
+            tmp_path,
+            "service/pool.py",
+            "import multiprocessing\n"
+            "p = multiprocessing.Process(target=print)\n",
+        )
+        assert [f.rule for f in findings] == ["no-fork"]
 
     def test_harness_layer_is_exempt(self, tmp_path):
         findings = _run_on(
