@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint typecheck fuzz fuzz-smoke serve-smoke soak bench bench-portfolio bench-service bench-parameterized
+.PHONY: test lint typecheck fuzz fuzz-smoke serve-smoke soak bench bench-portfolio bench-zx bench-service bench-parameterized
 
 # Tier-1 gate: the full unit-test suite.  When pytest-cov is installed
 # (pip install .[test], as CI does) the run also enforces the line-
@@ -70,6 +70,11 @@ bench:
 # concurrent strategy portfolio on Table-1-style compiled cells.
 bench-portfolio:
 	$(PYTHON) benchmarks/bench_portfolio.py
+
+# Regenerate BENCH_zx_simplify.json: full_reduce on every Table-1
+# optimized cell (all three configurations), keeping the trajectory.
+bench-zx:
+	$(PYTHON) benchmarks/bench_zx_simplify.py
 
 # Regenerate BENCH_service.json: per-job fork sandbox vs the supervised
 # worker pool vs a full verdict-cache replay.

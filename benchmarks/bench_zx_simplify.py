@@ -1,15 +1,20 @@
-"""Timings of the ZX simplification on the Table-1 optimized pairs.
+"""Timings of the ZX simplification on the Table-1 optimized cells.
 
-Records ``BENCH_zx_simplify.json`` at the repository root: per case, the
-best-of-``REPEATS`` wall time of ``full_reduce`` on the composed
-``G' G†`` diagram, the verdict it supports (a bare-wire identity is
-equivalence up to global phase, anything else no information), the
-spider counts before and after, the final edge count and the per-rule
-rewrite counters.  Earlier reports compared the worklist engine with
-the seed's rescan-to-fixpoint drivers; their speedup summaries stay in
-the report's ``trajectory``.
+Records ``BENCH_zx_simplify.json`` at the repository root: per cell of
+the optimized block (``repro.bench.suite``, scale ``small``, seed 0,
+all three configurations), keyed by the golden fixture's cell id
+(``optimized/hwb5_5/gate_missing``), the best-of-``REPEATS`` wall time
+of ``full_reduce`` on the composed ``G' G†`` diagram the ZX checker
+builds, the verdict it supports (a bare-wire identity is equivalence up
+to global phase, anything else no information), the spider counts
+before and after, the final edge count and the per-rule rewrite
+counters.  The non-equivalent cells matter as much as the equivalent
+ones: ZX answers ``?`` there, but still runs to its fixpoint.  Earlier
+reports covered six equivalent pairs only; their summaries stay in the
+report's ``trajectory``.
 
-Run:  PYTHONPATH=src python benchmarks/bench_zx_simplify.py
+Run:  make bench-zx
+ (or  PYTHONPATH=src python benchmarks/bench_zx_simplify.py)
 
 (The module intentionally defines no ``test_*``/pytest entry points; the
 tier-1 smoke guard lives in ``tests/perf/test_bench_smoke.py``.)
@@ -27,9 +32,8 @@ try:
     from benchmarks.trajectory import with_trajectory
 except ImportError:  # executed as a plain script: benchmarks/ is sys.path[0]
     from trajectory import with_trajectory
-from repro.bench import algorithms, reversible
-from repro.compile.decompose import decompose_to_basis
-from repro.compile.optimize import optimize_circuit
+from repro.bench.suite import CONFIGURATIONS, optimized_benchmarks
+from repro.ec.permutations import to_logical_form
 from repro.ec.results import Equivalence
 from repro.perf import PerfCounters
 from repro.zx import circuit_to_zx, full_reduce
@@ -39,27 +43,21 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_zx_simplify.json"
 
 
 def build_cases():
-    """Table-1 'Optimized Circuits' (name, original, optimized) pairs."""
-    originals = {
-        "urf_5": reversible.synthesize(
-            reversible.random_reversible_function(5, seed=1)
-        ),
-        "plus13mod64": reversible.synthesize(
-            reversible.plus_constant_mod(6, 13)
-        ),
-        "hwb_5": reversible.synthesize(reversible.hidden_weighted_bit(5)),
-        "grover_4": algorithms.grover(4),
-        "qft_6": algorithms.qft(6),
-        "randomwalk_3": algorithms.quantum_random_walk(3, steps=2),
-    }
+    """Every optimized Table-1 cell as ``(cell id, G, G')``."""
     return [
-        (name, circuit, optimize_circuit(decompose_to_basis(circuit), level=2))
-        for name, circuit in originals.items()
+        (f"optimized/{instance.name}/{variant}", instance.original,
+         instance.variants[variant])
+        for instance in optimized_benchmarks(scale="small", seed=0)
+        for variant in CONFIGURATIONS
     ]
 
 
 def composed_diagram(circuit1, circuit2):
-    return circuit_to_zx(circuit1).adjoint().compose(circuit_to_zx(circuit2))
+    """The ZX checker's ``G'·G†`` diagram of the pair's logical forms."""
+    width = max(circuit1.num_qubits, circuit2.num_qubits)
+    logical1, _ = to_logical_form(circuit1, width)
+    logical2, _ = to_logical_form(circuit2, width)
+    return circuit_to_zx(logical1).adjoint().compose(circuit_to_zx(logical2))
 
 
 def timed_reduce(circuit1, circuit2):
@@ -80,7 +78,7 @@ def timed_reduce(circuit1, circuit2):
 
 def main() -> int:
     cases = []
-    for name, circuit1, circuit2 in build_cases():
+    for cell, circuit1, circuit2 in build_cases():
         initial = composed_diagram(circuit1, circuit2)
         seconds, diagram, counters = timed_reduce(circuit1, circuit2)
         verdict = (
@@ -89,7 +87,7 @@ def main() -> int:
             else Equivalence.NO_INFORMATION
         )
         cases.append({
-            "case": name,
+            "case": cell,
             "num_qubits": max(circuit1.num_qubits, circuit2.num_qubits),
             "num_gates": [len(circuit1), len(circuit2)],
             "seconds": round(seconds, 6),
@@ -100,7 +98,7 @@ def main() -> int:
             "counters": dict(sorted(counters.items())),
         })
         print(
-            f"{name:20s} {seconds:7.3f}s  {verdict.value}  "
+            f"{cell:40s} {seconds:7.3f}s  {verdict.value}  "
             f"{diagram.num_spiders} spiders, {diagram.num_edges} edges left"
         )
 
@@ -108,9 +106,10 @@ def main() -> int:
     report = {
         "benchmark": "zx_simplify",
         "description": (
-            "full_reduce on the composed G'Gdg diagrams of the Table-1 "
-            "optimized-circuit pairs: best-of-repeats wall time, verdict "
-            "and final spider and edge counts per case"
+            "full_reduce on the composed G'Gdg diagrams of every Table-1 "
+            "optimized cell (equivalent, gate_missing, flipped_cnot): "
+            "best-of-repeats wall time, verdict and final spider and edge "
+            "counts per cell"
         ),
         "repeats": REPEATS,
         "python": platform.python_version(),
@@ -120,6 +119,13 @@ def main() -> int:
             "geomean_seconds": round(
                 math.exp(sum(math.log(s) for s in seconds) / len(seconds)), 6
             ),
+            "variant_seconds": {
+                variant: round(sum(
+                    case["seconds"] for case in cases
+                    if case["case"].endswith(f"/{variant}")
+                ), 6)
+                for variant in CONFIGURATIONS
+            },
         },
     }
     report = with_trajectory(report, OUTPUT)

@@ -6,7 +6,7 @@ wires and Hadamard wires.  Following the "only topology matters" paradigm
 (Section 5 of the paper) the structure is a plain adjacency map; parallel
 edges never need to be stored because the only situation producing them —
 rewrites in graph-like form — resolves them eagerly via the Hopf law
-(:meth:`ZXDiagram.toggle_hadamard_edge`).
+(:meth:`ZXDiagram.complement_edges`).
 
 The class stores no geometry; inputs and outputs are ordered lists of
 boundary vertices, which is all composition and permutation extraction
@@ -207,23 +207,47 @@ class ZXDiagram:
     def toggle_hadamard_edge(self, u: int, v: int) -> None:
         """Toggle a Hadamard edge between two Z spiders (Hopf law).
 
-        Used by local complementation and pivoting in graph-like diagrams:
-        adding a Hadamard edge where one exists removes both (up to scalar),
-        and an H self-loop on a Z spider contributes a pi phase.
+        An H self-loop on a Z spider contributes a pi phase; any other pair
+        is toggled by :meth:`complement_edges`.
         """
         if u == v:
             self.add_to_phase(u, Fraction(1))
             return
-        if v in self._adjacency[u]:
-            existing = self._adjacency[u][v]
-            if existing is not EdgeType.HADAMARD:
+        self.complement_edges(((u, v),))
+
+    def complement_edges(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        """Toggle a Hadamard edge between each pair of distinct Z spiders.
+
+        The neighbourhood complement of local complementation and pivoting
+        in graph-like diagrams: adding a Hadamard edge where one exists
+        removes both (Hopf law, up to scalar).  Pairs are toggled in the
+        given order, so each vertex's neighbour order is the same as with
+        one :meth:`connect` or :meth:`disconnect` per pair; an attached
+        tracker hears each touched vertex once, after the last toggle.
+        """
+        adjacency = self._adjacency
+        touched = set()
+        for u, v in pairs:
+            if u == v:
+                raise ValueError("use toggle_hadamard_edge for self-loops")
+            edges_u = adjacency[u]
+            existing = edges_u.get(v)
+            if existing is None:
+                edges_u[v] = EdgeType.HADAMARD
+                adjacency[v][u] = EdgeType.HADAMARD
+            elif existing is EdgeType.HADAMARD:
+                del edges_u[v]
+                del adjacency[v][u]
+            else:
                 raise ValueError(
-                    "toggle_hadamard_edge on a simple edge — diagram is not "
+                    "Hadamard toggle on a simple edge — diagram is not "
                     "graph-like"
                 )
-            self.disconnect(u, v)
-        else:
-            self.connect(u, v, EdgeType.HADAMARD)
+            touched.add(u)
+            touched.add(v)
+        if self._tracker is not None:
+            for vertex in touched:
+                self._tracker.touch_edges(vertex)
 
     # ------------------------------------------------------------------
     # statistics

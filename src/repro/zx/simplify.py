@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import chain, combinations, product
 from typing import FrozenSet, Optional, Tuple
 
 from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
@@ -274,13 +275,12 @@ def _ungadgeted_hh_z_neighborhood(diagram: ZXDiagram, vertex: int) -> bool:
 
 def lcomp_step(diagram: ZXDiagram, vertex: int) -> None:
     """Apply local complementation at ``vertex`` and delete it."""
-    phase = diagram.phase(vertex)
-    neighbors = list(diagram.neighbors(vertex))
+    phase = negate_phase(diagram.phase(vertex))
+    neighbors = diagram.neighbors(vertex)
     diagram.remove_vertex(vertex)
-    for i in range(len(neighbors)):
-        diagram.add_to_phase(neighbors[i], negate_phase(phase))
-        for j in range(i + 1, len(neighbors)):
-            diagram.toggle_hadamard_edge(neighbors[i], neighbors[j])
+    for neighbor in neighbors:
+        diagram.add_to_phase(neighbor, phase)
+    diagram.complement_edges(combinations(neighbors, 2))
 
 
 def _lcomp_applicable(diagram: ZXDiagram, vertex: int) -> bool:
@@ -305,22 +305,24 @@ def pivot_step(diagram: ZXDiagram, u: int, v: int) -> None:
     only_v = neighbors_v - common
     diagram.remove_vertex(u)
     diagram.remove_vertex(v)
-    for a in only_u:
+    diagram.complement_edges(chain(
+        product(only_u, only_v),
+        product(only_u, common),
+        product(only_v, common),
+    ))
+    # Removing u and v already notified every neighbour, so a zero phase
+    # (always the gadgetized partner's) needs no addition.
+    if phase_v:
+        for a in only_u:
+            diagram.add_to_phase(a, phase_v)
+    if phase_u:
         for b in only_v:
-            diagram.toggle_hadamard_edge(a, b)
-    for a in only_u:
-        for c in common:
-            diagram.toggle_hadamard_edge(a, c)
-    for b in only_v:
-        for c in common:
-            diagram.toggle_hadamard_edge(b, c)
-    for a in only_u:
-        diagram.add_to_phase(a, phase_v)
-    for b in only_v:
-        diagram.add_to_phase(b, phase_u)
+            diagram.add_to_phase(b, phase_u)
     for c in common:
-        diagram.add_to_phase(c, phase_u)
-        diagram.add_to_phase(c, phase_v)
+        if phase_u:
+            diagram.add_to_phase(c, phase_u)
+        if phase_v:
+            diagram.add_to_phase(c, phase_v)
         diagram.add_to_phase(c, _ONE)
 
 

@@ -9,9 +9,10 @@ dirty-vertex worklist (PyZX-style match-then-rewrite):
 * A :class:`DirtyTracker` attaches to the :class:`~repro.zx.diagram.ZXDiagram`
   and receives a ``touch(v)`` notification for every mutation that can
   change a rewrite-rule match at ``v`` — phase, type, or incident-edge
-  changes (vertex removal touches all former neighbors).  Each rule keeps
-  its *own* dirty set, seeded with every vertex, so a vertex dirtied while
-  one rule runs is still pending for all the others.
+  changes (vertex removal touches all former neighbors).  Notifications
+  collect in one pending set, seeded with every vertex, which is folded
+  into each rule's *own* dirty set whenever a rule drains, so a vertex
+  dirtied while one rule runs is still pending for all the others.
 
 * Every match predicate but one is *local*: whether a rule applies at a
   vertex (or edge) depends only on that vertex and its direct neighbors —
@@ -74,6 +75,10 @@ RULES = (
     "id", "lcomp", "pivot", "pivot_gadget", "pivot_boundary", "gadget",
 )
 
+#: Safety backstop on ``full_reduce``'s outer rounds; every rewrite
+#: strictly reduces a well-founded measure, so it is never reached.
+MAX_ROUNDS = 10_000
+
 
 class DirtyTracker:
     """Per-rule dirty sets plus phase-indexed candidate sets.
@@ -81,7 +86,10 @@ class DirtyTracker:
     Invariants while attached (checked by ``tests/zx/test_incremental.py``):
 
     * every live vertex whose neighborhood changed since rule ``r`` last
-      drained is in ``_dirty[r]`` (removal instead touches the neighbors);
+      drained is in ``_pending`` or ``_dirty[r]`` (removal instead touches
+      the neighbors); ``_pending`` is folded into every ``_dirty[r]`` at
+      the next :meth:`pending` or :meth:`drain`, so a notification costs
+      one ``set.add`` and each fold one set union per rule;
     * ``v in pauli_spiders`` iff ``v`` is a live Z spider with phase
       0 or pi, and ``v in clifford_spiders`` iff its phase is ±pi/2
       (interior-ness is *not* part of the invariant — it is a neighbor
@@ -91,16 +99,15 @@ class DirtyTracker:
     """
 
     __slots__ = (
-        "diagram", "_dirty", "pauli_spiders", "clifford_spiders",
+        "diagram", "_pending", "_dirty", "pauli_spiders", "clifford_spiders",
         "gadget_supports", "_axis_key",
     )
 
     def __init__(self, diagram: ZXDiagram) -> None:
         self.diagram = diagram
         seed = tuple(diagram._types)
-        self._dirty: Dict[str, Set[int]] = {
-            rule: set(seed) for rule in RULES
-        }
+        self._pending: Set[int] = set(seed)
+        self._dirty: Dict[str, Set[int]] = {rule: set() for rule in RULES}
         self.pauli_spiders: Set[int] = set()
         self.clifford_spiders: Set[int] = set()
         #: support -> (axis, leaf) of a registered phase gadget
@@ -112,18 +119,17 @@ class DirtyTracker:
     # -- notifications from the diagram ---------------------------------
     def touch(self, vertex: int) -> None:
         """The vertex's phase or type changed (re-examines + re-indexes)."""
-        for dirty in self._dirty.values():
-            dirty.add(vertex)
+        self._pending.add(vertex)
         self._reindex(vertex)
 
     def touch_edges(self, vertex: int) -> None:
         """An incident edge changed — phase and type are intact, so the
         vertex only needs re-examination, not re-indexing."""
-        for dirty in self._dirty.values():
-            dirty.add(vertex)
+        self._pending.add(vertex)
 
     def forget(self, vertex: int) -> None:
         """The vertex was removed."""
+        self._pending.discard(vertex)
         for dirty in self._dirty.values():
             dirty.discard(vertex)
         self.pauli_spiders.discard(vertex)
@@ -140,6 +146,7 @@ class DirtyTracker:
         self._dirty[rule].add(vertex)
 
     def pending(self, rule: str) -> bool:
+        self._fold()
         return bool(self._dirty[rule])
 
     def drain(self, rule: str) -> List[int]:
@@ -149,6 +156,7 @@ class DirtyTracker:
         the complete set of vertices at which a match may have appeared or
         disappeared (sorted for deterministic rewrite order).
         """
+        self._fold()
         dirty = self._dirty[rule]
         if not dirty:
             return []
@@ -161,6 +169,14 @@ class DirtyTracker:
                 candidates.add(vertex)
                 candidates.update(adjacency[vertex])
         return sorted(candidates)
+
+    def _fold(self) -> None:
+        """Move the pending notifications into every rule's dirty set."""
+        pending = self._pending
+        if pending:
+            for dirty in self._dirty.values():
+                dirty |= pending
+            pending.clear()
 
     # -- phase-indexed candidate sets ------------------------------------
     def _reindex(self, vertex: int) -> None:
@@ -278,6 +294,12 @@ def _edge_round(
     degree *d* would re-scan its own neighborhood *d* times.  ``oriented``
     rules (gadget/boundary pivots) distinguish the two endpoints, plain
     pivots do not (each undirected edge is tested once).
+
+    A match ``(a, b)`` claims ``{a} ∪ N(a) ∪ N(b)`` (``b`` is in ``N(a)``).
+    The claim test is split the same way: the anchor's half runs once per
+    anchor, the partner's once per edge, and the union is only built for
+    an accepted match — after which the anchor's half fails for the rest
+    of its edges, since ``a`` is claimed.
     """
     alive = diagram._types
     adjacency = diagram._adjacency
@@ -291,6 +313,7 @@ def _edge_round(
     for a in anchors:
         if a not in alive or not anchor_ok(diagram, a):
             continue
+        anchor_free = a not in claimed and claimed.isdisjoint(adjacency[a])
         for b in sorted(adjacency[a]):
             edge = (a, b) if (oriented or a < b) else (b, a)
             if edge in seen:
@@ -303,14 +326,14 @@ def _edge_round(
                 ok = partner_cache[b] = partner_ok(diagram, b)
             if not ok:
                 continue
-            claim = {a, b}
-            claim.update(adjacency[a])
-            claim.update(adjacency[b])
-            if not claimed.isdisjoint(claim):
+            if not (anchor_free and claimed.isdisjoint(adjacency[b])):
                 tracker.retry(rule, a)
                 continue
-            claimed.update(claim)
+            claimed.add(a)
+            claimed.update(adjacency[a])
+            claimed.update(adjacency[b])
             matches.append((a, b))
+            anchor_free = False
     _count(counters, f"zx.{rule}.matches", len(matches))
     applied = 0
     for a, b in matches:
@@ -512,17 +535,12 @@ def clifford_simp(diagram: ZXDiagram, deadline=None, counters=None) -> int:
     )
 
 
-def full_reduce(
-    diagram: ZXDiagram,
-    max_rounds: int = 10_000,
-    deadline=None,
-    counters=None,
-) -> int:
+def full_reduce(diagram: ZXDiagram, *, deadline=None, counters=None) -> int:
     """The full simplification strategy (PyZX's ``full_reduce``).
 
     Returns the total number of rewrite applications.  Termination is
     guaranteed because every constituent strictly reduces a well-founded
-    measure; ``max_rounds`` is a safety backstop only.  After the initial
+    measure; :data:`MAX_ROUNDS` is a safety backstop only.  After the initial
     sweep (every rule's dirty set starts full) each pass only touches
     vertices whose neighborhood a rewrite actually changed, so the
     quiescent passes degenerate to empty set checks.
@@ -541,7 +559,7 @@ def full_reduce(
             diagram, tracker, "pivot_gadget", deadline, counters
         )
         rounds = 0
-        for _ in range(max_rounds):
+        for _ in range(MAX_ROUNDS):
             rounds += 1
             applied = _clifford(diagram, tracker, deadline, counters)
             applied += _run_rule(

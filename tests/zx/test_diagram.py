@@ -1,5 +1,7 @@
 """Unit tests for the ZX-diagram graph structure (`repro.zx.diagram`)."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -102,6 +104,70 @@ class TestToggleHadamard:
         d.connect(a, b, EdgeType.SIMPLE)
         with pytest.raises(ValueError):
             d.toggle_hadamard_edge(a, b)
+
+
+def _random_graph_like(rng, size=8):
+    """Z spiders joined by random Hadamard edges."""
+    d = ZXDiagram()
+    spiders = [d.add_vertex(VertexType.Z) for _ in range(size)]
+    for i, u in enumerate(spiders):
+        for v in spiders[i + 1:]:
+            if rng.random() < 0.4:
+                d.connect(u, v, EdgeType.HADAMARD)
+    return d, spiders
+
+
+def _adjacency_in_order(d):
+    """Each vertex's (neighbor, edge type) list, in iteration order."""
+    return {
+        v: [(n, d.edge_type(v, n)) for n in d.neighbors(v)]
+        for v in d.vertices()
+    }
+
+
+class _RecordingTracker:
+    def __init__(self):
+        self.notified = Counter()
+
+    def touch(self, vertex):
+        self.notified[vertex] += 1
+
+    touch_edges = touch
+    forget = touch
+
+
+class TestComplementEdges:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_one_toggle_per_pair(self, seed):
+        """Same adjacency as connecting or disconnecting pair by pair,
+        down to each vertex's neighbor order (``id_step`` reads it)."""
+        rng = random.Random(seed)
+        bulk, spiders = _random_graph_like(rng)
+        reference = bulk.copy()
+        pairs = [tuple(rng.sample(spiders, 2)) for _ in range(30)]
+        for u, v in pairs:
+            if reference.connected(u, v):
+                reference.disconnect(u, v)
+            else:
+                reference.connect(u, v, EdgeType.HADAMARD)
+        bulk.complement_edges(pairs)
+        assert _adjacency_in_order(bulk) == _adjacency_in_order(reference)
+
+    def test_simple_edge_rejected(self):
+        d = ZXDiagram()
+        a = d.add_vertex(VertexType.Z)
+        b = d.add_vertex(VertexType.Z)
+        d.connect(a, b, EdgeType.SIMPLE)
+        with pytest.raises(ValueError):
+            d.complement_edges([(a, b)])
+
+    def test_tracker_hears_each_touched_vertex_once(self):
+        d, spiders = _random_graph_like(random.Random(0))
+        tracker = _RecordingTracker()
+        d.attach_tracker(tracker)
+        a, b, c, e = spiders[:4]
+        d.complement_edges([(a, b), (a, c), (b, c), (a, b), (c, e)])
+        assert tracker.notified == Counter({a: 1, b: 1, c: 1, e: 1})
 
 
 class TestStructuralOps:

@@ -191,6 +191,51 @@ class TestDirtyTracker:
         assert victim not in candidates
         assert former_neighbors <= candidates
 
+    def test_touch_between_two_drains_reaches_both_rules(self):
+        """A touch after one rule drained and before another drains is a
+        candidate for both, whichever drains first."""
+        diagram, tracker = self._tracked_diagram()
+        for rule in RULES:
+            tracker.drain(rule)
+        spider = next(
+            v for v in diagram.vertices() if not diagram.is_boundary(v)
+        )
+        diagram.add_to_phase(spider, Fraction(1, 4))
+        assert spider in tracker.drain("lcomp")
+        assert spider in tracker.drain("id")
+
+    @pytest.mark.parametrize("drained_between", [False, True])
+    def test_touched_then_removed_is_never_a_candidate(self, drained_between):
+        diagram, tracker = self._tracked_diagram()
+        for rule in RULES:
+            tracker.drain(rule)
+        victim = next(
+            v for v in diagram.vertices() if not diagram.is_boundary(v)
+        )
+        diagram.set_phase(victim, Fraction(1, 4))
+        rules = list(RULES)
+        if drained_between:
+            # the pending touch is folded into every rule before removal
+            assert victim in tracker.drain(rules.pop())
+        diagram.remove_vertex(victim)
+        for rule in rules:
+            assert victim not in tracker.drain(rule)
+
+    def test_nothing_pending_once_every_rule_drained(self):
+        diagram, tracker = self._tracked_diagram()
+        spiders = [
+            v for v in diagram.vertices() if not diagram.is_boundary(v)
+        ]
+        for mutate in (
+            lambda: None,
+            lambda: diagram.add_to_phase(spiders[0], Fraction(1, 2)),
+            lambda: diagram.remove_vertex(spiders[1]),
+        ):
+            mutate()
+            for rule in RULES:
+                tracker.drain(rule)
+            assert not any(tracker.pending(rule) for rule in RULES)
+
     def test_single_tracker_enforced(self):
         diagram, tracker = self._tracked_diagram()
         with pytest.raises(ValueError):
