@@ -21,6 +21,7 @@ are up to global phase anyway (and the test suite compares tensors with
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import List
 
 from repro.circuit.circuit import QuantumCircuit
@@ -30,19 +31,26 @@ from repro.zx.phase import radians_to_phase
 
 _PI = math.pi
 
-#: Single-qubit gates translated to one Z spider with the given phase (pi units).
+#: Constant spider phases (pi units), exact and already normalized to
+#: ``[0, 2)``, so the diagram stores them without snapping: -pi/2 is 3/2.
+_ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
+_MINUS_HALF = Fraction(3, 2)
+_ONE = Fraction(1)
+
+#: Single-qubit gates translated to one Z spider with the given phase.
 _Z_PHASES = {
-    "z": 1.0,
-    "s": 0.5,
-    "sdg": -0.5,
-    "t": 0.25,
-    "tdg": -0.25,
+    "z": _ONE,
+    "s": _HALF,
+    "sdg": _MINUS_HALF,
+    "t": Fraction(1, 4),
+    "tdg": Fraction(7, 4),
 }
 #: Single-qubit gates translated to one X spider with the given phase.
 _X_PHASES = {
-    "x": 1.0,
-    "sx": 0.5,
-    "sxdg": -0.5,
+    "x": _ONE,
+    "sx": _HALF,
+    "sxdg": _MINUS_HALF,
 }
 
 
@@ -106,14 +114,14 @@ def _convert_operation(builder: _Builder, op: Operation) -> None:
                 return
             if name == "y":
                 # Y = i X Z — spiders in circuit order Z then X.
-                builder.spider(q, VertexType.Z, 1.0)
-                builder.spider(q, VertexType.X, 1.0)
+                builder.spider(q, VertexType.Z, _ONE)
+                builder.spider(q, VertexType.X, _ONE)
                 return
             if name == "ry":
                 # RY(t) = S X(t) S† up to phase: sdg, rx, s in circuit order.
-                builder.spider(q, VertexType.Z, -0.5)
+                builder.spider(q, VertexType.Z, _MINUS_HALF)
                 builder.spider(q, VertexType.X, radians_to_phase(op.params[0]))
-                builder.spider(q, VertexType.Z, 0.5)
+                builder.spider(q, VertexType.Z, _HALF)
                 return
             if name == "u2":
                 phi, lam = op.params
@@ -134,8 +142,8 @@ def _convert_operation(builder: _Builder, op: Operation) -> None:
             a, b = op.targets
             (theta,) = op.params
             # Phase gadget: an X spider linking both wires to a phase-leaf.
-            hub_a = builder.spider(a, VertexType.Z, 0)
-            hub_b = builder.spider(b, VertexType.Z, 0)
+            hub_a = builder.spider(a, VertexType.Z, _ZERO)
+            hub_b = builder.spider(b, VertexType.Z, _ZERO)
             axis = builder.diagram.add_vertex(VertexType.X)
             leaf = builder.diagram.add_vertex(
                 VertexType.Z, radians_to_phase(theta)
@@ -148,14 +156,14 @@ def _convert_operation(builder: _Builder, op: Operation) -> None:
         control = op.controls[0]
         if name == "x":
             (target,) = op.targets
-            z_spider = builder.spider(control, VertexType.Z, 0)
-            x_spider = builder.spider(target, VertexType.X, 0)
+            z_spider = builder.spider(control, VertexType.Z, _ZERO)
+            x_spider = builder.spider(target, VertexType.X, _ZERO)
             builder.diagram.connect(z_spider, x_spider, EdgeType.SIMPLE)
             return
         if name == "z":
             (target,) = op.targets
-            z1 = builder.spider(control, VertexType.Z, 0)
-            z2 = builder.spider(target, VertexType.Z, 0)
+            z1 = builder.spider(control, VertexType.Z, _ZERO)
+            z2 = builder.spider(target, VertexType.Z, _ZERO)
             builder.diagram.connect(z1, z2, EdgeType.HADAMARD)
             return
     raise ValueError(f"operation {op} is not ZX-native; decompose first")
@@ -165,9 +173,9 @@ def _convert_u3(builder: _Builder, q: int, theta, phi, lam) -> None:
     """u3 as the Euler sequence RZ(lam) . RY(theta) . RZ(phi) (circuit order
     rz(lam), ry(theta), rz(phi)), with RY expanded around an X spider."""
     builder.spider(q, VertexType.Z, radians_to_phase(lam))
-    builder.spider(q, VertexType.Z, -0.5)
+    builder.spider(q, VertexType.Z, _MINUS_HALF)
     builder.spider(q, VertexType.X, radians_to_phase(theta))
-    builder.spider(q, VertexType.Z, 0.5)
+    builder.spider(q, VertexType.Z, _HALF)
     builder.spider(q, VertexType.Z, radians_to_phase(phi))
 
 

@@ -24,6 +24,7 @@ valuation of the parameters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple, Union
@@ -108,7 +109,16 @@ def normalize_phase(phase):
     phases only the constant offset is normalized — the coefficients of
     the free parameters must stay untouched (the parameters range over
     all reals, so there is nothing to reduce them modulo).
+
+    A :class:`Fraction` already in ``[0, 2)`` — every stored phase — is
+    returned as it is; the range test reads the integer numerator and
+    denominator instead of reducing with ``%``.
     """
+    if (
+        type(phase) is Fraction
+        and 0 <= phase.numerator < 2 * phase.denominator
+    ):
+        return phase
     if isinstance(phase, SymbolicPhase):
         return SymbolicPhase(phase.terms, normalize_phase(phase.const))
     if isinstance(phase, Fraction):
@@ -166,6 +176,17 @@ def radians_to_phase(angle):
     """
     if isinstance(angle, ParamExpr):
         return symbolic_phase(dict(angle.terms), angle.const / _PI)
+    return _float_radians_to_phase(float(angle))
+
+
+@functools.lru_cache(maxsize=1024)
+def _float_radians_to_phase(angle: float) -> Phase:
+    """:func:`radians_to_phase` of a float angle, memoized.
+
+    A circuit repeats few distinct angles many times, and snapping each
+    occurrence through ``Fraction.limit_denominator`` dominated circuit
+    conversion.  The mapping is pure and its results are immutable.
+    """
     return normalize_phase(angle / _PI)
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.zx import circuit_conv
 from repro.zx.phase import (
     add_phases,
     is_clifford_phase,
@@ -80,3 +81,53 @@ class TestArithmeticProperties:
     def test_float_normalization_in_range(self, value):
         normalized = normalize_phase(value)
         assert 0 <= float(normalized) < 2
+
+
+class TestFastPaths:
+    """The shortcuts return exactly what the general arithmetic returns."""
+
+    @pytest.mark.parametrize("denominator", range(1, 9))
+    @pytest.mark.parametrize("numerator", range(-9, 10))
+    def test_normalize_fraction_is_mod_two(self, numerator, denominator):
+        phase = Fraction(numerator, denominator)
+        normalized = normalize_phase(phase)
+        assert normalized == phase % 2
+        assert type(normalized) is Fraction
+        if 0 <= phase < 2:
+            assert normalized is phase
+
+    @pytest.mark.parametrize("constant,replaced", [
+        (circuit_conv._Z_PHASES["z"], 1.0),
+        (circuit_conv._Z_PHASES["s"], 0.5),
+        (circuit_conv._Z_PHASES["sdg"], -0.5),
+        (circuit_conv._Z_PHASES["t"], 0.25),
+        (circuit_conv._Z_PHASES["tdg"], -0.25),
+        (circuit_conv._X_PHASES["x"], 1.0),
+        (circuit_conv._X_PHASES["sx"], 0.5),
+        (circuit_conv._X_PHASES["sxdg"], -0.5),
+        (circuit_conv._ONE, 1.0),
+        (circuit_conv._HALF, 0.5),
+        (circuit_conv._MINUS_HALF, -0.5),
+        (circuit_conv._ZERO, 0),
+    ])
+    def test_conversion_constant_is_the_normalized_value(
+        self, constant, replaced
+    ):
+        expected = normalize_phase(replaced)
+        assert constant == expected
+        assert type(constant) is type(expected)
+        assert normalize_phase(constant) is constant
+
+    @pytest.mark.parametrize("phase,kind", [
+        (0.25, Fraction),          # dyadic
+        (0.5 + 1e-12, Fraction),   # snapped to 1/2
+        (0.1234567891234, float),  # non-dyadic: stays a float
+    ])
+    def test_memoized_angle_equals_direct(self, phase, kind):
+        angle = phase * math.pi
+        direct = normalize_phase(angle / math.pi)
+        assert type(direct) is kind
+        for _ in range(2):  # the first call may miss the memo, the second hits
+            memoized = radians_to_phase(angle)
+            assert memoized == direct
+            assert type(memoized) is kind
