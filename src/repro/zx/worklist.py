@@ -39,9 +39,12 @@ dirty-vertex worklist (PyZX-style match-then-rewrite):
 * Each round a rule batch-collects **non-overlapping** matches: a match
   claims the vertices it will read or write (anchor + neighborhood), and
   later matches intersecting an earlier claim are deferred to the next
-  round via :meth:`DirtyTracker.retry`.  Collected matches are re-validated
-  immediately before application, because a spider-fusion cascade inside
-  ``id_step`` may reach beyond its claim.
+  round via :meth:`DirtyTracker.retry`.  The pivot family asks less, as
+  PyZX's parallel matchers do: a later pivot only needs its two
+  endpoints outside the claim (see :func:`_edge_round`).  Collected
+  matches are re-validated immediately before application, because a
+  spider-fusion cascade inside ``id_step`` may reach beyond its claim and
+  a pivot may change a later match's 2-hop neighbourhood.
 """
 
 from __future__ import annotations
@@ -295,11 +298,16 @@ def _edge_round(
     rules (gadget/boundary pivots) distinguish the two endpoints, plain
     pivots do not (each undirected edge is tested once).
 
-    A match ``(a, b)`` claims ``{a} ∪ N(a) ∪ N(b)`` (``b`` is in ``N(a)``).
-    The claim test is split the same way: the anchor's half runs once per
-    anchor, the partner's once per edge, and the union is only built for
-    an accepted match — after which the anchor's half fails for the rest
-    of its edges, since ``a`` is claimed.
+    A match ``(a, b)`` claims ``N(a) ∪ N(b)``, which holds both
+    endpoints, and a later match only needs its own two endpoints outside
+    the claim (PyZX's parallel pivot matchers); its neighbourhood may
+    overlap.  Applying the batch one match after another stays sound: a
+    pivot removes ``a`` and ``b``, toggles edges only among
+    ``N(a) ∪ N(b)`` and adds phases only there, so a later match with
+    both endpoints outside keeps its phases, its neighbourhood and the
+    edge between them.  What it can lose is a 2-hop property (a shared
+    neighbour that became a gadget leaf), which the re-validation before
+    each step catches, re-queueing the anchor.
     """
     alive = diagram._types
     adjacency = diagram._adjacency
@@ -313,7 +321,6 @@ def _edge_round(
     for a in anchors:
         if a not in alive or not anchor_ok(diagram, a):
             continue
-        anchor_free = a not in claimed and claimed.isdisjoint(adjacency[a])
         for b in sorted(adjacency[a]):
             edge = (a, b) if (oriented or a < b) else (b, a)
             if edge in seen:
@@ -326,14 +333,12 @@ def _edge_round(
                 ok = partner_cache[b] = partner_ok(diagram, b)
             if not ok:
                 continue
-            if not (anchor_free and claimed.isdisjoint(adjacency[b])):
+            if a in claimed or b in claimed:
                 tracker.retry(rule, a)
                 continue
-            claimed.add(a)
             claimed.update(adjacency[a])
             claimed.update(adjacency[b])
             matches.append((a, b))
-            anchor_free = False
     _count(counters, f"zx.{rule}.matches", len(matches))
     applied = 0
     for a, b in matches:

@@ -6,9 +6,10 @@ CI ``smoke`` job does::
     python -m pytest tests/zx/slow_checks.py -q
 
 It holds the golden-fixture cells of the two slow optimized Table-1
-instances, with the fixpoint check on each, and the sweep over seeds
-0-599 of every concrete fuzz family: ZX must decide exactly the seeds
-the fixture lists, with the same verdicts.
+instances, with the fixpoint check on each and dense truth on those
+with a small residue, and the sweep over seeds 0-599 of every concrete
+fuzz family: ZX must decide exactly the seeds the fixture lists, with
+the same verdicts.
 """
 
 import pytest
@@ -24,6 +25,11 @@ def test_table1_cell(cell):
         golden.load()["table1"][cell]
     )
     assert golden.second_pass_rewrites(circuit1, circuit2) == 0
+
+
+@pytest.mark.parametrize("cell", golden.dense_cell_ids(slow=True))
+def test_table1_residue_denotes_the_pair(cell):
+    assert golden.reduction_denotes_the_pair(*golden.table1_cells()[cell])
 
 
 @pytest.mark.parametrize("family", golden.FAMILIES)

@@ -3,14 +3,13 @@
 This tier-1 module covers the compiled Table-1 block, the optimized cells
 other than the two slow instances, and the concrete fuzz families; the
 slow cells and the 2400-pair sweep run from ``slow_checks.py``.  Every
-reduction must also be ``full_reduce``'s own fixpoint, and the fuzz
-pairs' reduced diagrams must denote the pair (dense truth).
+reduction must also be ``full_reduce``'s own fixpoint, and the reduced
+diagrams of the fuzz pairs and of the optimized cells with small
+residues must denote the pair (dense truth).
 """
 
 import pytest
 
-from repro.circuit import circuit_unitary
-from repro.zx import diagram_to_matrix, diagrams_proportional, full_reduce
 from tests.zx import golden
 
 
@@ -32,6 +31,11 @@ def test_table1_cell(cell):
     assert golden.second_pass_rewrites(circuit1, circuit2) == 0
 
 
+@pytest.mark.parametrize("cell", golden.dense_cell_ids(slow=False))
+def test_table1_residue_denotes_the_pair(cell):
+    assert golden.reduction_denotes_the_pair(*golden.table1_cells()[cell])
+
+
 @pytest.mark.parametrize("family,seed", list(golden.fuzz_ids()))
 def test_fuzz_record(family, seed):
     circuit1, circuit2 = golden.fuzz_pair(family, seed)
@@ -42,12 +46,7 @@ def test_fuzz_record(family, seed):
 
 @pytest.mark.parametrize("family,seed", list(golden.fuzz_ids()))
 def test_fuzz_reduction_denotes_the_pair(family, seed):
-    pair = golden.fuzz_pair(family, seed)
-    logical1, logical2 = golden.logical_pair(*pair)
-    truth = circuit_unitary(logical2) @ circuit_unitary(logical1).conj().T
-    diagram = golden.composed(*pair)
-    full_reduce(diagram)
-    assert diagrams_proportional(diagram_to_matrix(diagram), truth)
+    assert golden.reduction_denotes_the_pair(*golden.fuzz_pair(family, seed))
 
 
 @pytest.mark.parametrize("family", golden.FAMILIES)

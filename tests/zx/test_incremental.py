@@ -24,8 +24,14 @@ from repro.zx import (
     full_reduce,
     to_graph_like,
 )
+from repro.perf import PerfCounters
 from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
-from repro.zx.worklist import RULES, DirtyTracker, _run_rule
+from repro.zx.worklist import (
+    RULES,
+    DirtyTracker,
+    _pivot_gadget_round,
+    _run_rule,
+)
 from tests.conftest import random_circuit
 
 
@@ -347,3 +353,91 @@ class TestLostGadgetFusion:
         ).run()
         assert result.equivalence is Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE
         assert result.statistics["spiders_remaining"] == 0
+
+
+def _hadamard_edges(diagram, pairs):
+    for u, v in pairs:
+        diagram.connect(u, v, EdgeType.HADAMARD)
+
+
+class TestEndpointClaims:
+    """A pivot-family match ``(a, b)`` claims ``N(a) ∪ N(b)``; a later
+    match of the same round only needs its two endpoints outside it.
+
+    The diagrams are graph-like by hand: each ``w`` spider sits on its
+    own wire (so it is not interior), ``a`` anchors are Pauli, ``b``
+    partners carry a T phase, and each round is driven directly.
+    """
+
+    def _round(self, diagram, tracker):
+        counters = PerfCounters()
+        _pivot_gadget_round(diagram, tracker, counters)
+        return (
+            counters.counters.get("zx.pivot_gadget.matches", 0),
+            counters.counters.get("zx.pivot_gadget.rewrites", 0),
+        )
+
+    def test_overlapping_neighbourhoods_share_one_round(self):
+        diagram = ZXDiagram()
+        w1, w2, w3 = (
+            _wired_support_spider(diagram, Fraction(0)) for _ in range(3)
+        )
+        a1 = diagram.add_vertex(VertexType.Z, Fraction(0))
+        b1 = diagram.add_vertex(VertexType.Z, Fraction(1, 4))
+        shared = diagram.add_vertex(VertexType.Z, Fraction(1, 4))
+        a2 = diagram.add_vertex(VertexType.Z, Fraction(1))
+        b2 = diagram.add_vertex(VertexType.Z, Fraction(1, 4))
+        _hadamard_edges(diagram, [
+            (a1, b1), (a1, w1), (b1, w1), (b1, shared), (shared, w2),
+            (a2, b2), (a2, w3), (b2, w3), (b2, shared),
+        ])
+        # (a2, b2) keeps both endpoints outside N(a1) ∪ N(b1), though
+        # b2 shares a neighbour with b1.
+        assert {a2, b2}.isdisjoint(
+            set(diagram.neighbor_view(a1)) | set(diagram.neighbor_view(b1))
+        )
+        assert shared in diagram.neighbor_view(b2)
+        before = diagram_to_matrix(diagram)
+        tracker = DirtyTracker(diagram)
+        diagram.attach_tracker(tracker)
+        try:
+            assert self._round(diagram, tracker) == (2, 2)
+        finally:
+            diagram.detach_tracker()
+        assert not {a1, b1, a2, b2} & set(diagram.vertices())
+        assert diagrams_proportional(diagram_to_matrix(diagram), before)
+
+    @pytest.mark.parametrize("endpoint", ["anchor", "partner"])
+    def test_endpoint_next_to_a_match_waits_for_a_later_round(
+        self, endpoint
+    ):
+        diagram = ZXDiagram()
+        w1, w2 = (
+            _wired_support_spider(diagram, Fraction(0)) for _ in range(2)
+        )
+        a1 = diagram.add_vertex(VertexType.Z, Fraction(0))
+        b1 = diagram.add_vertex(VertexType.Z, Fraction(1, 4))
+        a2 = diagram.add_vertex(VertexType.Z, Fraction(1))
+        b2 = diagram.add_vertex(VertexType.Z, Fraction(1, 4))
+        # Either a2 is a neighbour of b1 or b2 one of a1, so (a2, b2)
+        # must wait for (a1, b1).
+        link = (b1, a2) if endpoint == "anchor" else (a1, b2)
+        _hadamard_edges(diagram, [
+            (a1, b1), (a1, w1), (b1, w1), link,
+            (a2, b2), (a2, w2), (b2, w2),
+        ])
+        before = diagram_to_matrix(diagram)
+        tracker = DirtyTracker(diagram)
+        diagram.attach_tracker(tracker)
+        try:
+            assert self._round(diagram, tracker) == (1, 1)
+            assert a2 in diagram.vertices()
+            # re-queued by the round itself, not only by the pivot's
+            # notifications (those are still pending, not yet folded)
+            assert a2 in tracker._dirty["pivot_gadget"]
+            assert self._round(diagram, tracker) == (1, 1)
+            assert not {a2, b2} & set(diagram.vertices())
+            assert self._round(diagram, tracker) == (0, 0)
+        finally:
+            diagram.detach_tracker()
+        assert diagrams_proportional(diagram_to_matrix(diagram), before)
