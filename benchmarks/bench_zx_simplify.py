@@ -3,15 +3,15 @@
 Records ``BENCH_zx_simplify.json`` at the repository root: per cell of
 the optimized block (``repro.bench.suite``, scale ``small``, seed 0,
 all three configurations), keyed by the golden fixture's cell id
-(``optimized/hwb5_5/gate_missing``), the best-of-``REPEATS`` wall time
-of ``full_reduce`` on the composed ``G' G†`` diagram the ZX checker
-builds, the verdict it supports (a bare-wire identity is equivalence up
-to global phase, anything else no information), the spider counts
-before and after, the final edge count and the per-rule rewrite
-counters.  The non-equivalent cells matter as much as the equivalent
-ones: ZX answers ``?`` there, but still runs to its fixpoint.  Earlier
-reports covered six equivalent pairs only; their summaries stay in the
-report's ``trajectory``.
+(``optimized/hwb5_5/gate_missing``), the best-of-``REPEATS`` wall times
+of building the composed ``G' G†`` diagram the ZX checker builds
+(``compose_seconds``) and of ``full_reduce`` on it, the verdict it
+supports (a bare-wire identity is equivalence up to global phase,
+anything else no information), the spider counts before and after, the
+final edge count and the per-rule rewrite counters.  The non-equivalent
+cells matter as much as the equivalent ones: ZX answers ``?`` there,
+but still runs to its fixpoint.  Earlier reports covered six equivalent
+pairs only; their summaries stay in the report's ``trajectory``.
 
 Run:  make bench-zx
  (or  PYTHONPATH=src python benchmarks/bench_zx_simplify.py)
@@ -61,26 +61,27 @@ def composed_diagram(circuit1, circuit2):
 
 
 def timed_reduce(circuit1, circuit2):
-    """Best-of-``REPEATS`` wall time plus the final diagram and counters."""
-    best = math.inf
-    diagram = None
-    counters = None
+    """Best-of-``REPEATS`` wall times of composing and of reducing, plus
+    the initial spider count, the final diagram and the counters."""
+    best_compose = best = math.inf
     for _ in range(REPEATS):
-        candidate = composed_diagram(circuit1, circuit2)
+        start = time.perf_counter()
+        diagram = composed_diagram(circuit1, circuit2)
+        best_compose = min(best_compose, time.perf_counter() - start)
+        initial_spiders = diagram.num_spiders
         perf = PerfCounters()
         start = time.perf_counter()
-        full_reduce(candidate, counters=perf)
+        full_reduce(diagram, counters=perf)
         best = min(best, time.perf_counter() - start)
-        diagram = candidate
-        counters = perf.counters
-    return best, diagram, counters
+    return best_compose, best, initial_spiders, diagram, perf.counters
 
 
 def main() -> int:
     cases = []
     for cell, circuit1, circuit2 in build_cases():
-        initial = composed_diagram(circuit1, circuit2)
-        seconds, diagram, counters = timed_reduce(circuit1, circuit2)
+        compose_seconds, seconds, initial_spiders, diagram, counters = (
+            timed_reduce(circuit1, circuit2)
+        )
         verdict = (
             Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE
             if diagram.is_identity_diagram()
@@ -90,15 +91,17 @@ def main() -> int:
             "case": cell,
             "num_qubits": max(circuit1.num_qubits, circuit2.num_qubits),
             "num_gates": [len(circuit1), len(circuit2)],
+            "compose_seconds": round(compose_seconds, 6),
             "seconds": round(seconds, 6),
             "verdict": verdict.value,
-            "initial_spiders": initial.num_spiders,
+            "initial_spiders": initial_spiders,
             "final_spiders": diagram.num_spiders,
             "final_edges": diagram.num_edges,
             "counters": dict(sorted(counters.items())),
         })
         print(
-            f"{cell:40s} {seconds:7.3f}s  {verdict.value}  "
+            f"{cell:40s} {compose_seconds:6.3f}s + {seconds:7.3f}s  "
+            f"{verdict.value}  "
             f"{diagram.num_spiders} spiders, {diagram.num_edges} edges left"
         )
 
@@ -108,14 +111,17 @@ def main() -> int:
         "description": (
             "full_reduce on the composed G'Gdg diagrams of every Table-1 "
             "optimized cell (equivalent, gate_missing, flipped_cnot): "
-            "best-of-repeats wall time, verdict and final spider and edge "
-            "counts per cell"
+            "best-of-repeats wall times of composing and reducing, verdict "
+            "and final spider and edge counts per cell"
         ),
         "repeats": REPEATS,
         "python": platform.python_version(),
         "cases": cases,
         "summary": {
             "total_seconds": round(sum(seconds), 6),
+            "compose_seconds": round(
+                sum(case["compose_seconds"] for case in cases), 6
+            ),
             "geomean_seconds": round(
                 math.exp(sum(math.log(s) for s in seconds) / len(seconds)), 6
             ),

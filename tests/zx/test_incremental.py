@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bench.errors import flip_random_cnot, remove_random_gate
 from repro.circuit import QuantumCircuit, circuit_unitary
+from repro.perf import PerfCounters
 from repro.zx import (
     circuit_to_zx,
     diagram_to_matrix,
@@ -24,7 +25,6 @@ from repro.zx import (
     full_reduce,
     to_graph_like,
 )
-from repro.perf import PerfCounters
 from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
 from repro.zx.worklist import (
     RULES,
