@@ -1,13 +1,21 @@
-"""Kernel timings of the DD checkers on Table-1-style instances.
+"""Kernel timings of the DD checkers on Table-1 and Table-1-style pairs.
 
 Records ``BENCH_dd_kernels.json`` at the repository root: per case, the
-best-of-``REPEATS`` wall time, the verdict and, for simulation cases,
-the stimulus digest (so a rerun shows at a glance whether the same
-stimuli ran).  Earlier reports compared the seed's full-height gate
-kernels with the direct fast path, and an object-based DD engine with
-the array engine; their summaries stay in the report's ``trajectory``.
+best-of-``REPEATS`` wall time, the verdict, the nodes the check created
+(``unique_nodes``, both stores), the hits and misses of the ``mul`` and
+``apply_left`` compute tables and, for simulation cases, the stimulus
+digest (so a rerun shows at a glance whether the same stimuli ran).
+The counts are deterministic: a change that keeps the DD operation
+order must leave them identical.  Besides five Table-1-style pairs, the
+cases include the optimized Table-1 cells (``repro.bench.suite``, scale
+``small``, seed 0) where table1-optimized's DD column spends its time,
+run as the golden fixture runs them (16 stimuli, no static pre-pass).
+Earlier reports compared the seed's full-height gate kernels with the
+direct fast path, and an object-based DD engine with the array engine;
+their summaries stay in the report's ``trajectory``.
 
-Run:  PYTHONPATH=src python benchmarks/bench_dd_kernels.py
+Run:  make bench-dd
+ (or  PYTHONPATH=src python benchmarks/bench_dd_kernels.py)
 
 (The module intentionally defines no ``test_*``/pytest entry points; the
 tier-1 smoke guard lives in ``tests/perf/test_bench_smoke.py``.)
@@ -26,6 +34,7 @@ try:
 except ImportError:  # executed as a plain script: benchmarks/ is sys.path[0]
     from trajectory import with_trajectory
 from repro.bench import algorithms
+from repro.bench.suite import optimized_benchmarks
 from repro.compile import compile_circuit, manhattan_architecture
 from repro.compile.decompose import decompose_to_basis
 from repro.compile.optimize import optimize_circuit
@@ -35,8 +44,17 @@ REPEATS = 3
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_dd_kernels.json"
 
 
+#: The optimized Table-1 cells (instance, variant, strategy) that take
+#: most of table1-optimized's DD time.
+TABLE1_CELLS = (
+    ("hwb5_5", "equivalent", "alternating"),
+    ("hwb5_5", "equivalent", "simulation"),
+    ("urf_s1_5", "gate_missing", "alternating"),
+)
+
+
 def build_cases():
-    """Table-1-style (name, circuit1, circuit2, strategy) instances."""
+    """``(name, circuit1, circuit2, configuration)`` per case."""
     manhattan = manhattan_architecture()
     ghz = algorithms.ghz_state(16)
     graphstate = algorithms.graph_state(12, seed=0)
@@ -44,24 +62,35 @@ def build_cases():
     ghz_compiled = compile_circuit(ghz, manhattan)
     graphstate_compiled = compile_circuit(graphstate, manhattan)
     qft_optimized = optimize_circuit(decompose_to_basis(qft), level=2)
-    return [
-        ("ghz_16_compiled/alternating", ghz, ghz_compiled, "alternating"),
-        ("ghz_16_compiled/simulation", ghz, ghz_compiled, "simulation"),
-        (
-            "graphstate_12_compiled/alternating",
-            graphstate, graphstate_compiled, "alternating",
-        ),
-        (
-            "graphstate_12_compiled/simulation",
-            graphstate, graphstate_compiled, "simulation",
-        ),
-        ("qft_6_optimized/alternating", qft, qft_optimized, "alternating"),
+    cases = [
+        (f"{name}/{strategy}", circuit1, circuit2,
+         Configuration(strategy=strategy, seed=0, num_simulations=8))
+        for name, circuit1, circuit2, strategy in (
+            ("ghz_16_compiled", ghz, ghz_compiled, "alternating"),
+            ("ghz_16_compiled", ghz, ghz_compiled, "simulation"),
+            ("graphstate_12_compiled", graphstate, graphstate_compiled,
+             "alternating"),
+            ("graphstate_12_compiled", graphstate, graphstate_compiled,
+             "simulation"),
+            ("qft_6_optimized", qft, qft_optimized, "alternating"),
+        )
     ]
+    optimized = {
+        instance.name: instance
+        for instance in optimized_benchmarks(scale="small", seed=0)
+    }
+    for name, variant, strategy in TABLE1_CELLS:
+        instance = optimized[name]
+        cases.append((
+            f"optimized/{name}/{variant}/{strategy}",
+            instance.original, instance.variants[variant],
+            Configuration(strategy=strategy, seed=0, static_analysis=False),
+        ))
+    return cases
 
 
-def timed_check(circuit1, circuit2, strategy):
+def timed_check(circuit1, circuit2, config):
     """Best-of-``REPEATS`` wall time plus the last result."""
-    config = Configuration(strategy=strategy, seed=0, num_simulations=8)
     best = math.inf
     result = None
     for _ in range(REPEATS):
@@ -74,27 +103,44 @@ def timed_check(circuit1, circuit2, strategy):
 
 def main() -> int:
     cases = []
-    for name, circuit1, circuit2, strategy in build_cases():
-        seconds, result = timed_check(circuit1, circuit2, strategy)
+    for name, circuit1, circuit2, config in build_cases():
+        seconds, result = timed_check(circuit1, circuit2, config)
+        perf = result.statistics["perf"]
+        tables = perf["compute_tables"]
         case = {
             "case": name,
-            "strategy": strategy,
+            "strategy": config.strategy,
             "num_qubits": max(circuit1.num_qubits, circuit2.num_qubits),
             "num_gates": [len(circuit1), len(circuit2)],
             "seconds": round(seconds, 6),
             "verdict": result.equivalence.value,
+            "unique_nodes": (
+                perf["unique_matrix_nodes"] + perf["unique_vector_nodes"]
+            ),
+            "compute_tables": {
+                table: {
+                    "hits": tables[table]["hits"],
+                    "misses": tables[table]["misses"],
+                }
+                for table in ("mul", "apply_left")
+            },
         }
-        if strategy == "simulation":
+        if config.strategy == "simulation":
             case["stimuli_digest"] = result.statistics["stimuli_digest"]
         cases.append(case)
-        print(f"{name:40s} {seconds:7.3f}s  {case['verdict']}")
+        print(
+            f"{name:45s} {seconds:7.3f}s  {case['verdict']}  "
+            f"{case['unique_nodes']} nodes"
+        )
 
     seconds = [case["seconds"] for case in cases]
     report = {
         "benchmark": "dd_kernels",
         "description": (
-            "DD checkers on Table-1-style pairs: best-of-repeats wall "
-            "time, verdict and stimulus digest per case"
+            "DD checkers on Table-1-style pairs and the optimized "
+            "Table-1 cells that dominate its DD column: best-of-repeats "
+            "wall time, verdict, created nodes, mul/apply_left compute-"
+            "table hits and misses, and stimulus digest per case"
         ),
         "repeats": REPEATS,
         "python": platform.python_version(),

@@ -12,9 +12,10 @@ diagrams for quantum state vectors and unitary matrices, with
 * *compute tables* memoizing addition, multiplication, conjugation, traces
   and inner products.
 
-The engine is :class:`~repro.dd.array_package.ArrayDDPackage`: a
-struct-of-arrays node store (:mod:`repro.dd.array_store`), packed integer
-edges and open-addressed unique tables.  It operates on the shared
+The engine is :class:`~repro.dd.array_package.ArrayDDPackage`: one
+tuple per node in a list indexed by handle, a ``dict`` from each tuple
+to its handle as the unique table (:mod:`repro.dd.array_store`), and
+packed integer edges.  It operates on the shared
 circuit IR of :mod:`repro.circuit`; :mod:`repro.dd.gates` builds gate
 diagrams and applies them to matrices, states and batches of stimulus
 columns.

@@ -1,12 +1,14 @@
 """The DD package: integer handles, packed edges, id arithmetic.
 
 It implements the QMDD algebra — normalized nodes, canonical unique
-tables, memoized recursions — over a struct-of-arrays substrate
+tables, memoized recursions — over a tuple node store
 (:mod:`repro.dd.array_store`):
 
 * **Nodes** are dense ``int`` handles into a :class:`NodeStore` (handle
-  0 = terminal).  No node or edge objects are allocated on the hot path,
-  and node identity is handle equality.
+  0 = terminal), each stored as one ``(level, c0, w0, c1, w1, ...)``
+  tuple that is also its unique-table key.  A kernel reads a node with
+  one index and one unpack, no edge objects are allocated on the hot
+  path, and node identity is handle equality.
 * **Edges** are single Python integers packing the target handle and the
   interned weight id of the :class:`~repro.dd.complex_table.ComplexTable`:
   ``edge = (handle << 32) | weight_id``.  The canonical zero edge is the
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dd.array_store import INITIAL_SLOT_CAPACITY, NodeStore
+from repro.dd.array_store import NodeStore
 from repro.dd.complex_table import ComplexTable, DEFAULT_TOLERANCE
 from repro.dd.compute_table import ComputeTable, DEFAULT_COMPUTE_TABLE_SIZE
 
@@ -52,7 +54,7 @@ ONE_EDGE = ONE_ID
 
 
 class ArrayDDPackage:
-    """Canonical vector / matrix DDs over struct-of-arrays node storage.
+    """Canonical vector / matrix DDs over tuple node storage.
 
     Edges are packed integers (see module docstring) and node identity is
     handle equality.  The checker layer only touches edges through the
@@ -63,8 +65,6 @@ class ArrayDDPackage:
         tolerance: Merging tolerance of the complex table.
         compute_table_size: Slots per compute table (``None`` = unbounded).
         complex_table: Existing table to share instead of a fresh one.
-        unique_table_slots: Initial open-addressed unique-table size; tiny
-            values exercise the growth path in stress tests.
     """
 
     def __init__(
@@ -72,7 +72,6 @@ class ArrayDDPackage:
         tolerance: float = DEFAULT_TOLERANCE,
         compute_table_size: Optional[int] = DEFAULT_COMPUTE_TABLE_SIZE,
         complex_table: Optional[ComplexTable] = None,
-        unique_table_slots: int = INITIAL_SLOT_CAPACITY,
     ) -> None:
         self.complex_table = (
             complex_table if complex_table is not None
@@ -88,8 +87,8 @@ class ArrayDDPackage:
             raise ValueError(
                 "complex table must be seeded with 0j at id 0 and 1 at id 1"
             )
-        self.vec = NodeStore(2, unique_table_slots)
-        self.mat = NodeStore(4, unique_table_slots)
+        self.vec = NodeStore(2)
+        self.mat = NodeStore(4)
         # Id-pair memo dicts for weight arithmetic (module docstring).
         self._mul_w: Dict[Tuple[int, int], int] = {}
         self._mul3_w: Dict[Tuple[int, int, int], int] = {}
@@ -150,7 +149,7 @@ class ArrayDDPackage:
         return {name: t.stats() for name, t in sorted(self._tables.items())}
 
     def store_statistics(self) -> Dict[str, Dict[str, int]]:
-        """Node-store growth and unique-table probe counters."""
+        """Node counts and unique-table lookup counters per store."""
         return {
             "matrix_store": self.mat.stats(),
             "vector_store": self.vec.stats(),
@@ -177,9 +176,7 @@ class ArrayDDPackage:
     def _dd_size(self, edge: int, store: NodeStore) -> int:
         if edge & WEIGHT_MASK == 0:
             return 0
-        arity = store.arity
-        children = store.children
-        weights = store.weights
+        nodes = store.nodes
         seen = set()
         stack = [edge >> EDGE_SHIFT]
         while stack:
@@ -187,10 +184,10 @@ class ArrayDDPackage:
             if handle == 0 or handle in seen:
                 continue
             seen.add(handle)
-            base = handle * arity
-            for k in range(arity):
-                if weights[base + k] != 0:
-                    stack.append(children[base + k])
+            node = nodes[handle]
+            for k in range(1, len(node), 2):
+                if node[k + 1] != 0:
+                    stack.append(node[k])
         return len(seen)
 
     # ------------------------------------------------------------------
@@ -303,32 +300,26 @@ class ArrayDDPackage:
     # ------------------------------------------------------------------
     def make_vector_node(self, level: int, edges: Sequence[int]) -> int:
         """Create (or reuse) a normalized vector node; returns its edge."""
-        w0 = edges[0] & WEIGHT_MASK
-        w1 = edges[1] & WEIGHT_MASK
+        e0, e1 = edges
+        w0 = e0 & WEIGHT_MASK
+        w1 = e1 & WEIGHT_MASK
         # Max-magnitude weight, lowest index on exact ties (the
         # normalization rule — strictly-greater comparison).
         if self._wabs(w1) > self._wabs(w0):
-            max_index = 1
             norm = w1
-        else:
-            max_index = 0
-            norm = w0
-        if norm == 0:
+            w0 = 0 if w0 == 0 else self._wdiv(w0, norm)
+            w1 = ONE_ID
+        elif w0 == 0:
             return ZERO_EDGE
-        fields = []
-        for index, (edge, wid) in enumerate(((edges[0], w0), (edges[1], w1))):
-            if index == max_index:
-                fields.append(edge >> EDGE_SHIFT)
-                fields.append(ONE_ID)
-                continue
-            nw = 0 if wid == 0 else self._wdiv(wid, norm)
-            if nw == 0:
-                fields.append(0)
-                fields.append(0)
-            else:
-                fields.append(edge >> EDGE_SHIFT)
-                fields.append(nw)
-        handle, _ = self.vec.lookup_or_insert(level, tuple(fields))
+        else:
+            norm = w0
+            w0 = ONE_ID
+            w1 = 0 if w1 == 0 else self._wdiv(w1, norm)
+        handle = self.vec.lookup_or_insert((
+            level,
+            e0 >> EDGE_SHIFT if w0 != 0 else 0, w0,
+            e1 >> EDGE_SHIFT if w1 != 0 else 0, w1,
+        ))
         return (handle << EDGE_SHIFT) | norm
 
     def make_matrix_node(self, level: int, edges: Sequence[int]) -> int:
@@ -346,21 +337,21 @@ class ArrayDDPackage:
         norm = wids[max_index]
         if norm == 0:
             return ZERO_EDGE
-        fields = []
+        key = [level]
         for index, edge in enumerate(edges):
             if index == max_index:
-                fields.append(edge >> EDGE_SHIFT)
-                fields.append(ONE_ID)
+                key.append(edge >> EDGE_SHIFT)
+                key.append(ONE_ID)
                 continue
             wid = wids[index]
             nw = 0 if wid == 0 else self._wdiv(wid, norm)
             if nw == 0:
-                fields.append(0)
-                fields.append(0)
+                key.append(0)
+                key.append(0)
             else:
-                fields.append(edge >> EDGE_SHIFT)
-                fields.append(nw)
-        handle, _ = self.mat.lookup_or_insert(level, tuple(fields))
+                key.append(edge >> EDGE_SHIFT)
+                key.append(nw)
+        handle = self.mat.lookup_or_insert(tuple(key))
         return (handle << EDGE_SHIFT) | norm
 
     # ------------------------------------------------------------------
@@ -462,24 +453,23 @@ class ArrayDDPackage:
             return ((cached >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(
                 cached & WEIGHT_MASK, wa
             )
-        levels = self.mat.levels
-        if levels[na] != levels[nb]:
+        nodes = self.mat.nodes
+        level, an0, aw0, an1, aw1, an2, aw2, an3, aw3 = nodes[na]
+        level_b, bn0, bw0, bn1, bw1, bn2, bw2, bn3, bw3 = nodes[nb]
+        if level != level_b:
             raise ValueError("cannot add diagrams of different height")
-        children_arr = self.mat.children
-        weights_arr = self.mat.weights
-        base_a = na * 4
-        base_b = nb * 4
-        children = []
-        for k in range(4):
-            children.append(
-                self.add(
-                    (children_arr[base_a + k] << EDGE_SHIFT)
-                    | weights_arr[base_a + k],
-                    (children_arr[base_b + k] << EDGE_SHIFT)
-                    | self._wmul(weights_arr[base_b + k], ratio),
-                )
-            )
-        result = self.make_matrix_node(levels[na], children)
+        add = self.add
+        wmul = self._wmul
+        result = self.make_matrix_node(level, (
+            add((an0 << EDGE_SHIFT) | aw0,
+                (bn0 << EDGE_SHIFT) | wmul(bw0, ratio)),
+            add((an1 << EDGE_SHIFT) | aw1,
+                (bn1 << EDGE_SHIFT) | wmul(bw1, ratio)),
+            add((an2 << EDGE_SHIFT) | aw2,
+                (bn2 << EDGE_SHIFT) | wmul(bw2, ratio)),
+            add((an3 << EDGE_SHIFT) | aw3,
+                (bn3 << EDGE_SHIFT) | wmul(bw3, ratio)),
+        ))
         self._add_cache.put(key, result)
         return ((result >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(
             result & WEIGHT_MASK, wa
@@ -507,24 +497,19 @@ class ArrayDDPackage:
             return ((cached >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(
                 cached & WEIGHT_MASK, wa
             )
-        levels = self.vec.levels
-        if levels[na] != levels[nb]:
+        nodes = self.vec.nodes
+        level, an0, aw0, an1, aw1 = nodes[na]
+        level_b, bn0, bw0, bn1, bw1 = nodes[nb]
+        if level != level_b:
             raise ValueError("cannot add diagrams of different height")
-        children_arr = self.vec.children
-        weights_arr = self.vec.weights
-        base_a = na * 2
-        base_b = nb * 2
-        children = []
-        for k in range(2):
-            children.append(
-                self.add_vectors(
-                    (children_arr[base_a + k] << EDGE_SHIFT)
-                    | weights_arr[base_a + k],
-                    (children_arr[base_b + k] << EDGE_SHIFT)
-                    | self._wmul(weights_arr[base_b + k], ratio),
-                )
-            )
-        result = self.make_vector_node(levels[na], children)
+        add = self.add_vectors
+        wmul = self._wmul
+        result = self.make_vector_node(level, (
+            add((an0 << EDGE_SHIFT) | aw0,
+                (bn0 << EDGE_SHIFT) | wmul(bw0, ratio)),
+            add((an1 << EDGE_SHIFT) | aw1,
+                (bn1 << EDGE_SHIFT) | wmul(bw1, ratio)),
+        ))
         self._add_vec_cache.put(key, result)
         return ((result >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(
             result & WEIGHT_MASK, wa
@@ -553,27 +538,21 @@ class ArrayDDPackage:
         cached = self._mul_cache.get(key)
         if cached is not None:
             return cached
-        levels = self.mat.levels
-        if levels[node_a] != levels[node_b]:
+        nodes = self.mat.nodes
+        level, an0, aw0, an1, aw1, an2, aw2, an3, aw3 = nodes[node_a]
+        level_b, bn0, bw0, bn1, bw1, bn2, bw2, bn3, bw3 = nodes[node_b]
+        if level != level_b:
             raise ValueError("cannot multiply diagrams of different height")
-        children_arr = self.mat.children
-        weights_arr = self.mat.weights
-        base_a = node_a * 4
-        base_b = node_b * 4
-        children = []
-        for i in (0, 1):
-            row = base_a + 2 * i
-            for j in (0, 1):
-                term0 = self._scaled_multiply(
-                    children_arr[row], weights_arr[row],
-                    children_arr[base_b + j], weights_arr[base_b + j],
-                )
-                term1 = self._scaled_multiply(
-                    children_arr[row + 1], weights_arr[row + 1],
-                    children_arr[base_b + 2 + j], weights_arr[base_b + 2 + j],
-                )
-                children.append(self.add(term0, term1))
-        result = self.make_matrix_node(levels[node_a], children)
+        add = self.add
+        term = self._scaled_multiply
+        # Row by row, term0 before term1: weight ids and handles are
+        # assigned in this order.
+        result = self.make_matrix_node(level, (
+            add(term(an0, aw0, bn0, bw0), term(an1, aw1, bn2, bw2)),
+            add(term(an0, aw0, bn1, bw1), term(an1, aw1, bn3, bw3)),
+            add(term(an2, aw2, bn0, bw0), term(an3, aw3, bn2, bw2)),
+            add(term(an2, aw2, bn1, bw1), term(an3, aw3, bn3, bw3)),
+        ))
         self._mul_cache.put(key, result)
         return result
 
@@ -606,27 +585,16 @@ class ArrayDDPackage:
         cached = self._mul_vec_cache.get(key)
         if cached is not None:
             return cached
-        if self.mat.levels[node_a] != self.vec.levels[node_v]:
+        level, an0, aw0, an1, aw1, an2, aw2, an3, aw3 = self.mat.nodes[node_a]
+        level_v, vn0, vw0, vn1, vw1 = self.vec.nodes[node_v]
+        if level != level_v:
             raise ValueError("cannot multiply diagrams of different height")
-        m_children = self.mat.children
-        m_weights = self.mat.weights
-        v_children = self.vec.children
-        v_weights = self.vec.weights
-        base_a = node_a * 4
-        base_v = node_v * 2
-        children = []
-        for i in (0, 1):
-            row = base_a + 2 * i
-            term0 = self._scaled_multiply_mv(
-                m_children[row], m_weights[row],
-                v_children[base_v], v_weights[base_v],
-            )
-            term1 = self._scaled_multiply_mv(
-                m_children[row + 1], m_weights[row + 1],
-                v_children[base_v + 1], v_weights[base_v + 1],
-            )
-            children.append(self.add_vectors(term0, term1))
-        result = self.make_vector_node(self.mat.levels[node_a], children)
+        add = self.add_vectors
+        term = self._scaled_multiply_mv
+        result = self.make_vector_node(level, (
+            add(term(an0, aw0, vn0, vw0), term(an1, aw1, vn1, vw1)),
+            add(term(an2, aw2, vn0, vw0), term(an3, aw3, vn1, vw1)),
+        ))
         self._mul_vec_cache.put(key, result)
         return result
 
@@ -658,23 +626,23 @@ class ArrayDDPackage:
         return ((result >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(rw, weight)
 
     def _apply_left_nodes(self, gate_node: int, target_node: int) -> int:
-        levels = self.mat.levels
-        if levels[target_node] <= levels[gate_node]:
+        nodes = self.mat.nodes
+        node = nodes[target_node]
+        if node[0] <= nodes[gate_node][0]:
             return self._multiply_nodes(gate_node, target_node)
         key = (gate_node, target_node)
         cached = self._apply_left_cache.get(key)
         if cached is not None:
             return cached
-        children_arr = self.mat.children
-        weights_arr = self.mat.weights
-        base = target_node * 4
         children = []
-        for k in range(4):
-            ew = weights_arr[base + k]
+        # Fields 1, 3, 5, 7 are the child handles, each followed by its
+        # weight id.
+        for k in (1, 3, 5, 7):
+            ew = node[k + 1]
             if ew == 0:
                 children.append(ZERO_EDGE)
                 continue
-            sub = self._apply_left_nodes(gate_node, children_arr[base + k])
+            sub = self._apply_left_nodes(gate_node, node[k])
             sw = sub & WEIGHT_MASK
             if sw == 0:
                 children.append(ZERO_EDGE)
@@ -682,7 +650,7 @@ class ArrayDDPackage:
                 children.append(
                     ((sub >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(sw, ew)
                 )
-        result = self.make_matrix_node(levels[target_node], children)
+        result = self.make_matrix_node(node[0], children)
         self._apply_left_cache.put(key, result)
         return result
 
@@ -702,23 +670,21 @@ class ArrayDDPackage:
         return ((result >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(rw, weight)
 
     def _apply_right_nodes(self, target_node: int, gate_node: int) -> int:
-        levels = self.mat.levels
-        if levels[target_node] <= levels[gate_node]:
+        nodes = self.mat.nodes
+        node = nodes[target_node]
+        if node[0] <= nodes[gate_node][0]:
             return self._multiply_nodes(target_node, gate_node)
         key = (target_node, gate_node)
         cached = self._apply_right_cache.get(key)
         if cached is not None:
             return cached
-        children_arr = self.mat.children
-        weights_arr = self.mat.weights
-        base = target_node * 4
         children = []
-        for k in range(4):
-            ew = weights_arr[base + k]
+        for k in (1, 3, 5, 7):
+            ew = node[k + 1]
             if ew == 0:
                 children.append(ZERO_EDGE)
                 continue
-            sub = self._apply_right_nodes(children_arr[base + k], gate_node)
+            sub = self._apply_right_nodes(node[k], gate_node)
             sw = sub & WEIGHT_MASK
             if sw == 0:
                 children.append(ZERO_EDGE)
@@ -726,7 +692,7 @@ class ArrayDDPackage:
                 children.append(
                     ((sub >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(sw, ew)
                 )
-        result = self.make_matrix_node(levels[target_node], children)
+        result = self.make_matrix_node(node[0], children)
         self._apply_right_cache.put(key, result)
         return result
 
@@ -744,22 +710,20 @@ class ArrayDDPackage:
         return ((result >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(rw, weight)
 
     def _apply_vec_nodes(self, gate_node: int, state_node: int) -> int:
-        if self.vec.levels[state_node] <= self.mat.levels[gate_node]:
+        node = self.vec.nodes[state_node]
+        if node[0] <= self.mat.nodes[gate_node][0]:
             return self._multiply_mv_nodes(gate_node, state_node)
         key = (gate_node, state_node)
         cached = self._apply_vec_cache.get(key)
         if cached is not None:
             return cached
-        children_arr = self.vec.children
-        weights_arr = self.vec.weights
-        base = state_node * 2
         children = []
-        for k in range(2):
-            ew = weights_arr[base + k]
+        for k in (1, 3):
+            ew = node[k + 1]
             if ew == 0:
                 children.append(ZERO_EDGE)
                 continue
-            sub = self._apply_vec_nodes(gate_node, children_arr[base + k])
+            sub = self._apply_vec_nodes(gate_node, node[k])
             sw = sub & WEIGHT_MASK
             if sw == 0:
                 children.append(ZERO_EDGE)
@@ -767,7 +731,7 @@ class ArrayDDPackage:
                 children.append(
                     ((sub >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(sw, ew)
                 )
-        result = self.make_vector_node(self.vec.levels[state_node], children)
+        result = self.make_vector_node(node[0], children)
         self._apply_vec_cache.put(key, result)
         return result
 
@@ -790,22 +754,21 @@ class ArrayDDPackage:
         cached = self._conj_cache.get(node)
         if cached is not None:
             return cached
-        children_arr = self.mat.children
-        weights_arr = self.mat.weights
-        base = node * 4
+        fields = self.mat.nodes[node]
         children = []
-        # adjoint: transpose block positions (swap 01 and 10), conjugate weights
-        for k in (0, 2, 1, 3):
-            ew = weights_arr[base + k]
+        # adjoint: transpose block positions (swap 01 and 10), conjugate
+        # weights; fields 1, 5, 3, 7 are the children 00, 10, 01, 11.
+        for k in (1, 5, 3, 7):
+            ew = fields[k + 1]
             if ew == 0:
                 children.append(ZERO_EDGE)
                 continue
-            sub = self._conjugate_node(children_arr[base + k])
+            sub = self._conjugate_node(fields[k])
             children.append(
                 ((sub >> EDGE_SHIFT) << EDGE_SHIFT)
                 | self._wconjmul(sub & WEIGHT_MASK, ew)
             )
-        result = self.make_matrix_node(self.mat.levels[node], children)
+        result = self.make_matrix_node(fields[0], children)
         self._conj_cache.put(node, result)
         return result
 
@@ -822,17 +785,13 @@ class ArrayDDPackage:
         cached = self._trace_cache.get(node)
         if cached is not None:
             return cached
-        children_arr = self.mat.children
-        weights_arr = self.mat.weights
+        _, n0, w0, _, _, _, _, n3, w3 = self.mat.nodes[node]
         values = self._values
-        base = node * 4
         value = 0j
-        w0 = weights_arr[base]
         if w0 != 0:
-            value += values[w0] * self._trace_node(children_arr[base])
-        w3 = weights_arr[base + 3]
+            value += values[w0] * self._trace_node(n0)
         if w3 != 0:
-            value += values[w3] * self._trace_node(children_arr[base + 3])
+            value += values[w3] * self._trace_node(n3)
         self._trace_cache.put(node, value)
         return value
 
@@ -856,22 +815,17 @@ class ArrayDDPackage:
         cached = self._inner_cache.get(key)
         if cached is not None:
             return cached
-        children_arr = self.vec.children
-        weights_arr = self.vec.weights
+        nodes = self.vec.nodes
+        _, an0, aw0, an1, aw1 = nodes[node_a]
+        _, bn0, bw0, bn1, bw1 = nodes[node_b]
         values = self._values
-        base_a = node_a * 2
-        base_b = node_b * 2
         value = 0j
-        for k in (0, 1):
-            aw = weights_arr[base_a + k]
-            bw = weights_arr[base_b + k]
+        for an, aw, bn, bw in ((an0, aw0, bn0, bw0), (an1, aw1, bn1, bw1)):
             if aw != 0 and bw != 0:
                 value += (
                     values[aw].conjugate()
                     * values[bw]
-                    * self._inner_nodes(
-                        children_arr[base_a + k], children_arr[base_b + k]
-                    )
+                    * self._inner_nodes(an, bn)
                 )
         self._inner_cache.put(key, value)
         return value

@@ -14,7 +14,7 @@ with an optional *unbounded* mode (``size=None``, a plain dict) retained
 for A/B ablations.
 
 Keys must be hashable and cheap to compare — the package uses tuples of
-integers (node ``id()``s and interned complex-weight ids from
+integers (node handles and interned complex-weight ids from
 :class:`repro.dd.complex_table.ComplexTable`).
 
 The slot array is allocated lazily on the first insert, so packages that

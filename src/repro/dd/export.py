@@ -39,18 +39,10 @@ def _fill_vector(
     if handle == 0:
         out[offset] += factor
         return
-    store = pkg.vec
-    half = 1 << store.levels[handle]
-    base = handle * 2
+    level, n0, w0, n1, w1 = pkg.vec.nodes[handle]
+    _fill_vector(pkg, (n0 << EDGE_SHIFT) | w0, offset, factor, out)
     _fill_vector(
-        pkg,
-        (store.children[base] << EDGE_SHIFT) | store.weights[base],
-        offset, factor, out,
-    )
-    _fill_vector(
-        pkg,
-        (store.children[base + 1] << EDGE_SHIFT) | store.weights[base + 1],
-        offset + half, factor, out,
+        pkg, (n1 << EDGE_SHIFT) | w1, offset + (1 << level), factor, out
     )
 
 
@@ -80,15 +72,14 @@ def _fill_matrix(
     if handle == 0:
         out[row, col] += factor
         return
-    store = pkg.mat
-    half = 1 << store.levels[handle]
-    base = handle * 4
-    for k, (dr, dc) in enumerate(((0, 0), (0, half), (half, 0), (half, half))):
-        _fill_matrix(
-            pkg,
-            (store.children[base + k] << EDGE_SHIFT) | store.weights[base + k],
-            row + dr, col + dc, factor, out,
-        )
+    level, n0, w0, n1, w1, n2, w2, n3, w3 = pkg.mat.nodes[handle]
+    half = 1 << level
+    _fill_matrix(pkg, (n0 << EDGE_SHIFT) | w0, row, col, factor, out)
+    _fill_matrix(pkg, (n1 << EDGE_SHIFT) | w1, row, col + half, factor, out)
+    _fill_matrix(pkg, (n2 << EDGE_SHIFT) | w2, row + half, col, factor, out)
+    _fill_matrix(
+        pkg, (n3 << EDGE_SHIFT) | w3, row + half, col + half, factor, out
+    )
 
 
 # ----------------------------------------------------------------------
@@ -102,14 +93,13 @@ def matrix_dd_to_dot(edge: int, pkg: ArrayDDPackage, name: str = "dd") -> str:
     labels carry the complex weights, node labels the decided qubit level,
     and the four outgoing edges are ordered ``(00, 01, 10, 11)``.
     """
-    store = pkg.mat
+    nodes = pkg.mat.nodes
 
     def children_of(handle: int) -> Iterator[Tuple[int, int, complex]]:
-        base = handle * 4
-        for k in range(4):
-            wid = store.weights[base + k]
+        node = nodes[handle]
+        for k, (child, wid) in enumerate(zip(node[1::2], node[2::2])):
             if wid != 0:
-                yield k, store.children[base + k], pkg.weight_value(wid)
+                yield k, child, pkg.weight_value(wid)
 
     lines = [f"digraph {name} {{", "  rankdir=TB;", '  root [shape=point];']
     ids: Dict[int, str] = {}
@@ -131,7 +121,7 @@ def matrix_dd_to_dot(edge: int, pkg: ArrayDDPackage, name: str = "dd") -> str:
             return
         visited.add(handle)
         lines.append(
-            f'  {node_id(handle)} [label="q{store.levels[handle]}", '
+            f'  {node_id(handle)} [label="q{nodes[handle][0]}", '
             "shape=circle];"
         )
         for index, child, weight in children_of(handle):

@@ -104,8 +104,8 @@ def package_statistics(pkg) -> Dict[str, object]:
     Returns a nested dict with per-compute-table hit/miss/eviction
     statistics, the complex table's hit/miss/size, unique-node totals (the
     node counts are cumulative — unique tables never evict, so the final
-    count is also the peak), and the node stores' growth and
-    open-addressed unique-table probe counters under ``node_stores``.
+    count is also the peak), and per node store the node count and the
+    unique-table ``lookups`` and ``hits`` under ``node_stores``.
     """
     return {
         "compute_tables": pkg.compute_table_stats(),

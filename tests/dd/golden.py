@@ -155,15 +155,12 @@ def structure_digest(store: NodeStore, edge: int) -> str:
         if handle not in numbers:
             numbers[handle] = len(lines)
             lines.append("")
-            base = handle * store.arity
+            node = store.nodes[handle]
             children = ",".join(
-                token(
-                    (store.children[base + k] << EDGE_SHIFT)
-                    | store.weights[base + k]
-                )
-                for k in range(store.arity)
+                token((child << EDGE_SHIFT) | wid)
+                for child, wid in zip(node[1::2], node[2::2])
             )
-            lines[numbers[handle]] = f"{store.levels[handle]}:{children}"
+            lines[numbers[handle]] = f"{node[0]}:{children}"
         return str(numbers[handle])
 
     root = token(edge)

@@ -43,7 +43,7 @@ def pkg():
 
 
 def _level(pkg, edge):
-    return pkg.mat.levels[pkg.edge_node(edge)]
+    return pkg.mat.nodes[pkg.edge_node(edge)][0]
 
 
 class TestCompactOperationDD:

@@ -1,9 +1,9 @@
 """Tests for the DD engine's node store and packed-integer algebra
 (`repro.dd.array_package` / `repro.dd.array_store`).
 
-Canonical handles are node identity, the open-addressed unique table
-must survive growth from pathologically small capacities, and dense
-exports must agree with numpy.
+Canonical handles are node identity, the unique table gives every
+distinct key its own handle in creation order and finds it again, and
+dense exports must agree with numpy.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ from repro.circuit import QuantumCircuit
 from repro.circuit.unitary import circuit_unitary, statevector
 from repro.dd import (
     ArrayDDPackage,
-    ComplexTable,
     NodeStore,
     edge_to_matrix,
     edge_to_vector,
@@ -34,75 +33,58 @@ class TestNodeStore:
         store = NodeStore(2)
         assert len(store) == 1
         assert store.num_nodes == 0
-        assert store.levels[0] == -1
+        assert store.nodes[0] == (-1, 0, 0, 0, 0)
 
     def test_lookup_is_canonical(self):
         store = NodeStore(2)
-        handle1, created1 = store.lookup_or_insert(0, (0, 1, 0, 0))
-        handle2, created2 = store.lookup_or_insert(0, (0, 1, 0, 0))
-        assert created1 and not created2
+        handle1 = store.lookup_or_insert((0, 0, 1, 0, 0))
+        handle2 = store.lookup_or_insert((0, 0, 1, 0, 0))
         assert handle1 == handle2 == 1
+        assert store.num_nodes == 1
+        assert store.stats() == {"nodes": 1, "lookups": 2, "hits": 1}
 
     def test_distinct_fields_distinct_handles(self):
         store = NodeStore(2)
-        a, _ = store.lookup_or_insert(0, (0, 1, 0, 0))
-        b, _ = store.lookup_or_insert(0, (0, 0, 0, 1))
-        c, _ = store.lookup_or_insert(1, (0, 1, 0, 0))
+        a = store.lookup_or_insert((0, 0, 1, 0, 0))
+        b = store.lookup_or_insert((0, 0, 0, 0, 1))
+        c = store.lookup_or_insert((1, 0, 1, 0, 0))
         assert len({a, b, c}) == 3
 
-    def test_arity_and_capacity_validation(self):
+    def test_arity_validation(self):
         with pytest.raises(ValueError):
             NodeStore(1)
-        with pytest.raises(ValueError):
-            NodeStore(2, slot_capacity=0)
 
-    def test_growth_from_tiny_capacity(self):
-        """A 1-slot table must survive arbitrary insertions via growth."""
-        store = NodeStore(2, slot_capacity=1)
+    def test_many_keys_found_again(self):
+        """48 keys each get the next handle and are all found again."""
+        store = NodeStore(2)
         handles = {}
         for level in range(6):
             for wid in range(1, 9):
-                handle, created = store.lookup_or_insert(
-                    0, (0, wid, 0, level)
-                )
+                handle = store.lookup_or_insert((0, 0, wid, 0, level))
                 if (level, wid) in handles:
-                    assert not created
                     assert handle == handles[(level, wid)]
                 else:
-                    assert created
+                    assert handle == len(handles) + 1
                     handles[(level, wid)] = handle
-        assert store.grows > 0
-        assert store.num_nodes == len(handles)
-        # Every node is still found after all the rehashing.
+        assert store.num_nodes == len(handles) == 48
         for (level, wid), expected in handles.items():
-            handle, created = store.lookup_or_insert(0, (0, wid, 0, level))
-            assert not created and handle == expected
+            assert store.lookup_or_insert((0, 0, wid, 0, level)) == expected
+            assert store.nodes[expected] == (0, 0, wid, 0, level)
+        assert store.hits == 48
 
-    def test_collision_chains_verified_by_fields(self):
-        """Probe-chain candidates are verified against the field arrays,
-        so hash collisions can never alias two distinct nodes."""
-        store = NodeStore(4, slot_capacity=2)
-        seen = set()
+    def test_arity_four_keys_never_alias(self):
+        """39 arity-4 keys that differ in one field or in the level
+        each get their own handle and are all found again."""
+        store = NodeStore(4)
+        handles = []
         for i in range(1, 40):
-            handle, created = store.lookup_or_insert(
-                i % 3, (0, i, 0, 0, 0, 0, 0, 0)
-            )
-            assert created
-            assert handle not in seen
-            seen.add(handle)
-        assert store.collisions > 0
-        stats = store.stats()
-        assert stats["nodes"] == 39
-        assert stats["lookups"] == 39
-        assert stats["slot_capacity"] >= 64
-
-    def test_as_arrays_layout(self):
-        store = NodeStore(2)
-        store.lookup_or_insert(3, (0, 1, 0, 2))
-        arrays = store.as_arrays()
-        assert arrays["levels"].tolist() == [-1, 3]
-        assert arrays["children"].shape == (2, 2)
-        assert arrays["weights"][1].tolist() == [1, 2]
+            handle = store.lookup_or_insert((i % 3, 0, i, 0, 0, 0, 0, 0, 0))
+            assert handle not in handles
+            handles.append(handle)
+        for i, expected in zip(range(1, 40), handles):
+            key = (i % 3, 0, i, 0, 0, 0, 0, 0, 0)
+            assert store.lookup_or_insert(key) == expected
+        assert store.stats() == {"nodes": 39, "lookups": 78, "hits": 39}
 
 
 class TestArrayAlgebra:
@@ -148,18 +130,6 @@ class TestArrayAlgebra:
         root = circuit_dd(pkg, ghz)
         assert root & WEIGHT_MASK != 0
         assert root >> EDGE_SHIFT != 0
-
-    def test_tiny_unique_table_same_results(self):
-        """Growth from a 2-slot unique table is behaviour-invisible."""
-        circuit = random_circuit(4, 30, seed=5)
-        table = ComplexTable()
-        small = ArrayDDPackage(complex_table=table, unique_table_slots=2)
-        table2 = ComplexTable()
-        big = ArrayDDPackage(complex_table=table2, unique_table_slots=1 << 12)
-        dense_small = edge_to_matrix(circuit_dd(small, circuit), 4, small)
-        dense_big = edge_to_matrix(circuit_dd(big, circuit), 4, big)
-        assert_allclose(dense_small, dense_big, atol=0)
-        assert small.mat.grows > 0
 
     def test_store_statistics_shape(self, pkg):
         circuit_dd(pkg, QuantumCircuit(2).h(0).cx(0, 1))

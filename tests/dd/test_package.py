@@ -134,10 +134,14 @@ class TestAlgebra:
         assert pkg.is_identity(product, 3)
 
     def test_height_mismatch_rejected(self, pkg):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different height"):
             pkg.add(pkg.identity(2), pkg.identity(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different height"):
             pkg.multiply(pkg.identity(2), pkg.identity(3))
+        with pytest.raises(ValueError, match="different height"):
+            pkg.add_vectors(pkg.basis_state(2), pkg.basis_state(3))
+        with pytest.raises(ValueError, match="different height"):
+            pkg.multiply_matrix_vector(pkg.identity(2), pkg.basis_state(3))
 
 
 class TestVectors:

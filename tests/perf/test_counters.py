@@ -71,6 +71,12 @@ class TestPackageStatistics:
         assert stats["vector_nodes_created"] > 0
         assert stats["unique_matrix_nodes"] <= stats["matrix_nodes_created"]
         assert set(stats["complex_table"]) == {"hits", "misses", "size"}
+        assert set(stats["node_stores"]) == {"matrix_store", "vector_store"}
+        for store in stats["node_stores"].values():
+            assert set(store) == {"nodes", "lookups", "hits"}
+            assert store["hits"] <= store["lookups"]
+        matrix_store = stats["node_stores"]["matrix_store"]
+        assert matrix_store["nodes"] == stats["unique_matrix_nodes"]
         # Direct kernels were exercised, so their caches saw traffic.
         tables = stats["compute_tables"]
         assert tables["apply_left"]["misses"] > 0
