@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint typecheck fuzz fuzz-smoke serve-smoke soak bench bench-portfolio bench-zx bench-service bench-parameterized
+.PHONY: test lint typecheck fuzz fuzz-smoke serve-smoke soak bench bench-dd bench-portfolio bench-zx bench-service bench-parameterized
 
 # Tier-1 gate: the full unit-test suite.  When pytest-cov is installed
 # (pip install .[test], as CI does) the run also enforces the line-
@@ -65,6 +65,12 @@ soak:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Regenerate BENCH_dd_kernels.json: the DD checkers on Table-1-style
+# pairs and on the optimized Table-1 cells that dominate the DD column,
+# keeping the trajectory.
+bench-dd:
+	$(PYTHON) benchmarks/bench_dd_kernels.py
 
 # Regenerate BENCH_portfolio.json: sequential combined schedule vs the
 # concurrent strategy portfolio on Table-1-style compiled cells.

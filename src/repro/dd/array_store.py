@@ -1,9 +1,9 @@
 """Tuple node storage for the DD package.
 
-Node objects holding tuples of edge objects would pay an allocation, a
-pointer chase and a refcount dance per edge touched at kernel throughput.
-:class:`NodeStore` instead keeps one tuple per node, addressed by dense
-integer *handles*::
+A node is not an object holding edge objects, which would cost an
+allocation and a pointer chase per edge touched at kernel throughput.
+:class:`NodeStore` keeps one tuple of integers per node, addressed by
+dense integer *handles*::
 
     nodes[handle] = (level, c0, w0, c1, w1, ...)
 
