@@ -86,6 +86,13 @@ class TestNodeStore:
             assert store.lookup_or_insert(key) == expected
         assert store.stats() == {"nodes": 39, "lookups": 78, "hits": 39}
 
+    def test_tuple_layout(self):
+        """Each key is stored verbatim as the node at its handle."""
+        store = NodeStore(2)
+        store.lookup_or_insert((3, 0, 1, 0, 2))
+        assert store.nodes == [(-1, 0, 0, 0, 0), (3, 0, 1, 0, 2)]
+        assert NodeStore(4).nodes == [(-1,) + (0,) * 8]
+
 
 class TestArrayAlgebra:
     def test_identity_matrix(self, pkg):
@@ -130,6 +137,22 @@ class TestArrayAlgebra:
         root = circuit_dd(pkg, ghz)
         assert root & WEIGHT_MASK != 0
         assert root >> EDGE_SHIFT != 0
+
+    def test_fresh_packages_same_handles(self):
+        """Handles and weight ids are assigned in lookup order, so two
+        packages building the same circuit hold identical stores, and
+        every child was created before its parent."""
+        circuit = random_circuit(4, 30, seed=5)
+        first, second = ArrayDDPackage(), ArrayDDPackage()
+        root = circuit_dd(first, circuit)
+        assert circuit_dd(second, circuit) == root
+        assert second.mat.nodes == first.mat.nodes
+        assert second.store_statistics() == first.store_statistics()
+        for handle, node in enumerate(first.mat.nodes[1:], start=1):
+            assert len(node) == 9
+            for child in node[1::2]:
+                assert child < handle
+                assert first.mat.nodes[child][0] < node[0]
 
     def test_store_statistics_shape(self, pkg):
         circuit_dd(pkg, QuantumCircuit(2).h(0).cx(0, 1))
