@@ -18,7 +18,7 @@ import pytest
 
 from repro.bench import algorithms
 from repro.compile import compile_circuit, line_architecture
-from repro.ec import AlternatingChecker, Configuration
+from repro.ec import AlternatingChecker, Configuration, logical_pair
 
 ORACLES = ["naive", "proportional", "lookahead", "compilation_flow"]
 
@@ -47,7 +47,9 @@ def test_oracle_runtime(benchmark, pairs, name, oracle):
     )
 
     def run():
-        return AlternatingChecker(original, compiled, config).run()
+        return AlternatingChecker(
+            logical_pair(original, compiled), config
+        ).run()
 
     result = benchmark.pedantic(run, rounds=1)
     assert result.considered_equivalent
@@ -64,6 +66,8 @@ def test_proportional_tracks_identity_better_than_naive(pairs, name):
         config = Configuration(
             strategy="alternating", oracle=oracle, trace_sizes=True
         )
-        result = AlternatingChecker(original, compiled, config).run()
+        result = AlternatingChecker(
+            logical_pair(original, compiled), config
+        ).run()
         sizes[oracle] = result.statistics["max_dd_size"]
     assert sizes["proportional"] <= sizes["naive"]

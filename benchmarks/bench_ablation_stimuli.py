@@ -12,7 +12,7 @@ from repro.bench import algorithms
 from repro.bench.errors import remove_random_gate
 from repro.circuit import QuantumCircuit
 from repro.compile import compile_circuit, line_architecture
-from repro.ec import Configuration, simulation_check
+from repro.ec import Configuration, logical_pair, simulation_check
 from repro.ec.results import Equivalence
 from repro.ec.stimuli import STIMULI_TYPES
 
@@ -38,8 +38,7 @@ def test_stimuli_cost_on_equivalent(benchmark, equivalent_pair, kind):
 
     def run():
         return simulation_check(
-            original,
-            compiled,
+            logical_pair(original, compiled),
             Configuration(stimuli_type=kind, seed=0),
         )
 
@@ -54,7 +53,8 @@ def test_stimuli_detection_speed(benchmark, broken_pair, kind):
 
     def run():
         return simulation_check(
-            original, broken, Configuration(stimuli_type=kind, seed=0)
+            logical_pair(original, broken),
+            Configuration(stimuli_type=kind, seed=0),
         )
 
     result = benchmark.pedantic(run, rounds=1)
@@ -66,12 +66,13 @@ def test_detectability_hierarchy():
     blind, quantum stimuli catch it."""
     clean = QuantumCircuit(2).cx(0, 1)
     phase_broken = QuantumCircuit(2).cx(0, 1).z(0)
+    pair = logical_pair(clean, phase_broken)
     classical = simulation_check(
-        clean, phase_broken, Configuration(stimuli_type="classical", seed=0)
+        pair, Configuration(stimuli_type="classical", seed=0)
     )
     assert classical.equivalence is Equivalence.PROBABLY_EQUIVALENT
     for kind in ("local_quantum", "global_quantum"):
         quantum = simulation_check(
-            clean, phase_broken, Configuration(stimuli_type=kind, seed=0)
+            pair, Configuration(stimuli_type=kind, seed=0)
         )
         assert quantum.equivalence is Equivalence.NOT_EQUIVALENT, kind

@@ -15,7 +15,7 @@ import pytest
 from benchmarks.conftest import error_variant, run_check
 from repro.bench import algorithms
 from repro.compile import compile_circuit, line_architecture
-from repro.ec import Configuration, simulation_check, zx_check
+from repro.ec import Configuration, logical_pair, simulation_check, zx_check
 from repro.ec.results import Equivalence
 
 
@@ -50,7 +50,9 @@ def test_simulation_falsification(benchmark, broken_pairs, case):
     original, broken = broken_pairs[case]
 
     def run():
-        return simulation_check(original, broken, Configuration(seed=0))
+        return simulation_check(
+            logical_pair(original, broken), Configuration(seed=0)
+        )
 
     result = benchmark.pedantic(run, rounds=1)
     assert result.equivalence is Equivalence.NOT_EQUIVALENT
@@ -63,7 +65,7 @@ def test_zx_indication(benchmark, broken_pairs, case):
     original, broken = broken_pairs[case]
 
     def run():
-        return zx_check(original, broken, Configuration())
+        return zx_check(logical_pair(original, broken), Configuration())
 
     result = benchmark.pedantic(run, rounds=1)
     # never a wrong acceptance; usually NO_INFORMATION (stuck reduction)
@@ -77,7 +79,9 @@ def test_simulation_run_distribution(broken_pairs):
     """Across all broken instances, the median detection needs few runs."""
     runs = []
     for original, broken in broken_pairs.values():
-        result = simulation_check(original, broken, Configuration(seed=3))
+        result = simulation_check(
+            logical_pair(original, broken), Configuration(seed=3)
+        )
         if result.equivalence is Equivalence.NOT_EQUIVALENT:
             runs.append(result.statistics["simulations_run"])
     assert runs, "no instance was falsified"

@@ -12,7 +12,12 @@ import pytest
 from benchmarks.conftest import run_check
 from repro.bench import algorithms
 from repro.compile import compile_circuit, line_architecture
-from repro.ec import AlternatingChecker, Configuration, ConstructionChecker
+from repro.ec import (
+    AlternatingChecker,
+    Configuration,
+    ConstructionChecker,
+    logical_pair,
+)
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +40,9 @@ def test_alternating_scheme(benchmark, pair_fixture, request):
     config = Configuration(strategy="alternating", trace_sizes=True)
 
     def run():
-        return AlternatingChecker(original, compiled, config).run()
+        return AlternatingChecker(
+            logical_pair(original, compiled), config
+        ).run()
 
     result = benchmark.pedantic(run, rounds=1)
     assert result.considered_equivalent
@@ -49,7 +56,9 @@ def test_construction_baseline(benchmark, pair_fixture, request):
     config = Configuration(strategy="construction", trace_sizes=True)
 
     def run():
-        return ConstructionChecker(original, compiled, config).run()
+        return ConstructionChecker(
+            logical_pair(original, compiled), config
+        ).run()
 
     result = benchmark.pedantic(run, rounds=1)
     assert result.considered_equivalent
@@ -59,8 +68,9 @@ def test_alternating_beats_construction_on_size(ghz_pair):
     """The headline claim behind Fig. 4, asserted directly."""
     original, compiled = ghz_pair
     config = Configuration(trace_sizes=True)
-    alternating = AlternatingChecker(original, compiled, config).run()
-    construction = ConstructionChecker(original, compiled, config).run()
+    pair = logical_pair(original, compiled)
+    alternating = AlternatingChecker(pair, config).run()
+    construction = ConstructionChecker(pair, config).run()
     assert (
         alternating.statistics["max_dd_size"]
         <= construction.statistics["max_dd_size"]

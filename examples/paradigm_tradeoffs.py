@@ -23,7 +23,7 @@ from repro.bench.errors import remove_random_gate
 from repro.circuit import QuantumCircuit
 from repro.dd import ArrayDDPackage
 from repro.dd.gates import circuit_dd
-from repro.ec import Configuration, simulation_check, zx_check
+from repro.ec import Configuration, logical_pair, simulation_check, zx_check
 from repro.zx import circuit_to_zx, full_reduce
 
 
@@ -70,8 +70,9 @@ def main() -> None:
     grover = algorithms.grover(4)
     lowered = decompose_to_basis(grover)
     broken = remove_random_gate(lowered, seed=4)
-    sim = simulation_check(grover, broken, Configuration(seed=0))
-    zx = zx_check(grover, broken, Configuration())
+    pair = logical_pair(grover, broken)
+    sim = simulation_check(pair, Configuration(seed=0))
+    zx = zx_check(pair, Configuration())
     print(f"   simulation: {sim.equivalence.value} after "
           f"{sim.statistics['simulations_run']} run(s)")
     print(f"   zx        : {zx.equivalence.value} with "

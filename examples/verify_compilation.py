@@ -12,7 +12,7 @@ Run:  python examples/verify_compilation.py
 
 from repro.bench import algorithms
 from repro.compile import compile_circuit, manhattan_architecture
-from repro.ec import AlternatingChecker, Configuration, zx_check
+from repro.ec import AlternatingChecker, Configuration, logical_pair, zx_check
 
 
 def main() -> None:
@@ -37,7 +37,8 @@ def main() -> None:
         config = Configuration(
             strategy="alternating", trace_sizes=True, oracle="proportional"
         )
-        dd = AlternatingChecker(original, compiled, config).run()
+        pair = logical_pair(original, compiled)
+        dd = AlternatingChecker(pair, config).run()
         trace = dd.statistics["dd_size_trace"]
         active = dd.statistics["active_qubits"]
         print(f"  DD : {dd.equivalence.value:32} {dd.time:6.2f}s  "
@@ -51,7 +52,7 @@ def main() -> None:
         print(f"       size trace |{sparkline}|")
 
         # --- ZX paradigm: reduce G'G† to bare wires ----------------------
-        zx = zx_check(original, compiled, Configuration(strategy="zx"))
+        zx = zx_check(pair, Configuration(strategy="zx"))
         print(f"  ZX : {zx.equivalence.value:32} {zx.time:6.2f}s  "
               f"{zx.statistics['initial_spiders']} -> "
               f"{zx.statistics['spiders_remaining']} spiders, "

@@ -15,7 +15,9 @@ executing anything* — no decision diagram, no ZX graph, no simulation:
 5. :mod:`repro.analysis.cost` — a DD-vs-ZX effort model feeding the
    strategy advisor.
 
-Entry points:
+Every entry point takes the :class:`~repro.ec.permutations.LogicalPair`
+the manager derived for the check, so the passes see exactly the logical
+wires the checkers see.  Entry points:
 
 * :func:`analyze_pair` — run all passes, return a
   :class:`~repro.analysis.report.StaticAnalysisReport`;
@@ -75,10 +77,10 @@ from repro.analysis.report import (
     format_report,
 )
 from repro.analysis.support import support_check, wire_profiles
-from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
 from repro.ec.dd_checker import _check_deadline
-from repro.ec.permutations import to_logical_form
+# to_logical_form is imported for benchmarks/e2e/spans.py, which wraps it here.
+from repro.ec.permutations import LogicalPair, to_logical_form
 from repro.ec.results import (
     Equivalence,
     EquivalenceCheckingResult,
@@ -123,38 +125,22 @@ __all__ = [
 
 
 def analyze_pair(
-    circuit1: QuantumCircuit,
-    circuit2: QuantumCircuit,
-    configuration: Optional[Configuration] = None,
+    pair: LogicalPair,
     deadline: Optional[float] = None,
     counters: Optional[PerfCounters] = None,
 ) -> StaticAnalysisReport:
-    """Run all five static passes over a circuit pair.
+    """Run all five static passes over a pair's logical forms.
 
     Respects the cooperative ``deadline`` between passes, charges wall
     time to ``analysis.*`` phases of ``counters`` when given, and never
     constructs a DD or ZX diagram (isolated-fragment comparison builds
     dense matrices of at most ``2^MAX_FRAGMENT_QUBITS``).
     """
-    config = configuration or Configuration()
     counters = counters if counters is not None else PerfCounters()
     started = time.perf_counter()
-    num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
+    logical1, logical2 = pair.circuit1, pair.circuit2
+    num_qubits = pair.num_qubits
     passes_run = []
-
-    with counters.phase("analysis.logical_form"):
-        logical1, _ = to_logical_form(
-            circuit1,
-            num_qubits,
-            elide_permutations=config.elide_permutations,
-            reconstruct=config.reconstruct_swaps,
-        )
-        logical2, _ = to_logical_form(
-            circuit2,
-            num_qubits,
-            elide_permutations=config.elide_permutations,
-            reconstruct=config.reconstruct_swaps,
-        )
 
     # The support and fragment passes multiply out gate matrices, which
     # symbolic parameters cannot do; the remaining passes (gate-set
@@ -255,10 +241,7 @@ def analyze_pair(
 
 
 def analysis_check(
-    circuit1: QuantumCircuit,
-    circuit2: QuantumCircuit,
-    configuration: Optional[Configuration] = None,
-    deadline: Optional[float] = None,
+    pair: LogicalPair, deadline: Optional[float] = None
 ) -> EquivalenceCheckingResult:
     """The standalone ``analysis`` strategy: static passes only.
 
@@ -267,9 +250,7 @@ def analysis_check(
     """
     started = time.perf_counter()
     counters = PerfCounters()
-    report = analyze_pair(
-        circuit1, circuit2, configuration, deadline, counters
-    )
+    report = analyze_pair(pair, deadline, counters)
     if report.is_sound_neq:
         equivalence = Equivalence.NOT_EQUIVALENT
     elif report.is_sound_eq:
@@ -288,8 +269,7 @@ def analysis_check(
 
 
 def run_prepass(
-    circuit1: QuantumCircuit,
-    circuit2: QuantumCircuit,
+    pair: LogicalPair,
     configuration: Configuration,
     start: float,
     deadline: Optional[float] = None,
@@ -305,9 +285,7 @@ def run_prepass(
     """
     counters = PerfCounters()
     try:
-        report = analyze_pair(
-            circuit1, circuit2, configuration, deadline, counters
-        )
+        report = analyze_pair(pair, deadline, counters)
     except EquivalenceCheckingTimeout:
         raise
     except Exception:

@@ -19,9 +19,10 @@ Soundness notes:
   pass (:mod:`repro.analysis.interaction`) generalizes to small isolated
   fragments instead.
 
-Inputs must already be in *logical form* (layouts and output
-permutations folded in, see :func:`repro.ec.permutations.to_logical_form`)
-so that physically-permuted wires are compared correctly.
+Inputs must already be in *logical form*, so that physically-permuted
+wires are compared correctly: :func:`repro.analysis.analyze_pair` passes
+the two circuits of the manager's
+:class:`~repro.ec.permutations.LogicalPair`.
 """
 
 from __future__ import annotations

@@ -25,8 +25,10 @@ non-equivalent, 2 = no information / timeout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -84,17 +86,16 @@ def _print_statistics(statistics: dict, indent: int = 1) -> None:
             print(f"{pad}{key}: {value}")
 
 
+def _usage_error(command: str, message: object) -> int:
+    """Report a bad option value the way argparse does: exit status 2."""
+    print(f"repro {command}: error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.ec import Configuration, EquivalenceCheckingManager
     from repro.ec.results import Equivalence
 
-    if args.portfolio and args.strategy != "combined":
-        raise SystemExit(
-            "--portfolio races the combined schedule; it cannot be used "
-            f"with --strategy {args.strategy}"
-        )
-    circuit1 = _load_circuit(args.circuit1, args.layout1)
-    circuit2 = _load_circuit(args.circuit2, args.layout2)
     config_kwargs = {}
     if args.compute_table_size is not None:
         # 0 selects the unbounded dict-backed tables.
@@ -114,6 +115,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         parameterized_symbolic=not args.instantiate_only,
         **config_kwargs,
     )
+    try:
+        configuration.validate()
+    except ValueError as exc:
+        return _usage_error("verify", exc)
+    circuit1 = _load_circuit(args.circuit1, args.layout1)
+    circuit2 = _load_circuit(args.circuit2, args.layout2)
     if args.isolate:
         from repro.harness import run_check
 
@@ -151,8 +158,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         interaction_fingerprint,
         profile_gate_set,
     )
-    from repro.ec import Configuration
 
+    if args.timeout is not None and not args.timeout > 0:
+        return _usage_error(
+            "analyze", f"--timeout must be positive, got {args.timeout!r}"
+        )
     circuit1 = _load_circuit(args.circuit1, args.layout1)
     if args.circuit2 is None:
         # Single-circuit mode: report the static profile only.
@@ -167,13 +177,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             _print_statistics(payload)
         return 0
     circuit2 = _load_circuit(args.circuit2, args.layout2)
-    configuration = Configuration(timeout=args.timeout, seed=args.seed)
     from repro.circuit.symbolic import (
         circuit_parameters,
         instantiate_circuit,
         is_symbolic_circuit,
     )
+    from repro.ec.permutations import logical_pair
+    from repro.ec.results import EquivalenceCheckingTimeout
 
+    deadline = (
+        None if args.timeout is None else time.monotonic() + args.timeout
+    )
+    pair = logical_pair(circuit1, circuit2)
     symbolic_block = None
     symbolic_neq = False
     if is_symbolic_circuit(circuit1) or is_symbolic_circuit(circuit2):
@@ -182,22 +197,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # phase-polynomial comparison (valid for *all* valuations) is
         # reported alongside.
         from repro.analysis.phasepoly import phase_polynomial_check
-        from repro.ec.permutations import to_logical_form
 
         variables = sorted(
             set(circuit_parameters(circuit1))
             | set(circuit_parameters(circuit2))
         )
-        num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
-        logical1, _ = to_logical_form(
-            circuit1, num_qubits,
-            configuration.elide_permutations, configuration.reconstruct_swaps,
+        verdict, details = phase_polynomial_check(
+            pair.circuit1, pair.circuit2
         )
-        logical2, _ = to_logical_form(
-            circuit2, num_qubits,
-            configuration.elide_permutations, configuration.reconstruct_swaps,
-        )
-        verdict, details = phase_polynomial_check(logical1, logical2)
         symbolic_neq = verdict == "not_equivalent"
         symbolic_block = {
             "variables": variables,
@@ -205,9 +212,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "phase_polynomial": {"verdict": verdict, **details},
         }
         zeros = {name: 0.0 for name in variables}
-        circuit1 = instantiate_circuit(circuit1, zeros)
-        circuit2 = instantiate_circuit(circuit2, zeros)
-    report = analyze_pair(circuit1, circuit2, configuration)
+        pair = dataclasses.replace(
+            pair,
+            circuit1=instantiate_circuit(pair.circuit1, zeros),
+            circuit2=instantiate_circuit(pair.circuit2, zeros),
+        )
+    try:
+        report = analyze_pair(pair, deadline)
+    except EquivalenceCheckingTimeout:
+        print(
+            f"repro analyze: timed out after {args.timeout} s",
+            file=sys.stderr,
+        )
+        return 2
     if args.json:
         payload = report.detail_dict()
         if symbolic_block is not None:
@@ -495,8 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("circuit2", nargs="?", default=None)
     analyze.add_argument("--layout1", default=None)
     analyze.add_argument("--layout2", default=None)
-    analyze.add_argument("--timeout", type=float, default=None)
-    analyze.add_argument("--seed", type=int, default=None)
+    analyze.add_argument(
+        "--timeout", type=float, default=None,
+        help="deadline of the static passes in seconds (exit 2 when hit)",
+    )
     analyze.add_argument(
         "--json", action="store_true",
         help="emit the full nested report as JSON",

@@ -14,6 +14,11 @@ Strategies (Sections 4-5 of the paper):
 * ``combined`` — QCEC's default: simulations for fast falsification plus
   the alternating scheme for proof (the configuration the case study runs).
 
+The manager brings the two circuits onto logical wires once per check
+(:func:`logical_pair`: SWAP reconstruction, layouts and output
+permutations folded in) and hands the resulting :class:`LogicalPair` to
+the static pre-pass and to every checker; each checker takes that pair.
+
 Entry point::
 
     from repro.ec import EquivalenceCheckingManager, Configuration
@@ -24,7 +29,12 @@ Entry point::
 
 from repro.ec.configuration import Configuration
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
-from repro.ec.permutations import reconstruct_swaps, to_logical_form
+from repro.ec.permutations import (
+    LogicalPair,
+    logical_pair,
+    reconstruct_swaps,
+    to_logical_form,
+)
 from repro.ec.dd_checker import (
     AlternatingChecker,
     ConstructionChecker,
@@ -44,8 +54,10 @@ __all__ = [
     "Equivalence",
     "EquivalenceCheckingManager",
     "EquivalenceCheckingResult",
+    "LogicalPair",
     "alternating_dd_check",
     "construction_dd_check",
+    "logical_pair",
     "reconstruct_swaps",
     "simulation_check",
     "stabilizer_check",

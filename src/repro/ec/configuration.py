@@ -13,6 +13,10 @@ from repro.dd.compute_table import DEFAULT_COMPUTE_TABLE_SIZE
 class Configuration:
     """Tunable knobs of :class:`repro.ec.EquivalenceCheckingManager`.
 
+    The permutation handling of Section 4.1 is not a knob: every check
+    reconstructs SWAPs and absorbs them into the tracked permutation
+    (:func:`repro.ec.permutations.logical_pair`).
+
     Attributes:
         strategy: ``"construction"``, ``"alternating"``, ``"simulation"``,
             ``"zx"``, ``"combined"`` (the paper's QCEC setup) or
@@ -46,10 +50,6 @@ class Configuration:
             non-equivalent.
         timeout: Wall-clock budget in seconds (None = unlimited); mirrors
             the paper's 1 h hard timeout, scaled to reproduction sizes.
-        reconstruct_swaps: Re-assemble CNOT triples into SWAPs so they can
-            be absorbed into the tracked permutation (Section 4.1).
-        elide_permutations: Absorb SWAP gates into the tracked qubit
-            permutation instead of multiplying them into the DD.
         trace_sizes: Record the intermediate DD size after every gate
             application (drives the Fig. 4-style experiments).
         seed: Seed for the simulation strategy's random stimuli.
@@ -101,8 +101,6 @@ class Configuration:
     tolerance: float = DEFAULT_TOLERANCE
     fidelity_threshold: float = 1e-8
     timeout: Optional[float] = None
-    reconstruct_swaps: bool = True
-    elide_permutations: bool = True
     trace_sizes: bool = False
     seed: Optional[int] = None
     compute_table_size: Optional[int] = DEFAULT_COMPUTE_TABLE_SIZE

@@ -12,9 +12,9 @@ Two strategies live here:
   to the identity as possible.  Since the product ``U† U'`` is constructed
   anyway, the Hilbert-Schmidt check ``|tr(U† U')| ~ 2^n`` comes for free.
 
-Both consume circuits in *logical form* (see
-:mod:`repro.ec.permutations`), which realizes the permutation tracking and
-SWAP reconstruction the paper describes.
+Both consume a :class:`~repro.ec.permutations.LogicalPair`, whose
+logical forms realize the permutation tracking and SWAP reconstruction
+the paper describes.
 
 Gates are merged into the accumulated product through the
 ``apply_gate_*`` kernels of :class:`~repro.dd.array_package.ArrayDDPackage`
@@ -28,14 +28,14 @@ from __future__ import annotations
 import time
 from typing import List, Optional
 
-from repro.circuit.circuit import QuantumCircuit
 from repro.dd.array_package import ArrayDDPackage
 from repro.dd.gates import (
     apply_operation_left,
     apply_operation_right,
 )
 from repro.ec.configuration import Configuration
-from repro.ec.permutations import active_width, to_logical_form
+# to_logical_form is imported for benchmarks/e2e/spans.py, which wraps it here.
+from repro.ec.permutations import LogicalPair, to_logical_form
 from repro.ec.results import (
     Equivalence,
     EquivalenceCheckingResult,
@@ -78,27 +78,14 @@ class ConstructionChecker:
 
     def __init__(
         self,
-        circuit1: QuantumCircuit,
-        circuit2: QuantumCircuit,
+        pair: LogicalPair,
         configuration: Optional[Configuration] = None,
     ) -> None:
         self.configuration = configuration or Configuration()
-        num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
-        self.logical1, _ = to_logical_form(
-            circuit1,
-            num_qubits,
-            self.configuration.elide_permutations,
-            self.configuration.reconstruct_swaps,
-        )
-        self.logical2, _ = to_logical_form(
-            circuit2,
-            num_qubits,
-            self.configuration.elide_permutations,
-            self.configuration.reconstruct_swaps,
-        )
+        self.logical1, self.logical2 = pair.circuit1, pair.circuit2
         # The DD is built on the active register only: wires above it are
         # the identity in both circuits.
-        self.num_qubits = active_width(self.logical1, self.logical2)
+        self.num_qubits = pair.active_qubits
         self.package = make_package(self.configuration)
 
     def run(self, deadline: Optional[float] = None) -> EquivalenceCheckingResult:
@@ -159,26 +146,12 @@ class AlternatingChecker:
 
     def __init__(
         self,
-        circuit1: QuantumCircuit,
-        circuit2: QuantumCircuit,
+        pair: LogicalPair,
         configuration: Optional[Configuration] = None,
     ) -> None:
         self.configuration = configuration or Configuration()
-        num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
-        self.logical1, stats1 = to_logical_form(
-            circuit1,
-            num_qubits,
-            self.configuration.elide_permutations,
-            self.configuration.reconstruct_swaps,
-        )
-        self.logical2, stats2 = to_logical_form(
-            circuit2,
-            num_qubits,
-            self.configuration.elide_permutations,
-            self.configuration.reconstruct_swaps,
-        )
-        self.permutation_statistics = {"circuit1": stats1, "circuit2": stats2}
-        self.num_qubits = active_width(self.logical1, self.logical2)
+        self.logical1, self.logical2 = pair.circuit1, pair.circuit2
+        self.num_qubits = pair.active_qubits
         self.package = make_package(self.configuration)
 
     # -- oracles ----------------------------------------------------------
@@ -330,7 +303,6 @@ class AlternatingChecker:
             "hilbert_schmidt_fidelity": fidelity,
             "unique_nodes": pkg.num_unique_matrix_nodes(),
             "active_qubits": self.num_qubits,
-            "permutations": self.permutation_statistics,
             "complex_table": pkg.complex_table.stats(),
             "perf": {**perf.as_dict(), **package_statistics(pkg)},
         }
@@ -342,20 +314,18 @@ class AlternatingChecker:
 
 
 def construction_dd_check(
-    circuit1: QuantumCircuit,
-    circuit2: QuantumCircuit,
+    pair: LogicalPair,
     configuration: Optional[Configuration] = None,
     deadline: Optional[float] = None,
 ) -> EquivalenceCheckingResult:
     """Functional wrapper around :class:`ConstructionChecker`."""
-    return ConstructionChecker(circuit1, circuit2, configuration).run(deadline)
+    return ConstructionChecker(pair, configuration).run(deadline)
 
 
 def alternating_dd_check(
-    circuit1: QuantumCircuit,
-    circuit2: QuantumCircuit,
+    pair: LogicalPair,
     configuration: Optional[Configuration] = None,
     deadline: Optional[float] = None,
 ) -> EquivalenceCheckingResult:
     """Functional wrapper around :class:`AlternatingChecker`."""
-    return AlternatingChecker(circuit1, circuit2, configuration).run(deadline)
+    return AlternatingChecker(pair, configuration).run(deadline)

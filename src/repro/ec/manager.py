@@ -27,6 +27,7 @@ from typing import Optional
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
 from repro.ec.dd_checker import AlternatingChecker, ConstructionChecker
+from repro.ec.permutations import LogicalPair, logical_pair
 from repro.ec.results import (
     Equivalence,
     EquivalenceCheckingResult,
@@ -136,6 +137,9 @@ class EquivalenceCheckingManager:
         This is the single dispatch seam: both :meth:`run` and
         :meth:`run_single` land here, so the static pre-pass below is
         exercised identically by users and by the differential fuzzer.
+        It derives the pair's logical forms once, for every stage of the
+        check, and reports their SWAP bookkeeping under
+        ``statistics["permutations"]``.
         """
         deadline = (
             start + config.timeout if config.timeout is not None else None
@@ -147,6 +151,20 @@ class EquivalenceCheckingManager:
         from repro.harness import chaos
 
         chaos.maybe_trigger()
+        # A malformed layout raises ValueError here, which _run degrades.
+        pair = logical_pair(self.circuit1, self.circuit2)
+        result = self._check_pair(pair, config, start, deadline)
+        result.statistics["permutations"] = pair.statistics
+        return result
+
+    def _check_pair(
+        self,
+        pair: LogicalPair,
+        config: Configuration,
+        start: float,
+        deadline: Optional[float],
+    ) -> EquivalenceCheckingResult:
+        """Run the pre-pass and the configured strategy on one pair."""
         from repro.circuit.symbolic import is_symbolic_circuit
 
         symbolic = is_symbolic_circuit(self.circuit1) or is_symbolic_circuit(
@@ -161,7 +179,7 @@ class EquivalenceCheckingManager:
                 from repro.ec.param_checker import parameterized_check
 
                 return parameterized_check(
-                    self.circuit1, self.circuit2, config, deadline
+                    pair, self.circuit1, self.circuit2, config, deadline
                 )
             # A concrete pair under the parameterized strategy is just a
             # concrete check: fall through to the combined machinery.
@@ -180,9 +198,7 @@ class EquivalenceCheckingManager:
             # chaos seam: repro.analysis depends on repro.ec.
             from repro import analysis
 
-            return analysis.analysis_check(
-                self.circuit1, self.circuit2, config, deadline
-            )
+            return analysis.analysis_check(pair, deadline)
         advice = None
         report = None
         analysis_block: Optional[dict] = None
@@ -194,7 +210,7 @@ class EquivalenceCheckingManager:
             from repro import analysis
 
             short_circuit, report = analysis.run_prepass(
-                self.circuit1, self.circuit2, config, start, deadline
+                pair, config, start, deadline
             )
             if short_circuit is not None:
                 return short_circuit
@@ -207,16 +223,20 @@ class EquivalenceCheckingManager:
             from repro.ec.portfolio import run_portfolio
 
             result = run_portfolio(
-                self.circuit1, self.circuit2, config, start, deadline, report
+                self.circuit1, self.circuit2, pair, config, start, deadline,
+                report,
             )
         else:
-            result = self._dispatch_checker(config, start, deadline, advice)
+            result = self._dispatch_checker(
+                pair, config, start, deadline, advice
+            )
         if analysis_block is not None:
             result.statistics.setdefault("analysis", analysis_block)
         return result
 
     def _dispatch_checker(
         self,
+        pair: LogicalPair,
         config: Configuration,
         start: float,
         deadline: Optional[float],
@@ -225,31 +245,22 @@ class EquivalenceCheckingManager:
         """Run the configured checker (the pre-pass has already happened)."""
         strategy = config.strategy
         if strategy == "construction":
-            return ConstructionChecker(
-                self.circuit1, self.circuit2, config
-            ).run(deadline)
+            return ConstructionChecker(pair, config).run(deadline)
         if strategy == "alternating":
-            return AlternatingChecker(
-                self.circuit1, self.circuit2, config
-            ).run(deadline)
+            return AlternatingChecker(pair, config).run(deadline)
         if strategy == "simulation":
-            return simulation_check(
-                self.circuit1, self.circuit2, config, deadline
-            )
+            return simulation_check(pair, config, deadline)
         if strategy == "zx":
-            return zx_check(self.circuit1, self.circuit2, config, deadline)
+            return zx_check(pair, config, deadline)
         if strategy == "stabilizer":
-            return stabilizer_check(
-                self.circuit1, self.circuit2, config, deadline
-            )
+            return stabilizer_check(pair, config, deadline)
         if strategy == "state":
-            return state_check(
-                self.circuit1, self.circuit2, config, deadline
-            )
-        return self._run_combined(config, start, deadline, advice)
+            return state_check(pair, config, deadline)
+        return self._run_combined(pair, config, start, deadline, advice)
 
     def _run_combined(
         self,
+        pair: LogicalPair,
         config: Configuration,
         start: float,
         deadline: Optional[float],
@@ -274,21 +285,15 @@ class EquivalenceCheckingManager:
         result: Optional[EquivalenceCheckingResult] = None
         for stage in schedule:
             if stage == "simulation":
-                result = simulation = simulation_check(
-                    self.circuit1, self.circuit2, config, deadline
-                )
+                result = simulation = simulation_check(pair, config, deadline)
                 if result.equivalence is Equivalence.NOT_EQUIVALENT:
                     break
             elif stage == "alternating":
-                result = AlternatingChecker(
-                    self.circuit1, self.circuit2, config
-                ).run(deadline)
+                result = AlternatingChecker(pair, config).run(deadline)
                 if result.proven:
                     break
             elif stage == "stabilizer":
-                result = stabilizer_check(
-                    self.circuit1, self.circuit2, config, deadline
-                )
+                result = stabilizer_check(pair, config, deadline)
                 if result.proven:
                     break
             else:  # pragma: no cover - advisor emits only known stages

@@ -45,7 +45,7 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.symbolic import circuit_parameters, instantiate_circuit
 from repro.ec.configuration import Configuration
 from repro.ec.dd_checker import _check_deadline
-from repro.ec.permutations import to_logical_form
+from repro.ec.permutations import LogicalPair
 from repro.ec.results import (
     Equivalence,
     EquivalenceCheckingResult,
@@ -159,12 +159,19 @@ def check_instantiated_random(
 
 
 def parameterized_check(
+    pair: LogicalPair,
     circuit1: QuantumCircuit,
     circuit2: QuantumCircuit,
     configuration: Optional[Configuration] = None,
     deadline: Optional[float] = None,
 ) -> EquivalenceCheckingResult:
-    """Check two (symbolically) parameterized circuits for equivalence."""
+    """Check two (symbolically) parameterized circuits for equivalence.
+
+    The symbolic paths read ``pair``, the logical forms of ``circuit1``
+    and ``circuit2``.  The instantiation fallback instantiates the two
+    input circuits themselves, so each instantiated check is exactly the
+    concrete check of that valuation.
+    """
     config = configuration or Configuration()
     start = time.monotonic()
     variables = tuple(
@@ -189,20 +196,7 @@ def parameterized_check(
     if config.parameterized_symbolic:
         # Path 1: symbolic phase polynomial over the logical forms.
         _check_deadline(deadline)
-        num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
-        logical1, _ = to_logical_form(
-            circuit1,
-            num_qubits,
-            config.elide_permutations,
-            config.reconstruct_swaps,
-        )
-        logical2, _ = to_logical_form(
-            circuit2,
-            num_qubits,
-            config.elide_permutations,
-            config.reconstruct_swaps,
-        )
-        verdict, details = phase_polynomial_check(logical1, logical2)
+        verdict, details = phase_polynomial_check(pair.circuit1, pair.circuit2)
         stats["phase_polynomial"] = details
         if verdict == "not_equivalent":
             # Affine-map mismatch or purely numeric phase defect — both
@@ -217,7 +211,7 @@ def parameterized_check(
 
         # Path 2: symbolic ZX reduction of the miter.
         _check_deadline(deadline)
-        zx_result = zx_check(circuit1, circuit2, config, deadline)
+        zx_result = zx_check(pair, config, deadline)
         stats["zx"] = dict(zx_result.statistics)
         if zx_result.proven:
             if zx_result.equivalence is Equivalence.NOT_EQUIVALENT:

@@ -11,14 +11,17 @@ The machinery here realizes Section 4.1's treatment:
   *tracking* the physical-to-logical permutation through the circuit,
   absorbing SWAP gates into the tracked permutation instead of emitting
   them, and appending corrective SWAPs only where the tracked permutation
-  disagrees with the declared output permutation.
+  disagrees with the declared output permutation;
+* :func:`logical_pair` applies both to a circuit pair and records the
+  widths a check needs, as one :class:`LogicalPair`.
 
-Every equivalence-checking strategy consumes circuits in logical form, so
-all of them handle permuted inputs/outputs uniformly.
+The manager derives one :class:`LogicalPair` per check and hands it to
+every strategy, so all of them see the same logical wires.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
@@ -40,7 +43,6 @@ def reconstruct_swaps(circuit: QuantumCircuit) -> QuantumCircuit:
     )
     ops = list(circuit)
     index = 0
-    # repro: allow(deadline-prop): index strictly advances over a fixed list
     while index < len(ops):
         op = ops[index]
         if (
@@ -65,27 +67,23 @@ def _is_cx(op: Operation) -> bool:
 
 
 def active_width(
-    logical1: QuantumCircuit, logical2: QuantumCircuit, floor: int = 0
+    logical1: QuantumCircuit, logical2: QuantumCircuit
 ) -> int:
     """The register width a DD check of two logical-form circuits needs.
 
     One more than the highest wire any operation of either circuit
-    touches, and at least ``floor``.  Every wire above it holds ``|0>``
-    (or the identity) in both circuits, so dropping those wires leaves
-    fidelities, traces and verdicts exactly as on the declared register.
+    touches.  Every wire above it holds ``|0>`` (or the identity) in both
+    circuits, so dropping those wires leaves fidelities, traces and
+    verdicts exactly as on the declared register.
     """
-    top = max(
+    return 1 + max(
         (max(op.qubits) for circuit in (logical1, logical2) for op in circuit),
         default=-1,
     )
-    return max(floor, top + 1)
 
 
 def to_logical_form(
-    circuit: QuantumCircuit,
-    num_qubits: Optional[int] = None,
-    elide_permutations: bool = True,
-    reconstruct: bool = True,
+    circuit: QuantumCircuit, num_qubits: Optional[int] = None
 ) -> Tuple[QuantumCircuit, Dict[str, int]]:
     """Rewrite a circuit onto logical wires, erasing its layout metadata.
 
@@ -107,11 +105,10 @@ def to_logical_form(
         "swaps_reconstructed": 0,
         "correction_swaps": 0,
     }
-    source = reconstruct_swaps(circuit) if reconstruct else circuit
-    if reconstruct:
-        statistics["swaps_reconstructed"] = sum(
-            1 for op in source if op.name == "swap"
-        ) - sum(1 for op in circuit if op.name == "swap")
+    source = reconstruct_swaps(circuit)
+    statistics["swaps_reconstructed"] = sum(
+        1 for op in source if op.name == "swap"
+    ) - sum(1 for op in circuit if op.name == "swap")
 
     perm = circuit.resolved_initial_layout()  # physical wire -> logical
     for extra in range(circuit.num_qubits, num_qubits):
@@ -119,7 +116,7 @@ def to_logical_form(
     out = QuantumCircuit(num_qubits, name=f"{circuit.name}_logical")
 
     for op in source:
-        if op.name == "swap" and not op.controls and elide_permutations:
+        if op.name == "swap" and not op.controls:
             a, b = op.targets
             perm[a], perm[b] = perm[b], perm[a]
             statistics["swaps_elided"] += 1
@@ -137,3 +134,48 @@ def to_logical_form(
         out.swap(a, b)
         statistics["correction_swaps"] += 1
     return out, statistics
+
+
+@dataclass(frozen=True)
+class LogicalPair:
+    """A circuit pair on logical wires: what every checker consumes.
+
+    Attributes:
+        circuit1: The first circuit's logical form.
+        circuit2: The second circuit's logical form.
+        num_qubits: The declared register, the wider input's width; both
+            logical forms have it.
+        data_qubits: The narrower input's width.  Wires above it are
+            ancillae that start in ``|0>``.
+        active_qubits: :func:`active_width` of the two logical forms.
+        statistics: :func:`to_logical_form`'s SWAP bookkeeping, under
+            ``"circuit1"`` and ``"circuit2"``.
+    """
+
+    circuit1: QuantumCircuit
+    circuit2: QuantumCircuit
+    num_qubits: int
+    data_qubits: int
+    active_qubits: int
+    statistics: Dict[str, Dict[str, int]]
+
+
+def logical_pair(
+    circuit1: QuantumCircuit, circuit2: QuantumCircuit
+) -> LogicalPair:
+    """Bring two circuits onto logical wires of the wider one's register.
+
+    Raises ``ValueError`` when either circuit's layout metadata is not a
+    permutation of its wires.
+    """
+    num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
+    logical1, statistics1 = to_logical_form(circuit1, num_qubits)
+    logical2, statistics2 = to_logical_form(circuit2, num_qubits)
+    return LogicalPair(
+        logical1,
+        logical2,
+        num_qubits=num_qubits,
+        data_qubits=min(circuit1.num_qubits, circuit2.num_qubits),
+        active_qubits=active_width(logical1, logical2),
+        statistics={"circuit1": statistics1, "circuit2": statistics2},
+    )

@@ -34,6 +34,7 @@ from typing import Dict, Optional
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
+from repro.ec.permutations import LogicalPair
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
 
 #: Preference order among non-sound survivors when the race drains
@@ -46,8 +47,7 @@ _FALLBACK_RANK = {
 
 
 def plan_portfolio(
-    circuit1: QuantumCircuit,
-    circuit2: QuantumCircuit,
+    pair: LogicalPair,
     configuration: Configuration,
     report=None,
 ):
@@ -58,32 +58,17 @@ def plan_portfolio(
     gateset profiling and cost model run here directly (they are single
     passes over the operation lists — far cheaper than one fork).
     """
-    from repro.analysis import (
-        estimate_cost,
-        profile_gate_set,
-        seed_portfolio,
-        to_logical_form,
-    )
+    from repro.analysis import estimate_cost, profile_gate_set, seed_portfolio
 
     if report is not None:
         profiles = report.profiles
         estimate = report.estimate
     else:
-        num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
-        logical1, _ = to_logical_form(
-            circuit1,
-            num_qubits,
-            elide_permutations=configuration.elide_permutations,
-            reconstruct=configuration.reconstruct_swaps,
+        profiles = (
+            profile_gate_set(pair.circuit1),
+            profile_gate_set(pair.circuit2),
         )
-        logical2, _ = to_logical_form(
-            circuit2,
-            num_qubits,
-            elide_permutations=configuration.elide_permutations,
-            reconstruct=configuration.reconstruct_swaps,
-        )
-        profiles = (profile_gate_set(logical1), profile_gate_set(logical2))
-        estimate = estimate_cost((logical1, logical2), profiles)
+        estimate = estimate_cost((pair.circuit1, pair.circuit2), profiles)
     return seed_portfolio(
         profiles, estimate, head_start=configuration.portfolio_head_start
     )
@@ -126,6 +111,7 @@ def _select_fallback(outcomes) -> Optional[str]:
 def run_portfolio(
     circuit1: QuantumCircuit,
     circuit2: QuantumCircuit,
+    pair: LogicalPair,
     configuration: Configuration,
     start: float,
     deadline: Optional[float],
@@ -134,6 +120,9 @@ def run_portfolio(
     """Race all applicable strategies; return the winning verdict.
 
     Args:
+        circuit1, circuit2: The input circuits.  Every lane is a manager
+            run of its own and derives its logical forms after the fork.
+        pair: The parent's logical forms, which the launch plan reads.
         configuration: The manager's configuration (``portfolio=True``,
             ``strategy="combined"``).
         start: The manager's ``time.monotonic()`` reference — the
@@ -152,7 +141,7 @@ def run_portfolio(
 
     counters = PerfCounters()
     counters.count("portfolio.races")
-    plan = plan_portfolio(circuit1, circuit2, configuration, report)
+    plan = plan_portfolio(pair, configuration, report)
     now = time.monotonic()
     remaining = None if deadline is None else max(0.01, deadline - now)
     # Each lane's cooperative timeout: what is left of the check's.

@@ -17,20 +17,19 @@ import random
 import time
 from typing import List, Optional
 
-from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.qasm import circuit_to_qasm
 from repro.dd.gates import apply_operation_columns
 from repro.ec.configuration import Configuration
 from repro.ec.dd_checker import _check_deadline, make_package
-from repro.ec.permutations import active_width, to_logical_form
+# to_logical_form is imported for benchmarks/e2e/spans.py, which wraps it here.
+from repro.ec.permutations import LogicalPair, to_logical_form
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
 from repro.ec.stimuli import generate_stimulus, prepare_stimulus_columns
 from repro.perf import PerfCounters, package_statistics
 
 
 def simulation_check(
-    circuit1: QuantumCircuit,
-    circuit2: QuantumCircuit,
+    pair: LogicalPair,
     configuration: Optional[Configuration] = None,
     deadline: Optional[float] = None,
 ) -> EquivalenceCheckingResult:
@@ -40,9 +39,9 @@ def simulation_check(
     narrower circuit); ancilla wires added by compilation start in
     ``|0>``, matching the hardware assumption.  Stimuli are generated on
     the declared register, but both circuits are simulated only on the
-    active one (:func:`~repro.ec.permutations.active_width`, at least the
-    data qubits): wires no operation touches stay ``|0>`` in both, so
-    dropping them changes no fidelity.
+    active one (``pair.active_qubits``, at least the data qubits): wires
+    no operation touches stay ``|0>`` in both, so dropping them changes
+    no fidelity.
 
     Stimuli run in growing batches — first one, then each batch as large
     as everything simulated so far (1, 1, 2, 4, 8 for 16 stimuli) — and
@@ -54,15 +53,7 @@ def simulation_check(
     """
     config = configuration or Configuration()
     start = time.monotonic()
-    num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
-    data_qubits = min(circuit1.num_qubits, circuit2.num_qubits)
-    logical1, _ = to_logical_form(
-        circuit1, num_qubits, config.elide_permutations, config.reconstruct_swaps
-    )
-    logical2, _ = to_logical_form(
-        circuit2, num_qubits, config.elide_permutations, config.reconstruct_swaps
-    )
-    width = active_width(logical1, logical2, data_qubits)
+    width = max(pair.active_qubits, pair.data_qubits)
     rng = random.Random(config.seed)
     pkg = make_package(config)
     perf = PerfCounters()
@@ -82,7 +73,7 @@ def simulation_check(
             for _ in range(batch):
                 _check_deadline(deadline)
                 stimulus = generate_stimulus(
-                    config.stimuli_type, num_qubits, data_qubits, rng
+                    config.stimuli_type, pair.num_qubits, pair.data_qubits, rng
                 )
                 stimuli_digest.update(
                     circuit_to_qasm(stimulus).encode("utf-8")
@@ -92,7 +83,7 @@ def simulation_check(
         perf.count("dd.batch_width", batch)
         with perf.phase("simulation"):
             states = []
-            for logical in (logical1, logical2):
+            for logical in (pair.circuit1, pair.circuit2):
                 current = columns
                 for op in logical:
                     _check_deadline(deadline)

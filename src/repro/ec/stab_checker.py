@@ -15,17 +15,16 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
 from repro.ec.dd_checker import _check_deadline
-from repro.ec.permutations import to_logical_form
+# to_logical_form is imported for benchmarks/e2e/spans.py, which wraps it here.
+from repro.ec.permutations import LogicalPair, to_logical_form
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
 from repro.stab.tableau import CliffordTableau, NonCliffordGateError
 
 
 def stabilizer_check(
-    circuit1: QuantumCircuit,
-    circuit2: QuantumCircuit,
+    pair: LogicalPair,
     configuration: Optional[Configuration] = None,
     deadline: Optional[float] = None,
 ) -> EquivalenceCheckingResult:
@@ -36,20 +35,12 @@ def stabilizer_check(
     (the method simply does not apply — mirroring how the ZX checker
     reports an unfinished reduction).
     """
-    config = configuration or Configuration()
     start = time.monotonic()
     _check_deadline(deadline)
-    num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
-    logical1, _ = to_logical_form(
-        circuit1, num_qubits, config.elide_permutations, config.reconstruct_swaps
-    )
-    logical2, _ = to_logical_form(
-        circuit2, num_qubits, config.elide_permutations, config.reconstruct_swaps
-    )
     try:
-        tableau1 = CliffordTableau.from_circuit(logical1)
+        tableau1 = CliffordTableau.from_circuit(pair.circuit1)
         _check_deadline(deadline)
-        tableau2 = CliffordTableau.from_circuit(logical2)
+        tableau2 = CliffordTableau.from_circuit(pair.circuit2)
         _check_deadline(deadline)
     except NonCliffordGateError as reason:
         return EquivalenceCheckingResult(

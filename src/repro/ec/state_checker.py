@@ -18,36 +18,27 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.circuit.circuit import QuantumCircuit
 from repro.dd.gates import apply_operation_to_vector
 from repro.ec.configuration import Configuration
 from repro.ec.dd_checker import _check_deadline, make_package
-from repro.ec.permutations import active_width, to_logical_form
+from repro.ec.permutations import LogicalPair
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
 
 
 def state_check(
-    circuit1: QuantumCircuit,
-    circuit2: QuantumCircuit,
+    pair: LogicalPair,
     configuration: Optional[Configuration] = None,
     deadline: Optional[float] = None,
 ) -> EquivalenceCheckingResult:
     """Decide whether both circuits prepare the same state from ``|0...0>``."""
     config = configuration or Configuration()
     start = time.monotonic()
-    num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
-    logical1, _ = to_logical_form(
-        circuit1, num_qubits, config.elide_permutations, config.reconstruct_swaps
-    )
-    logical2, _ = to_logical_form(
-        circuit2, num_qubits, config.elide_permutations, config.reconstruct_swaps
-    )
     # Wires above the active register stay |0> in both circuits.
-    width = active_width(logical1, logical2)
+    width = pair.active_qubits
     pkg = make_package(config)
     states = []
     max_size = 0
-    for logical in (logical1, logical2):
+    for logical in (pair.circuit1, pair.circuit2):
         state = pkg.basis_state(width)
         for op in logical:
             _check_deadline(deadline)

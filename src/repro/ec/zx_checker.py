@@ -1,7 +1,7 @@
 """ZX-calculus based equivalence checking (paper Section 5.1).
 
-Both circuits are brought into logical form (handling layouts and output
-permutations), converted to ZX-diagrams, composed as ``G' ∘ G†`` and
+The pair's two logical forms (layouts and output permutations already
+folded in) are converted to ZX-diagrams, composed as ``G' ∘ G†`` and
 simplified with ``full_reduce``.  If the result is a bare-wire identity
 diagram the circuits are equivalent (up to global phase — the scalar is
 not tracked); a bare-wire *permutation* that does not match the expected
@@ -16,9 +16,9 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
-from repro.ec.permutations import to_logical_form
+# to_logical_form is imported for benchmarks/e2e/spans.py, which wraps it here.
+from repro.ec.permutations import LogicalPair, to_logical_form
 from repro.ec.results import (
     Equivalence,
     EquivalenceCheckingResult,
@@ -31,25 +31,17 @@ from repro.zx.worklist import full_reduce
 
 
 def zx_check(
-    circuit1: QuantumCircuit,
-    circuit2: QuantumCircuit,
+    pair: LogicalPair,
     configuration: Optional[Configuration] = None,
     deadline: Optional[float] = None,
 ) -> EquivalenceCheckingResult:
     """Check equivalence by reducing the composed ZX-diagram ``G' G†``."""
     config = configuration or Configuration()
     start = time.monotonic()
-    num_qubits = max(circuit1.num_qubits, circuit2.num_qubits)
-    logical1, _ = to_logical_form(
-        circuit1, num_qubits, config.elide_permutations, config.reconstruct_swaps
-    )
-    logical2, _ = to_logical_form(
-        circuit2, num_qubits, config.elide_permutations, config.reconstruct_swaps
-    )
     perf = PerfCounters()
     with perf.phase("compose"):
-        diagram = circuit_to_zx(logical1).adjoint().compose(
-            circuit_to_zx(logical2)
+        diagram = circuit_to_zx(pair.circuit1).adjoint().compose(
+            circuit_to_zx(pair.circuit2)
         )
     initial_spiders = diagram.num_spiders
     try:

@@ -203,16 +203,14 @@ class DifferentialOracle:
         return manager.run_single(str(overrides["strategy"]))
 
     def _dense_verdict(self, circuit1, circuit2, n: int) -> str:
-        """Dense-unitary comparison of two *concrete* circuits."""
-        config = self.configuration
-        logical1, _ = to_logical_form(
-            circuit1, n, config.elide_permutations, config.reconstruct_swaps
-        )
-        logical2, _ = to_logical_form(
-            circuit2, n, config.elide_permutations, config.reconstruct_swaps
-        )
-        u1 = circuit_unitary(logical1)
-        u2 = circuit_unitary(logical2)
+        """Dense-unitary comparison of two *concrete* circuits.
+
+        It is the reference for every checker, so it folds the layouts
+        itself rather than through
+        :func:`~repro.ec.permutations.logical_pair`.
+        """
+        u1 = circuit_unitary(to_logical_form(circuit1, n)[0])
+        u2 = circuit_unitary(to_logical_form(circuit2, n)[0])
         if np.allclose(u1, u2, atol=1e-8):
             return Equivalence.EQUIVALENT.value
         if abs(hilbert_schmidt_fidelity(u1, u2) - 1.0) < 1e-8:

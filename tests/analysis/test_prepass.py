@@ -4,7 +4,7 @@ import dataclasses
 
 from repro.analysis import analyze_pair
 from repro.circuit.circuit import QuantumCircuit
-from repro.ec import Configuration, EquivalenceCheckingManager
+from repro.ec import Configuration, EquivalenceCheckingManager, logical_pair
 from repro.ec.results import Equivalence
 
 
@@ -119,7 +119,7 @@ class TestAdvisor:
 
     def test_advice_matches_analyze_pair(self):
         a, b = _clifford_pair()
-        report = analyze_pair(a, b)
+        report = analyze_pair(logical_pair(a, b))
         assert report.advice.schedule == (
             "stabilizer", "simulation", "alternating",
         )
@@ -180,4 +180,4 @@ class TestTimeoutBehaviour:
 
         a, b = _neq_pair()
         with pytest.raises(EquivalenceCheckingTimeout):
-            ap(a, b, deadline=0.0)  # already expired
+            ap(logical_pair(a, b), deadline=0.0)  # already expired

@@ -20,7 +20,7 @@ from repro.circuit.symbolic import (
 from repro.circuit.unitary import circuit_unitary, hilbert_schmidt_fidelity
 from repro.ec.configuration import Configuration
 from repro.ec.param_checker import draw_valuations
-from repro.ec.permutations import to_logical_form
+from repro.ec.permutations import logical_pair, to_logical_form
 from repro.fuzz.generator import FAMILIES, generate_instance
 from repro.fuzz.mutators import LABEL_EQUIVALENT
 
@@ -85,7 +85,7 @@ def test_static_verdicts_never_contradict_dense_truth(family):
     checked = 0
     decided = 0
     for seed, pair in _iter_pairs(family):
-        report = analyze_pair(pair.circuit1, pair.circuit2)
+        report = analyze_pair(logical_pair(pair.circuit1, pair.circuit2))
         truth = _dense_verdict(pair)
         checked += 1
         if report.verdict == "not_equivalent":
@@ -108,7 +108,7 @@ def test_equivalent_labeled_pairs_are_never_flagged(family):
     for seed, pair in _iter_pairs(family):
         if pair.label != LABEL_EQUIVALENT:
             continue
-        report = analyze_pair(pair.circuit1, pair.circuit2)
+        report = analyze_pair(logical_pair(pair.circuit1, pair.circuit2))
         assert report.verdict != "not_equivalent", (
             f"static NEQ on an equivalent-labeled pair: family={family} "
             f"seed={seed} recipe={pair.recipe} witness={report.witness}"
@@ -117,8 +117,8 @@ def test_equivalent_labeled_pairs_are_never_flagged(family):
 
 def test_analyzer_is_deterministic():
     _, pair = generate_instance(7, "clifford_t")
-    first = analyze_pair(pair.circuit1, pair.circuit2)
-    second = analyze_pair(pair.circuit1, pair.circuit2)
+    first = analyze_pair(logical_pair(pair.circuit1, pair.circuit2))
+    second = analyze_pair(logical_pair(pair.circuit1, pair.circuit2))
     assert first.verdict == second.verdict
     assert first.witness == second.witness
     assert first.advice == second.advice

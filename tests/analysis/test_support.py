@@ -10,7 +10,7 @@ from repro.analysis.support import (
 )
 from repro.circuit.circuit import QuantumCircuit, ghz_example
 from repro.compile import compile_circuit, line_architecture
-from repro.ec.permutations import to_logical_form
+from repro.ec.permutations import logical_pair, to_logical_form
 
 
 class TestWireProfiles:
@@ -106,7 +106,7 @@ class TestPermutationAwareness:
         # genuinely equivalent, so no witness may appear.
         original = ghz_example()
         compiled = compile_circuit(original, line_architecture(4))
-        report = analyze_pair(original, compiled)
+        report = analyze_pair(logical_pair(original, compiled))
         assert report.verdict != "not_equivalent"
 
     def test_routed_pair_with_planted_idle_error(self):
@@ -116,7 +116,7 @@ class TestPermutationAwareness:
         broken = compiled.copy().x(3)
         broken.initial_layout = dict(compiled.initial_layout)
         broken.output_permutation = dict(compiled.output_permutation)
-        report = analyze_pair(original, broken)
+        report = analyze_pair(logical_pair(original, broken))
         assert report.verdict == "not_equivalent"
         assert report.witness["pass"] in ("support", "interaction")
 

@@ -14,7 +14,11 @@ from repro.circuit import QuantumCircuit, circuit_unitary
 from repro.compile import compile_circuit, line_architecture
 from repro.ec import Configuration, simulation_check
 from repro.ec.dd_checker import AlternatingChecker, ConstructionChecker
-from repro.ec.permutations import active_width, to_logical_form
+from repro.ec.permutations import (
+    active_width,
+    logical_pair,
+    to_logical_form,
+)
 from repro.ec.results import Equivalence
 from repro.ec.state_checker import state_check
 from tests.conftest import random_circuit
@@ -44,9 +48,15 @@ def _dense_same_state(circuit1, circuit2) -> bool:
 
 
 def _checkers(circuit1, circuit2, config):
-    yield "simulation", simulation_check(circuit1, circuit2, config)
-    yield "alternating", AlternatingChecker(circuit1, circuit2, config).run()
-    yield "construction", ConstructionChecker(circuit1, circuit2, config).run()
+    yield "simulation", simulation_check(
+        logical_pair(circuit1, circuit2), config
+    )
+    yield "alternating", AlternatingChecker(
+        logical_pair(circuit1, circuit2), config
+    ).run()
+    yield "construction", ConstructionChecker(
+        logical_pair(circuit1, circuit2), config
+    ).run()
 
 
 class TestActiveWidth:
@@ -55,8 +65,21 @@ class TestActiveWidth:
         b = QuantumCircuit(9).x(4)
         assert active_width(a, b) == 5
         assert active_width(a, a) == 3
-        assert active_width(a, a, floor=4) == 4
         assert active_width(QuantumCircuit(9), QuantumCircuit(9)) == 0
+
+    def test_pair_records_the_declared_data_and_active_widths(self):
+        narrow = QuantumCircuit(4).h(0)
+        pair = logical_pair(narrow, QuantumCircuit(9).x(4))
+        assert (pair.num_qubits, pair.data_qubits) == (9, 4)
+        assert pair.active_qubits == 5
+        assert pair.circuit1.num_qubits == pair.circuit2.num_qubits == 9
+
+    def test_simulation_keeps_at_least_the_data_qubits(self):
+        circuit = QuantumCircuit(4).h(0)
+        pair = logical_pair(circuit, circuit.copy())
+        assert (pair.active_qubits, pair.data_qubits) == (1, 4)
+        result = simulation_check(pair, Configuration(seed=0))
+        assert result.statistics["active_qubits"] == 4
 
 
 class TestPaddedCompiledPairs:
@@ -81,7 +104,7 @@ class TestPaddedCompiledPairs:
                 ) is expected, name
             else:
                 assert (result.equivalence in POSITIVE) is expected, name
-        state = state_check(original, other, config)
+        state = state_check(logical_pair(original, other), config)
         assert state.statistics["active_qubits"] == 4
         assert (state.equivalence in POSITIVE) is _dense_same_state(
             original, other
@@ -93,7 +116,9 @@ class TestPaddedCompiledPairs:
         broken = remove_random_gate(compiled, seed=1)
         u1, u2 = _dense_unitaries(original, broken)
         dense = abs(np.trace(u1.conj().T @ u2)) / len(u1)
-        result = AlternatingChecker(original, broken, Configuration()).run()
+        result = AlternatingChecker(
+            logical_pair(original, broken), Configuration()
+        ).run()
         assert result.statistics["active_qubits"] == 3
         assert result.statistics["hilbert_schmidt_fidelity"] == pytest.approx(
             dense, abs=1e-9
@@ -145,7 +170,9 @@ class TestEarlyExit:
         broken = QuantumCircuit(3).x(0)
         for op in circuit:
             broken.append(op)
-        result = simulation_check(circuit, broken, Configuration(seed=0))
+        result = simulation_check(
+            logical_pair(circuit, broken), Configuration(seed=0)
+        )
         assert result.equivalence is Equivalence.NOT_EQUIVALENT
         assert result.statistics["first_mismatch"] == 1
         assert result.statistics["simulations_run"] == 1
@@ -157,7 +184,9 @@ class TestEarlyExit:
         circuit = random_circuit(4, 30, seed=3)
         compiled = compile_circuit(circuit, line_architecture(6))
         broken = remove_random_gate(compiled, seed=3)
-        result = simulation_check(circuit, broken, Configuration(seed=7))
+        result = simulation_check(
+            logical_pair(circuit, broken), Configuration(seed=7)
+        )
         assert result.equivalence is Equivalence.NOT_EQUIVALENT
         keys = ("simulations_run", "first_mismatch", "stimuli_digest")
         assert {k: result.statistics[k] for k in keys} == {
@@ -170,7 +199,8 @@ class TestEarlyExit:
     def test_batches_double_until_every_stimulus_ran(self):
         circuit = random_circuit(3, 10, seed=4)
         result = simulation_check(
-            circuit, circuit.copy(), Configuration(seed=0, num_simulations=11)
+            logical_pair(circuit, circuit.copy()),
+            Configuration(seed=0, num_simulations=11),
         )
         assert result.statistics["simulations_run"] == 11
         assert "first_mismatch" not in result.statistics

@@ -154,3 +154,153 @@ class TestResultProperties:
         ).run()
         assert result.considered_equivalent
         assert not result.proven
+
+
+#: Every strategy the manager dispatches on a concrete pair.
+EVERY_STRATEGY = (
+    "construction", "alternating", "simulation", "zx", "combined",
+    "stabilizer", "state", "analysis", "parameterized",
+)
+
+
+def _malformed_pairs():
+    """A non-injective initial layout, an out-of-range output permutation."""
+    circuit = QuantumCircuit(3).h(0).cx(0, 1)
+    non_injective = circuit.copy()
+    non_injective.initial_layout = {0: 1, 2: 1}
+    out_of_range = circuit.copy()
+    out_of_range.output_permutation = {0: 7}
+    return {"non_injective": non_injective, "out_of_range": out_of_range}
+
+
+class TestMalformedLayouts:
+    """A malformed layout degrades to ``invalid_input`` on every path."""
+
+    @staticmethod
+    def _assert_invalid_input(result):
+        assert result.equivalence is Equivalence.NO_INFORMATION
+        assert result.failure["kind"] == "invalid_input"
+
+    @pytest.mark.parametrize("which", ("non_injective", "out_of_range"))
+    @pytest.mark.parametrize("strategy", EVERY_STRATEGY)
+    def test_every_strategy(self, strategy, which):
+        broken = _malformed_pairs()[which]
+        result = EquivalenceCheckingManager(
+            QuantumCircuit(3).h(0).cx(0, 1),
+            broken,
+            Configuration(strategy=strategy, seed=0),
+        ).run()
+        self._assert_invalid_input(result)
+
+    @pytest.mark.parametrize("which", ("non_injective", "out_of_range"))
+    def test_portfolio(self, which):
+        broken = _malformed_pairs()[which]
+        result = EquivalenceCheckingManager(
+            broken,
+            QuantumCircuit(3).h(0).cx(0, 1),
+            Configuration(portfolio=True, seed=0, timeout=20.0),
+        ).run()
+        self._assert_invalid_input(result)
+
+    @pytest.mark.parametrize("which", ("non_injective", "out_of_range"))
+    def test_isolated(self, which):
+        from repro.harness import run_check
+
+        broken = _malformed_pairs()[which]
+        result = run_check(
+            QuantumCircuit(3).h(0).cx(0, 1),
+            broken,
+            Configuration(seed=0, timeout=20.0),
+            isolate=True,
+        )
+        self._assert_invalid_input(result)
+
+
+class TestOneLogicalPairPerCheck:
+    """Each check derives its logical forms exactly once: two
+    ``to_logical_form`` calls, one per circuit, whatever the strategy."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count calls through every ``repro`` module binding of it."""
+        import sys
+
+        # Load every module that may bind the name before wrapping.
+        import repro.analysis
+        import repro.cli
+        import repro.ec.param_checker
+        import repro.ec.portfolio
+        import repro.fuzz.oracle
+        from repro.ec import permutations
+
+        original = permutations.to_logical_form
+        counter = []
+
+        def counting(*args, **kwargs):
+            counter.append(args[0].name)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "repro" or module is None:
+                continue
+            for attribute, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attribute, counting)
+        return counter
+
+    @staticmethod
+    def _pair():
+        circuit = random_circuit(3, 12, seed=3, gate_set="clifford_t")
+        return circuit, compile_circuit(circuit, line_architecture(4))
+
+    @pytest.mark.parametrize("strategy", EVERY_STRATEGY)
+    def test_every_strategy(self, calls, strategy):
+        EquivalenceCheckingManager(
+            *self._pair(), Configuration(strategy=strategy, seed=0)
+        ).run()
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("static_analysis", (True, False))
+    def test_combined_with_and_without_the_prepass(
+        self, calls, static_analysis
+    ):
+        config = Configuration(seed=0, static_analysis=static_analysis)
+        EquivalenceCheckingManager(*self._pair(), config).run()
+        assert len(calls) == 2
+
+    def test_symbolic_parameterized_pair(self, calls):
+        from tests.ec.test_parameterized import _phase_poly_pair
+
+        result = EquivalenceCheckingManager(
+            *_phase_poly_pair(),
+            Configuration(strategy="parameterized", seed=0),
+        ).run()
+        assert result.statistics["parameterized"]["path"] in (
+            "phase_polynomial",
+            "zx_symbolic",
+        )
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("static_analysis", (True, False))
+    def test_portfolio_parent(self, calls, static_analysis):
+        config = Configuration(
+            portfolio=True,
+            seed=0,
+            timeout=20.0,
+            static_analysis=static_analysis,
+        )
+        result = EquivalenceCheckingManager(*self._pair(), config).run()
+        assert result.considered_equivalent
+        assert len(calls) == 2
+
+    def test_every_result_reports_the_swap_bookkeeping(self):
+        circuit = ghz_example()
+        for strategy in EVERY_STRATEGY:
+            result = EquivalenceCheckingManager(
+                circuit,
+                compiled_ghz_example(),
+                Configuration(strategy=strategy, seed=0),
+            ).run()
+            permutations = result.statistics["permutations"]
+            assert permutations["circuit2"]["swaps_reconstructed"] == 1
+            assert permutations["circuit1"]["swaps_elided"] == 0

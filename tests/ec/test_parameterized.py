@@ -29,7 +29,7 @@ from repro.ec.param_checker import (
     draw_valuations,
     parameterized_check,
 )
-from repro.ec.permutations import to_logical_form
+from repro.ec.permutations import logical_pair, to_logical_form
 from repro.ec.results import Equivalence
 from repro.errors import InvalidInput
 from repro.fuzz.generator import generate_instance
@@ -138,7 +138,9 @@ def _phase_poly_pair():
 class TestParameterizedCheck:
     def test_symbolic_phase_polynomial_proves_equivalence(self):
         a, b = _phase_poly_pair()
-        result = parameterized_check(a, b, Configuration(seed=0))
+        result = parameterized_check(
+            logical_pair(a, b), a, b, Configuration(seed=0)
+        )
         assert result.considered_equivalent
         assert result.proven
         stats = result.statistics["parameterized"]
@@ -151,7 +153,9 @@ class TestParameterizedCheck:
         a.cx(0, 1)
         b = QuantumCircuit(2)
         b.add("rz", [0], params=[theta])
-        result = parameterized_check(a, b, Configuration(seed=0))
+        result = parameterized_check(
+            logical_pair(a, b), a, b, Configuration(seed=0)
+        )
         assert result.equivalence is Equivalence.NOT_EQUIVALENT
         stats = result.statistics["parameterized"]
         assert "witness_valuation" in stats
@@ -162,7 +166,9 @@ class TestParameterizedCheck:
         a.add("ry", [0], params=[theta])
         b = QuantumCircuit(1)
         b.add("ry", [0], params=[2 * theta])
-        result = parameterized_check(a, b, Configuration(seed=0))
+        result = parameterized_check(
+            logical_pair(a, b), a, b, Configuration(seed=0)
+        )
         assert result.equivalence is Equivalence.NOT_EQUIVALENT
         stats = result.statistics["parameterized"]
         assert stats["path"] == "instantiation"
@@ -177,7 +183,10 @@ class TestParameterizedCheck:
         b.add("ry", [0], params=[theta])
         b.add("h", [0])
         result = parameterized_check(
-            a, b, Configuration(seed=0, parameterized_symbolic=False)
+            logical_pair(a, b),
+            a,
+            b,
+            Configuration(seed=0, parameterized_symbolic=False),
         )
         assert result.equivalence is Equivalence.PROBABLY_EQUIVALENT
         assert result.considered_equivalent

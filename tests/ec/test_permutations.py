@@ -98,16 +98,6 @@ class TestToLogicalForm:
         expected = np.kron(np.eye(4), circuit_unitary(circuit))
         assert unitaries_equivalent(circuit_unitary(logical), expected)
 
-    def test_elision_disabled_keeps_swaps(self):
-        circuit = QuantumCircuit(2).swap(0, 1)
-        circuit.output_permutation = {0: 1, 1: 0}
-        logical, stats = to_logical_form(circuit, elide_permutations=False)
-        assert stats["swaps_elided"] == 0
-        # correction now undoes the declared output permutation explicitly
-        assert unitaries_equivalent(
-            circuit_unitary(logical), np.eye(4)
-        )
-
 
 #: Every proving strategy must fold layout metadata the same way.
 _STRATEGIES = ("construction", "alternating", "zx", "simulation")

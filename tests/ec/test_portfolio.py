@@ -11,7 +11,7 @@ from repro.compile import (
     line_architecture,
     manhattan_architecture,
 )
-from repro.ec import Configuration, EquivalenceCheckingManager
+from repro.ec import Configuration, EquivalenceCheckingManager, logical_pair
 from repro.ec.portfolio import (
     _select_fallback,
     loser_kill_codes,
@@ -93,7 +93,7 @@ class TestPlanSeeding:
     @staticmethod
     def _plan_for(circuit1, circuit2, **config_overrides):
         config = _portfolio_config(**config_overrides)
-        return plan_portfolio(circuit1, circuit2, config)
+        return plan_portfolio(logical_pair(circuit1, circuit2), config)
 
     def test_stabilizer_joins_only_clifford_pairs(self):
         clifford = ghz_state(6)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuit import QuantumCircuit
 from repro.compile import compile_circuit, line_architecture
-from repro.ec import Configuration, simulation_check
+from repro.ec import Configuration, logical_pair, simulation_check
 from repro.ec.results import Equivalence
 from repro.bench.errors import flip_random_cnot, remove_random_gate
 from tests.conftest import random_circuit
@@ -14,7 +14,7 @@ class TestSimulationCheck:
     def test_equivalent_circuits_probably_equivalent(self):
         circuit = random_circuit(4, 20, seed=1)
         result = simulation_check(
-            circuit, circuit.copy(), Configuration(seed=7)
+            logical_pair(circuit, circuit.copy()), Configuration(seed=7)
         )
         assert result.equivalence is Equivalence.PROBABLY_EQUIVALENT
         assert result.statistics["simulations_run"] == 16
@@ -23,7 +23,9 @@ class TestSimulationCheck:
     def test_compiled_circuit_accepted(self):
         circuit = random_circuit(4, 20, seed=2)
         compiled = compile_circuit(circuit, line_architecture(6))
-        result = simulation_check(circuit, compiled, Configuration(seed=7))
+        result = simulation_check(
+            logical_pair(circuit, compiled), Configuration(seed=7)
+        )
         assert result.equivalence is Equivalence.PROBABLY_EQUIVALENT
 
     def test_gate_missing_found_quickly(self):
@@ -31,7 +33,9 @@ class TestSimulationCheck:
         circuit = random_circuit(4, 30, seed=3)
         compiled = compile_circuit(circuit, line_architecture(6))
         broken = remove_random_gate(compiled, seed=3)
-        result = simulation_check(circuit, broken, Configuration(seed=7))
+        result = simulation_check(
+            logical_pair(circuit, broken), Configuration(seed=7)
+        )
         assert result.equivalence is Equivalence.NOT_EQUIVALENT
         # Stimuli run in batches of 1, 1, 2, 4, 8 and the check stops
         # after the batch holding the first mismatch, so a quick find
@@ -43,20 +47,28 @@ class TestSimulationCheck:
         circuit = random_circuit(4, 30, seed=4)
         compiled = compile_circuit(circuit, line_architecture(6))
         broken = flip_random_cnot(compiled, seed=4)
-        result = simulation_check(circuit, broken, Configuration(seed=7))
+        result = simulation_check(
+            logical_pair(circuit, broken), Configuration(seed=7)
+        )
         assert result.equivalence is Equivalence.NOT_EQUIVALENT
 
     def test_number_of_simulations_respected(self):
         circuit = random_circuit(3, 10, seed=5)
         config = Configuration(num_simulations=3, seed=1)
-        result = simulation_check(circuit, circuit.copy(), config)
+        result = simulation_check(
+            logical_pair(circuit, circuit.copy()), config
+        )
         assert result.statistics["simulations_run"] == 3
 
     def test_seed_reproducibility(self):
         circuit = random_circuit(4, 20, seed=6)
         broken = remove_random_gate(circuit, seed=0)
-        first = simulation_check(circuit, broken, Configuration(seed=42))
-        second = simulation_check(circuit, broken, Configuration(seed=42))
+        first = simulation_check(
+            logical_pair(circuit, broken), Configuration(seed=42)
+        )
+        second = simulation_check(
+            logical_pair(circuit, broken), Configuration(seed=42)
+        )
         assert (
             first.statistics["simulations_run"]
             == second.statistics["simulations_run"]
@@ -65,14 +77,18 @@ class TestSimulationCheck:
     def test_global_phase_difference_not_flagged(self):
         a = QuantumCircuit(1).x(0).z(0)
         b = QuantumCircuit(1).z(0).x(0)
-        result = simulation_check(a, b, Configuration(seed=1))
+        result = simulation_check(logical_pair(a, b), Configuration(seed=1))
         assert result.equivalence is Equivalence.PROBABLY_EQUIVALENT
 
     def test_stimuli_digest_reproducible(self):
         """Same seed ⇒ byte-identical stimuli sequence (and verdict)."""
         circuit = random_circuit(4, 20, seed=8)
-        first = simulation_check(circuit, circuit.copy(), Configuration(seed=11))
-        second = simulation_check(circuit, circuit.copy(), Configuration(seed=11))
+        first = simulation_check(
+            logical_pair(circuit, circuit.copy()), Configuration(seed=11)
+        )
+        second = simulation_check(
+            logical_pair(circuit, circuit.copy()), Configuration(seed=11)
+        )
         assert (
             first.statistics["stimuli_digest"]
             == second.statistics["stimuli_digest"]
@@ -81,8 +97,12 @@ class TestSimulationCheck:
 
     def test_stimuli_digest_differs_across_seeds(self):
         circuit = random_circuit(4, 20, seed=8)
-        a = simulation_check(circuit, circuit.copy(), Configuration(seed=1))
-        b = simulation_check(circuit, circuit.copy(), Configuration(seed=2))
+        a = simulation_check(
+            logical_pair(circuit, circuit.copy()), Configuration(seed=1)
+        )
+        b = simulation_check(
+            logical_pair(circuit, circuit.copy()), Configuration(seed=2)
+        )
         assert a.statistics["stimuli_digest"] != b.statistics["stimuli_digest"]
 
     @pytest.mark.parametrize(
@@ -91,8 +111,10 @@ class TestSimulationCheck:
     def test_stimuli_digest_reproducible_per_type(self, stimuli):
         circuit = random_circuit(3, 12, seed=9)
         config = Configuration(seed=5, stimuli_type=stimuli, num_simulations=4)
-        first = simulation_check(circuit, circuit.copy(), config)
-        second = simulation_check(circuit, circuit.copy(), config)
+        first = simulation_check(logical_pair(circuit, circuit.copy()), config)
+        second = simulation_check(
+            logical_pair(circuit, circuit.copy()), config
+        )
         assert (
             first.statistics["stimuli_digest"]
             == second.statistics["stimuli_digest"]
@@ -106,7 +128,9 @@ class TestSimulationCheck:
 
         circuit = random_circuit(3, 15, seed=10)
         config = Configuration(strategy="simulation", seed=21, timeout=30.0)
-        inline = simulation_check(circuit, circuit.copy(), config)
+        inline = simulation_check(
+            logical_pair(circuit, circuit.copy()), config
+        )
         isolated = run_check(circuit, circuit.copy(), config, isolate=True)
         assert isolated.failure is None
         assert (
@@ -122,6 +146,6 @@ class TestSimulationCheck:
         known blind spot of purely classical stimuli."""
         a = QuantumCircuit(1)
         b = QuantumCircuit(1).z(0)
-        result = simulation_check(a, b, Configuration(seed=1))
+        result = simulation_check(logical_pair(a, b), Configuration(seed=1))
         # |<x|Z|x>| = 1 for basis states: simulation cannot distinguish.
         assert result.equivalence is Equivalence.PROBABLY_EQUIVALENT

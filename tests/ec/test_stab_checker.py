@@ -4,7 +4,12 @@ import pytest
 
 from repro.circuit import QuantumCircuit
 from repro.compile import compile_circuit, line_architecture
-from repro.ec import Configuration, EquivalenceCheckingManager, stabilizer_check
+from repro.ec import (
+    Configuration,
+    EquivalenceCheckingManager,
+    logical_pair,
+    stabilizer_check,
+)
 from repro.ec.results import Equivalence
 from tests.stab.test_tableau import clifford_circuit
 
@@ -12,7 +17,7 @@ from tests.stab.test_tableau import clifford_circuit
 class TestStabilizerCheck:
     def test_equivalent_clifford_pair(self):
         circuit = clifford_circuit(4, 25, seed=1)
-        result = stabilizer_check(circuit, circuit.copy())
+        result = stabilizer_check(logical_pair(circuit, circuit.copy()))
         assert (
             result.equivalence is Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE
         )
@@ -21,7 +26,7 @@ class TestStabilizerCheck:
     def test_non_equivalent_clifford_pair(self):
         a = QuantumCircuit(2).cx(0, 1)
         b = QuantumCircuit(2).cx(1, 0)
-        result = stabilizer_check(a, b)
+        result = stabilizer_check(logical_pair(a, b))
         assert result.equivalence is Equivalence.NOT_EQUIVALENT
 
     def test_compiled_clifford_circuit(self):
@@ -35,7 +40,7 @@ class TestStabilizerCheck:
         )
         # the compiled circuit is in the u3/cx basis: u3 makes it
         # non-Clifford for the tableau -> NO_INFORMATION
-        result = stabilizer_check(circuit, compiled)
+        result = stabilizer_check(logical_pair(circuit, compiled))
         assert result.equivalence is Equivalence.NO_INFORMATION
 
     def test_routed_clifford_circuit(self):
@@ -44,14 +49,14 @@ class TestStabilizerCheck:
 
         circuit = clifford_circuit(4, 20, seed=3)
         routed = route_circuit(circuit, line_architecture(6))
-        result = stabilizer_check(circuit, routed)
+        result = stabilizer_check(logical_pair(circuit, routed))
         assert (
             result.equivalence is Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE
         )
 
     def test_non_clifford_gives_no_information(self):
         circuit = QuantumCircuit(1).t(0)
-        result = stabilizer_check(circuit, circuit.copy())
+        result = stabilizer_check(logical_pair(circuit, circuit.copy()))
         assert result.equivalence is Equivalence.NO_INFORMATION
         assert "reason" in result.statistics
 
@@ -70,6 +75,6 @@ class TestStabilizerCheck:
         for seed in range(5):
             a = clifford_circuit(3, 15, seed=seed)
             b = clifford_circuit(3, 15, seed=seed + 50)
-            stab = stabilizer_check(a, b).considered_equivalent
-            dd = alternating_dd_check(a, b).considered_equivalent
+            stab = stabilizer_check(logical_pair(a, b)).considered_equivalent
+            dd = alternating_dd_check(logical_pair(a, b)).considered_equivalent
             assert stab == dd, seed

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import QuantumCircuit, statevector
-from repro.ec import Configuration, simulation_check
+from repro.ec import Configuration, logical_pair, simulation_check
 from repro.ec.results import Equivalence
 from repro.ec.stimuli import (
     STIMULI_TYPES,
@@ -74,7 +74,7 @@ class TestStimuliPower:
         a = QuantumCircuit(1)
         b = QuantumCircuit(1).z(0)
         result = simulation_check(
-            a, b, Configuration(stimuli_type="classical", seed=0)
+            logical_pair(a, b), Configuration(stimuli_type="classical", seed=0)
         )
         assert result.equivalence is Equivalence.PROBABLY_EQUIVALENT
 
@@ -83,7 +83,7 @@ class TestStimuliPower:
         a = QuantumCircuit(1)
         b = QuantumCircuit(1).z(0)
         result = simulation_check(
-            a, b, Configuration(stimuli_type=kind, seed=0)
+            logical_pair(a, b), Configuration(stimuli_type=kind, seed=0)
         )
         assert result.equivalence is Equivalence.NOT_EQUIVALENT
 
@@ -93,8 +93,7 @@ class TestStimuliPower:
 
         circuit = random_circuit(3, 15, seed=4)
         result = simulation_check(
-            circuit,
-            circuit.copy(),
+            logical_pair(circuit, circuit.copy()),
             Configuration(stimuli_type=kind, num_simulations=4, seed=0),
         )
         assert result.equivalence is Equivalence.PROBABLY_EQUIVALENT
@@ -106,7 +105,8 @@ class TestStimuliPower:
         circuit = random_circuit(3, 15, seed=5)
         broken = circuit.copy().x(1)
         result = simulation_check(
-            circuit, broken, Configuration(stimuli_type=kind, seed=0)
+            logical_pair(circuit, broken),
+            Configuration(stimuli_type=kind, seed=0),
         )
         assert result.equivalence is Equivalence.NOT_EQUIVALENT
 

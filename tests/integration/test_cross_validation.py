@@ -23,6 +23,7 @@ from repro.ec import (
     EquivalenceCheckingManager,
     alternating_dd_check,
     construction_dd_check,
+    logical_pair,
     simulation_check,
     zx_check,
 )
@@ -49,12 +50,16 @@ class TestEngineAgreement:
         circuit = random_circuit(4, 20, seed=seed)
         partner = circuit.copy()
         verdicts = {
-            "alternating": alternating_dd_check(circuit, partner),
-            "construction": construction_dd_check(circuit, partner),
-            "simulation": simulation_check(
-                circuit, partner, Configuration(seed=0)
+            "alternating": alternating_dd_check(
+                logical_pair(circuit, partner)
             ),
-            "zx": zx_check(circuit, partner),
+            "construction": construction_dd_check(
+                logical_pair(circuit, partner)
+            ),
+            "simulation": simulation_check(
+                logical_pair(circuit, partner), Configuration(seed=0)
+            ),
+            "zx": zx_check(logical_pair(circuit, partner)),
         }
         for name, result in verdicts.items():
             assert result.considered_equivalent, name
@@ -65,10 +70,11 @@ class TestEngineAgreement:
         rng = random.Random(seed)
         circuit = random_circuit(4, 20, seed=seed)
         broken = circuit.copy().x(rng.randrange(4))
+        pair = logical_pair(circuit, broken)
         for check in (alternating_dd_check, construction_dd_check):
-            result = check(circuit, broken)
+            result = check(pair)
             assert result.equivalence is Equivalence.NOT_EQUIVALENT
-        zx = zx_check(circuit, broken)
+        zx = zx_check(pair)
         assert not zx.considered_equivalent
 
 
@@ -86,7 +92,7 @@ class TestMetamorphicProperties:
         ops = list(circuit.operations)
         ops[position:position] = [gate, gate.inverse()]
         modified = QuantumCircuit(3, operations=ops)
-        result = alternating_dd_check(circuit, modified)
+        result = alternating_dd_check(logical_pair(circuit, modified))
         assert result.considered_equivalent
 
     @settings(max_examples=10, deadline=None)
@@ -101,7 +107,9 @@ class TestMetamorphicProperties:
             .compose(inner.inverse())
             .compose(conjugator.inverse())
         )
-        result = alternating_dd_check(composed, QuantumCircuit(3))
+        result = alternating_dd_check(
+            logical_pair(composed, QuantumCircuit(3))
+        )
         assert result.considered_equivalent
 
     @settings(max_examples=10, deadline=None)
@@ -109,7 +117,7 @@ class TestMetamorphicProperties:
     def test_appending_t_breaks_equivalence(self, seed):
         circuit = random_circuit(3, 15, seed=seed)
         modified = circuit.copy().t(0)
-        result = alternating_dd_check(circuit, modified)
+        result = alternating_dd_check(logical_pair(circuit, modified))
         assert result.equivalence is Equivalence.NOT_EQUIVALENT
 
     @settings(max_examples=8, deadline=None)
@@ -124,14 +132,14 @@ class TestMetamorphicProperties:
         inverse = {w: q for q, w in permutation.items()}
         relabelled.initial_layout = inverse
         relabelled.output_permutation = inverse
-        result = alternating_dd_check(circuit, relabelled)
+        result = alternating_dd_check(logical_pair(circuit, relabelled))
         assert result.considered_equivalent
 
     def test_global_phase_never_breaks_equivalence(self):
         circuit = random_circuit(3, 15, seed=3)
         # X Z X Z = -I: a pure global phase tail
         phased = circuit.copy().x(0).z(0).x(0).z(0)
-        result = alternating_dd_check(circuit, phased)
+        result = alternating_dd_check(logical_pair(circuit, phased))
         assert result.equivalence in (
             Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE,
             Equivalence.EQUIVALENT,

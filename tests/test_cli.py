@@ -68,6 +68,86 @@ class TestVerifyCommand:
         assert code == 0
 
 
+class TestVerifyUsageErrors:
+    """A bad option value is a usage error: exit 2, never the NEQ status."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--simulations", "-1"],
+            ["--timeout", "-5"],
+            ["--portfolio", "--strategy", "zx"],
+            ["--timeout", "-5", "--isolate"],
+        ],
+        ids=["simulations", "timeout", "portfolio-zx", "timeout-isolate"],
+    )
+    def test_one_error_line_and_exit_2(self, qasm_files, capsys, flags):
+        original, _ = qasm_files
+        code = main(["verify", str(original), str(original), *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro verify: error: ")
+
+
+@pytest.fixture
+def analyze_files(tmp_path):
+    """A pair, and the pair with an extra X on its idle wire 2."""
+    from repro.circuit import QuantumCircuit
+
+    base = QuantumCircuit(3).h(0).cx(0, 1)
+    paths = []
+    for name, circuit in (("base", base), ("extra_x", base.copy().x(2))):
+        path = tmp_path / f"{name}.qasm"
+        path.write_text(circuit_to_qasm(circuit))
+        paths.append(str(path))
+    return paths
+
+
+class TestAnalyzeCommand:
+    def test_sound_neq_witness_exits_1(self, analyze_files, capsys):
+        base, extra_x = analyze_files
+        assert main(["analyze", base, extra_x]) == 1
+        assert "not_equivalent" in capsys.readouterr().out
+
+    def test_undecided_pair_exits_0(self, qasm_files):
+        original, _ = qasm_files
+        assert main(["analyze", str(original), str(original)]) == 0
+
+    def test_json_payload(self, analyze_files, capsys):
+        base, extra_x = analyze_files
+        assert main(["analyze", base, extra_x, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "not_equivalent"
+        assert payload["witness"]["pass"] == "support"
+        assert "support" in payload["passes_run"]
+        assert {"profiles", "estimate", "advice"} <= set(payload)
+
+    def test_timeout_exits_2(self, analyze_files, capsys):
+        base, extra_x = analyze_files
+        code = main(["analyze", base, extra_x, "--timeout", "1e-9"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "timed out" in captured.err
+
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_non_positive_timeout_is_a_usage_error(
+        self, analyze_files, capsys, timeout
+    ):
+        base, extra_x = analyze_files
+        assert main(["analyze", base, extra_x, "--timeout", timeout]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_seed_option_is_gone(self, analyze_files):
+        base, extra_x = analyze_files
+        with pytest.raises(SystemExit):
+            main(["analyze", base, extra_x, "--seed", "1"])
+
+
 class TestCompileCommand:
     def test_compile_writes_qasm_and_sidecar(self, qasm_files, tmp_path):
         original, _ = qasm_files

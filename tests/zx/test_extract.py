@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuit import QuantumCircuit, circuit_unitary
-from repro.ec import Configuration, EquivalenceCheckingManager, stabilizer_check
+from repro.ec import (
+    Configuration,
+    EquivalenceCheckingManager,
+    logical_pair,
+    stabilizer_check,
+)
 from repro.zx import circuit_to_zx, diagrams_proportional, full_reduce
 from repro.zx.extract import ExtractionError, extract_circuit
 from repro.zx.optimize import zx_optimize
@@ -72,7 +77,7 @@ class TestExtraction:
         """Three engines agree: ZX extraction validated by the tableau."""
         circuit = clifford_circuit(4, 25, seed=seed)
         extracted = roundtrip(circuit)
-        result = stabilizer_check(circuit, extracted)
+        result = stabilizer_check(logical_pair(circuit, extracted))
         if result.considered_equivalent:
             return
         # extracted rz(k*pi/2) phases are Clifford; if the tableau could
