@@ -2,11 +2,16 @@
 
 Records ``BENCH_dd_kernels.json`` at the repository root: per case, the
 best-of-``REPEATS`` wall time, the verdict, the nodes the check created
-(``unique_nodes``, both stores), the hits and misses of the ``mul`` and
-``apply_left`` compute tables and, for simulation cases, the stimulus
-digest (so a rerun shows at a glance whether the same stimuli ran).
-The counts are deterministic: a change that keeps the DD operation
-order must leave them identical.  Besides five Table-1-style pairs, the
+(``unique_nodes``, both stores), how often the compute tables were
+emptied (``compute_table_clears``), the hits and misses of the compute
+tables the strategy uses (``mul`` and ``apply_left`` for alternating,
+``mul_vec`` and ``apply_vec`` for simulation) and, for simulation cases,
+the stimulus digest (so a rerun shows at a glance whether the same
+stimuli ran).  The counts are deterministic, but they depend on when
+entries are dropped as well as on the DD operation order: the dict
+compute tables kept the order and still moved them, because the slot
+tables they replaced evicted entries on collision and a clear between
+gates drops far fewer.  Besides five Table-1-style pairs, the
 cases include the optimized Table-1 cells (``repro.bench.suite``, scale
 ``small``, seed 0) where table1-optimized's DD column spends its time,
 run as the golden fixture runs them (16 stimuli, no static pre-pass).
@@ -43,6 +48,12 @@ from repro.ec import Configuration, EquivalenceCheckingManager
 REPEATS = 3
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_dd_kernels.json"
 
+
+#: Compute tables each strategy's checker reads and writes.
+TABLES = {
+    "alternating": ("mul", "apply_left"),
+    "simulation": ("mul_vec", "apply_vec"),
+}
 
 #: The optimized Table-1 cells (instance, variant, strategy) that take
 #: most of table1-optimized's DD time.
@@ -117,12 +128,13 @@ def main() -> int:
             "unique_nodes": (
                 perf["unique_matrix_nodes"] + perf["unique_vector_nodes"]
             ),
+            "compute_table_clears": perf["compute_table_clears"],
             "compute_tables": {
                 table: {
                     "hits": tables[table]["hits"],
                     "misses": tables[table]["misses"],
                 }
-                for table in ("mul", "apply_left")
+                for table in TABLES[config.strategy]
             },
         }
         if config.strategy == "simulation":
@@ -139,8 +151,10 @@ def main() -> int:
         "description": (
             "DD checkers on Table-1-style pairs and the optimized "
             "Table-1 cells that dominate its DD column: best-of-repeats "
-            "wall time, verdict, created nodes, mul/apply_left compute-"
-            "table hits and misses, and stimulus digest per case"
+            "wall time, verdict, created nodes, compute-table clears, "
+            "hits and misses of the tables the strategy uses "
+            "(mul/apply_left alternating, mul_vec/apply_vec simulation), "
+            "and stimulus digest per case"
         ),
         "repeats": REPEATS,
         "python": platform.python_version(),

@@ -96,10 +96,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.ec import Configuration, EquivalenceCheckingManager
     from repro.ec.results import Equivalence
 
-    config_kwargs = {}
-    if args.compute_table_size is not None:
-        # 0 selects the unbounded dict-backed tables.
-        config_kwargs["compute_table_size"] = args.compute_table_size or None
     configuration = Configuration(
         strategy=args.strategy,
         portfolio=args.portfolio,
@@ -113,7 +109,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         max_retries=args.retries,
         num_instantiations=args.instantiations,
         parameterized_symbolic=not args.instantiate_only,
-        **config_kwargs,
     )
     try:
         configuration.validate()
@@ -480,12 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--layout1", default=None)
     verify.add_argument("--layout2", default=None)
-    verify.add_argument(
-        "--compute-table-size", type=int, default=None,
-        metavar="SLOTS",
-        help="slots per DD compute table (default: package default; "
-        "0 = unbounded dict tables)",
-    )
     verify.add_argument(
         "--isolate", action="store_true",
         help="run the check in a sandboxed subprocess with a hard "

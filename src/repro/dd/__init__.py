@@ -9,8 +9,10 @@ diagrams for quantum state vectors and unitary matrices, with
   blow-up discussed in Section 6.2),
 * *unique tables* that guarantee canonicity — two equal (sub-)functions are
   represented by the very same node handle, and
-* *compute tables* memoizing addition, multiplication, conjugation, traces
-  and inner products.
+* *compute tables* memoizing addition, multiplication, conjugation, traces,
+  inner products and gate applications: one dict per operation, emptied
+  together between gate applications once one passes
+  :data:`~repro.dd.array_package.COMPUTE_TABLE_CAP` entries.
 
 The engine is :class:`~repro.dd.array_package.ArrayDDPackage`: one
 tuple per node in a list indexed by handle, a ``dict`` from each tuple
@@ -24,14 +26,11 @@ columns.
 from repro.dd.array_package import ArrayDDPackage
 from repro.dd.array_store import NodeStore
 from repro.dd.complex_table import ComplexTable, DEFAULT_TOLERANCE
-from repro.dd.compute_table import ComputeTable, DEFAULT_COMPUTE_TABLE_SIZE
 from repro.dd.export import edge_to_matrix, edge_to_vector
 
 __all__ = [
     "ArrayDDPackage",
     "ComplexTable",
-    "ComputeTable",
-    "DEFAULT_COMPUTE_TABLE_SIZE",
     "DEFAULT_TOLERANCE",
     "NodeStore",
     "edge_to_matrix",

@@ -20,10 +20,15 @@ tables, memoized recursions — over a tuple node store
   (``mul``/``mul3``/``div``/``add``/``conj-mul``): each distinct id pair
   is computed once via the complex table and then replayed as a dict hit,
   so the recursions never re-hash complex numbers.
-* **Compute tables** are slot-indexed
-  :class:`~repro.dd.compute_table.ComputeTable` instances keyed on
-  ``(handle, handle, ...)`` integer tuples — stable, dense, and cheap to
-  hash.
+* **Compute tables** are ten plain dicts, one per memoized operation,
+  keyed on ``(handle, handle, ...)`` integer tuples — stable, dense, and
+  cheap to hash.  Nothing is evicted during a gate application, so an
+  alternating run that applies thousands of gates to a small diagram
+  keeps its hits from gate to gate.  The bound is checked only where a
+  gate application starts (``apply_gate_left``/``right``/``vector``, which
+  no recursion calls): once any table holds more than
+  :data:`COMPUTE_TABLE_CAP` entries, all ten are emptied.  A table is
+  therefore never cleared mid-recursion.
 
 ``tests/dd/golden_dd.json`` pins node counts, structure digests and
 checker statistics of this package on the Table-1 cells and the fuzz
@@ -36,7 +41,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dd.array_store import NodeStore
 from repro.dd.complex_table import ComplexTable, DEFAULT_TOLERANCE
-from repro.dd.compute_table import ComputeTable, DEFAULT_COMPUTE_TABLE_SIZE
+
+#: Entries one compute table may hold when a gate application starts;
+#: past it every table is emptied first.  On the slow optimized Table-1
+#: cells 2^14 recomputes enough to be slower, while 2^16 and no cap are
+#: no faster beyond noise and raise peak memory (by about 20 MiB
+#: without a cap).
+COMPUTE_TABLE_CAP = 1 << 15
 
 #: Bits reserved for the weight id in a packed edge.
 EDGE_SHIFT = 32
@@ -63,14 +74,12 @@ class ArrayDDPackage:
 
     Args:
         tolerance: Merging tolerance of the complex table.
-        compute_table_size: Slots per compute table (``None`` = unbounded).
         complex_table: Existing table to share instead of a fresh one.
     """
 
     def __init__(
         self,
         tolerance: float = DEFAULT_TOLERANCE,
-        compute_table_size: Optional[int] = DEFAULT_COMPUTE_TABLE_SIZE,
         complex_table: Optional[ComplexTable] = None,
     ) -> None:
         self.complex_table = (
@@ -97,23 +106,35 @@ class ArrayDDPackage:
         self._conjmul_w: Dict[Tuple[int, int], int] = {}
         # |value| per weight id, extended lazily alongside the value list.
         self._abs_w: List[float] = []
-        self._tables: Dict[str, ComputeTable] = {}
-
-        def table(name: str) -> ComputeTable:
-            t = ComputeTable(name, compute_table_size)
-            self._tables[name] = t
-            return t
-
-        self._add_cache = table("add")
-        self._add_vec_cache = table("add_vec")
-        self._mul_cache = table("mul")
-        self._mul_vec_cache = table("mul_vec")
-        self._conj_cache = table("conj")
-        self._trace_cache = table("trace")
-        self._inner_cache = table("inner")
-        self._apply_left_cache = table("apply_left")
-        self._apply_right_cache = table("apply_right")
-        self._apply_vec_cache = table("apply_vec")
+        # Compute tables (module docstring).  A kernel counts its hits;
+        # each miss inserts exactly one entry, so misses are the entries
+        # held plus those dropped by earlier clears.
+        self._add_cache: Dict[Tuple[int, int, int], int] = {}
+        self._add_vec_cache: Dict[Tuple[int, int, int], int] = {}
+        self._mul_cache: Dict[Tuple[int, int], int] = {}
+        self._mul_vec_cache: Dict[Tuple[int, int], int] = {}
+        self._conj_cache: Dict[int, int] = {}
+        self._trace_cache: Dict[int, complex] = {}
+        self._inner_cache: Dict[Tuple[int, int], complex] = {}
+        self._apply_left_cache: Dict[Tuple[int, int], int] = {}
+        self._apply_right_cache: Dict[Tuple[int, int], int] = {}
+        self._apply_vec_cache: Dict[Tuple[int, int], int] = {}
+        self._tables: Dict[str, dict] = {
+            "add": self._add_cache,
+            "add_vec": self._add_vec_cache,
+            "apply_left": self._apply_left_cache,
+            "apply_right": self._apply_right_cache,
+            "apply_vec": self._apply_vec_cache,
+            "conj": self._conj_cache,
+            "inner": self._inner_cache,
+            "mul": self._mul_cache,
+            "mul_vec": self._mul_vec_cache,
+            "trace": self._trace_cache,
+        }
+        self._hits = dict.fromkeys(self._tables, 0)
+        self._dropped = dict.fromkeys(self._tables, 0)
+        #: Times :meth:`clear_compute_tables` emptied the tables.
+        self.compute_table_clears = 0
         self._identity_cache: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -141,12 +162,26 @@ class ArrayDDPackage:
 
     def clear_compute_tables(self) -> None:
         """Drop all memoized operation results (node stores survive)."""
-        for cache in self._tables.values():
-            cache.clear()
+        for name, table in self._tables.items():
+            self._dropped[name] += len(table)
+            table.clear()
+        self.compute_table_clears += 1
+
+    def _bound_compute_tables(self) -> None:
+        # Called only where a gate application starts, never mid-recursion.
+        if max(map(len, self._tables.values())) > COMPUTE_TABLE_CAP:
+            self.clear_compute_tables()
 
     def compute_table_stats(self) -> Dict[str, Dict[str, int]]:
-        """Hit/miss/eviction counters for every compute table."""
-        return {name: t.stats() for name, t in sorted(self._tables.items())}
+        """``hits``, ``misses`` and ``entries`` of every compute table."""
+        return {
+            name: {
+                "hits": self._hits[name],
+                "misses": len(table) + self._dropped[name],
+                "entries": len(table),
+            }
+            for name, table in self._tables.items()
+        }
 
     def store_statistics(self) -> Dict[str, Dict[str, int]]:
         """Node counts and unique-table lookup counters per store."""
@@ -450,6 +485,7 @@ class ArrayDDPackage:
         key = (na, nb, ratio)
         cached = self._add_cache.get(key)
         if cached is not None:
+            self._hits["add"] += 1
             return ((cached >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(
                 cached & WEIGHT_MASK, wa
             )
@@ -470,7 +506,7 @@ class ArrayDDPackage:
             add((an3 << EDGE_SHIFT) | aw3,
                 (bn3 << EDGE_SHIFT) | wmul(bw3, ratio)),
         ))
-        self._add_cache.put(key, result)
+        self._add_cache[key] = result
         return ((result >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(
             result & WEIGHT_MASK, wa
         )
@@ -494,6 +530,7 @@ class ArrayDDPackage:
         key = (na, nb, ratio)
         cached = self._add_vec_cache.get(key)
         if cached is not None:
+            self._hits["add_vec"] += 1
             return ((cached >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(
                 cached & WEIGHT_MASK, wa
             )
@@ -510,7 +547,7 @@ class ArrayDDPackage:
             add((an1 << EDGE_SHIFT) | aw1,
                 (bn1 << EDGE_SHIFT) | wmul(bw1, ratio)),
         ))
-        self._add_vec_cache.put(key, result)
+        self._add_vec_cache[key] = result
         return ((result >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(
             result & WEIGHT_MASK, wa
         )
@@ -537,6 +574,7 @@ class ArrayDDPackage:
         key = (node_a, node_b)
         cached = self._mul_cache.get(key)
         if cached is not None:
+            self._hits["mul"] += 1
             return cached
         nodes = self.mat.nodes
         level, an0, aw0, an1, aw1, an2, aw2, an3, aw3 = nodes[node_a]
@@ -553,7 +591,7 @@ class ArrayDDPackage:
             add(term(an2, aw2, bn0, bw0), term(an3, aw3, bn2, bw2)),
             add(term(an2, aw2, bn1, bw1), term(an3, aw3, bn3, bw3)),
         ))
-        self._mul_cache.put(key, result)
+        self._mul_cache[key] = result
         return result
 
     def _scaled_multiply(self, an: int, aw: int, bn: int, bw: int) -> int:
@@ -584,6 +622,7 @@ class ArrayDDPackage:
         key = (node_a, node_v)
         cached = self._mul_vec_cache.get(key)
         if cached is not None:
+            self._hits["mul_vec"] += 1
             return cached
         level, an0, aw0, an1, aw1, an2, aw2, an3, aw3 = self.mat.nodes[node_a]
         level_v, vn0, vw0, vn1, vw1 = self.vec.nodes[node_v]
@@ -595,7 +634,7 @@ class ArrayDDPackage:
             add(term(an0, aw0, vn0, vw0), term(an1, aw1, vn1, vw1)),
             add(term(an2, aw2, vn0, vw0), term(an3, aw3, vn1, vw1)),
         ))
-        self._mul_vec_cache.put(key, result)
+        self._mul_vec_cache[key] = result
         return result
 
     def _scaled_multiply_mv(self, an: int, aw: int, vn: int, vw: int) -> int:
@@ -612,6 +651,7 @@ class ArrayDDPackage:
     # ------------------------------------------------------------------
     def apply_gate_left(self, gate: int, target: int) -> int:
         """``(I ⊗ gate) @ target`` for a compact gate diagram."""
+        self._bound_compute_tables()
         wg = gate & WEIGHT_MASK
         wt = target & WEIGHT_MASK
         if wg == 0 or wt == 0:
@@ -633,6 +673,7 @@ class ArrayDDPackage:
         key = (gate_node, target_node)
         cached = self._apply_left_cache.get(key)
         if cached is not None:
+            self._hits["apply_left"] += 1
             return cached
         children = []
         # Fields 1, 3, 5, 7 are the child handles, each followed by its
@@ -651,11 +692,12 @@ class ArrayDDPackage:
                     ((sub >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(sw, ew)
                 )
         result = self.make_matrix_node(node[0], children)
-        self._apply_left_cache.put(key, result)
+        self._apply_left_cache[key] = result
         return result
 
     def apply_gate_right(self, target: int, gate: int) -> int:
         """``target @ (I ⊗ gate)`` for a compact gate diagram."""
+        self._bound_compute_tables()
         wt = target & WEIGHT_MASK
         wg = gate & WEIGHT_MASK
         if wg == 0 or wt == 0:
@@ -677,6 +719,7 @@ class ArrayDDPackage:
         key = (target_node, gate_node)
         cached = self._apply_right_cache.get(key)
         if cached is not None:
+            self._hits["apply_right"] += 1
             return cached
         children = []
         for k in (1, 3, 5, 7):
@@ -693,11 +736,12 @@ class ArrayDDPackage:
                     ((sub >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(sw, ew)
                 )
         result = self.make_matrix_node(node[0], children)
-        self._apply_right_cache.put(key, result)
+        self._apply_right_cache[key] = result
         return result
 
     def apply_gate_vector(self, gate: int, state: int) -> int:
         """``(I ⊗ gate) |state>`` for a compact gate diagram."""
+        self._bound_compute_tables()
         wg = gate & WEIGHT_MASK
         ws = state & WEIGHT_MASK
         if wg == 0 or ws == 0:
@@ -716,6 +760,7 @@ class ArrayDDPackage:
         key = (gate_node, state_node)
         cached = self._apply_vec_cache.get(key)
         if cached is not None:
+            self._hits["apply_vec"] += 1
             return cached
         children = []
         for k in (1, 3):
@@ -732,7 +777,7 @@ class ArrayDDPackage:
                     ((sub >> EDGE_SHIFT) << EDGE_SHIFT) | self._wmul(sw, ew)
                 )
         result = self.make_vector_node(node[0], children)
-        self._apply_vec_cache.put(key, result)
+        self._apply_vec_cache[key] = result
         return result
 
     # ------------------------------------------------------------------
@@ -753,6 +798,7 @@ class ArrayDDPackage:
             return ONE_EDGE
         cached = self._conj_cache.get(node)
         if cached is not None:
+            self._hits["conj"] += 1
             return cached
         fields = self.mat.nodes[node]
         children = []
@@ -769,7 +815,7 @@ class ArrayDDPackage:
                 | self._wconjmul(sub & WEIGHT_MASK, ew)
             )
         result = self.make_matrix_node(fields[0], children)
-        self._conj_cache.put(node, result)
+        self._conj_cache[node] = result
         return result
 
     def trace(self, a: int) -> complex:
@@ -784,6 +830,7 @@ class ArrayDDPackage:
             return 1 + 0j
         cached = self._trace_cache.get(node)
         if cached is not None:
+            self._hits["trace"] += 1
             return cached
         _, n0, w0, _, _, _, _, n3, w3 = self.mat.nodes[node]
         values = self._values
@@ -792,7 +839,7 @@ class ArrayDDPackage:
             value += values[w0] * self._trace_node(n0)
         if w3 != 0:
             value += values[w3] * self._trace_node(n3)
-        self._trace_cache.put(node, value)
+        self._trace_cache[node] = value
         return value
 
     def inner_product(self, a: int, b: int) -> complex:
@@ -814,6 +861,7 @@ class ArrayDDPackage:
         key = (node_a, node_b)
         cached = self._inner_cache.get(key)
         if cached is not None:
+            self._hits["inner"] += 1
             return cached
         nodes = self.vec.nodes
         _, an0, aw0, an1, aw1 = nodes[node_a]
@@ -827,7 +875,7 @@ class ArrayDDPackage:
                     * values[bw]
                     * self._inner_nodes(an, bn)
                 )
-        self._inner_cache.put(key, value)
+        self._inner_cache[key] = value
         return value
 
     def fidelity(self, a: int, b: int) -> float:

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.dd.complex_table import DEFAULT_TOLERANCE
-from repro.dd.compute_table import DEFAULT_COMPUTE_TABLE_SIZE
 
 
 @dataclass
@@ -15,7 +14,9 @@ class Configuration:
 
     The permutation handling of Section 4.1 is not a knob: every check
     reconstructs SWAPs and absorbs them into the tracked permutation
-    (:func:`repro.ec.permutations.logical_pair`).
+    (:func:`repro.ec.permutations.logical_pair`).  Neither is the DD
+    compute-table bound, the module constant
+    :data:`repro.dd.array_package.COMPUTE_TABLE_CAP`.
 
     Attributes:
         strategy: ``"construction"``, ``"alternating"``, ``"simulation"``,
@@ -53,8 +54,6 @@ class Configuration:
         trace_sizes: Record the intermediate DD size after every gate
             application (drives the Fig. 4-style experiments).
         seed: Seed for the simulation strategy's random stimuli.
-        compute_table_size: Slots per DD compute table (rounded up to a
-            power of two), or ``None`` for unbounded dict-backed tables.
         graceful_degradation: Catch checker failures inside
             :meth:`EquivalenceCheckingManager.run` and degrade them into
             a ``NO_INFORMATION`` result carrying a structured
@@ -103,7 +102,6 @@ class Configuration:
     timeout: Optional[float] = None
     trace_sizes: bool = False
     seed: Optional[int] = None
-    compute_table_size: Optional[int] = DEFAULT_COMPUTE_TABLE_SIZE
     graceful_degradation: bool = True
     memory_limit_mb: Optional[int] = None
     max_retries: int = 1
@@ -149,8 +147,6 @@ class Configuration:
             raise ValueError("tolerance must be positive")
         if self.timeout is not None:
             self._require_positive_number("timeout", self.timeout)
-        if self.compute_table_size is not None and self.compute_table_size < 1:
-            raise ValueError("compute_table_size must be positive or None")
         if self.memory_limit_mb is not None:
             self._require_positive_number("memory_limit_mb", self.memory_limit_mb)
             if not isinstance(self.memory_limit_mb, int):

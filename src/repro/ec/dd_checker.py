@@ -50,11 +50,8 @@ def _check_deadline(deadline: Optional[float]) -> None:
 
 
 def make_package(configuration: Configuration) -> ArrayDDPackage:
-    """A fresh DD package with the configured tolerance and table size."""
-    return ArrayDDPackage(
-        configuration.tolerance,
-        compute_table_size=configuration.compute_table_size,
-    )
+    """A fresh DD package with the configured tolerance."""
+    return ArrayDDPackage(configuration.tolerance)
 
 
 def _phase_verdict(

@@ -3,7 +3,7 @@
 Every equivalence check can carry a :class:`PerfCounters` that records
 wall time per checker phase plus ad-hoc counters, and
 :func:`package_statistics` snapshots a :class:`repro.dd.ArrayDDPackage`'s
-compute-table hit/miss/eviction counters, complex-table statistics,
+compute-table hit/miss counters and clear count, complex-table statistics,
 unique-node counts and node-store counters.  The ZX checker threads the same ``PerfCounters``
 through ``full_reduce``, which reports per-rule ``zx.<rule>.matches`` /
 ``zx.<rule>.rewrites`` counts plus ``zx.rounds`` (outer rounds to

@@ -101,14 +101,17 @@ def json_safe(value: object) -> object:
 def package_statistics(pkg) -> Dict[str, object]:
     """Snapshot one DD package's internal performance counters.
 
-    Returns a nested dict with per-compute-table hit/miss/eviction
-    statistics, the complex table's hit/miss/size, unique-node totals (the
-    node counts are cumulative — unique tables never evict, so the final
-    count is also the peak), and per node store the node count and the
-    unique-table ``lookups`` and ``hits`` under ``node_stores``.
+    Returns a nested dict with per-compute-table hit/miss/entry
+    statistics, beside them ``compute_table_clears`` (how often the
+    package emptied its compute tables), the complex table's
+    hit/miss/size, unique-node totals (the node counts are cumulative —
+    unique tables never evict, so the final count is also the peak), and
+    per node store the node count and the unique-table ``lookups`` and
+    ``hits`` under ``node_stores``.
     """
     return {
         "compute_tables": pkg.compute_table_stats(),
+        "compute_table_clears": pkg.compute_table_clears,
         "complex_table": pkg.complex_table.stats(),
         "unique_matrix_nodes": pkg.num_unique_matrix_nodes(),
         "unique_vector_nodes": pkg.num_unique_vector_nodes(),

@@ -1,180 +1,284 @@
-"""Unit tests for the slot-indexed compute tables and cache eviction.
+"""Unit tests for the DD package's compute tables and their clears.
 
-The key property under test: *eviction never changes results*.  A bounded
-compute table may drop memoized entries at any time, which costs a
-recomputation but must yield the very same canonical nodes — the
-randomized stress test at the bottom checks multiply/add results across
-table sizes 64, 4096 and unbounded.
+The package memoizes every operation in a plain dict per table and
+empties all of them, between gate applications only, once one holds
+more than ``COMPUTE_TABLE_CAP`` entries.  The key property under test:
+*clears never change results*.  A clear costs recomputation but yields
+the very same canonical nodes — the randomized stress test below checks
+construction, multiplication and addition against dense truth and an
+uncapped package with the cap monkeypatched to 0, to 8 and to the
+default.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
-from repro.dd.compute_table import ComputeTable, DEFAULT_COMPUTE_TABLE_SIZE
-from repro.dd.array_package import ArrayDDPackage
+from repro.circuit.unitary import circuit_unitary
+from repro.dd import array_package
+from repro.dd.array_package import COMPUTE_TABLE_CAP, ArrayDDPackage
 from repro.dd.export import edge_to_matrix
-from repro.dd.gates import circuit_dd
+from repro.dd.gates import (
+    apply_operation_right,
+    circuit_dd,
+    simulate_circuit_dd,
+)
+from repro.ec import Configuration, EquivalenceCheckingManager
 
 from tests.conftest import random_circuit
 
+TABLES = (
+    "add", "add_vec", "apply_left", "apply_right", "apply_vec",
+    "conj", "inner", "mul", "mul_vec", "trace",
+)
 
-class TestComputeTable:
-    def test_basic_get_put(self):
-        table = ComputeTable("t", 16)
-        assert table.get((1, 2)) is None
-        table.put((1, 2), "value")
-        assert table.get((1, 2)) == "value"
-        assert table.hits == 1
-        assert table.misses == 1
-        assert len(table) == 1
 
-    def test_collision_overwrites_single_slot(self):
-        table = ComputeTable("t", 1)
-        table.put((1,), "a")
-        table.put((2,), "b")  # same slot, different key
-        assert table.evictions == 1
-        assert len(table) == 1
-        assert table.get((1,)) is None
-        assert table.get((2,)) == "b"
+@pytest.fixture
+def set_cap(monkeypatch):
+    """Monkeypatch the module-level cap for one test."""
+    def set_to(cap):
+        monkeypatch.setattr(array_package, "COMPUTE_TABLE_CAP", cap)
+    return set_to
 
-    def test_same_key_overwrite_is_not_an_eviction(self):
-        table = ComputeTable("t", 4)
-        table.put((1,), "a")
-        table.put((1,), "b")
-        assert table.evictions == 0
-        assert table.get((1,)) == "b"
 
-    def test_size_rounds_up_to_power_of_two(self):
-        assert ComputeTable("t", 100).size == 128
-        assert ComputeTable("t", 1).size == 1
-        assert ComputeTable("t", 4096).size == 4096
+def _entries(pkg):
+    return {name: len(table) for name, table in pkg._tables.items()}
 
-    def test_invalid_size_rejected(self):
-        with pytest.raises(ValueError):
-            ComputeTable("t", 0)
-        with pytest.raises(ValueError):
-            ComputeTable("t", -5)
 
-    def test_unbounded_mode(self):
-        table = ComputeTable("t", None)
-        assert not table.bounded
-        assert table.size is None
-        for i in range(1000):
-            table.put((i,), i)
-        assert len(table) == 1000
-        assert all(table.get((i,)) == i for i in range(1000))
-        assert table.evictions == 0
+class TestComputeTables:
+    def test_repeated_operation_hits(self):
+        pkg = ArrayDDPackage()
+        a = circuit_dd(pkg, random_circuit(3, 10, seed=1))
+        b = circuit_dd(pkg, random_circuit(3, 10, seed=2))
+        pkg.multiply(a, b)
+        before = pkg.compute_table_stats()["mul"]
+        assert before["misses"] == before["entries"] > 0
+        pkg.multiply(a, b)
+        after = pkg.compute_table_stats()["mul"]
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
 
-    def test_clear_resets_entries_and_stats(self):
-        table = ComputeTable("t", 16)
-        table.put((1,), "a")
-        table.get((1,))
-        table.clear()
-        assert len(table) == 0
-        assert table.hits == 0 and table.misses == 0 and table.evictions == 0
-        assert table.get((1,)) is None
+    def test_zero_valued_entries_hit(self):
+        # A memoized trace of 0j is falsy but still an entry: the X
+        # block's trace is computed once and hit for the second
+        # diagonal block, and the root's is hit on the second call.
+        pkg = ArrayDDPackage()
+        circuit = random_circuit(2, 0)
+        circuit.x(0)
+        x = circuit_dd(pkg, circuit)
+        assert pkg.trace(x) == 0
+        assert pkg.compute_table_stats()["trace"] == {
+            "hits": 1, "misses": 2, "entries": 2,
+        }
+        assert pkg.trace(x) == 0
+        assert pkg.compute_table_stats()["trace"]["hits"] == 2
 
     def test_stats_shape(self):
-        table = ComputeTable("t", 8)
-        table.put((1,), "a")
-        table.get((1,))
-        table.get((2,))
-        assert table.stats() == {
-            "hits": 1, "misses": 1, "evictions": 0, "entries": 1,
-        }
-
-    def test_default_size_is_power_of_two(self):
-        assert DEFAULT_COMPUTE_TABLE_SIZE & (DEFAULT_COMPUTE_TABLE_SIZE - 1) == 0
-
-
-class TestPackageTableWiring:
-    def test_package_honours_table_size(self):
-        pkg = ArrayDDPackage(compute_table_size=64)
-        assert all(t.size == 64 for t in pkg._tables.values())
-        unbounded = ArrayDDPackage(compute_table_size=None)
-        assert all(t.size is None for t in unbounded._tables.values())
-
-    def test_compute_table_stats_keys(self):
         pkg = ArrayDDPackage()
         stats = pkg.compute_table_stats()
-        assert "mul" in stats and "add" in stats and "apply_left" in stats
-        assert set(stats["mul"]) == {"hits", "misses", "evictions", "entries"}
+        assert tuple(stats) == TABLES
+        for table in stats.values():
+            assert table == {"hits": 0, "misses": 0, "entries": 0}
+        assert pkg.compute_table_clears == 0
 
     def test_clear_compute_tables_clears_all(self):
-        pkg = ArrayDDPackage(compute_table_size=64)
+        pkg = ArrayDDPackage()
         circuit = random_circuit(3, 15, seed=2)
         circuit_dd(pkg, circuit)
-        assert any(len(t) for t in pkg._tables.values())
+        simulate_circuit_dd(pkg, circuit)
+        assert any(_entries(pkg).values())
         pkg.clear_compute_tables()
-        assert all(len(t) == 0 for t in pkg._tables.values())
+        assert not any(_entries(pkg).values())
+        assert pkg.compute_table_clears == 1
+
+    def test_clear_keeps_counters(self):
+        # A clear empties the tables but not the statistics: misses
+        # keep the entries it dropped, so they count every insert.
+        pkg = ArrayDDPackage()
+        circuit_dd(pkg, random_circuit(3, 15, seed=2))
+        before = pkg.compute_table_stats()
+        pkg.clear_compute_tables()
+        after = pkg.compute_table_stats()
+        for name in TABLES:
+            assert after[name]["hits"] == before[name]["hits"]
+            assert after[name]["misses"] == before[name]["misses"]
+            assert after[name]["entries"] == 0
+
+    def test_no_table_size_knob(self):
+        # The cap is the module constant, not a field or a parameter.
+        names = {field.name for field in dataclasses.fields(Configuration)}
+        assert not any("table" in name for name in names)
+        with pytest.raises(TypeError):
+            ArrayDDPackage(compute_table_size=64)
+
+
+class TestClearBetweenGates:
+    def test_every_gate_application_clears_at_cap_zero(self, set_cap):
+        set_cap(0)
+        pkg = ArrayDDPackage()
+        circuit = random_circuit(5, 40, seed=3)
+        circuit_dd(pkg, circuit)
+        # Building each gate diagram fills the add table, so every one
+        # of the 40 applications starts by emptying the tables.
+        assert pkg.compute_table_clears == len(circuit)
+
+    def test_no_clear_inside_a_recursion(self, set_cap):
+        # At cap 0 nothing survives from one gate application to the
+        # next, so every mul hit comes from the application's own
+        # recursion: a clear inside it would lose them.
+        set_cap(0)
+        pkg = ArrayDDPackage()
+        circuit_dd(pkg, random_circuit(5, 40, seed=3))
+        assert pkg.compute_table_stats()["mul"]["hits"] > 0
+
+    def test_right_applications_clear_between_gates(self, set_cap):
+        set_cap(0)
+        pkg = ArrayDDPackage()
+        circuit = random_circuit(4, 20, seed=4)
+        u = pkg.identity(4)
+        for op in circuit:
+            u = apply_operation_right(pkg, u, op)
+        assert pkg.compute_table_clears == len(circuit)
+
+    def test_simulation_clears_between_gates(self, set_cap):
+        set_cap(0)
+        pkg = ArrayDDPackage()
+        circuit = random_circuit(4, 20, seed=4)
+        simulate_circuit_dd(pkg, circuit)
+        assert pkg.compute_table_clears == len(circuit)
+
+    def test_only_gate_applications_clear(self, set_cap):
+        set_cap(0)
+        pkg = ArrayDDPackage()
+        a = circuit_dd(pkg, random_circuit(4, 12, seed=5))
+        b = circuit_dd(pkg, random_circuit(4, 12, seed=6))
+        clears = pkg.compute_table_clears
+        pkg.multiply(a, b)
+        pkg.add(a, b)
+        pkg.trace(pkg.conjugate_transpose(a))
+        assert pkg.compute_table_clears == clears
+        assert all(
+            _entries(pkg)[name] > 0 for name in ("mul", "add", "conj", "trace")
+        )
+
+    def test_one_full_table_clears_all(self, set_cap):
+        pkg = ArrayDDPackage()
+        circuit = random_circuit(4, 12, seed=5)
+        state = simulate_circuit_dd(pkg, circuit)
+        result = circuit_dd(pkg, circuit)
+        entries = _entries(pkg)
+        assert entries["mul"] > 0 and entries["apply_vec"] > 0
+        set_cap(entries["mul"] - 1)
+        clears = pkg.compute_table_clears
+        # One gate application: the check finds mul over the cap and
+        # empties every table, apply_vec included, before applying.
+        pkg.apply_gate_left(pkg.identity(4), result)
+        assert pkg.compute_table_clears == clears + 1
+        assert _entries(pkg)["apply_vec"] == 0
+        assert pkg.vector_dd_size(state) > 0
+
+    def test_pinned_counts(self, set_cap):
+        # Measured with the slot tables' unbounded mode before the dict
+        # tables replaced them: with no clear, each table sees exactly
+        # the hits and misses it saw there.  The 16,384-slot default
+        # evicted on this scenario and read add 2848/4807, mul
+        # 5733/9783.
+        set_cap(sys.maxsize)
+        pkg = ArrayDDPackage()
+        first = random_circuit(5, 28, seed=3, gate_set="rotations")
+        second = random_circuit(5, 28, seed=4, gate_set="rotations")
+        u = circuit_dd(pkg, first)
+        for op in second:
+            u = apply_operation_right(pkg, u, op)
+        pkg.trace(pkg.multiply(pkg.conjugate_transpose(u), u))
+        pkg.inner_product(
+            simulate_circuit_dd(pkg, first), simulate_circuit_dd(pkg, second)
+        )
+        stats = pkg.compute_table_stats()
+        assert {
+            name: (table["hits"], table["misses"])
+            for name, table in stats.items()
+        } == {
+            "add": (2889, 4758),
+            "add_vec": (56, 128),
+            "apply_left": (64, 274),
+            "apply_right": (32, 711),
+            "apply_vec": (43, 134),
+            "conj": (0, 341),
+            "inner": (8, 23),
+            "mul": (5735, 9781),
+            "mul_vec": (318, 240),
+            "trace": (4, 5),
+        }
+        assert pkg.compute_table_clears == 0
 
 
 class TestEvictionStress:
-    """Randomized stress: results are identical under any table size."""
+    """Randomized stress: results are identical under any cap."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("gate_set", ["clifford_t", "rotations", "mixed"])
-    def test_eviction_invariance(self, seed, gate_set):
+    def test_eviction_invariance(self, seed, gate_set, set_cap):
         circuits = [
             random_circuit(5, 25, seed=10 * seed + offset, gate_set=gate_set)
             for offset in range(2)
         ]
-        references = None
-        for table_size in (64, 4096, None):
-            pkg = ArrayDDPackage(compute_table_size=table_size)
-            # Interleave construction, multiplication and addition so the
-            # tiny tables actually evict mid-recursion.
+        truth_a, truth_b = (circuit_unitary(c) for c in circuits)
+        truth = [truth_a, truth_b, truth_a @ truth_b, truth_a + truth_b]
+
+        def run(cap):
+            set_cap(cap)
+            pkg = ArrayDDPackage()
             a = circuit_dd(pkg, circuits[0])
             b = circuit_dd(pkg, circuits[1])
-            product = pkg.multiply(a, b)
-            total = pkg.add(a, b)
-            dense = [
-                edge_to_matrix(edge, 5, pkg) for edge in (a, b, product, total)
-            ]
-            for edge in (a, b, product, total):
-                assert pkg.matrix_dd_size(edge) > 1
-            if references is None:
-                references = dense
-                if table_size == 64:
-                    # The tiny table must actually have evicted, otherwise
-                    # this stress test exercises nothing.
-                    assert any(
-                        t.evictions for t in pkg._tables.values()
-                    ), "expected evictions with 64-slot tables"
-            else:
-                # Eviction may only cost recomputation — numerically the
-                # results are indistinguishable.  (Exact node counts can
-                # drift by ±1 across *packages* because recomputation
-                # order changes which weight becomes the tolerance
-                # bucket's canonical representative.)
-                for got, expected in zip(dense, references):
-                    np.testing.assert_allclose(got, expected, atol=1e-12)
+            edges = [a, b, pkg.multiply(a, b), pkg.add(a, b)]
+            return pkg, edges
 
-    @pytest.mark.parametrize("table_size", [64, 4096, None])
-    def test_checker_verdicts_invariant_under_table_size(self, table_size):
+        _, reference = run(sys.maxsize)
+        for cap in (0, 8, COMPUTE_TABLE_CAP):
+            pkg, edges = run(cap)
+            if cap < COMPUTE_TABLE_CAP:
+                # A tiny cap must actually clear, otherwise this stress
+                # test exercises nothing.
+                assert pkg.compute_table_clears > 0
+            for edge, expected in zip(edges, truth):
+                assert pkg.matrix_dd_size(edge) > 1
+                np.testing.assert_allclose(
+                    edge_to_matrix(edge, 5, pkg), expected, atol=1e-12
+                )
+            # Recomputation after a clear replays the same memoized
+            # weight operations, so even the handles agree.
+            assert edges == reference
+
+    @pytest.mark.parametrize("cap", [0, 64, 4096, COMPUTE_TABLE_CAP])
+    def test_checker_verdicts_invariant_under_table_size(self, cap, set_cap):
         from repro.bench.algorithms import ghz_state
         from repro.compile import compile_circuit, line_architecture
-        from repro.ec import Configuration, EquivalenceCheckingManager
         from repro.ec.results import Equivalence
 
+        set_cap(cap)
         original = ghz_state(6)
         compiled = compile_circuit(original, line_architecture(8))
-        config = Configuration(
-            strategy="alternating", seed=0, compute_table_size=table_size
-        )
+        config = Configuration(strategy="alternating", seed=0)
         result = EquivalenceCheckingManager(original, compiled, config).run()
         assert result.equivalence in (
             Equivalence.EQUIVALENT,
             Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE,
         )
+        clears = result.statistics["perf"]["compute_table_clears"]
+        assert (clears > 0) == (cap == 0)
 
-    def test_same_package_canonicity_under_eviction(self):
-        """Recomputing after eviction returns the *same* canonical node."""
-        pkg = ArrayDDPackage(compute_table_size=64)
+    def test_same_package_canonicity_under_clears(self):
+        """Recomputing after a clear returns the *same* canonical node."""
+        pkg = ArrayDDPackage()
         circuit = random_circuit(4, 30, seed=7)
         first = circuit_dd(pkg, circuit)
+        nodes = pkg.mat.num_nodes
         pkg.clear_compute_tables()  # worst case: every memo gone
         second = circuit_dd(pkg, circuit)
         assert first == second
+        assert pkg.mat.num_nodes == nodes

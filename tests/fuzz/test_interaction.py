@@ -1,17 +1,17 @@
-"""Cross-feature interaction sweep (satellite of the fuzzing PR).
+"""Cross-feature interaction sweep over 200 small labeled pairs.
 
-The bounded compute tables are a performance feature and must never
-change verdicts: this sweep drives 200 small labeled pairs through the
-DD checker with a deliberately tiny compute table (maximum eviction
-pressure), asserting verdict equality with unbounded tables pair by
-pair.  The same pairs pin the ZX checker: its decisive verdicts must
-match the labels and its reduction must reach its own fixpoint.
+The compute-table cap is a performance bound and must never change
+verdicts: this sweep drives the pairs through the DD checker with the
+cap monkeypatched to 0, so every gate application starts from empty
+tables (maximum clear pressure), asserting verdict equality with the
+default cap pair by pair.  The same pairs pin the ZX checker: its
+decisive verdicts must match the labels and its reduction must reach
+its own fixpoint.
 """
-
-import dataclasses
 
 import pytest
 
+from repro.dd import array_package
 from repro.ec import Configuration, EquivalenceCheckingManager
 from repro.ec.results import Equivalence
 from repro.fuzz.generator import FAMILIES, generate_instance
@@ -49,16 +49,22 @@ def _verdict(pair, config):
 
 
 class TestComputeTablePressure:
-    def test_tiny_tables_keep_dd_verdicts(self, labeled_pairs):
-        base = Configuration(strategy="alternating", timeout=20.0, seed=0)
-        tiny = dataclasses.replace(base, compute_table_size=16)
-        unbounded = dataclasses.replace(base, compute_table_size=None)
-        mismatches = [
-            (seed, pair.recipe)
-            for seed, pair in labeled_pairs
-            if _verdict(pair, tiny) is not _verdict(pair, unbounded)
-        ]
-        assert not mismatches, f"verdict drift under eviction: {mismatches}"
+    def test_tiny_tables_keep_dd_verdicts(self, labeled_pairs, monkeypatch):
+        config = Configuration(strategy="alternating", timeout=20.0, seed=0)
+        default = [_verdict(pair, config) for _, pair in labeled_pairs]
+        monkeypatch.setattr(array_package, "COMPUTE_TABLE_CAP", 0)
+        mismatches = []
+        clears = 0
+        for (seed, pair), verdict in zip(labeled_pairs, default):
+            result = EquivalenceCheckingManager(
+                pair.circuit1, pair.circuit2, config
+            ).run()
+            if result.equivalence is not verdict:
+                mismatches.append((seed, pair.recipe))
+            perf = result.statistics.get("perf", {})
+            clears += perf.get("compute_table_clears", 0)
+        assert not mismatches, f"verdict drift under clears: {mismatches}"
+        assert clears > len(labeled_pairs)
 
 
 class TestZxOnLabeledPairs:
@@ -97,17 +103,3 @@ class TestZxOnLabeledPairs:
             ):
                 unsound.append((seed, pair.recipe))
         assert not unsound, f"unsound ZX verdicts: {unsound}"
-
-
-class TestCombinedPressure:
-    def test_tiny_tables_keep_zx_verdicts(self, labeled_pairs):
-        # one in four pairs, the ZX checker under tiny compute tables
-        sample = labeled_pairs[::4]
-        stressed = Configuration(
-            strategy="zx", timeout=20.0, seed=0, compute_table_size=16
-        )
-        reference = Configuration(strategy="zx", timeout=20.0, seed=0)
-        for seed, pair in sample:
-            assert _verdict(pair, stressed) is _verdict(
-                pair, reference
-            ), f"seed {seed} ({pair.recipe})"

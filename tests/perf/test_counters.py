@@ -60,6 +60,7 @@ class TestPackageStatistics:
         stats = package_statistics(pkg)
         assert set(stats) == {
             "compute_tables",
+            "compute_table_clears",
             "complex_table",
             "unique_matrix_nodes",
             "unique_vector_nodes",
@@ -70,6 +71,7 @@ class TestPackageStatistics:
         assert stats["matrix_nodes_created"] > 0
         assert stats["vector_nodes_created"] > 0
         assert stats["unique_matrix_nodes"] <= stats["matrix_nodes_created"]
+        assert stats["compute_table_clears"] == 0
         assert set(stats["complex_table"]) == {"hits", "misses", "size"}
         assert set(stats["node_stores"]) == {"matrix_store", "vector_store"}
         for store in stats["node_stores"].values():
@@ -143,13 +145,18 @@ class TestCliSurfacing:
         assert "phase_seconds:" in out
         assert "complex_table:" in out
         assert "apply_left:" in out
+        assert "compute_table_clears: 0" in out
 
-    def test_compute_table_size_flag(self, qasm_file):
+    def test_compute_table_size_flag(self, qasm_file, capsys):
+        # The cap is a module constant: the old flag is an unknown
+        # argument, not a silently ignored one.
         from repro.cli import main
 
-        for spec in ("64", "0"):  # bounded and unbounded
-            code = main([
+        with pytest.raises(SystemExit) as exit_info:
+            main([
                 "verify", str(qasm_file), str(qasm_file),
-                "--strategy", "construction", "--compute-table-size", spec,
+                "--strategy", "construction", "--compute-table-size", "64",
             ])
-            assert code == 0
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --compute-table-size 64" in err
