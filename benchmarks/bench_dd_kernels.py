@@ -14,7 +14,11 @@ tables they replaced evicted entries on collision and a clear between
 gates drops far fewer.  Besides five Table-1-style pairs, the
 cases include the optimized Table-1 cells (``repro.bench.suite``, scale
 ``small``, seed 0) where table1-optimized's DD column spends its time,
-run as the golden fixture runs them (16 stimuli, no static pre-pass).
+run as the golden fixture runs them (16 stimuli, no static pre-pass),
+and the basis-column exhaustion that decides urf_s1_5 and hwb5_5
+equivalent under ``combined``: timed as the combined schedule runs it,
+after the 16 stimuli and on the columns they left undrawn, with the
+columns it simulated and reused.
 Earlier reports compared the seed's full-height gate kernels with the
 direct fast path, and an object-based DD engine with the array engine;
 their summaries stay in the report's ``trajectory``.
@@ -43,7 +47,8 @@ from repro.bench.suite import optimized_benchmarks
 from repro.compile import compile_circuit, manhattan_architecture
 from repro.compile.decompose import decompose_to_basis
 from repro.compile.optimize import optimize_circuit
-from repro.ec import Configuration, EquivalenceCheckingManager
+from repro.ec import Configuration, EquivalenceCheckingManager, logical_pair
+from repro.ec.sim_checker import ColumnChecker, simulation_check
 
 REPEATS = 3
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_dd_kernels.json"
@@ -53,6 +58,7 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_dd_kernels.json"
 TABLES = {
     "alternating": ("mul", "apply_left"),
     "simulation": ("mul_vec", "apply_vec"),
+    "exhaustion": ("mul_vec", "apply_vec"),
 }
 
 #: The optimized Table-1 cells (instance, variant, strategy) that take
@@ -61,11 +67,17 @@ TABLE1_CELLS = (
     ("hwb5_5", "equivalent", "alternating"),
     ("hwb5_5", "equivalent", "simulation"),
     ("urf_s1_5", "gate_missing", "alternating"),
+    ("urf_s1_5", "equivalent", "exhaustion"),
+    ("hwb5_5", "equivalent", "exhaustion"),
 )
 
 
 def build_cases():
-    """``(name, circuit1, circuit2, configuration)`` per case."""
+    """``(name, strategy, circuit1, circuit2, configuration)`` per case.
+
+    An ``exhaustion`` case runs under the default (``combined``)
+    configuration.
+    """
     manhattan = manhattan_architecture()
     ghz = algorithms.ghz_state(16)
     graphstate = algorithms.graph_state(12, seed=0)
@@ -74,7 +86,7 @@ def build_cases():
     graphstate_compiled = compile_circuit(graphstate, manhattan)
     qft_optimized = optimize_circuit(decompose_to_basis(qft), level=2)
     cases = [
-        (f"{name}/{strategy}", circuit1, circuit2,
+        (f"{name}/{strategy}", strategy, circuit1, circuit2,
          Configuration(strategy=strategy, seed=0, num_simulations=8))
         for name, circuit1, circuit2, strategy in (
             ("ghz_16_compiled", ghz, ghz_compiled, "alternating"),
@@ -92,10 +104,13 @@ def build_cases():
     }
     for name, variant, strategy in TABLE1_CELLS:
         instance = optimized[name]
+        config = (
+            Configuration(seed=0) if strategy == "exhaustion"
+            else Configuration(strategy=strategy, seed=0, static_analysis=False)
+        )
         cases.append((
-            f"optimized/{name}/{variant}/{strategy}",
-            instance.original, instance.variants[variant],
-            Configuration(strategy=strategy, seed=0, static_analysis=False),
+            f"optimized/{name}/{variant}/{strategy}", strategy,
+            instance.original, instance.variants[variant], config,
         ))
     return cases
 
@@ -112,19 +127,42 @@ def timed_check(circuit1, circuit2, config):
     return best, result
 
 
+def timed_exhaustion(circuit1, circuit2, config):
+    """Best-of-``REPEATS`` exhaustion after the stimuli, plus the last run.
+
+    Returns the seconds, the verdict and the exhaustion's statistics.
+    """
+    best = math.inf
+    verdict = statistics = None
+    for _ in range(REPEATS):
+        pair = logical_pair(circuit1, circuit2)
+        columns = ColumnChecker(pair, config)
+        simulation_check(pair, config, columns=columns)
+        start = time.perf_counter()
+        verdict, statistics = columns.exhaust()
+        best = min(best, time.perf_counter() - start)
+    return best, verdict, statistics
+
+
 def main() -> int:
     cases = []
-    for name, circuit1, circuit2, config in build_cases():
-        seconds, result = timed_check(circuit1, circuit2, config)
-        perf = result.statistics["perf"]
+    for name, strategy, circuit1, circuit2, config in build_cases():
+        if strategy == "exhaustion":
+            seconds, verdict, statistics = timed_exhaustion(
+                circuit1, circuit2, config
+            )
+        else:
+            seconds, result = timed_check(circuit1, circuit2, config)
+            verdict, statistics = result.equivalence, result.statistics
+        perf = statistics["perf"]
         tables = perf["compute_tables"]
         case = {
             "case": name,
-            "strategy": config.strategy,
+            "strategy": strategy,
             "num_qubits": max(circuit1.num_qubits, circuit2.num_qubits),
             "num_gates": [len(circuit1), len(circuit2)],
             "seconds": round(seconds, 6),
-            "verdict": result.equivalence.value,
+            "verdict": verdict.value,
             "unique_nodes": (
                 perf["unique_matrix_nodes"] + perf["unique_vector_nodes"]
             ),
@@ -134,11 +172,14 @@ def main() -> int:
                     "hits": tables[table]["hits"],
                     "misses": tables[table]["misses"],
                 }
-                for table in TABLES[config.strategy]
+                for table in TABLES[strategy]
             },
         }
-        if config.strategy == "simulation":
-            case["stimuli_digest"] = result.statistics["stimuli_digest"]
+        if strategy == "simulation":
+            case["stimuli_digest"] = statistics["stimuli_digest"]
+        if strategy == "exhaustion":
+            case["columns_simulated"] = statistics["columns_simulated"]
+            case["columns_reused"] = statistics["columns_reused"]
         cases.append(case)
         print(
             f"{name:45s} {seconds:7.3f}s  {case['verdict']}  "
@@ -153,8 +194,9 @@ def main() -> int:
             "Table-1 cells that dominate its DD column: best-of-repeats "
             "wall time, verdict, created nodes, compute-table clears, "
             "hits and misses of the tables the strategy uses "
-            "(mul/apply_left alternating, mul_vec/apply_vec simulation), "
-            "and stimulus digest per case"
+            "(mul/apply_left alternating, mul_vec/apply_vec simulation "
+            "and exhaustion), stimulus digest per simulation case, and "
+            "columns simulated and reused per exhaustion case"
         ),
         "repeats": REPEATS,
         "python": platform.python_version(),

@@ -7,12 +7,17 @@ Strategies (Sections 4-5 of the paper):
 * ``alternating`` — build the DD of ``G' G†`` from the middle outwards,
   choosing sides with an *oracle* so the intermediate diagram stays close
   to the identity, with qubit-permutation tracking and SWAP reconstruction,
-* ``simulation`` — random-stimuli DD simulation runs that prove
-  non-equivalence after a few shots,
+* ``simulation`` — random-stimuli DD simulation runs whose overlaps
+  prove non-equivalence after a few shots (a fidelity drop or a phase
+  that differs between stimuli),
+* ``state`` — the same column checker on the one column ``|0...0>``:
+  state-preparation equivalence,
 * ``zx`` — compose one circuit with the other's adjoint as a ZX-diagram
   and ``full_reduce`` towards a bare-wire permutation,
 * ``combined`` — QCEC's default: simulations for fast falsification plus
-  the alternating scheme for proof (the configuration the case study runs).
+  the alternating scheme for proof (the configuration the case study runs),
+  which hands a narrow register to all ``2^w`` basis columns when those
+  are measured to cost less.
 
 The manager brings the two circuits onto logical wires once per check
 (:func:`logical_pair`: SWAP reconstruction, layouts and output
@@ -41,9 +46,8 @@ from repro.ec.dd_checker import (
     alternating_dd_check,
     construction_dd_check,
 )
-from repro.ec.sim_checker import simulation_check
+from repro.ec.sim_checker import simulation_check, state_check
 from repro.ec.stab_checker import stabilizer_check
-from repro.ec.state_checker import state_check
 from repro.ec.zx_checker import zx_check
 from repro.ec.manager import EquivalenceCheckingManager
 

@@ -26,7 +26,7 @@ complex-table counters) produced by :mod:`repro.perf`.
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.dd.array_package import ArrayDDPackage
 from repro.dd.gates import (
@@ -42,6 +42,41 @@ from repro.ec.results import (
     EquivalenceCheckingTimeout,
 )
 from repro.perf import PerfCounters, package_statistics
+
+if TYPE_CHECKING:
+    from repro.ec.sim_checker import ColumnChecker
+
+#: The alternating proof trusts its own projection only after it has run
+#: for this share of the basis columns' price.  Over the 12 equivalent
+#: Table-1 cells under ``combined`` (2-core Xeon, medians of 3 in-process
+#: runs) the shares 1/16, 1/8, 1/4 and 1/2 took 2.11, 2.05, 2.17 and
+#: 2.37 s.  1/16 and 1/8 tie within the noise; beyond them a later
+#: check only pays longer for the same hand-over.
+HANDOVER_WARMUP = 1 / 8
+
+
+def _columns_cheaper(
+    elapsed: float, done: int, steps: int, price: float
+) -> bool:
+    """True once the basis columns are measured cheaper than the proof.
+
+    The projection rule: ``elapsed`` seconds into its gate applications,
+    after ``done`` of ``steps``, the proof projects its total time as
+    ``elapsed * steps / done``, and hands over once that exceeds
+    ``price``, the columns' measured cost, and it has run for
+    :data:`HANDOVER_WARMUP` of the price.  The projection extrapolates
+    the pace so far, and the pace is not even.  On urf_s1_5 equivalent
+    the proof slows as it goes: a tenth of the way in it projects half
+    the time it takes (0.29 of 0.58 s), and the rest alone never
+    projects above the 0.29 s price, so comparing only the rest would
+    keep a proof that costs twice the columns.  On randomwalk_3_2
+    equivalent it front-loads, and the projection over-reads it.  A
+    price of 0 hands over at the first gate, an infinite one never.
+    """
+    return (
+        elapsed >= HANDOVER_WARMUP * price
+        and elapsed * steps >= price * done
+    )
 
 
 def _check_deadline(deadline: Optional[float]) -> None:
@@ -215,22 +250,45 @@ class AlternatingChecker:
                 taken2 += 1
         return schedule
 
-    def run(self, deadline: Optional[float] = None) -> EquivalenceCheckingResult:
+    def run(
+        self,
+        deadline: Optional[float] = None,
+        columns: Optional["ColumnChecker"] = None,
+    ) -> EquivalenceCheckingResult:
+        """Build ``G' G†`` gate by gate and classify the product.
+
+        Inside the combined schedule, ``columns`` is the stimuli stage's
+        :class:`~repro.ec.sim_checker.ColumnChecker`, and the proof
+        prices itself against it: at every gate application it projects
+        its own total time (:func:`_columns_cheaper`), and once the basis
+        columns the stimuli left undrawn are cheaper it stops and lets
+        the columns decide on all ``2^w`` of them.  Both are
+        proofs, so the choice moves only time; ``statistics["columns"]``
+        says which one decided, at what price and after how many gate
+        applications.
+        """
         start = time.monotonic()
         pkg = self.package
         config = self.configuration
         perf = PerfCounters()
         gates1 = [op.inverse() for op in self.logical1]  # applied right
         gates2 = list(self.logical2.operations)  # applied left
+        steps = len(gates1) + len(gates2)
+        price = columns.price() if columns is not None else float("inf")
         accumulated = pkg.identity(self.num_qubits)
         max_size = 1
         trace: List[int] = []
+        index1 = index2 = 0
 
         if config.oracle == "lookahead":
             with perf.phase("alternation"):
-                index1 = index2 = 0
+                began = time.monotonic()
                 while index1 < len(gates1) or index2 < len(gates2):
                     _check_deadline(deadline)
+                    if columns is not None and _columns_cheaper(
+                        time.monotonic() - began, index1 + index2, steps, price
+                    ):
+                        break
                     candidate1 = candidate2 = None
                     if index1 < len(gates1):
                         candidate1 = apply_operation_right(
@@ -266,9 +324,13 @@ class AlternatingChecker:
                         len(gates1), len(gates2)
                     )
             with perf.phase("alternation"):
-                index1 = index2 = 0
+                began = time.monotonic()
                 for side in schedule:
                     _check_deadline(deadline)
+                    if columns is not None and _columns_cheaper(
+                        time.monotonic() - began, index1 + index2, steps, price
+                    ):
+                        break
                     if side == 1:
                         accumulated = apply_operation_right(
                             pkg, accumulated, gates1[index1]
@@ -287,24 +349,38 @@ class AlternatingChecker:
 
         if not config.trace_sizes:
             max_size = max(max_size, pkg.matrix_dd_size(accumulated))
-        with perf.phase("verdict"):
-            verdict = _phase_verdict(
-                pkg, accumulated, self.num_qubits, config.fidelity_threshold
-            )
-            fidelity = pkg.hilbert_schmidt_fidelity(
-                accumulated, self.num_qubits
-            )
-        statistics = {
-            "max_dd_size": max_size,
-            "final_dd_size": pkg.matrix_dd_size(accumulated),
-            "hilbert_schmidt_fidelity": fidelity,
+        statistics: Dict[str, object] = {"max_dd_size": max_size}
+        done = index1 + index2
+        if done < steps:
+            assert columns is not None  # only the columns stop the proof
+            verdict, exhaustion = columns.exhaust(deadline)
+        else:
+            statistics["final_dd_size"] = pkg.matrix_dd_size(accumulated)
+            with perf.phase("verdict"):
+                verdict = _phase_verdict(
+                    pkg, accumulated, self.num_qubits, config.fidelity_threshold
+                )
+                statistics["hilbert_schmidt_fidelity"] = (
+                    pkg.hilbert_schmidt_fidelity(accumulated, self.num_qubits)
+                )
+            exhaustion = {"columns_simulated": 0}
+        statistics.update({
             "unique_nodes": pkg.num_unique_matrix_nodes(),
             "active_qubits": self.num_qubits,
             "complex_table": pkg.complex_table.stats(),
             "perf": {**perf.as_dict(), **package_statistics(pkg)},
-        }
+        })
         if config.trace_sizes:
             statistics["dd_size_trace"] = trace
+        if columns is not None:
+            statistics["columns"] = {
+                "proof": "columns" if done < steps else "alternating",
+                "price_seconds": round(price, 6),
+                "steps": steps,
+                "steps_done": done,
+                "width": columns.width,
+                **exhaustion,
+            }
         return EquivalenceCheckingResult(
             verdict, "alternating", time.monotonic() - start, statistics
         )

@@ -10,6 +10,11 @@ terminated early."  CPython's GIL makes thread-parallel DD work pointless,
 so the reproduction runs the (cheap, falsifying) simulations first and the
 (expensive, proving) alternating scheme second, which preserves the
 early-exit behaviour the paper's setup achieves through parallelism.
+When every stimulus agrees, the alternating proof runs priced against
+the basis columns the stimuli left undrawn, and hands a narrow register
+over to them once they are measured to cost less: all ``2^w`` basis
+columns prove equivalence as the alternating proof does
+(:mod:`repro.ec.sim_checker`).
 
 With ``configuration.portfolio`` the combined schedule is replaced by
 genuine concurrency: every applicable strategy races in its own
@@ -33,9 +38,8 @@ from repro.ec.results import (
     EquivalenceCheckingResult,
     EquivalenceCheckingTimeout,
 )
-from repro.ec.sim_checker import simulation_check
+from repro.ec.sim_checker import ColumnChecker, simulation_check, state_check
 from repro.ec.stab_checker import stabilizer_check
-from repro.ec.state_checker import state_check
 from repro.ec.zx_checker import zx_check
 
 
@@ -46,6 +50,7 @@ _SIMULATION_KEYS = (
     "first_mismatch",
     "stimuli_digest",
     "active_qubits",
+    "perf",
 )
 
 
@@ -275,6 +280,13 @@ class EquivalenceCheckingManager:
         the historic worst-case behaviour is preserved.  A stage's
         result is final when it is a proof, or a ``NOT_EQUIVALENT``
         falsification from simulation; otherwise the next stage runs.
+
+        The simulation stage hands its columns to the alternating proof,
+        which may hand the check back to them: when the basis columns
+        the stimuli left undrawn are measured to cost less than the
+        proof, they decide on all ``2^w`` columns instead
+        (:meth:`AlternatingChecker.run`).  ``statistics["columns"]``
+        says which proof decided.
         """
         schedule = (
             tuple(advice.schedule)
@@ -282,14 +294,20 @@ class EquivalenceCheckingManager:
             else ("simulation", "alternating")
         )
         simulation: Optional[EquivalenceCheckingResult] = None
+        columns: Optional[ColumnChecker] = None
         result: Optional[EquivalenceCheckingResult] = None
         for stage in schedule:
             if stage == "simulation":
-                result = simulation = simulation_check(pair, config, deadline)
+                columns = ColumnChecker(pair, config)
+                result = simulation = simulation_check(
+                    pair, config, deadline, columns
+                )
                 if result.equivalence is Equivalence.NOT_EQUIVALENT:
                     break
             elif stage == "alternating":
-                result = AlternatingChecker(pair, config).run(deadline)
+                result = AlternatingChecker(pair, config).run(
+                    deadline, columns
+                )
                 if result.proven:
                     break
             elif stage == "stabilizer":

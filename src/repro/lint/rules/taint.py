@@ -14,12 +14,14 @@ Taint bits:
     instantiation (``check_instantiated_random`` and friends).
 ``witness``
     The probabilistic value went through a *witness extractor* — a
-    computation (``fidelity``, counterexample verification) whose
-    *disagreement* is a deterministic proof.  A mismatch between two
-    exact simulations of one random stimulus refutes equivalence no
-    matter how the stimulus was chosen, so ``prob+witness`` may justify
-    ``NOT_EQUIVALENT`` — but never a positive proof: agreement of any
-    number of random stimuli remains evidence.
+    computation (``fidelity``, the overlap ``inner_product``,
+    counterexample verification) whose *disagreement* is a
+    deterministic proof.  A fidelity drop between two exact simulations
+    of one random stimulus, or two stimuli whose overlaps differ in
+    phase, refutes equivalence no matter how the stimuli were chosen, so
+    ``prob+witness`` may justify ``NOT_EQUIVALENT`` — but never a
+    positive proof: agreement of any number of random stimuli remains
+    evidence.
 
 Flows tracked: assignments (including tuple unpacking and ``for``
 targets), expression composition, one level of interprocedural return
@@ -71,8 +73,10 @@ PROB_SOURCES = {
 RNG_RECEIVERS = {"rng", "_rng"}
 
 #: Witness extractors: deterministic comparisons of simulated outcomes
-#: whose *mismatch* is a proof.
-WITNESS_EXTRACTORS = {"fidelity"}
+#: whose *mismatch* is a proof.  ``inner_product`` is the complex
+#: overlap ``<a|b>``: a fidelity drop or a phase spread between overlaps
+#: refutes equivalence (see ``repro.ec.sim_checker.column_verdict``).
+WITNESS_EXTRACTORS = {"fidelity", "inner_product"}
 
 #: Attribute reads that declassify (the verdict ladder itself).
 SANITIZER_ATTRS = {"proven", "equivalence", "considered_equivalent"}

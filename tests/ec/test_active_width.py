@@ -20,7 +20,7 @@ from repro.ec.permutations import (
     to_logical_form,
 )
 from repro.ec.results import Equivalence
-from repro.ec.state_checker import state_check
+from repro.ec import state_check
 from tests.conftest import random_circuit
 
 POSITIVE = {

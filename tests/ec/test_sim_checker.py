@@ -139,13 +139,26 @@ class TestSimulationCheck:
         )
         assert inline.equivalence is isolated.equivalence
 
-    def test_phase_error_invisible_to_classical_stimuli(self):
-        """A diagonal error after the final H layer can hide from basis
-        states only if it commutes with them; a Z on a plain wire does
-        not change basis-state amplitudes' magnitude — documenting the
-        known blind spot of purely classical stimuli."""
+    def test_phase_error_caught_by_classical_stimuli(self):
+        """A lone Z leaves every basis column's fidelity at 1 but gives
+        |0> and |1> opposite overlaps: the phase spread catches it as
+        soon as two drawn columns differ in phase."""
         a = QuantumCircuit(1)
         b = QuantumCircuit(1).z(0)
         result = simulation_check(logical_pair(a, b), Configuration(seed=1))
-        # |<x|Z|x>| = 1 for basis states: simulation cannot distinguish.
+        assert result.equivalence is Equivalence.NOT_EQUIVALENT
+        assert result.statistics["min_fidelity"] == pytest.approx(1.0)
+        # Seed 1 draws |0> and then |1>.
+        assert result.statistics["first_mismatch"] == 2
+        assert result.statistics["simulations_run"] == 2
+
+    def test_phase_on_undrawn_columns_stays_invisible(self):
+        """The blind spot that remains: a phase confined to columns no
+        stimulus drew.  A multi-controlled Z flips only the all-ones
+        column of 12 qubits, which none of the 16 seeded stimuli is."""
+        a = QuantumCircuit(12)
+        b = QuantumCircuit(12).mcz(list(range(11)), 11)
+        result = simulation_check(logical_pair(a, b), Configuration(seed=0))
         assert result.equivalence is Equivalence.PROBABLY_EQUIVALENT
+        assert result.statistics["simulations_run"] == 16
+        assert "first_mismatch" not in result.statistics

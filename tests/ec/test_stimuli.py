@@ -69,14 +69,17 @@ class TestGenerators:
 class TestStimuliPower:
     """The discriminating-power hierarchy from reference [45]."""
 
-    def test_phase_error_invisible_to_classical(self):
-        """A bare Z error never changes basis-state amplitudes."""
+    def test_phase_error_caught_by_classical(self):
+        """A bare Z error never changes a basis state's fidelity, but
+        the overlaps of |0> and |1> differ in sign."""
         a = QuantumCircuit(1)
         b = QuantumCircuit(1).z(0)
         result = simulation_check(
             logical_pair(a, b), Configuration(stimuli_type="classical", seed=0)
         )
-        assert result.equivalence is Equivalence.PROBABLY_EQUIVALENT
+        assert result.equivalence is Equivalence.NOT_EQUIVALENT
+        assert result.statistics["min_fidelity"] == pytest.approx(1.0)
+        assert result.statistics["first_mismatch"] == 2
 
     @pytest.mark.parametrize("kind", ["local_quantum", "global_quantum"])
     def test_phase_error_caught_by_quantum_stimuli(self, kind):

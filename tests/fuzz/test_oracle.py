@@ -85,12 +85,13 @@ class TestAgreementOnLabeledPairs:
             assert truth_positive == (pair.label == LABEL_EQUIVALENT)
 
     def test_probably_equivalent_miss_is_not_a_disagreement(self):
-        # A pure diagonal error: classical stimuli are blind to it, the
+        # A phase on one basis column that no seed-0 stimulus draws (the
+        # all-ones column of 5 qubits): the stimuli are blind to it, the
         # proving checkers are not — the oracle must record the miss but
         # not flag the simulation as buggy.
         pair = LabeledPair(
-            QuantumCircuit(1),
-            QuantumCircuit(1).z(0),
+            QuantumCircuit(5),
+            QuantumCircuit(5).mcz([0, 1, 2, 3], 4),
             LABEL_NOT_EQUIVALENT,
             "phase_nudge",
         )

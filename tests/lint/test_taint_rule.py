@@ -133,6 +133,47 @@ class TestWitnessBit:
         assert findings[0].line == 5
         assert "positively proven" in findings[0].message
 
+    def test_overlap_phase_spread_refutation_is_sound(self, fake_tree):
+        # Two random stimuli whose overlaps differ in phase refute
+        # equivalence: inner_product is a witness extractor.
+        root = fake_tree(
+            {
+                "ec/demo.py": """\
+                def check(pkg, c1, c2, rng):
+                    overlaps = []
+                    for _ in range(2):
+                        s = generate_stimulus(rng, 4)
+                        a, b = simulate(c1, s), simulate(c2, s)
+                        overlaps.append(pkg.inner_product(a, b))
+                    if abs(sum(overlaps)) < 2 * (1 - 1e-8):
+                        return Equivalence.NOT_EQUIVALENT
+                    return Equivalence.PROBABLY_EQUIVALENT
+                """
+            }
+        )
+        assert lint_with(root, SoundnessTaintRule()) == []
+
+    def test_overlap_agreement_never_proves_equivalence(self, fake_tree):
+        root = fake_tree(
+            {
+                "ec/demo.py": """\
+                def check(pkg, c1, c2, rng):
+                    overlaps = []
+                    for _ in range(2):
+                        s = generate_stimulus(rng, 4)
+                        a, b = simulate(c1, s), simulate(c2, s)
+                        overlaps.append(pkg.inner_product(a, b))
+                    if abs(sum(overlaps) / 2 - 1) < 1e-12:
+                        return Equivalence.EQUIVALENT
+                    return Equivalence.PROBABLY_EQUIVALENT
+                """
+            }
+        )
+        findings = lint_with(root, SoundnessTaintRule())
+        assert [f.rule for f in findings] == ["soundness-taint"]
+        assert findings[0].line == 8
+        assert "positively proven" in findings[0].message
+
 
 class TestSanitizer:
     def test_dispatching_on_a_verdict_attribute_is_clean(self, fake_tree):

@@ -99,6 +99,7 @@ CHECKER_CASES = [
     ("construction", {"construction", "verdict"}),
     ("alternating", {"schedule", "alternation", "verdict"}),
     ("simulation", {"stimulus_preparation", "simulation", "fidelity"}),
+    ("state", {"simulation", "fidelity"}),
 ]
 
 
@@ -109,7 +110,8 @@ class TestCheckerStatistics:
         config = Configuration(strategy=strategy, seed=0, num_simulations=2)
         result = EquivalenceCheckingManager(circuit, circuit, config).run()
         assert "perf" in result.statistics
-        assert "complex_table" in result.statistics
+        if strategy != "state":
+            assert "complex_table" in result.statistics
         perf = result.statistics["perf"]
         assert expected_phases <= set(perf["phase_seconds"])
         assert "compute_tables" in perf
@@ -121,6 +123,28 @@ class TestCheckerStatistics:
         result = EquivalenceCheckingManager(circuit, circuit, config).run()
         counters = result.statistics["perf"]["counters"]
         assert counters["gate_applications"] == 2 * len(circuit)
+
+
+    def test_exhaustion_phase(self, monkeypatch):
+        # Forced onto the basis columns, the combined result keeps the
+        # stimuli's phases under "simulation" and adds the exhaustion's
+        # under "columns".
+        from repro.ec.sim_checker import ColumnChecker
+
+        monkeypatch.setattr(ColumnChecker, "price", lambda self: 0.0)
+        circuit = ghz_state(4)
+        config = Configuration(seed=0, static_analysis=False)
+        result = EquivalenceCheckingManager(circuit, circuit, config).run()
+        columns = result.statistics["columns"]
+        assert columns["proof"] == "columns"
+        perf = columns["perf"]
+        assert set(perf["phase_seconds"]) == {"exhaustion"}
+        assert perf["counters"]["dd.batched_gate_applications"] > 0
+        assert "apply_vec" in perf["compute_tables"]
+        simulation = result.statistics["simulation"]["perf"]
+        assert {"stimulus_preparation", "simulation", "fidelity"} <= set(
+            simulation["phase_seconds"]
+        )
 
 
 class TestCliSurfacing:
@@ -146,6 +170,24 @@ class TestCliSurfacing:
         assert "complex_table:" in out
         assert "apply_left:" in out
         assert "compute_table_clears: 0" in out
+
+    def test_verbose_prints_both_combined_blocks(self, qasm_file, capsys):
+        # The combined schedule says which proof decided ("columns") and
+        # keeps the stimuli stage's perf ("simulation").
+        from repro.cli import main
+
+        code = main([
+            "verify", str(qasm_file), str(qasm_file),
+            "--no-static-analysis", "-v",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "  columns:\n" in out
+        assert "    proof: " in out
+        assert "    price_seconds: " in out
+        assert "    steps_done: " in out
+        assert "  simulation:\n" in out
+        assert "stimulus_preparation: " in out
 
     def test_compute_table_size_flag(self, qasm_file, capsys):
         # The cap is a module constant: the old flag is an unknown
