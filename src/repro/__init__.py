@@ -25,7 +25,6 @@ Quickstart::
 """
 
 from repro.circuit import QuantumCircuit, Operation, circuit_from_qasm, circuit_to_qasm
-from repro.circuit.draw import draw_circuit
 
 __version__ = "0.1.0"
 
@@ -34,7 +33,6 @@ __all__ = [
     "Operation",
     "circuit_from_qasm",
     "circuit_to_qasm",
-    "draw_circuit",
     "verify",
     "__version__",
 ]
@@ -45,7 +43,7 @@ def verify(circuit1, circuit2, configuration=None):
 
     Thin convenience wrapper over
     :class:`repro.ec.EquivalenceCheckingManager`; see :mod:`repro.ec` for
-    the full API (strategy selection, timeouts, tolerances).
+    the full API (strategy selection, timeouts, stimuli).
     """
     from repro.ec import EquivalenceCheckingManager
 

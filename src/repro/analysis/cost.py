@@ -45,6 +45,14 @@ PORTFOLIO_STRATEGIES: Tuple[str, ...] = (
     "stabilizer",
 )
 
+#: Seconds the portfolio's first two lanes (the predicted winner and the
+#: simulation falsifier) race alone before the other lanes launch.
+#: Staggering matters most on few-core machines, where every extra
+#: concurrent child slows the winner; a lane that finishes undecided
+#: promotes the next pending launch at once, so the head start never
+#: idles the machine.
+PORTFOLIO_HEAD_START = 0.25
+
 
 def circuit_depth(circuit: QuantumCircuit) -> int:
     """Critical-path length of the circuit (greedy wire-front packing)."""
@@ -256,8 +264,6 @@ class PortfolioPlan:
 def seed_portfolio(
     profiles: Tuple[GateSetProfile, GateSetProfile],
     estimate: CostEstimate,
-    *,
-    head_start: float = 0.25,
 ) -> PortfolioPlan:
     """Turn the static cost evidence into a portfolio launch plan.
 
@@ -265,12 +271,12 @@ def seed_portfolio(
     lane; ``simulation`` always races alongside it from the start (the
     paper's combined rationale — random stimuli are the cheapest
     falsifier, and a sound ``NOT_EQUIVALENT`` from them ends the race).
-    Every other applicable strategy launches after ``head_start``
-    seconds, ordered cheapest-first by the cost model; ``construction``
-    always trails ``alternating`` (same paradigm, strictly larger
-    intermediate diagrams).  ``stabilizer`` joins only when the gateset
-    pass proves both circuits Clifford — on any other pair it can only
-    return ``NO_INFORMATION``.
+    Every other applicable strategy launches after
+    :data:`PORTFOLIO_HEAD_START` seconds, ordered cheapest-first by the
+    cost model; ``construction`` always trails ``alternating`` (same
+    paradigm, strictly larger intermediate diagrams).  ``stabilizer``
+    joins only when the gateset pass proves both circuits Clifford — on
+    any other pair it can only return ``NO_INFORMATION``.
     """
     advice = advise(profiles, estimate)
     clifford = all(p.fragment == FRAGMENT_CLIFFORD for p in profiles)
@@ -298,13 +304,15 @@ def seed_portfolio(
         if strategy in applicable and strategy not in ordered
     )
     slots = tuple(
-        PortfolioSlot(strategy, delay=0.0 if index < 2 else head_start)
+        PortfolioSlot(
+            strategy, delay=0.0 if index < 2 else PORTFOLIO_HEAD_START
+        )
         for index, strategy in enumerate(ordered)
     )
     rationale = advice.rationale + (
         f"portfolio: {preferred} and simulation race from t=0, "
         f"{len(slots) - min(2, len(slots))} companion lane(s) stagger in "
-        f"after a {head_start:g}s head start",
+        f"after a {PORTFOLIO_HEAD_START:g}s head start",
     )
     return PortfolioPlan(
         slots=slots,

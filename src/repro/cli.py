@@ -521,7 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd.add_argument(
         "--routing-method", default="basic", choices=("basic", "lookahead")
     )
-    compile_cmd.add_argument("--optimization-level", type=int, default=1)
+    compile_cmd.add_argument(
+        "--optimization-level", type=int, default=1, choices=(0, 1, 2)
+    )
     compile_cmd.set_defaults(func=_cmd_compile)
 
     stats = sub.add_parser("stats", help="print circuit statistics")

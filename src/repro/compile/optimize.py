@@ -123,12 +123,15 @@ def optimize_circuit(
 
     Levels: 0 — no-op copy; 1 — cancellation + rotation merging (the
     default, mirroring the paper's O1 setting); 2 — additionally fuse
-    single-qubit runs into ``u3`` gates (a more aggressive resynthesis);
-    3 — additionally cancel pairs separated by commuting gates
-    (:func:`commutation_cancel_pass`).
+    single-qubit runs into ``u3`` gates (a more aggressive resynthesis).
+
+    Raises:
+        ValueError: ``level`` is not 0, 1 or 2.
     """
+    if level not in (0, 1, 2):
+        raise ValueError(f"unknown optimization level {level!r} (use 0-2)")
     result = circuit.copy()
-    if level <= 0:
+    if level == 0:
         return result
     for _ in range(max_rounds):
         optimized = cancel_and_merge_pass(result, tol)
@@ -136,71 +139,10 @@ def optimize_circuit(
             result = optimized
             break
         result = optimized
-    if level >= 3:
-        for _ in range(max_rounds):
-            commuted = commutation_cancel_pass(result, tol)
-            if len(commuted) == len(result):
-                result = commuted
-                break
-            result = commuted
-    if level >= 2:
+    if level == 2:
         from repro.compile.decompose import _fuse_single_qubit_runs
 
         result = _fuse_single_qubit_runs(result)
         result = cancel_and_merge_pass(result, tol)
     result.name = f"{circuit.name}_opt"
     return result
-
-
-def commutation_cancel_pass(
-    circuit: QuantumCircuit, tol: float = 1e-12
-) -> QuantumCircuit:
-    """Cancel/merge gate pairs that meet after commuting past others.
-
-    For each surviving operation, scan forward past operations it commutes
-    with (using the sound syntactic rules of
-    :func:`repro.circuit.dag.operations_commute`); if an inverse partner
-    or a mergeable rotation is reached first, eliminate or merge the pair.
-    A single left-to-right sweep; run inside a fixpoint loop for full
-    effect (``optimize_circuit(level=3)`` does).
-    """
-    from repro.circuit.dag import operations_commute
-
-    ops: List[Optional[Operation]] = list(circuit.operations)
-    for i in range(len(ops)):
-        op = ops[i]
-        if op is None:
-            continue
-        for j in range(i + 1, len(ops)):
-            other = ops[j]
-            if other is None:
-                continue
-            if other.qubits == op.qubits or (
-                set(other.qubits) == set(op.qubits)
-            ):
-                if op.qubits == other.qubits and _are_inverse(op, other, tol):
-                    ops[i] = None
-                    ops[j] = None
-                    break
-                merged = (
-                    _merge(op, other, tol)
-                    if op.qubits == other.qubits
-                    else None
-                )
-                if merged is not None:
-                    ops[i] = None if merged.name == "id" else merged
-                    ops[j] = None
-                    break
-            if operations_commute(op, other):
-                continue
-            break
-    out = QuantumCircuit(
-        circuit.num_qubits,
-        name=circuit.name,
-        initial_layout=circuit.initial_layout,
-        output_permutation=circuit.output_permutation,
-    )
-    for op in ops:
-        if op is not None and op.name != "id":
-            out.append(op)
-    return out

@@ -1,4 +1,4 @@
-"""Exporting decision diagrams to dense arrays and Graphviz.
+"""Exporting decision diagrams to dense arrays.
 
 Dense export is exponential and exists for testing and for the small
 illustrative figures (paper Fig. 1b / Fig. 3); the "size of the decision
@@ -11,8 +11,6 @@ as ``pkg``.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -80,65 +78,3 @@ def _fill_matrix(
     _fill_matrix(
         pkg, (n3 << EDGE_SHIFT) | w3, row + half, col + half, factor, out
     )
-
-
-# ----------------------------------------------------------------------
-# Graphviz rendering
-# ----------------------------------------------------------------------
-def matrix_dd_to_dot(edge: int, pkg: ArrayDDPackage, name: str = "dd") -> str:
-    """Graphviz DOT rendering of a matrix decision diagram.
-
-    Follows the visualization style of Wille et al., "Visualizing decision
-    diagrams for quantum computing" (reference [37] of the paper): edge
-    labels carry the complex weights, node labels the decided qubit level,
-    and the four outgoing edges are ordered ``(00, 01, 10, 11)``.
-    """
-    nodes = pkg.mat.nodes
-
-    def children_of(handle: int) -> Iterator[Tuple[int, int, complex]]:
-        node = nodes[handle]
-        for k, (child, wid) in enumerate(zip(node[1::2], node[2::2])):
-            if wid != 0:
-                yield k, child, pkg.weight_value(wid)
-
-    lines = [f"digraph {name} {{", "  rankdir=TB;", '  root [shape=point];']
-    ids: Dict[int, str] = {}
-
-    def node_id(handle: int) -> str:
-        if handle == 0:
-            return "terminal"
-        if handle not in ids:
-            ids[handle] = f"n{len(ids)}"
-        return ids[handle]
-
-    def weight_label(weight: complex) -> str:
-        return f"{weight.real:.4g}{weight.imag:+.4g}i"
-
-    visited = set()
-
-    def walk(handle: int) -> None:
-        if handle == 0 or handle in visited:
-            return
-        visited.add(handle)
-        lines.append(
-            f'  {node_id(handle)} [label="q{nodes[handle][0]}", '
-            "shape=circle];"
-        )
-        for index, child, weight in children_of(handle):
-            label = f"{index >> 1}{index & 1}"
-            lines.append(
-                f"  {node_id(handle)} -> {node_id(child)} "
-                f'[label="{label}: {weight_label(weight)}"];'
-            )
-            walk(child)
-
-    lines.append('  terminal [label="1", shape=box];')
-    if edge & WEIGHT_MASK != 0:
-        root = edge >> EDGE_SHIFT
-        lines.append(
-            f"  root -> {node_id(root)} "
-            f'[label="{weight_label(pkg.weight_value(edge & WEIGHT_MASK))}"];'
-        )
-        walk(root)
-    lines.append("}")
-    return "\n".join(lines)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.dd.complex_table import DEFAULT_TOLERANCE
+#: Deviation of the Hilbert-Schmidt fidelity, or of one column's
+#: fidelity, from 1 beyond which a DD or column check counts the
+#: circuits as non-equivalent.
+FIDELITY_THRESHOLD = 1e-8
 
 
 @dataclass
@@ -14,9 +17,20 @@ class Configuration:
 
     The permutation handling of Section 4.1 is not a knob: every check
     reconstructs SWAPs and absorbs them into the tracked permutation
-    (:func:`repro.ec.permutations.logical_pair`).  Neither is the DD
-    compute-table bound, the module constant
-    :data:`repro.dd.array_package.COMPUTE_TABLE_CAP`.
+    (:func:`repro.ec.permutations.logical_pair`).  Nor are these; each is
+    a module constant:
+
+    * :data:`repro.dd.array_package.COMPUTE_TABLE_CAP`, the DD
+      compute-table bound;
+    * :data:`repro.dd.complex_table.DEFAULT_TOLERANCE`, the tolerance of
+      every DD package's complex table;
+    * :data:`FIDELITY_THRESHOLD`, the fidelity deviation of the DD and
+      column verdicts;
+    * :data:`repro.analysis.cost.PORTFOLIO_HEAD_START`, the seconds the
+      portfolio's first two lanes race alone.
+
+    Retries back off by :class:`repro.errors.RetryPolicy`'s default
+    base, and instantiated parameterized checks run in-process.
 
     Attributes:
         strategy: ``"construction"``, ``"alternating"``, ``"simulation"``,
@@ -45,10 +59,6 @@ class Configuration:
             states, QCEC's default), ``"local_quantum"`` (random product
             stabilizer states) or ``"global_quantum"`` (random entangled
             stabilizer states); see :mod:`repro.ec.stimuli` / [45].
-        tolerance: Numerical tolerance of the DD package's complex table.
-        fidelity_threshold: Deviation of the Hilbert-Schmidt fidelity /
-            per-stimulus fidelity below which circuits count as
-            non-equivalent.
         timeout: Wall-clock budget in seconds (None = unlimited); mirrors
             the paper's 1 h hard timeout, scaled to reproduction sizes.
         trace_sizes: Record the intermediate DD size after every gate
@@ -64,20 +74,11 @@ class Configuration:
             enforced when the check runs isolated.
         max_retries: Bounded retries of *transient* failures (crashed or
             lost workers) in :func:`repro.harness.run_check`.
-        retry_backoff: Base of the exponential backoff between retries,
-            in seconds (delay = ``retry_backoff * 2**attempt``, capped).
         portfolio: Race all applicable strategies as concurrent
             sandboxed children instead of running the ``combined``
             schedule sequentially; the first *sound* verdict wins and
             the losers are SIGKILLed (see :mod:`repro.ec.portfolio`).
             Only meaningful with ``strategy="combined"``.
-        portfolio_head_start: Seconds the predicted winner (and the
-            cheap simulation falsifier) race alone before the remaining
-            strategies launch.  Staggering matters most on few-core
-            machines, where every extra concurrent child slows the
-            winner; a lane that finishes undecided promotes the next
-            pending launch immediately, so the head start never idles
-            the machine.
         num_instantiations: Seeded random valuations drawn by the
             ``parameterized`` strategy's instantiation fallback when the
             symbolic paths stay undecided (mqt-qcec defaults to a
@@ -86,10 +87,6 @@ class Configuration:
         parameterized_symbolic: Try the symbolic phase-polynomial and
             symbolic ZX paths before instantiating (default).  ``False``
             measures the instantiate-only baseline.
-        instantiation_isolation: Run each instantiated concrete check in
-            a sandboxed child process instead of in-process.  Off by
-            default — instantiated ansatz pairs are small and fork
-            overhead would dominate.
     """
 
     strategy: str = "combined"
@@ -97,20 +94,15 @@ class Configuration:
     oracle: str = "proportional"
     num_simulations: int = 16
     stimuli_type: str = "classical"
-    tolerance: float = DEFAULT_TOLERANCE
-    fidelity_threshold: float = 1e-8
     timeout: Optional[float] = None
     trace_sizes: bool = False
     seed: Optional[int] = None
     graceful_degradation: bool = True
     memory_limit_mb: Optional[int] = None
     max_retries: int = 1
-    retry_backoff: float = 0.1
     portfolio: bool = False
-    portfolio_head_start: float = 0.25
     num_instantiations: int = 8
     parameterized_symbolic: bool = True
-    instantiation_isolation: bool = False
 
     @staticmethod
     def _require_positive_number(name: str, value: object) -> None:
@@ -143,8 +135,6 @@ class Configuration:
 
         if self.stimuli_type not in STIMULI_TYPES:
             raise ValueError(f"unknown stimuli type {self.stimuli_type!r}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         if self.timeout is not None:
             self._require_positive_number("timeout", self.timeout)
         if self.memory_limit_mb is not None:
@@ -165,7 +155,6 @@ class Configuration:
             raise ValueError(
                 f"max_retries must be non-negative, got {self.max_retries!r}"
             )
-        self._require_positive_number("retry_backoff", self.retry_backoff)
         if not isinstance(self.portfolio, bool):
             raise ValueError(
                 f"portfolio must be a bool, got {self.portfolio!r}"
@@ -175,21 +164,6 @@ class Configuration:
                 "portfolio racing replaces the sequential combined "
                 f"schedule and requires strategy='combined', not "
                 f"{self.strategy!r}"
-            )
-        if isinstance(self.portfolio_head_start, bool) or not isinstance(
-            self.portfolio_head_start, (int, float)
-        ):
-            raise ValueError(
-                "portfolio_head_start must be a number, got "
-                f"{self.portfolio_head_start!r}"
-            )
-        if (
-            self.portfolio_head_start != self.portfolio_head_start
-            or self.portfolio_head_start < 0
-        ):
-            raise ValueError(
-                "portfolio_head_start must be non-negative, got "
-                f"{self.portfolio_head_start!r}"
             )
         if isinstance(self.num_instantiations, bool) or not isinstance(
             self.num_instantiations, int
@@ -207,9 +181,4 @@ class Configuration:
             raise ValueError(
                 "parameterized_symbolic must be a bool, got "
                 f"{self.parameterized_symbolic!r}"
-            )
-        if not isinstance(self.instantiation_isolation, bool):
-            raise ValueError(
-                "instantiation_isolation must be a bool, got "
-                f"{self.instantiation_isolation!r}"
             )

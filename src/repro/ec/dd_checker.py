@@ -33,7 +33,7 @@ from repro.dd.gates import (
     apply_operation_left,
     apply_operation_right,
 )
-from repro.ec.configuration import Configuration
+from repro.ec.configuration import FIDELITY_THRESHOLD, Configuration
 # to_logical_form is imported for benchmarks/e2e/spans.py, which wraps it here.
 from repro.ec.permutations import LogicalPair, to_logical_form
 from repro.ec.results import (
@@ -84,13 +84,8 @@ def _check_deadline(deadline: Optional[float]) -> None:
         raise EquivalenceCheckingTimeout()
 
 
-def make_package(configuration: Configuration) -> ArrayDDPackage:
-    """A fresh DD package with the configured tolerance."""
-    return ArrayDDPackage(configuration.tolerance)
-
-
 def _phase_verdict(
-    pkg: ArrayDDPackage, edge: int, num_qubits: int, threshold: float
+    pkg: ArrayDDPackage, edge: int, num_qubits: int
 ) -> Equivalence:
     """Classify a product DD that should represent the identity."""
     if pkg.is_identity(edge, num_qubits, up_to_global_phase=False):
@@ -100,7 +95,7 @@ def _phase_verdict(
     # Canonicity failed structurally; fall back to the Hilbert-Schmidt
     # fidelity, which tolerates numerical noise (Section 3).
     fidelity = pkg.hilbert_schmidt_fidelity(edge, num_qubits)
-    if abs(fidelity - 1.0) <= threshold:
+    if abs(fidelity - 1.0) <= FIDELITY_THRESHOLD:
         return Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE
     return Equivalence.NOT_EQUIVALENT
 
@@ -118,7 +113,7 @@ class ConstructionChecker:
         # The DD is built on the active register only: wires above it are
         # the identity in both circuits.
         self.num_qubits = pair.active_qubits
-        self.package = make_package(self.configuration)
+        self.package = ArrayDDPackage()
 
     def run(self, deadline: Optional[float] = None) -> EquivalenceCheckingResult:
         start = time.monotonic()
@@ -154,7 +149,7 @@ class ConstructionChecker:
                 # the Hilbert-Schmidt inner product of U† U'.
                 product = pkg.multiply(pkg.conjugate_transpose(first), second)
                 fidelity = pkg.hilbert_schmidt_fidelity(product, self.num_qubits)
-                if abs(fidelity - 1.0) <= self.configuration.fidelity_threshold:
+                if abs(fidelity - 1.0) <= FIDELITY_THRESHOLD:
                     verdict = Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE
                 else:
                     verdict = Equivalence.NOT_EQUIVALENT
@@ -184,7 +179,7 @@ class AlternatingChecker:
         self.configuration = configuration or Configuration()
         self.logical1, self.logical2 = pair.circuit1, pair.circuit2
         self.num_qubits = pair.active_qubits
-        self.package = make_package(self.configuration)
+        self.package = ArrayDDPackage()
 
     # -- oracles ----------------------------------------------------------
     def _schedule_naive(self, m1: int, m2: int) -> List[int]:
@@ -357,9 +352,7 @@ class AlternatingChecker:
         else:
             statistics["final_dd_size"] = pkg.matrix_dd_size(accumulated)
             with perf.phase("verdict"):
-                verdict = _phase_verdict(
-                    pkg, accumulated, self.num_qubits, config.fidelity_threshold
-                )
+                verdict = _phase_verdict(pkg, accumulated, self.num_qubits)
                 statistics["hilbert_schmidt_fidelity"] = (
                     pkg.hilbert_schmidt_fidelity(accumulated, self.num_qubits)
                 )

@@ -131,12 +131,7 @@ def check_instantiated_random(
             sub_base,
             timeout=_instantiation_timeout(deadline, count - index),
         )
-        result = run_check(
-            inst1,
-            inst2,
-            sub_config,
-            isolate=configuration.instantiation_isolation,
-        )
+        result = run_check(inst1, inst2, sub_config, isolate=False)
         outcomes.append(result.equivalence.value)
         if result.equivalence is Equivalence.NOT_EQUIVALENT:
             stats["witness_valuation"] = dict(valuation)

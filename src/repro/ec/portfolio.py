@@ -15,10 +15,11 @@ deadline.
 The static cost advisor (:func:`repro.analysis.cost.seed_portfolio`)
 seeds the race: the predicted winner and the cheap simulation falsifier
 launch immediately, the companion strategies stagger in behind a short
-head start (crucial on few-core machines, where every concurrent child
-slows the others), and a lane finishing undecided promotes the next
-pending launch at once.  ``stabilizer`` only joins when the gateset
-pass proves both circuits Clifford.
+head start (:data:`repro.analysis.cost.PORTFOLIO_HEAD_START`; crucial
+on few-core machines, where every concurrent child slows the others),
+and a lane finishing undecided promotes the next pending launch at
+once.  ``stabilizer`` only joins when the gateset pass proves both
+circuits Clifford.
 
 Cross-child verdict disagreement — two children both claiming a proof,
 with opposite polarity — is a checker bug and surfaces as a hard
@@ -46,11 +47,7 @@ _FALLBACK_RANK = {
 }
 
 
-def plan_portfolio(
-    pair: LogicalPair,
-    configuration: Configuration,
-    report=None,
-):
+def plan_portfolio(pair: LogicalPair, report=None):
     """Build the advisor-seeded launch plan for one pair.
 
     Reuses the static pre-pass report's profiles and cost estimate when
@@ -69,9 +66,7 @@ def plan_portfolio(
             profile_gate_set(pair.circuit2),
         )
         estimate = estimate_cost((pair.circuit1, pair.circuit2), profiles)
-    return seed_portfolio(
-        profiles, estimate, head_start=configuration.portfolio_head_start
-    )
+    return seed_portfolio(profiles, estimate)
 
 
 def _child_configuration(
@@ -141,7 +136,7 @@ def run_portfolio(
 
     counters = PerfCounters()
     counters.count("portfolio.races")
-    plan = plan_portfolio(pair, configuration, report)
+    plan = plan_portfolio(pair, report)
     now = time.monotonic()
     remaining = None if deadline is None else max(0.01, deadline - now)
     # Each lane's cooperative timeout: what is left of the check's.

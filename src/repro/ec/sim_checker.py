@@ -42,8 +42,8 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.qasm import circuit_to_qasm
 from repro.dd.array_package import ArrayDDPackage
 from repro.dd.gates import apply_operation_columns
-from repro.ec.configuration import Configuration
-from repro.ec.dd_checker import _check_deadline, make_package
+from repro.ec.configuration import FIDELITY_THRESHOLD, Configuration
+from repro.ec.dd_checker import _check_deadline
 # to_logical_form is imported for benchmarks/e2e/spans.py, which wraps it here.
 from repro.ec.permutations import LogicalPair, to_logical_form
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
@@ -177,7 +177,7 @@ class ColumnChecker:
         pair = self.pair
         start = time.monotonic()
         rng = random.Random(config.seed)
-        pkg = self.package = make_package(config)
+        pkg = self.package = ArrayDDPackage()
         perf = PerfCounters()
         # Running digest over the serialized stimuli: two runs with the same
         # seed must report byte-identical sequences (reproducibility contract,
@@ -217,7 +217,7 @@ class ColumnChecker:
                     if index is not None:
                         self.overlaps[index] = overlap
             _, first_mismatch = column_verdict(
-                overlaps, False, config.fidelity_threshold, pkg.tolerance
+                overlaps, False, FIDELITY_THRESHOLD, pkg.tolerance
             )
         self.seconds = time.monotonic() - start
         statistics = {
@@ -257,9 +257,8 @@ class ColumnChecker:
         ``NOT_EQUIVALENT``, the 1-based ``first_mismatch`` in basis
         order.
         """
-        config = self.configuration
         start = time.monotonic()
-        pkg = self.package or make_package(config)
+        pkg = self.package or ArrayDDPackage()
         perf = PerfCounters()
         reused = len(self.overlaps)
         size = 2**self.width
@@ -285,7 +284,7 @@ class ColumnChecker:
         verdict, first_mismatch = column_verdict(
             [self.overlaps[index] for index in indices],
             indices == list(range(size)),
-            config.fidelity_threshold,
+            FIDELITY_THRESHOLD,
             pkg.tolerance,
         )
         statistics: Dict[str, object] = {
@@ -348,9 +347,8 @@ def state_check(
     exposes the same notion; here it is the manager's ``"state"``
     strategy.
     """
-    config = configuration or Configuration()
     start = time.monotonic()
-    pkg = make_package(config)
+    pkg = ArrayDDPackage()
     perf = PerfCounters()
     # Wires above the active register stay |0> in both circuits.
     width = pair.active_qubits
@@ -361,7 +359,7 @@ def state_check(
     with perf.phase("fidelity"):
         overlap = pkg.inner_product(state1, state2)
     verdict, _ = column_verdict(
-        [overlap], True, config.fidelity_threshold, pkg.tolerance
+        [overlap], True, FIDELITY_THRESHOLD, pkg.tolerance
     )
     return EquivalenceCheckingResult(
         verdict,

@@ -29,6 +29,10 @@ from repro.zx.circuit_conv import circuit_to_zx
 from repro.zx.simplify import SimplificationTimeout, contract_unitary_chains
 from repro.zx.worklist import full_reduce
 
+#: Distance from the identity below which a single-qubit chain left by
+#: ``full_reduce`` is contracted away (:func:`contract_unitary_chains`).
+CHAIN_TOLERANCE = 1e-6
+
 
 def zx_check(
     pair: LogicalPair,
@@ -36,7 +40,6 @@ def zx_check(
     deadline: Optional[float] = None,
 ) -> EquivalenceCheckingResult:
     """Check equivalence by reducing the composed ZX-diagram ``G' G†``."""
-    config = configuration or Configuration()
     start = time.monotonic()
     perf = PerfCounters()
     with perf.phase("compose"):
@@ -52,7 +55,7 @@ def zx_check(
         # symbolic rules cannot see; contract them and re-reduce.
         with perf.phase("chain_contraction"):
             while contract_unitary_chains(
-                diagram, config.tolerance * 1e4, deadline=deadline
+                diagram, CHAIN_TOLERANCE, deadline=deadline
             ):
                 rewrites += full_reduce(
                     diagram, deadline=deadline, counters=perf

@@ -115,17 +115,15 @@ def run_check(
     """Fault-tolerant front door: never raises on a failed check.
 
     Transient failures (crashed/lost workers) are retried with bounded
-    exponential backoff per ``retry`` (default: derived from the
-    configuration's ``max_retries`` / ``retry_backoff``); any surviving
-    failure degrades into a ``TIMEOUT``/``NO_INFORMATION`` result whose
-    ``statistics["failure"]`` holds the taxonomy record.
+    exponential backoff per ``retry`` (default: the configuration's
+    ``max_retries`` with :class:`~repro.errors.RetryPolicy`'s default
+    backoff); any surviving failure degrades into a
+    ``TIMEOUT``/``NO_INFORMATION`` result whose ``statistics["failure"]``
+    holds the taxonomy record.
     """
     configuration = configuration or Configuration()
     if retry is None:
-        retry = RetryPolicy(
-            max_retries=configuration.max_retries,
-            backoff_base=configuration.retry_backoff,
-        )
+        retry = RetryPolicy(max_retries=configuration.max_retries)
 
     def attempt() -> EquivalenceCheckingResult:
         if isolate:

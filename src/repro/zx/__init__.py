@@ -20,8 +20,6 @@ from repro.zx.circuit_conv import circuit_to_zx
 from repro.zx.tensor import diagram_to_matrix, diagrams_proportional
 from repro.zx.simplify import contract_unitary_chains, to_graph_like
 from repro.zx.worklist import full_reduce, interior_clifford_simp
-from repro.zx.extract import ExtractionError, extract_circuit
-from repro.zx.optimize import zx_optimize
 
 __all__ = [
     "EdgeType",
@@ -30,11 +28,8 @@ __all__ = [
     "circuit_to_zx",
     "diagram_to_matrix",
     "diagrams_proportional",
-    "ExtractionError",
     "contract_unitary_chains",
-    "extract_circuit",
     "full_reduce",
-    "zx_optimize",
     "interior_clifford_simp",
     "to_graph_like",
     "normalize_phase",

@@ -26,6 +26,13 @@ from typing import List
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gate import Operation
+# Imported with the module, not on first use: the service's pool workers
+# fork from a process that imported repro.zx, and would each pay the
+# import of repro.compile (about 0.12 s, mostly networkx) again.
+from repro.compile.decompose import (
+    decompose_for_zx,
+    decompose_to_cx_and_singles,
+)
 from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
 from repro.zx.phase import radians_to_phase
 
@@ -186,8 +193,6 @@ def circuit_to_zx(circuit: QuantumCircuit, decompose: bool = True) -> ZXDiagram:
     first lowered via :func:`repro.compile.decompose.decompose_for_zx`.
     """
     if decompose:
-        from repro.compile.decompose import decompose_for_zx
-
         circuit = decompose_for_zx(circuit)
     builder = _Builder(circuit.num_qubits)
     for op in circuit:
@@ -196,8 +201,6 @@ def circuit_to_zx(circuit: QuantumCircuit, decompose: bool = True) -> ZXDiagram:
         except ValueError:
             if not decompose:
                 raise
-            from repro.compile.decompose import decompose_to_cx_and_singles
-
             single = QuantumCircuit(circuit.num_qubits, operations=[op])
             for lowered in decompose_to_cx_and_singles(single):
                 _convert_operation(builder, lowered)

@@ -370,42 +370,3 @@ class ZXDiagram:
         return permutation is not None and all(
             src == dst for src, dst in permutation.items()
         )
-
-
-def diagram_to_dot(diagram: "ZXDiagram", name: str = "zx") -> str:
-    """Graphviz DOT rendering of a ZX-diagram.
-
-    Z spiders are green circles, X spiders red circles, boundaries small
-    points; Hadamard edges are dashed and blue, following the usual
-    ZX-calculus visual conventions (paper Figs. 5-6).
-    """
-    lines = [f"graph {name} {{", "  layout=neato;"]
-    for vertex in diagram.vertices():
-        vertex_type = diagram.vertex_type(vertex)
-        if vertex_type is VertexType.BOUNDARY:
-            role = (
-                "in" if vertex in diagram.inputs
-                else "out" if vertex in diagram.outputs else "b"
-            )
-            lines.append(
-                f'  v{vertex} [label="{role}", shape=none, fontsize=10];'
-            )
-            continue
-        color = "green" if vertex_type is VertexType.Z else "red"
-        phase = diagram.phase(vertex)
-        label = "" if phase == 0 else f"{phase}π" if not isinstance(
-            phase, float
-        ) else f"{phase:.3g}π"
-        lines.append(
-            f'  v{vertex} [label="{label}", shape=circle, '
-            f"style=filled, fillcolor={color}];"
-        )
-    for u, v, edge_type in diagram.edges():
-        style = (
-            "[style=dashed, color=blue]"
-            if edge_type is EdgeType.HADAMARD
-            else ""
-        )
-        lines.append(f"  v{u} -- v{v} {style};".rstrip() + "")
-    lines.append("}")
-    return "\n".join(lines)

@@ -74,6 +74,15 @@ class TestLevels:
         circuit = QuantumCircuit(1).h(0).h(0)
         assert len(optimize_circuit(circuit, level=0)) == 2
 
+    def test_level_one_does_not_reorder(self):
+        circuit = QuantumCircuit(2).cx(0, 1).z(0).x(1).cx(0, 1)
+        assert len(optimize_circuit(circuit, level=1)) == 4
+
+    @pytest.mark.parametrize("level", [-1, 3, 7])
+    def test_unknown_level_rejected(self, level):
+        with pytest.raises(ValueError, match="optimization level"):
+            optimize_circuit(QuantumCircuit(1).h(0).h(0), level=level)
+
     @pytest.mark.parametrize("level", [1, 2])
     @pytest.mark.parametrize("seed", range(3))
     def test_semantics_preserved(self, level, seed):
@@ -82,6 +91,22 @@ class TestLevels:
         assert unitaries_equivalent(
             circuit_unitary(optimized), circuit_unitary(circuit)
         )
+
+    @pytest.mark.parametrize("gate_set", ["clifford_t", "rotations"])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_semantics_preserved_on_gate_set(self, level, gate_set):
+        circuit = random_circuit(4, 30, seed=3, gate_set=gate_set)
+        optimized = optimize_circuit(circuit, level=level)
+        assert len(optimized) < len(circuit)
+        assert unitaries_equivalent(
+            circuit_unitary(optimized), circuit_unitary(circuit)
+        )
+
+    def test_level_two_does_not_reorder(self):
+        """Nothing moves a gate past another: the CX pair around a Z on
+        its control and an X on its target stays."""
+        circuit = QuantumCircuit(2).cx(0, 1).z(0).x(1).cx(0, 1)
+        assert optimize_circuit(circuit, level=2).count_ops()["cx"] == 2
 
     def test_level_two_reduces_single_qubit_runs(self):
         circuit = QuantumCircuit(1).h(0).t(0).h(0).t(0).h(0)

@@ -18,7 +18,6 @@ from repro.dd import (
     edge_to_vector,
 )
 from repro.dd.array_package import EDGE_SHIFT, WEIGHT_MASK, ZERO_EDGE
-from repro.dd.export import matrix_dd_to_dot
 from repro.dd.gates import circuit_dd, simulate_circuit_dd
 from tests.conftest import assert_allclose, random_circuit
 
@@ -173,41 +172,28 @@ class TestHandleExportRoundTrip:
         assert fresh.matrix_dd_size(rebuilt) == pkg.matrix_dd_size(root)
         assert_allclose(edge_to_matrix(rebuilt, 3, fresh), dense, atol=0)
 
-    def test_dot_rendering_from_handles(self, pkg):
-        ghz = QuantumCircuit(2).h(0).cx(0, 1)
-        root = circuit_dd(pkg, ghz)
-        dot = matrix_dd_to_dot(root, pkg)
-        assert dot.startswith("digraph dd {")
-        assert dot.rstrip().endswith("}")
-        assert "terminal" in dot
-        # One circle node per DD node.
-        assert dot.count("shape=circle") == pkg.matrix_dd_size(root)
-
-    def test_dot_rendering_is_pinned(self, pkg):
-        """The GHZ-2 unitary renders exactly as it did when two DD
-        engines rendered it identically."""
+    def test_ghz2_diagram_is_pinned(self, pkg):
+        """The GHZ-2 unitary, node by node: a q1 root of weight 1/sqrt(2)
+        over two q0 nodes with one non-zero row each, ``[1, 1]`` on top
+        in the diagonal blocks and ``[1, -1]`` below in the others."""
         root = circuit_dd(pkg, QuantumCircuit(2).h(0).cx(0, 1))
-        assert matrix_dd_to_dot(root, pkg) == "\n".join([
-            "digraph dd {",
-            "  rankdir=TB;",
-            "  root [shape=point];",
-            '  terminal [label="1", shape=box];',
-            '  root -> n0 [label="0.7071+0i"];',
-            '  n0 [label="q1", shape=circle];',
-            '  n0 -> n1 [label="00: 1+0i"];',
-            '  n1 [label="q0", shape=circle];',
-            '  n1 -> terminal [label="00: 1+0i"];',
-            '  n1 -> terminal [label="01: 1+0i"];',
-            '  n0 -> n2 [label="01: 1+0i"];',
-            '  n2 [label="q0", shape=circle];',
-            '  n2 -> terminal [label="10: 1+0i"];',
-            '  n2 -> terminal [label="11: -1+0i"];',
-            '  n0 -> n2 [label="10: 1+0i"];',
-            '  n0 -> n1 [label="11: 1+0i"];',
-            "}",
-        ])
+        nodes = pkg.mat.nodes
 
-    def test_dot_zero_edge(self, pkg):
-        dot = matrix_dd_to_dot(ZERO_EDGE, pkg)
-        assert "root ->" not in dot
+        def entries(handle):
+            node = nodes[handle]
+            return node[0], list(node[1::2]), [
+                pkg.weight_value(wid) for wid in node[2::2]
+            ]
+
+        assert pkg.weight_value(root & WEIGHT_MASK) == pytest.approx(
+            2 ** -0.5
+        )
+        level, children, weights = entries(root >> EDGE_SHIFT)
+        assert level == 1
+        upper, lower = children[0], children[1]
+        assert children == [upper, lower, lower, upper]
+        assert weights == pytest.approx([1, 1, 1, 1])
+        assert entries(upper) == (0, [0] * 4, pytest.approx([1, 1, 0, 0]))
+        assert entries(lower) == (0, [0] * 4, pytest.approx([0, 0, 1, -1]))
+        assert pkg.matrix_dd_size(root) == 3
 

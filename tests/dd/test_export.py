@@ -3,11 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.bench.algorithms import qft
 from repro.circuit import QuantumCircuit
 from repro.circuit.circuit import ghz_example
 from repro.dd import ArrayDDPackage, edge_to_matrix, edge_to_vector
-from repro.dd.export import matrix_dd_to_dot
+from repro.dd.array_package import EDGE_SHIFT, WEIGHT_MASK
 from repro.dd.gates import circuit_dd, simulate_circuit_dd
+from tests.conftest import random_circuit
+
+_CIRCUITS = {
+    "ghz3": ghz_example,
+    "qft3": lambda: qft(3),
+    "random3": lambda: random_circuit(3, 15, seed=4),
+}
 
 
 @pytest.fixture
@@ -33,53 +41,50 @@ class TestDenseExport:
         assert pkg.matrix_dd_size(pkg.zero_matrix_edge()) == 0
 
 
-class TestDotExport:
-    def test_ghz_dot_structure(self, pkg):
-        dot = matrix_dd_to_dot(circuit_dd(pkg, ghz_example()), pkg, name="ghz")
-        assert dot.startswith("digraph ghz {")
-        assert dot.rstrip().endswith("}")
-        assert "terminal" in dot
-        assert 'label="q2"' in dot  # root level for a 3-qubit diagram
-
-    def test_node_count_matches_size(self, pkg):
-        edge = circuit_dd(pkg, ghz_example())
-        dot = matrix_dd_to_dot(edge, pkg)
-        declared_nodes = dot.count("shape=circle")
-        assert declared_nodes == pkg.matrix_dd_size(edge)
-
-    def test_zero_edge_dot(self, pkg):
-        dot = matrix_dd_to_dot(pkg.zero_matrix_edge(), pkg)
-        assert "root ->" not in dot
-
-    def test_weights_in_labels(self, pkg):
-        circuit = QuantumCircuit(1).h(0)
-        dot = matrix_dd_to_dot(circuit_dd(pkg, circuit), pkg)
-        assert "0.7071" in dot
+def _node_levels(nodes, edge):
+    """Level of every node reachable from ``edge``, by handle, checking
+    on the way that each child sits one level below its parent and that
+    a zero weight always points at the terminal."""
+    levels = {}
+    stack = [edge >> EDGE_SHIFT]
+    while stack:
+        handle = stack.pop()
+        if handle == 0 or handle in levels:
+            continue
+        node = nodes[handle]
+        levels[handle] = node[0]
+        for child, weight in zip(node[1::2], node[2::2]):
+            assert weight or child == 0, node
+            assert child == 0 or nodes[child][0] == node[0] - 1, node
+            stack.append(child)
+    return levels
 
 
-class TestZXDotExport:
-    def test_zx_dot_structure(self):
-        from repro.zx import circuit_to_zx
-        from repro.zx.diagram import diagram_to_dot
+class TestDiagramStructure:
+    @pytest.mark.parametrize("name", sorted(_CIRCUITS))
+    def test_matrix_size_counts_reachable_nodes(self, pkg, name):
+        root = circuit_dd(pkg, _CIRCUITS[name]())
+        levels = _node_levels(pkg.mat.nodes, root)
+        assert levels[root >> EDGE_SHIFT] == 2
+        assert pkg.matrix_dd_size(root) == len(levels)
 
-        diagram = circuit_to_zx(ghz_example())
-        dot = diagram_to_dot(diagram, name="ghz")
-        assert dot.startswith("graph ghz {")
-        assert dot.count("fillcolor=green") == 2  # CX control spiders
-        assert dot.count("fillcolor=red") == 2  # CX target spiders
-        assert 'label="in"' in dot and 'label="out"' in dot
+    @pytest.mark.parametrize("name", sorted(_CIRCUITS))
+    def test_vector_size_counts_reachable_nodes(self, pkg, name):
+        state = simulate_circuit_dd(pkg, _CIRCUITS[name]())
+        levels = _node_levels(pkg.vec.nodes, state)
+        assert levels[state >> EDGE_SHIFT] == 2
+        assert pkg.vector_dd_size(state) == len(levels)
 
-    def test_hadamard_edges_dashed(self):
-        from repro.zx import circuit_to_zx
-        from repro.zx.diagram import diagram_to_dot
-
-        diagram = circuit_to_zx(QuantumCircuit(2).cz(0, 1))
-        dot = diagram_to_dot(diagram)
-        assert "style=dashed" in dot
-
-    def test_phase_labels(self):
-        from repro.zx import circuit_to_zx
-        from repro.zx.diagram import diagram_to_dot
-
-        diagram = circuit_to_zx(QuantumCircuit(1).t(0))
-        assert "1/4π" in diagram_to_dot(diagram)
+    def test_hadamard_weights(self, pkg):
+        """One node: the 1/sqrt(2) sits on the root edge, the node keeps
+        the signs."""
+        root = circuit_dd(pkg, QuantumCircuit(1).h(0))
+        assert pkg.weight_value(root & WEIGHT_MASK) == pytest.approx(
+            2 ** -0.5
+        )
+        level, *entries = pkg.mat.nodes[root >> EDGE_SHIFT]
+        assert level == 0
+        assert entries[0::2] == [0, 0, 0, 0]
+        assert [pkg.weight_value(wid) for wid in entries[1::2]] == (
+            pytest.approx([1, 1, 1, -1])
+        )

@@ -128,6 +128,31 @@ class TestTimeout:
         assert result.equivalence is Equivalence.TIMEOUT
 
 
+class TestConfigurationFields:
+    def test_the_fourteen_knobs(self):
+        """Every field is a knob some CLI flag, bench or caller sets; a
+        value nothing sets is a module constant instead.  A new knob
+        changes this list."""
+        import dataclasses
+
+        assert [field.name for field in dataclasses.fields(Configuration)] == [
+            "strategy",
+            "static_analysis",
+            "oracle",
+            "num_simulations",
+            "stimuli_type",
+            "timeout",
+            "trace_sizes",
+            "seed",
+            "graceful_degradation",
+            "memory_limit_mb",
+            "max_retries",
+            "portfolio",
+            "num_instantiations",
+            "parameterized_symbolic",
+        ]
+
+
 class TestVerifyHelper:
     def test_package_level_verify(self):
         assert verify(ghz_example(), compiled_ghz_example()).considered_equivalent

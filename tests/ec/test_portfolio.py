@@ -5,6 +5,7 @@ and the manager-level guarantees around racing."""
 import pytest
 
 from repro.analysis import estimate_cost, profile_gate_set, seed_portfolio
+from repro.analysis.cost import PORTFOLIO_HEAD_START
 from repro.bench.algorithms import ghz_state, qft
 from repro.compile import (
     compile_circuit,
@@ -91,9 +92,8 @@ class TestWinnerAttribution:
 
 class TestPlanSeeding:
     @staticmethod
-    def _plan_for(circuit1, circuit2, **config_overrides):
-        config = _portfolio_config(**config_overrides)
-        return plan_portfolio(logical_pair(circuit1, circuit2), config)
+    def _plan_for(circuit1, circuit2):
+        return plan_portfolio(logical_pair(circuit1, circuit2))
 
     def test_stabilizer_joins_only_clifford_pairs(self):
         clifford = ghz_state(6)
@@ -106,10 +106,13 @@ class TestPlanSeeding:
         assert "stabilizer" not in [slot.strategy for slot in plan.slots]
 
     def test_two_zero_delay_lanes_then_head_start(self, tiny_pair):
-        plan = self._plan_for(*tiny_pair, portfolio_head_start=0.5)
+        plan = self._plan_for(*tiny_pair)
         delays = [slot.delay for slot in plan.slots]
+        assert PORTFOLIO_HEAD_START == 0.25
         assert delays[:2] == [0.0, 0.0]
-        assert all(delay == 0.5 for delay in delays[2:])
+        assert len(delays) > 2
+        assert all(delay == PORTFOLIO_HEAD_START for delay in delays[2:])
+        assert any("0.25s head start" in line for line in plan.rationale)
         # The predicted winner races from t=0 alongside the simulation
         # falsifier.
         front = {plan.slots[0].strategy, plan.slots[1].strategy}

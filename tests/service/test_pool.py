@@ -227,6 +227,16 @@ class TestFailedFork:
             (worker,) = multiprocessing.active_children()
             failing_fork()
             os.kill(worker.pid, signal.SIGKILL)
+            # Submit only once the pool has seen the death: a job sent to
+            # the killed worker before that would be charged a strike.
+            deadline = time.monotonic() + 60.0
+            while (
+                pool.counters.as_dict()["counters"].get(
+                    "service.worker_deaths", 0
+                ) < 1
+                and time.monotonic() < deadline
+            ):
+                pool.pump(max_wait=0.05)
             job_id = pool.submit(*small_pair, _config())
             pool.drain(timeout=120.0)
             result = pool.result(job_id)

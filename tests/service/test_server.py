@@ -1,6 +1,7 @@
 """Batch API server/client: round-trips, backpressure, malformed requests,
 draining shutdown, and one event loop that never blocks on a busy pool."""
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -10,12 +11,15 @@ import time
 import pytest
 
 from repro.bench.algorithms import ghz_state, qft
+from repro.circuit import QuantumCircuit
 from repro.compile import compile_circuit, line_architecture
 from repro.ec.configuration import Configuration
-from repro.errors import PoolSaturated, RetryPolicy
+from repro.errors import InvalidInput, PoolSaturated, RetryPolicy
 from repro.harness.chaos import ChaosSpec
 from repro.service import PoolConfig, ServiceClient, ServiceServer, WorkerPool
+from repro.service.cache import configuration_fingerprint
 from repro.service.server import (
+    batch_from_payload,
     circuit_from_payload,
     circuit_to_payload,
     configuration_from_payload,
@@ -23,6 +27,34 @@ from repro.service.server import (
 )
 
 _FAST_BACKOFF = RetryPolicy(max_retries=0, backoff_base=0.01, backoff_max=0.05)
+
+#: A hostile value for each knob that left ``Configuration``; while they
+#: were fields, each one reached the checkers from a client's payload.
+_REMOVED_KNOBS = {
+    "fidelity_threshold": 2.0,
+    "tolerance": float("nan"),
+    "retry_backoff": -1.0,
+    "portfolio_head_start": float("inf"),
+    "instantiation_isolation": "yes",
+}
+
+#: A valid, non-default value for each of the 14 ``Configuration`` knobs.
+_KNOB_VALUES = {
+    "strategy": "alternating",
+    "static_analysis": False,
+    "oracle": "lookahead",
+    "num_simulations": 3,
+    "stimuli_type": "local_quantum",
+    "timeout": 7.5,
+    "trace_sizes": True,
+    "seed": 11,
+    "graceful_degradation": False,
+    "memory_limit_mb": 512,
+    "max_retries": 0,
+    "portfolio": True,
+    "num_instantiations": 2,
+    "parameterized_symbolic": False,
+}
 
 
 def _pairs():
@@ -56,6 +88,64 @@ class TestWireFormat:
         # A field older clients still send after it left Configuration.
         payload["compute_table_size"] = 64
         assert configuration_from_payload(payload).seed == 3
+
+    def test_knob_tables_match_the_fields(self):
+        fields = {field.name for field in dataclasses.fields(Configuration)}
+        assert set(_KNOB_VALUES) == fields
+        assert not fields & set(_REMOVED_KNOBS)
+
+    @pytest.mark.parametrize("key, value", sorted(_REMOVED_KNOBS.items()))
+    def test_removed_knob_is_dropped(self, key, value):
+        """A hostile value for a knob that left ``Configuration`` decodes
+        to the default configuration: it reaches no checker and does not
+        split the cache key."""
+        payload = configuration_to_payload(Configuration())
+        payload[key] = value
+        _, configuration = batch_from_payload(
+            {"pairs": [], "configuration": payload}
+        )
+        assert configuration == Configuration()
+        assert configuration_fingerprint(configuration) == (
+            configuration_fingerprint(Configuration())
+        )
+
+    @pytest.mark.parametrize("key, value", sorted(_KNOB_VALUES.items()))
+    def test_every_knob_survives_the_wire(self, key, value):
+        """Each of the 14 knobs is set by a client's payload, passes
+        validation and moves the cache key."""
+        payload = configuration_to_payload(Configuration())
+        payload[key] = value
+        _, configuration = batch_from_payload(
+            {"pairs": [], "configuration": payload}
+        )
+        assert getattr(configuration, key) == value
+        assert configuration_fingerprint(configuration) != (
+            configuration_fingerprint(Configuration())
+        )
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"strategy": "bogus"},
+            {"oracle": "bogus"},
+            {"num_simulations": 0},
+            {"stimuli_type": "bogus"},
+            {"timeout": 0},
+            {"timeout": float("nan")},
+            {"memory_limit_mb": 1.5},
+            {"max_retries": -1},
+            {"portfolio": "yes"},
+            {"portfolio": True, "strategy": "zx"},
+            {"num_instantiations": 0},
+            {"parameterized_symbolic": "yes"},
+        ],
+        ids=lambda knobs: "-".join(f"{k}={v}" for k, v in knobs.items()),
+    )
+    def test_bad_knob_value_is_invalid_input(self, knobs):
+        payload = configuration_to_payload(Configuration())
+        payload.update(knobs)
+        with pytest.raises(InvalidInput):
+            batch_from_payload({"pairs": [], "configuration": payload})
 
 
 def _serve(pool):
@@ -253,6 +343,56 @@ class TestServerRoundTrip:
             "equivalent",
         ]
         assert pool.audit()["leaked"] == 0
+
+
+def _submit_raw(pair, configuration):
+    """Verdict of one pair submitted as a raw request whose
+    ``configuration`` payload is sent exactly as given."""
+    pool = WorkerPool(PoolConfig(workers=1, restart_backoff=_FAST_BACKOFF))
+    server, thread, socket_path = _serve(pool)
+    request = {
+        "op": "submit",
+        "pairs": [tuple(circuit_to_payload(circuit) for circuit in pair)],
+        "configuration": configuration,
+    }
+    try:
+        with ServiceClient(socket_path) as client:
+            reply = client._request(request)
+    finally:
+        with ServiceClient(socket_path) as closer:
+            closer.shutdown_server()
+        thread.join(timeout=60.0)
+    assert not thread.is_alive()
+    assert pool.audit()["leaked"] == 0
+    assert reply["ok"] is True, reply
+    (result,) = reply["results"]
+    return result["equivalence"]
+
+
+class TestClientCannotForgeVerdicts:
+    """A client's ``configuration`` carries no verdict threshold: keys
+    such as ``fidelity_threshold`` are dropped like any unknown key, so
+    the server decides with the fixed threshold."""
+
+    @staticmethod
+    def _without_t():
+        return QuantumCircuit(3).h(0).cx(0, 1).cx(1, 2)
+
+    def test_threshold_above_one_cannot_prove_a_missing_gate(self):
+        with_t = self._without_t().t(2)
+        verdict = _submit_raw(
+            (with_t, self._without_t()),
+            {"timeout": 10.0, "seed": 0, "fidelity_threshold": 2.0},
+        )
+        assert verdict == "not_equivalent"
+
+    def test_negative_threshold_cannot_refute_a_copy(self):
+        circuit = self._without_t().t(2)
+        verdict = _submit_raw(
+            (circuit, circuit.copy()),
+            {"timeout": 10.0, "seed": 0, "fidelity_threshold": -1.0},
+        )
+        assert verdict == "equivalent"
 
 
 class TestEventLoop:

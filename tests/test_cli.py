@@ -189,6 +189,41 @@ class TestCompileCommand:
                 "-o", str(tmp_path / "x.qasm"),
             ])
 
+    @pytest.mark.parametrize("level", ["0", "1", "2"])
+    def test_each_optimization_level_verifies(self, qasm_files, tmp_path, level):
+        original, _ = qasm_files
+        out = tmp_path / "compiled.qasm"
+        code = main([
+            "compile", str(original), "--device", "line:5",
+            "--optimization-level", level, "-o", str(out),
+        ])
+        assert code == 0
+        assert main(["verify", str(original), str(out)]) == 0
+
+    @pytest.mark.parametrize("level", ["-1", "3", "7"])
+    def test_unknown_optimization_level_exits_2(
+        self, qasm_files, tmp_path, capsys, level
+    ):
+        original, _ = qasm_files
+        out = tmp_path / "x.qasm"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "compile", str(original), "--device", "line:5",
+                "--optimization-level", level, "-o", str(out),
+            ])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            "repro compile: error: argument --optimization-level: "
+            "invalid choice"
+        )
+        assert not out.exists()
+
 
 class TestStatsCommand:
     def test_stats_output(self, qasm_files, capsys):
