@@ -2,14 +2,15 @@
 
 Runs Table-1-style verification cells (compiled-circuit instances,
 equivalent and flipped-CNOT variants) through the ``combined`` strategy
-twice — once as the sequential schedule (simulation then alternating,
-the seed behaviour) and once as the concurrent portfolio race
-(``Configuration.portfolio``) — and records the comparison in
-``BENCH_portfolio.json`` at the repository root.
+twice — once as the sequential schedule and once as the concurrent
+portfolio race (``Configuration.portfolio``) — and records the
+comparison in ``BENCH_portfolio.json`` at the repository root.
 
-Both arms run with ``static_analysis=False`` so the comparison measures
-the check engines themselves, not the analyzer short-circuit (which
-fires identically in front of either arm).
+Both arms run with the static pre-pass on, so both executors run the
+pre-pass report's plan: the sequential schedule walks its lanes in
+order until a proof, the race launches each lane at its offset (without
+the pre-pass both would run the default plan instead).  The pre-pass
+decides none of these cells, so it short-circuits neither arm.
 
 Verdict agreement is judged by *polarity* (proven/considered equivalent
 vs proven non-equivalent): racing paradigms legitimately prove at
@@ -79,7 +80,6 @@ def timed_check(circuit1, circuit2, portfolio: bool):
     config = Configuration(
         strategy="combined",
         portfolio=portfolio,
-        static_analysis=False,
         timeout=TIMEOUT,
         seed=0,
     )

@@ -1,4 +1,4 @@
-"""Static circuit analysis: sound pre-checks and a strategy advisor.
+"""Static circuit analysis: sound pre-checks and the check plan.
 
 The subsystem runs five static passes over a circuit pair *without
 executing anything* — no decision diagram, no ZX graph, no simulation:
@@ -12,8 +12,9 @@ executing anything* — no decision diagram, no ZX graph, no simulation:
    applies);
 4. :mod:`repro.analysis.phasepoly` — canonical phase-polynomial
    fingerprints for the {CNOT, X, Rz} fragment, decided exactly;
-5. :mod:`repro.analysis.cost` — a DD-vs-ZX effort model feeding the
-   strategy advisor.
+5. :mod:`repro.analysis.cost` — a DD-vs-ZX effort model and the
+   planner: the pair's :class:`~repro.ec.portfolio.Plan`, which both
+   executors of the ``combined`` strategy run.
 
 Every entry point takes the :class:`~repro.ec.permutations.LogicalPair`
 the manager derived for the check, so the passes see exactly the logical
@@ -23,7 +24,7 @@ wires the checkers see.  Entry points:
   :class:`~repro.analysis.report.StaticAnalysisReport`;
 * :func:`run_prepass` — the manager's pre-pass: returns a short-circuit
   :class:`~repro.ec.results.EquivalenceCheckingResult` for sound NEQ
-  verdicts, plus the report for the advisor/statistics;
+  verdicts, plus the report (its plan and its statistics block);
 * :func:`analysis_check` — the standalone ``analysis`` strategy (also
   the fuzz oracle's seventh participant): sound verdicts map to
   ``NOT_EQUIVALENT`` / ``EQUIVALENT_UP_TO_GLOBAL_PHASE``, anything else
@@ -41,16 +42,11 @@ import time
 from typing import Dict, Optional, Tuple
 
 from repro.analysis.cost import (
-    Advice,
     CostEstimate,
-    DEFAULT_SCHEDULE,
-    PORTFOLIO_STRATEGIES,
-    PortfolioPlan,
-    PortfolioSlot,
-    advise,
+    Plan,
     circuit_depth,
     estimate_cost,
-    seed_portfolio,
+    plan_checks,
 )
 from repro.analysis.gateset import (
     GateSetProfile,
@@ -89,20 +85,15 @@ from repro.ec.results import (
 from repro.perf.counters import PerfCounters
 
 __all__ = [
-    "Advice",
     "CostEstimate",
-    "DEFAULT_SCHEDULE",
     "GateSetProfile",
     "MAX_FRAGMENT_QUBITS",
-    "PORTFOLIO_STRATEGIES",
     "PhasePolynomial",
-    "PortfolioPlan",
-    "PortfolioSlot",
+    "Plan",
     "StaticAnalysisReport",
     "VERDICT_EQUIVALENT_UP_TO_GLOBAL_PHASE",
     "VERDICT_NOT_EQUIVALENT",
     "VERDICT_UNDECIDED",
-    "advise",
     "analysis_check",
     "analyze_pair",
     "circuit_depth",
@@ -114,9 +105,9 @@ __all__ = [
     "interaction_fingerprint",
     "is_phase_poly_operation",
     "phase_polynomial_check",
+    "plan_checks",
     "profile_gate_set",
     "run_prepass",
-    "seed_portfolio",
     "support_check",
     "to_logical_form",
     "union_components",
@@ -215,7 +206,7 @@ def analyze_pair(
     _check_deadline(deadline)
     with counters.phase("analysis.cost_model"):
         estimate = estimate_cost((logical1, logical2), profiles)
-        advice = advise(profiles, estimate)
+        plan = plan_checks(profiles, estimate)
         passes_run.append("cost_model")
 
     if witness is not None:
@@ -234,7 +225,7 @@ def analyze_pair(
         interaction=interaction_summary,
         phase_polynomial=phase_summary,
         estimate=estimate,
-        advice=advice,
+        plan=plan,
         passes_run=tuple(passes_run),
         time=time.perf_counter() - started,
     )
@@ -279,9 +270,9 @@ def run_prepass(
     Returns ``(short_circuit, report)``.  ``short_circuit`` is a
     finished ``NOT_EQUIVALENT`` result when the analyzer holds a sound
     NEQ witness (the spec'd short-circuit; positive proofs do *not*
-    short-circuit the configured checker — they only inform the
-    advisor).  ``report`` is ``None`` only if the pre-pass itself failed
-    and was swallowed (the pre-pass must never break a check).
+    short-circuit the configured checker).  ``report``, whose plan the
+    ``combined`` strategy runs, is ``None`` only if the pre-pass itself
+    failed and was swallowed (the pre-pass must never break a check).
     """
     counters = PerfCounters()
     try:

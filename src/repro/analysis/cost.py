@@ -1,9 +1,11 @@
-"""Strategy cost model and advisor (static pass 5).
+"""Strategy cost model and planner (static pass 5).
 
 Estimates the relative effort of the DD and ZX pipelines from statically
 cheap features — width, depth, T-count, rotation count, and two-qubit
-structure — and turns the estimate plus the fragment profiles into an
-:class:`Advice` the manager's ``combined`` strategy consumes.
+structure — and turns the estimate plus the fragment profiles into the
+pair's :class:`~repro.ec.portfolio.Plan`, which both executors of the
+``combined`` strategy run: the sequential schedule walks its lanes in
+order until a proof, the portfolio race launches each lane at its offset.
 
 The paper's case study (Sections 4-5) motivates the heuristics:
 
@@ -15,9 +17,10 @@ The paper's case study (Sections 4-5) motivates the heuristics:
 * DD sizes blow up with entangling depth; ZX cost tracks the spider
   count (≈ gates) and the non-Clifford phase count.
 
-The advisor is deliberately conservative: it only *reorders* the
-schedule, never removes a stage, so the combined flow keeps its
-worst-case behaviour and the advice can never cost correctness.
+The planner is deliberately conservative: it only picks the preferred
+checker (which races from t=0) and adds ``stabilizer`` in front on
+Clifford pairs; it never drops a stage, so the combined flow keeps its
+worst-case behaviour and the plan can never cost correctness.
 """
 
 from __future__ import annotations
@@ -31,27 +34,9 @@ from repro.analysis.gateset import (
     GateSetProfile,
 )
 from repro.circuit.circuit import QuantumCircuit
-
-#: Default combined schedule (mirrors ``_run_combined``'s historic order).
-DEFAULT_SCHEDULE: Tuple[str, ...] = ("simulation", "alternating")
-
-#: Every strategy the portfolio can race (stabilizer is gated on the
-#: gateset pass; everything else always applies).
-PORTFOLIO_STRATEGIES: Tuple[str, ...] = (
-    "alternating",
-    "construction",
-    "simulation",
-    "zx",
-    "stabilizer",
-)
-
-#: Seconds the portfolio's first two lanes (the predicted winner and the
-#: simulation falsifier) race alone before the other lanes launch.
-#: Staggering matters most on few-core machines, where every extra
-#: concurrent child slows the winner; a lane that finishes undecided
-#: promotes the next pending launch at once, so the head start never
-#: idles the machine.
-PORTFOLIO_HEAD_START = 0.25
+# The plan is defined beside its executors, so that a check without the
+# pre-pass can run the default plan without importing repro.analysis.
+from repro.ec.portfolio import Plan
 
 
 def circuit_depth(circuit: QuantumCircuit) -> int:
@@ -71,7 +56,7 @@ class CostEstimate:
     """Relative effort scores for one circuit pair.
 
     Scores are unitless and only meaningful relative to each other; the
-    advisor compares ``dd_score`` against ``zx_score`` and inspects the
+    planner compares ``dd_score`` against ``zx_score`` and inspects the
     feature fields to justify its ordering.
     """
 
@@ -138,42 +123,22 @@ def estimate_cost(
     )
 
 
-@dataclass(frozen=True)
-class Advice:
-    """Advisor output consumed by the manager's combined dispatch.
-
-    Attributes:
-        schedule: Stage order for the combined strategy.  Always a
-            permutation/extension of :data:`DEFAULT_SCHEDULE` — stages
-            are only added in front, never dropped.
-        preferred_checker: The single-strategy recommendation shown by
-            ``repro analyze``.
-        rationale: Human-readable one-liners justifying the ordering.
-    """
-
-    schedule: Tuple[str, ...]
-    preferred_checker: str
-    rationale: Tuple[str, ...]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schedule": list(self.schedule),
-            "preferred_checker": self.preferred_checker,
-            "rationale": list(self.rationale),
-        }
-
-
-def advise(
+def plan_checks(
     profiles: Tuple[GateSetProfile, GateSetProfile],
     estimate: CostEstimate,
-) -> Advice:
-    """Derive a combined-strategy schedule from the static evidence."""
+) -> Plan:
+    """Derive the pair's plan from the static evidence.
+
+    The preferred checker and ``simulation`` (the paper's cheap
+    falsifier) start at t=0, every other lane after the head start
+    (:meth:`~repro.ec.portfolio.Plan.staged`); ``stabilizer`` joins only
+    when the gateset pass proves both circuits Clifford.
+    """
     rationale: List[str] = []
-    schedule: Tuple[str, ...] = DEFAULT_SCHEDULE
-    if all(p.fragment == FRAGMENT_CLIFFORD for p in profiles):
+    clifford = all(p.fragment == FRAGMENT_CLIFFORD for p in profiles)
+    if clifford:
         # Polynomial decision procedure applies — run it before anything
         # exponential; the downstream stages remain as a safety net.
-        schedule = ("stabilizer",) + DEFAULT_SCHEDULE
         preferred = "stabilizer"
         rationale.append(
             "both circuits are Clifford-only: the stabilizer tableau "
@@ -206,116 +171,4 @@ def advise(
             f"cost model favours DD (dd_score {estimate.dd_score:.0f} "
             f"<= zx_score {estimate.zx_score:.0f})"
         )
-    if schedule == DEFAULT_SCHEDULE:
-        rationale.append(
-            "combined schedule unchanged: stimuli first, then the "
-            "alternating DD proof stage"
-        )
-    return Advice(
-        schedule=schedule,
-        preferred_checker=preferred,
-        rationale=tuple(rationale),
-    )
-
-
-@dataclass(frozen=True)
-class PortfolioSlot:
-    """One lane of a portfolio race.
-
-    The plan only orders and staggers lanes; every lane's timeout and
-    memory ceiling come from the check's own ``Configuration``.
-
-    Attributes:
-        strategy: The checker strategy this lane runs.
-        delay: Seconds after race start before the lane launches (lanes
-            are promoted early when another lane finishes undecided).
-    """
-
-    strategy: str
-    delay: float = 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"strategy": self.strategy, "delay": round(self.delay, 6)}
-
-
-@dataclass(frozen=True)
-class PortfolioPlan:
-    """Advisor-seeded launch plan consumed by :mod:`repro.ec.portfolio`.
-
-    ``slots`` is the launch order: zero-delay lanes (the predicted
-    winner and the cheap simulation falsifier) race immediately, the
-    rest sit behind the head start.  The plan never *drops* a strategy
-    — staggering only defers launches, so the portfolio retains the
-    sequential schedule's worst-case completeness.
-    """
-
-    slots: Tuple[PortfolioSlot, ...]
-    preferred_checker: str
-    rationale: Tuple[str, ...]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "slots": [slot.to_dict() for slot in self.slots],
-            "preferred_checker": self.preferred_checker,
-            "rationale": list(self.rationale),
-        }
-
-
-def seed_portfolio(
-    profiles: Tuple[GateSetProfile, GateSetProfile],
-    estimate: CostEstimate,
-) -> PortfolioPlan:
-    """Turn the static cost evidence into a portfolio launch plan.
-
-    The advisor's single-strategy recommendation becomes the zero-delay
-    lane; ``simulation`` always races alongside it from the start (the
-    paper's combined rationale — random stimuli are the cheapest
-    falsifier, and a sound ``NOT_EQUIVALENT`` from them ends the race).
-    Every other applicable strategy launches after
-    :data:`PORTFOLIO_HEAD_START` seconds, ordered cheapest-first by the
-    cost model; ``construction`` always trails ``alternating`` (same
-    paradigm, strictly larger intermediate diagrams).  ``stabilizer``
-    joins only when the gateset pass proves both circuits Clifford — on
-    any other pair it can only return ``NO_INFORMATION``.
-    """
-    advice = advise(profiles, estimate)
-    clifford = all(p.fragment == FRAGMENT_CLIFFORD for p in profiles)
-    applicable = [
-        strategy
-        for strategy in PORTFOLIO_STRATEGIES
-        if strategy != "stabilizer" or clifford
-    ]
-    preferred = advice.preferred_checker
-    if preferred not in applicable:  # pragma: no cover - defensive
-        preferred = "alternating"
-    ordered: List[str] = [preferred]
-    if "simulation" != preferred:
-        ordered.append("simulation")
-    # Remaining lanes, cheapest paradigm first per the cost model.
-    zx_first = estimate.zx_score < estimate.dd_score
-    tail_order = (
-        ("stabilizer", "zx", "alternating", "construction")
-        if zx_first
-        else ("stabilizer", "alternating", "zx", "construction")
-    )
-    ordered.extend(
-        strategy
-        for strategy in tail_order
-        if strategy in applicable and strategy not in ordered
-    )
-    slots = tuple(
-        PortfolioSlot(
-            strategy, delay=0.0 if index < 2 else PORTFOLIO_HEAD_START
-        )
-        for index, strategy in enumerate(ordered)
-    )
-    rationale = advice.rationale + (
-        f"portfolio: {preferred} and simulation race from t=0, "
-        f"{len(slots) - min(2, len(slots))} companion lane(s) stagger in "
-        f"after a {PORTFOLIO_HEAD_START:g}s head start",
-    )
-    return PortfolioPlan(
-        slots=slots,
-        preferred_checker=preferred,
-        rationale=rationale,
-    )
+    return Plan.staged(preferred, clifford, tuple(rationale))

@@ -6,7 +6,7 @@ Two sub-analyses over the two-qubit connectivity structure:
   (a multiset of sorted wire tuples, one per multi-qubit operation) is
   hashed per circuit.  Matching fingerprints are *evidence* of a
   structurally faithful transformation (relabeling, gate rebasing) and
-  feed the strategy advisor; a mismatch proves nothing — optimization
+  feed the report; a mismatch proves nothing — optimization
   legitimately rewrites connectivity — so it never yields a verdict.
 * **Fragment isolation** — connected components of the *union*
   interaction graph (edges of either circuit) isolate wire sets that
@@ -144,7 +144,7 @@ def fragment_isolation_check(
       splits into two or more fragments that are *all* small and *all*
       proportional (the tensor factors multiply back to a global-phase
       relation); ``None`` otherwise;
-    * ``summary`` — component structure for the advisor and the report.
+    * ``summary`` — component structure for the report.
 
     A single fully-connected component is the common case for real
     circuits; the pass then returns no verdict at all — deciding it

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.cost import Advice, CostEstimate
+from repro.analysis.cost import CostEstimate, Plan
 from repro.analysis.gateset import GateSetProfile
 
 #: Verdict labels — the only sound conclusions the analyzer ever emits.
@@ -29,7 +29,7 @@ class StaticAnalysisReport:
         interaction: Pass-2 summary (fingerprints, union components).
         phase_polynomial: Pass-4 details (term counts, comparison kind).
         estimate: Pass-5 cost features and scores.
-        advice: The strategy advisor's schedule and rationale.
+        plan: The pass-5 plan both executors of ``combined`` run.
         passes_run: Names of the passes that actually executed.
         time: Wall-clock seconds spent inside the analyzer.
     """
@@ -41,7 +41,7 @@ class StaticAnalysisReport:
     interaction: Dict[str, object]
     phase_polynomial: Dict[str, object]
     estimate: CostEstimate
-    advice: Advice
+    plan: Plan
     passes_run: Tuple[str, ...] = field(default=())
     time: float = 0.0
 
@@ -60,8 +60,8 @@ class StaticAnalysisReport:
             "passes_run": list(self.passes_run),
             "time": round(self.time, 6),
             "fragments": [p.fragment for p in self.profiles],
-            "schedule": list(self.advice.schedule),
-            "preferred_checker": self.advice.preferred_checker,
+            "lanes": self.plan.to_dict()["lanes"],
+            "preferred_checker": self.plan.preferred_checker,
         }
         if self.witness is not None:
             payload["witness"] = dict(self.witness)
@@ -77,7 +77,7 @@ class StaticAnalysisReport:
                 "interaction": dict(self.interaction),
                 "phase_polynomial": dict(self.phase_polynomial),
                 "estimate": self.estimate.to_dict(),
-                "advice": self.advice.to_dict(),
+                "plan": self.plan.to_dict(),
             }
         )
         return payload
@@ -118,8 +118,10 @@ def format_report(report: StaticAnalysisReport) -> str:
             f"fragments: {len(components)} isolated component(s), "
             f"{report.interaction.get('fragments_compared', 0)} compared"
         )
-    lines.append(f"advisor:   prefer {report.advice.preferred_checker}")
-    for reason in report.advice.rationale:
+    plan = report.plan
+    lanes = ", ".join(f"{strategy}@{offset:g}s" for strategy, offset in plan.lanes)
+    lines.append(f"plan:      prefer {plan.preferred_checker}; lanes {lanes}")
+    for reason in plan.rationale:
         lines.append(f"           - {reason}")
     lines.append(
         f"passes:    {', '.join(report.passes_run)} "

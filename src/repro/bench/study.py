@@ -336,9 +336,12 @@ def print_table(rows: List[TableRow], timeout: Optional[float]) -> None:
         print(format_row(row, timeout))
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
+    """The study's options; ``repro bench`` builds its sub-command on it."""
     parser = argparse.ArgumentParser(
-        description="Regenerate the case study's Table 1."
+        description="Regenerate the case study's Table 1.  Exits 1 when "
+        "any cell's verdict contradicts its label.",
+        add_help=add_help,
     )
     parser.add_argument(
         "--use-case",
@@ -378,10 +381,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--resume", action="store_true",
         help="restore completed cells from --journal instead of re-running",
     )
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.resume and not args.journal:
         parser.error("--resume requires --journal PATH")
+    return run(args)
 
+
+def run(args: argparse.Namespace) -> int:
+    """Run the study on parsed :func:`build_parser` options.
+
+    Returns 1 when any cell's verdict contradicts its label (a ``!``
+    cell), 0 otherwise: timeouts, ``?`` cells and degraded cells are
+    not wrong.
+    """
     journal = None
     if args.journal:
         journal = Journal(
@@ -443,6 +460,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "'!' wrong verdict, '?' no information (ZX cannot prove "
         "non-equivalence); 'oom'/'crash'/'lost'/'inval' degraded failures."
     )
+    wrong = [
+        f"{row.use_case}:{row.name}:{key}"
+        for rows in rows_by_use_case.values()
+        for row in rows
+        for key, cell in row.cells.items()
+        if cell.correct is False
+    ]
+    if wrong:
+        print(f"wrong verdicts: {', '.join(wrong)}")
+        return 1
     return 0
 
 

@@ -281,22 +281,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.study import main as study_main
+    from repro.bench.study import run
 
-    forwarded = ["--use-case", args.use_case, "--scale", args.scale,
-                 "--timeout", str(args.timeout), "--seed", str(args.seed)]
-    if args.portfolio:
-        forwarded.append("--portfolio")
-    if args.isolate:
-        forwarded.append("--isolate")
-    if args.memory_limit is not None:
-        forwarded += ["--memory-limit", str(args.memory_limit)]
-    forwarded += ["--retries", str(args.retries)]
-    if args.journal:
-        forwarded += ["--journal", args.journal]
-    if args.resume:
-        forwarded.append("--resume")
-    return study_main(forwarded)
+    if args.resume and not args.journal:
+        return _usage_error("bench", "--resume requires --journal PATH")
+    return run(args)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -424,7 +413,8 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser; ``command`` is the sub-command to be run."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Equivalence checking paradigms case-study toolkit",
@@ -460,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--no-static-analysis", action="store_true",
         help="skip the static analysis pre-pass (sound NEQ short-circuit "
-        "and strategy advisor) in front of the configured checker",
+        "and the combined strategy's plan) in front of the configured "
+        "checker; combined then runs the default plan",
     )
     verify.add_argument(
         "--oracle", default="proportional",
@@ -494,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze",
         help="static analysis of one circuit (profile) or a pair "
-        "(sound pre-checks + strategy advice; exit 1 = proven "
+        "(sound pre-checks + the check plan; exit 1 = proven "
         "non-equivalent, 0 otherwise)",
     )
     analyze.add_argument("circuit1")
@@ -530,38 +521,18 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("circuit")
     stats.set_defaults(func=_cmd_stats)
 
-    bench = sub.add_parser("bench", help="run the Table 1 harness")
-    bench.add_argument(
-        "--use-case", default="both",
-        choices=("compiled", "optimized", "both"),
-    )
-    bench.add_argument("--scale", default="small", choices=("small", "paper"))
-    bench.add_argument("--timeout", type=float, default=60.0)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--portfolio", action="store_true",
-        help="run the t_dd cells as a concurrent strategy portfolio "
-        "(race sandboxed checkers, first sound verdict wins)",
-    )
-    bench.add_argument(
-        "--isolate", action="store_true",
-        help="run every cell in a sandboxed subprocess (hard timeout)",
-    )
-    bench.add_argument(
-        "--memory-limit", type=int, default=None, metavar="MB",
-        help="address-space headroom per isolated cell, in MiB",
-    )
-    bench.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="bounded retries of transient failures",
-    )
-    bench.add_argument(
-        "--journal", default=None, metavar="PATH",
-        help="checkpoint completed cells to a JSONL journal",
-    )
-    bench.add_argument(
-        "--resume", action="store_true",
-        help="restore completed cells from --journal",
+    # The sub-command is the study's own parser, built only when the
+    # command is `bench`: importing repro.bench loads the compiler
+    # (networkx) into every process.
+    parents = []
+    if command == "bench":
+        from repro.bench.study import build_parser as study_parser
+
+        parents.append(study_parser(add_help=False))
+    bench = sub.add_parser(
+        "bench",
+        help="run the Table 1 harness (exit 1 when a verdict is wrong)",
+        parents=parents,
     )
     bench.set_defaults(func=_cmd_bench)
 
@@ -691,7 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     return args.func(args)
 
 

@@ -37,7 +37,7 @@ families; dense-truth tests check the weights.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.dd.array_store import NodeStore
 from repro.dd.complex_table import ComplexTable, DEFAULT_TOLERANCE
@@ -70,32 +70,16 @@ class ArrayDDPackage:
     Edges are packed integers (see module docstring) and node identity is
     handle equality.  The checker layer only touches edges through the
     accessors ``edge_node`` / ``edge_weight`` / ``matrix_dd_size`` /
-    ``vector_dd_size``, never unpacking them itself.
-
-    Args:
-        tolerance: Merging tolerance of the complex table.
-        complex_table: Existing table to share instead of a fresh one.
+    ``vector_dd_size``, never unpacking them itself.  Every package owns
+    a fresh complex table at
+    :data:`~repro.dd.complex_table.DEFAULT_TOLERANCE`.
     """
 
-    def __init__(
-        self,
-        tolerance: float = DEFAULT_TOLERANCE,
-        complex_table: Optional[ComplexTable] = None,
-    ) -> None:
-        self.complex_table = (
-            complex_table if complex_table is not None
-            else ComplexTable(tolerance)
-        )
+    def __init__(self) -> None:
+        self.complex_table = ComplexTable(DEFAULT_TOLERANCE)
         # The id->value list is hot (every weight operation resolves ids);
         # bind the live list once — ComplexTable.clear() keeps its identity.
         self._values: List[complex] = self.complex_table._values
-        if (
-            self.complex_table.id_of(0j) != ZERO_ID
-            or self.complex_table.id_of(1 + 0j) != ONE_ID
-        ):
-            raise ValueError(
-                "complex table must be seeded with 0j at id 0 and 1 at id 1"
-            )
         self.vec = NodeStore(2)
         self.mat = NodeStore(4)
         # Id-pair memo dicts for weight arithmetic (module docstring).

@@ -26,8 +26,8 @@ class Configuration:
       every DD package's complex table;
     * :data:`FIDELITY_THRESHOLD`, the fidelity deviation of the DD and
       column verdicts;
-    * :data:`repro.analysis.cost.PORTFOLIO_HEAD_START`, the seconds the
-      portfolio's first two lanes race alone.
+    * :data:`repro.ec.portfolio.PORTFOLIO_HEAD_START`, the offset of
+      every plan lane but the preferred checker and ``simulation``.
 
     Retries back off by :class:`repro.errors.RetryPolicy`'s default
     base, and instantiated parameterized checks run in-process.
@@ -42,9 +42,11 @@ class Configuration:
             ``NO_INFORMATION``, see :mod:`repro.analysis`).
         static_analysis: Run the static analysis pre-pass before any
             checker (default).  A sound non-equivalence witness
-            short-circuits the check to ``NOT_EQUIVALENT`` and the cost
-            model's advice reorders the ``combined`` schedule; disable
-            via CLI ``--no-static-analysis`` for A/B measurements.
+            short-circuits the check to ``NOT_EQUIVALENT``, and its
+            report's plan is what both executors of ``combined`` run
+            (the sequential schedule and the portfolio race).  Without
+            the pre-pass (CLI ``--no-static-analysis``) both run
+            :data:`repro.ec.portfolio.DEFAULT_PLAN`.
         oracle: Gate-selection oracle of the alternating scheme —
             ``"naive"`` (strict 1:1 alternation), ``"proportional"``
             (alternation weighted by the gate-count ratio, QCEC's default
@@ -74,11 +76,11 @@ class Configuration:
             enforced when the check runs isolated.
         max_retries: Bounded retries of *transient* failures (crashed or
             lost workers) in :func:`repro.harness.run_check`.
-        portfolio: Race all applicable strategies as concurrent
-            sandboxed children instead of running the ``combined``
-            schedule sequentially; the first *sound* verdict wins and
-            the losers are SIGKILLed (see :mod:`repro.ec.portfolio`).
-            Only meaningful with ``strategy="combined"``.
+        portfolio: Race the plan's lanes as concurrent sandboxed
+            children instead of running the ``combined`` schedule
+            sequentially; the first *sound* verdict wins and the losers
+            are SIGKILLed (see :mod:`repro.ec.portfolio`).  Only
+            meaningful with ``strategy="combined"``.
         num_instantiations: Seeded random valuations drawn by the
             ``parameterized`` strategy's instantiation fallback when the
             symbolic paths stay undecided (mqt-qcec defaults to a

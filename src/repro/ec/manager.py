@@ -6,33 +6,37 @@ Mirrors QCEC's front end: construct a manager from two circuits and a
 equivalence checking routine described in Section 4.1 in parallel with a
 sequence of 16 simulation runs.  If the simulations manage to prove
 non-equivalence of the circuits, the equivalence checking routine is
-terminated early."  CPython's GIL makes thread-parallel DD work pointless,
-so the reproduction runs the (cheap, falsifying) simulations first and the
-(expensive, proving) alternating scheme second, which preserves the
-early-exit behaviour the paper's setup achieves through parallelism.
-When every stimulus agrees, the alternating proof runs priced against
-the basis columns the stimuli left undrawn, and hands a narrow register
-over to them once they are measured to cost less: all ``2^w`` basis
-columns prove equivalence as the alternating proof does
-(:mod:`repro.ec.sim_checker`).
+terminated early."  Both of its executors run one
+:class:`~repro.ec.portfolio.Plan`: the static pre-pass report's, or
+:data:`~repro.ec.portfolio.DEFAULT_PLAN` without one.
 
-With ``configuration.portfolio`` the combined schedule is replaced by
-genuine concurrency: every applicable strategy races in its own
-sandboxed child process and the first *sound* verdict wins
-(:mod:`repro.ec.portfolio`) — process isolation sidesteps the GIL the
-same way QCEC's native threads do.
+CPython's GIL makes thread-parallel DD work pointless, so the sequential
+executor walks the plan's lanes in order until one proves: the (cheap,
+falsifying) simulations before the (expensive, proving) alternating
+scheme, which preserves the early-exit behaviour the paper's setup
+achieves through parallelism.  When every stimulus agrees, the
+alternating proof runs priced against the basis columns the stimuli left
+undrawn, and hands a narrow register over to them once they are measured
+to cost less: all ``2^w`` basis columns prove equivalence as the
+alternating proof does (:mod:`repro.ec.sim_checker`).
+
+With ``configuration.portfolio`` the plan runs with genuine concurrency:
+every lane races in its own sandboxed child process and the first
+*sound* verdict wins (:mod:`repro.ec.portfolio`) — process isolation
+sidesteps the GIL the same way QCEC's native threads do.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Optional
+from typing import List, Optional
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
 from repro.ec.dd_checker import AlternatingChecker, ConstructionChecker
 from repro.ec.permutations import LogicalPair, logical_pair
+from repro.ec.portfolio import DEFAULT_PLAN, Plan
 from repro.ec.results import (
     Equivalence,
     EquivalenceCheckingResult,
@@ -204,8 +208,7 @@ class EquivalenceCheckingManager:
             from repro import analysis
 
             return analysis.analysis_check(pair, deadline)
-        advice = None
-        report = None
+        plan = DEFAULT_PLAN
         analysis_block: Optional[dict] = None
         # The pre-pass reasons about full unitary equivalence, which the
         # "state" strategy deliberately weakens (states from |0...0>
@@ -220,48 +223,23 @@ class EquivalenceCheckingManager:
             if short_circuit is not None:
                 return short_circuit
             if report is not None:
-                advice = report.advice
+                plan = report.plan
                 analysis_block = report.to_dict()
-        if config.portfolio and config.strategy == "combined":
-            # Race every applicable strategy in sandboxed children; the
-            # first sound verdict wins (repro.ec.portfolio).
+        if config.strategy != "combined":
+            result = _run_checker(config.strategy, pair, config, deadline)
+        elif config.portfolio:
+            # Race the plan's lanes in sandboxed children; the first
+            # sound verdict wins (repro.ec.portfolio).
             from repro.ec.portfolio import run_portfolio
 
             result = run_portfolio(
-                self.circuit1, self.circuit2, pair, config, start, deadline,
-                report,
+                self.circuit1, self.circuit2, plan, config, start, deadline
             )
         else:
-            result = self._dispatch_checker(
-                pair, config, start, deadline, advice
-            )
+            result = self._run_combined(pair, config, start, deadline, plan)
         if analysis_block is not None:
             result.statistics.setdefault("analysis", analysis_block)
         return result
-
-    def _dispatch_checker(
-        self,
-        pair: LogicalPair,
-        config: Configuration,
-        start: float,
-        deadline: Optional[float],
-        advice=None,
-    ) -> EquivalenceCheckingResult:
-        """Run the configured checker (the pre-pass has already happened)."""
-        strategy = config.strategy
-        if strategy == "construction":
-            return ConstructionChecker(pair, config).run(deadline)
-        if strategy == "alternating":
-            return AlternatingChecker(pair, config).run(deadline)
-        if strategy == "simulation":
-            return simulation_check(pair, config, deadline)
-        if strategy == "zx":
-            return zx_check(pair, config, deadline)
-        if strategy == "stabilizer":
-            return stabilizer_check(pair, config, deadline)
-        if strategy == "state":
-            return state_check(pair, config, deadline)
-        return self._run_combined(pair, config, start, deadline, advice)
 
     def _run_combined(
         self,
@@ -269,17 +247,15 @@ class EquivalenceCheckingManager:
         config: Configuration,
         start: float,
         deadline: Optional[float],
-        advice=None,
+        plan: Plan,
     ) -> EquivalenceCheckingResult:
-        """Run the combined schedule: falsify cheaply, then prove.
+        """Run the combined schedule: the plan's lanes in order until a proof.
 
-        The default schedule is simulation (fast falsification) followed
-        by the alternating proof.  When the static pre-pass produced
-        advice, its schedule is used instead — the advisor only ever
-        *prepends* stages (e.g. ``stabilizer`` for Clifford pairs), so
-        the historic worst-case behaviour is preserved.  A stage's
-        result is final when it is a proof, or a ``NOT_EQUIVALENT``
-        falsification from simulation; otherwise the next stage runs.
+        A stage's result is final when it is a proof; a ``NOT_EQUIVALENT``
+        falsification from the stimuli is one.  Otherwise the next stage
+        runs.  The alternating proof always decides, so the ``zx`` and
+        ``construction`` lanes behind it only ever run in the race.
+        ``statistics["combined_schedule"]`` lists the stages that ran.
 
         The simulation stage hands its columns to the alternating proof,
         which may hand the check back to them: when the basis columns
@@ -288,35 +264,20 @@ class EquivalenceCheckingManager:
         (:meth:`AlternatingChecker.run`).  ``statistics["columns"]``
         says which proof decided.
         """
-        schedule = (
-            tuple(advice.schedule)
-            if advice is not None
-            else ("simulation", "alternating")
-        )
+        ran: List[str] = []
         simulation: Optional[EquivalenceCheckingResult] = None
         columns: Optional[ColumnChecker] = None
-        result: Optional[EquivalenceCheckingResult] = None
-        for stage in schedule:
+        for stage, _ in plan.lanes:
+            ran.append(stage)
             if stage == "simulation":
                 columns = ColumnChecker(pair, config)
                 result = simulation = simulation_check(
                     pair, config, deadline, columns
                 )
-                if result.equivalence is Equivalence.NOT_EQUIVALENT:
-                    break
-            elif stage == "alternating":
-                result = AlternatingChecker(pair, config).run(
-                    deadline, columns
-                )
-                if result.proven:
-                    break
-            elif stage == "stabilizer":
-                result = stabilizer_check(pair, config, deadline)
-                if result.proven:
-                    break
-            else:  # pragma: no cover - advisor emits only known stages
-                raise ValueError(f"unknown combined stage {stage!r}")
-        assert result is not None  # schedules are never empty
+            else:
+                result = _run_checker(stage, pair, config, deadline, columns)
+            if result.proven:
+                break
         result.strategy = "combined"
         if simulation is not None and simulation is not result:
             # A later stage decided: keep the falsifier's own record.
@@ -326,6 +287,34 @@ class EquivalenceCheckingManager:
                 **{key: stats[key] for key in _SIMULATION_KEYS if key in stats},
                 "seconds": simulation.time,
             }
-        result.statistics.setdefault("combined_schedule", list(schedule))
+        result.statistics["combined_schedule"] = ran
         result.time = time.monotonic() - start
         return result
+
+
+def _run_checker(
+    strategy: str,
+    pair: LogicalPair,
+    config: Configuration,
+    deadline: Optional[float],
+    columns: Optional[ColumnChecker] = None,
+) -> EquivalenceCheckingResult:
+    """Run one checker on the pair (the pre-pass has already happened).
+
+    ``columns`` is the simulation stage's column checker, which the
+    combined schedule hands to the alternating proof.  The checkers are
+    looked up as module globals at call time.
+    """
+    if strategy == "construction":
+        return ConstructionChecker(pair, config).run(deadline)
+    if strategy == "alternating":
+        return AlternatingChecker(pair, config).run(deadline, columns)
+    if strategy == "simulation":
+        return simulation_check(pair, config, deadline)
+    if strategy == "zx":
+        return zx_check(pair, config, deadline)
+    if strategy == "stabilizer":
+        return stabilizer_check(pair, config, deadline)
+    if strategy == "state":
+        return state_check(pair, config, deadline)
+    raise ValueError(f"unknown strategy {strategy!r}")

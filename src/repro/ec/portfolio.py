@@ -1,25 +1,25 @@
-"""Concurrent strategy portfolio: race the checkers, first sound verdict wins.
+"""One plan per check, and the concurrent executor that races it.
 
 The source paper's central finding is that no single paradigm dominates
 — DD construction, the alternating scheme, random-stimuli simulation
-and ZX rewriting each win different Table-1 cells — so running the
-``combined`` schedule sequentially makes every pair pay the sum of the
-losers before the winner reports.  With ``Configuration.portfolio``
-enabled, the manager instead launches every applicable strategy as a
-concurrent sandboxed child (via :mod:`repro.harness.race`) under one
-shared deadline and SIGKILLs the losers the moment any child returns a
-*sound* EQ/NEQ verdict.  ``PROBABLY_EQUIVALENT`` from simulation is
-evidence, not proof: it only wins when nothing sound arrives before the
-deadline.
+and ZX rewriting each win different Table-1 cells.  A :class:`Plan`
+says which checkers run on a pair, in what order, and when: its lanes
+are ``(strategy, offset)`` pairs in stage order.  The static pre-pass
+plans each pair once (:func:`repro.analysis.cost.plan_checks`); without
+its report both executors run :data:`DEFAULT_PLAN`.
 
-The static cost advisor (:func:`repro.analysis.cost.seed_portfolio`)
-seeds the race: the predicted winner and the cheap simulation falsifier
-launch immediately, the companion strategies stagger in behind a short
-head start (:data:`repro.analysis.cost.PORTFOLIO_HEAD_START`; crucial
-on few-core machines, where every concurrent child slows the others),
-and a lane finishing undecided promotes the next pending launch at
-once.  ``stabilizer`` only joins when the gateset pass proves both
-circuits Clifford.
+The manager's sequential ``combined`` schedule walks the lanes in order
+until a proof.  With ``Configuration.portfolio`` the manager instead
+hands the plan to :func:`run_portfolio`, which launches every lane as a
+sandboxed child (via :mod:`repro.harness.race`) at its offset under one
+shared deadline and SIGKILLs the losers the moment any child returns a
+*sound* EQ/NEQ verdict.  The preferred checker and the cheap simulation
+falsifier start at once; the other lanes stagger in behind a short head
+start (:data:`PORTFOLIO_HEAD_START`; crucial on few-core machines,
+where every concurrent child slows the others), and a lane finishing
+undecided promotes the next pending launch at once.
+``PROBABLY_EQUIVALENT`` from simulation is evidence, not proof: it only
+wins when nothing sound arrives before the deadline.
 
 Cross-child verdict disagreement — two children both claiming a proof,
 with opposite polarity — is a checker bug and surfaces as a hard
@@ -31,12 +31,25 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
-from repro.ec.permutations import LogicalPair
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
+
+#: Stage order of every plan.  ``stabilizer`` only joins pairs the
+#: gateset pass proves Clifford; on any other pair it can only return
+#: ``NO_INFORMATION``.
+STAGES = ("stabilizer", "simulation", "alternating", "zx", "construction")
+
+#: Seconds the zero-offset lanes (the preferred checker and the
+#: simulation falsifier) race alone before the other lanes launch.
+#: Staggering matters most on few-core machines, where every extra
+#: concurrent child slows the winner; a lane that finishes undecided
+#: promotes the next pending launch at once, so the head start never
+#: idles the machine.
+PORTFOLIO_HEAD_START = 0.25
 
 #: Preference order among non-sound survivors when the race drains
 #: undecided: probabilistic evidence beats "I don't know" beats timeout.
@@ -47,26 +60,84 @@ _FALLBACK_RANK = {
 }
 
 
-def plan_portfolio(pair: LogicalPair, report=None):
-    """Build the advisor-seeded launch plan for one pair.
+@dataclass(frozen=True)
+class Plan:
+    """Which checkers run on one pair, in what order, and when.
 
-    Reuses the static pre-pass report's profiles and cost estimate when
-    the manager already computed them; with ``static_analysis`` off the
-    gateset profiling and cost model run here directly (they are single
-    passes over the operation lists — far cheaper than one fork).
+    Attributes:
+        lanes: ``(strategy, offset)`` pairs in stage order; the offset is
+            the seconds after race start before the lane launches.  A
+            plan only orders and staggers lanes: every lane's timeout
+            and memory ceiling come from the check's ``Configuration``.
+        preferred_checker: The single-strategy recommendation, which
+            races from t=0 (shown by ``repro analyze``).
+        rationale: Human-readable one-liners justifying the plan.
     """
-    from repro.analysis import estimate_cost, profile_gate_set, seed_portfolio
 
-    if report is not None:
-        profiles = report.profiles
-        estimate = report.estimate
-    else:
-        profiles = (
-            profile_gate_set(pair.circuit1),
-            profile_gate_set(pair.circuit2),
+    lanes: Tuple[Tuple[str, float], ...]
+    preferred_checker: str
+    rationale: Tuple[str, ...]
+
+    @classmethod
+    def staged(
+        cls, preferred: str, clifford: bool, rationale: Tuple[str, ...]
+    ) -> "Plan":
+        """Lay :data:`STAGES` out around ``preferred``.
+
+        ``preferred`` and ``simulation`` start at t=0, every other lane
+        after :data:`PORTFOLIO_HEAD_START`; ``stabilizer`` joins only
+        ``clifford`` pairs.
+        """
+        lanes = tuple(
+            (
+                stage,
+                0.0
+                if stage in (preferred, "simulation")
+                else PORTFOLIO_HEAD_START,
+            )
+            for stage in STAGES
+            if clifford or stage != "stabilizer"
         )
-        estimate = estimate_cost((pair.circuit1, pair.circuit2), profiles)
-    return seed_portfolio(profiles, estimate)
+        late = sum(1 for _, offset in lanes if offset)
+        return cls(
+            lanes,
+            preferred,
+            rationale + (
+                f"portfolio: {preferred} and simulation race from t=0, "
+                f"{late} companion lane(s) stagger in after a "
+                f"{PORTFOLIO_HEAD_START:g}s head start",
+            ),
+        )
+
+    def launch_order(self) -> List[Tuple[str, float]]:
+        """The lanes as the race forks them: by offset, and among lanes
+        due at the same time the preferred checker first."""
+        return sorted(
+            self.lanes,
+            key=lambda lane: (lane[1], lane[0] != self.preferred_checker),
+        )
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "lanes": _lane_dicts(self.lanes),
+            "preferred_checker": self.preferred_checker,
+            "rationale": list(self.rationale),
+        }
+
+
+def _lane_dicts(lanes: Iterable[Tuple[str, float]]) -> List[Dict[str, object]]:
+    return [
+        {"strategy": strategy, "offset": offset} for strategy, offset in lanes
+    ]
+
+
+#: The plan both executors run when there is no pre-pass report
+#: (``static_analysis=False``, or a pre-pass failure it swallowed).
+DEFAULT_PLAN = Plan.staged(
+    "alternating",
+    clifford=False,
+    rationale=("no static pre-pass report: the default plan",),
+)
 
 
 def _child_configuration(
@@ -106,18 +177,17 @@ def _select_fallback(outcomes) -> Optional[str]:
 def run_portfolio(
     circuit1: QuantumCircuit,
     circuit2: QuantumCircuit,
-    pair: LogicalPair,
+    plan: Plan,
     configuration: Configuration,
     start: float,
     deadline: Optional[float],
-    report=None,
 ) -> EquivalenceCheckingResult:
-    """Race all applicable strategies; return the winning verdict.
+    """Race the plan's lanes; return the winning verdict.
 
     Args:
         circuit1, circuit2: The input circuits.  Every lane is a manager
             run of its own and derives its logical forms after the fork.
-        pair: The parent's logical forms, which the launch plan reads.
+        plan: The check's plan; each lane launches at its offset.
         configuration: The manager's configuration (``portfolio=True``,
             ``strategy="combined"``).
         start: The manager's ``time.monotonic()`` reference — the
@@ -125,7 +195,6 @@ def run_portfolio(
             the pre-pass, matching the sequential path's accounting.
         deadline: Shared cooperative deadline (monotonic timestamp); the
             racer converts the remainder into the shared hard budget.
-        report: The static pre-pass report, when it ran.
 
     Raises:
         PortfolioDisagreement: Two lanes returned contradictory sound
@@ -136,7 +205,7 @@ def run_portfolio(
 
     counters = PerfCounters()
     counters.count("portfolio.races")
-    plan = plan_portfolio(pair, report)
+    launches = plan.launch_order()
     now = time.monotonic()
     remaining = None if deadline is None else max(0.01, deadline - now)
     # Each lane's cooperative timeout: what is left of the check's.
@@ -146,13 +215,13 @@ def run_portfolio(
     )
     entries = [
         RaceEntry(
-            name=slot.strategy,
+            name=strategy,
             configuration=_child_configuration(
-                configuration, slot.strategy, lane_timeout
+                configuration, strategy, lane_timeout
             ),
-            delay=slot.delay,
+            delay=offset,
         )
-        for slot in plan.slots
+        for strategy, offset in launches
     ]
     outcome = race_checks(circuit1, circuit2, entries, shared_budget=remaining)
     counters.count(
@@ -215,7 +284,7 @@ def run_portfolio(
         "sound": sound,
         "preferred_checker": plan.preferred_checker,
         "rationale": list(plan.rationale),
-        "plan": plan.to_dict()["slots"],
+        "plan": _lane_dicts(launches),
         "children": [child.to_dict() for child in outcome.children],
         "kills": outcome.kill_counts(),
         "all_reaped": all(

@@ -13,7 +13,7 @@ nothing sound arrives before the deadline.  The one-shot sandbox,
 lane.
 
 Scheduling is a staggered launch plan: each entry carries a ``delay``
-relative to the race start (the cost advisor puts the predicted winner
+relative to the race start (the check's plan puts the preferred checker
 and the cheap simulation falsifier at zero and holds expensive
 companions behind a short head start), and whenever a running child
 completes *without* deciding the race, the earliest pending entry is

@@ -95,11 +95,9 @@ class TestRunSingleSeam:
 class TestAdvisor:
     def test_clifford_pair_prepends_stabilizer(self):
         result = EquivalenceCheckingManager(*_clifford_pair()).run()
-        assert result.statistics["combined_schedule"] == [
-            "stabilizer",
-            "simulation",
-            "alternating",
-        ]
+        # The plan puts the stabilizer first and it decided: the
+        # schedule lists only the stages that ran.
+        assert result.statistics["combined_schedule"] == ["stabilizer"]
         # The stabilizer stage proved it; no simulations were needed.
         assert result.equivalence in (
             Equivalence.EQUIVALENT,
@@ -117,13 +115,31 @@ class TestAdvisor:
         ]
         assert result.statistics["simulations_run"] >= 1
 
-    def test_advice_matches_analyze_pair(self):
+    def test_falsified_pair_stops_after_the_stimuli(self):
+        # Wider than the dense fragment comparison, so the pre-pass
+        # leaves it to the checkers; a Z on one wire is a phase the
+        # stimuli catch.
+        a = QuantumCircuit(8).h(0)
+        for q in range(7):
+            a.cx(q, q + 1)
+        a.t(7)
+        b = a.copy().z(3)
+        result = EquivalenceCheckingManager(a, b).run()
+        assert result.equivalence is Equivalence.NOT_EQUIVALENT
+        assert result.statistics["analysis"]["verdict"] == "undecided"
+        assert result.statistics["combined_schedule"] == ["simulation"]
+
+    def test_plan_matches_analyze_pair(self):
         a, b = _clifford_pair()
         report = analyze_pair(logical_pair(a, b))
-        assert report.advice.schedule == (
-            "stabilizer", "simulation", "alternating",
+        assert [stage for stage, _ in report.plan.lanes] == [
+            "stabilizer", "simulation", "alternating", "zx", "construction",
+        ]
+        assert report.plan.preferred_checker == "stabilizer"
+        result = EquivalenceCheckingManager(a, b).run()
+        assert result.statistics["analysis"]["lanes"] == (
+            report.plan.to_dict()["lanes"]
         )
-        assert report.advice.preferred_checker == "stabilizer"
 
 
 class TestAnalysisStrategy:

@@ -21,6 +21,7 @@ import pytest
 from repro.circuit.unitary import circuit_unitary
 from repro.dd import array_package
 from repro.dd.array_package import COMPUTE_TABLE_CAP, ArrayDDPackage
+from repro.dd.complex_table import DEFAULT_TOLERANCE
 from repro.dd.export import edge_to_matrix
 from repro.dd.gates import (
     apply_operation_right,
@@ -114,6 +115,13 @@ class TestComputeTables:
         assert not any("table" in name for name in names)
         with pytest.raises(TypeError):
             ArrayDDPackage(compute_table_size=64)
+
+    def test_no_tolerance_parameter(self):
+        # The package's complex table merges at DEFAULT_TOLERANCE; there
+        # is no tolerance or shared-table parameter.
+        with pytest.raises(TypeError):
+            ArrayDDPackage(1e-6)
+        assert ArrayDDPackage().tolerance == DEFAULT_TOLERANCE
 
 
 class TestClearBetweenGates:

@@ -1,12 +1,14 @@
-"""The concurrent strategy portfolio (:mod:`repro.ec.portfolio`):
-advisor seeding, deterministic winner attribution, fallback selection,
-and the manager-level guarantees around racing."""
+"""The one plan and the concurrent strategy portfolio
+(:mod:`repro.ec.portfolio`): the planner's stage order, offsets and
+launch order, both executors reading one plan, deterministic winner
+attribution, fallback selection, and the manager-level guarantees
+around racing."""
 
 import pytest
 
-from repro.analysis import estimate_cost, profile_gate_set, seed_portfolio
-from repro.analysis.cost import PORTFOLIO_HEAD_START
+from repro.analysis import analyze_pair
 from repro.bench.algorithms import ghz_state, qft
+from repro.circuit.circuit import QuantumCircuit
 from repro.compile import (
     compile_circuit,
     line_architecture,
@@ -14,9 +16,10 @@ from repro.compile import (
 )
 from repro.ec import Configuration, EquivalenceCheckingManager, logical_pair
 from repro.ec.portfolio import (
+    DEFAULT_PLAN,
+    PORTFOLIO_HEAD_START,
     _select_fallback,
     loser_kill_codes,
-    plan_portfolio,
     portfolio_winner,
 )
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
@@ -52,14 +55,15 @@ class TestWinnerAttribution:
     def test_zx_wins_the_compiled_ghz_cell(self):
         """Deterministic-seed winner attribution on a fixed Table-1 pair.
 
-        On the compiled GHZ-16 cell the advisor launches ZX at t=0 and it
-        proves equivalence up to global phase roughly an order of
+        On the compiled GHZ-16 cell the pre-pass plan launches ZX at t=0
+        and it proves equivalence up to global phase roughly an order of
         magnitude before any DD lane — the attribution is stable across
-        runs (same seed, same plan, same margin)."""
+        runs (same seed, same plan, same margin).  Without the pre-pass
+        the default plan races the alternating proof at t=0 instead."""
         original = ghz_state(16)
         compiled = compile_circuit(original, manhattan_architecture())
         manager = EquivalenceCheckingManager(
-            original, compiled, _portfolio_config()
+            original, compiled, _portfolio_config(static_analysis=True)
         )
         result = manager.run()
         assert result.strategy == "portfolio"
@@ -90,43 +94,146 @@ class TestWinnerAttribution:
         assert any("portfolio" in line for line in block["rationale"])
 
 
+def _plan_for(circuit1, circuit2):
+    return analyze_pair(logical_pair(circuit1, circuit2)).plan
+
+
+#: One pair per preference of the planner, with the stage order, offsets
+#: and launch order it plans.  H is the 0.25 s head start.
+H = 0.25
+PLANNED = {
+    "clifford": (
+        ghz_state(6),
+        "stabilizer",
+        [("stabilizer", 0.0), ("simulation", 0.0), ("alternating", H),
+         ("zx", H), ("construction", H)],
+        # Behind the head start zx and alternating launch in stage order;
+        # the cost model's zx_score < dd_score used to put zx first.
+        ["stabilizer", "simulation", "alternating", "zx", "construction"],
+    ),
+    "clifford_t_zx_favoured": (
+        ghz_state(6).t(5),
+        "zx",
+        [("simulation", 0.0), ("alternating", H), ("zx", 0.0),
+         ("construction", H)],
+        ["zx", "simulation", "alternating", "construction"],
+    ),
+    "rotation_heavy": (
+        qft(4),
+        "alternating",
+        [("simulation", 0.0), ("alternating", 0.0), ("zx", H),
+         ("construction", H)],
+        ["alternating", "simulation", "zx", "construction"],
+    ),
+    "dd_favoured": (
+        QuantumCircuit(3).h(0).cx(0, 1).t(1).cx(1, 2).tdg(2),
+        "alternating",
+        [("simulation", 0.0), ("alternating", 0.0), ("zx", H),
+         ("construction", H)],
+        ["alternating", "simulation", "zx", "construction"],
+    ),
+}
+
+
 class TestPlanSeeding:
-    @staticmethod
-    def _plan_for(circuit1, circuit2):
-        return plan_portfolio(logical_pair(circuit1, circuit2))
+    @pytest.mark.parametrize("case", sorted(PLANNED))
+    def test_stage_order_offsets_and_launch_order(self, case):
+        circuit, preferred, lanes, launch = PLANNED[case]
+        plan = _plan_for(circuit, circuit)
+        assert plan.preferred_checker == preferred
+        assert list(plan.lanes) == lanes
+        assert [strategy for strategy, _ in plan.launch_order()] == launch
+        assert any(
+            "portfolio" in line and "0.25s head start" in line
+            for line in plan.rationale
+        )
 
     def test_stabilizer_joins_only_clifford_pairs(self):
         clifford = ghz_state(6)
-        clifford_plan = self._plan_for(clifford, clifford)
-        strategies = [slot.strategy for slot in clifford_plan.slots]
+        strategies = [s for s, _ in _plan_for(clifford, clifford).lanes]
         assert "stabilizer" in strategies
 
         non_clifford = qft(4)
-        plan = self._plan_for(non_clifford, non_clifford)
-        assert "stabilizer" not in [slot.strategy for slot in plan.slots]
+        plan = _plan_for(non_clifford, non_clifford)
+        assert "stabilizer" not in [s for s, _ in plan.lanes]
 
     def test_two_zero_delay_lanes_then_head_start(self, tiny_pair):
-        plan = self._plan_for(*tiny_pair)
-        delays = [slot.delay for slot in plan.slots]
+        plan = _plan_for(*tiny_pair)
+        offsets = [offset for _, offset in plan.launch_order()]
         assert PORTFOLIO_HEAD_START == 0.25
-        assert delays[:2] == [0.0, 0.0]
-        assert len(delays) > 2
-        assert all(delay == PORTFOLIO_HEAD_START for delay in delays[2:])
+        assert offsets[:2] == [0.0, 0.0]
+        assert len(offsets) > 2
+        assert all(offset == PORTFOLIO_HEAD_START for offset in offsets[2:])
         assert any("0.25s head start" in line for line in plan.rationale)
-        # The predicted winner races from t=0 alongside the simulation
+        # The preferred checker races from t=0 alongside the simulation
         # falsifier.
-        front = {plan.slots[0].strategy, plan.slots[1].strategy}
-        assert plan.preferred_checker in front
-        assert "simulation" in front
+        front = {strategy for strategy, _ in plan.launch_order()[:2]}
+        assert front == {plan.preferred_checker, "simulation"}
 
     def test_seeder_never_drops_a_strategy(self, tiny_pair):
-        profiles = tuple(profile_gate_set(c) for c in tiny_pair)
-        estimate = estimate_cost(tiny_pair, profiles)
-        plan = seed_portfolio(profiles, estimate)
-        strategies = [slot.strategy for slot in plan.slots]
+        strategies = [s for s, _ in _plan_for(*tiny_pair).lanes]
         assert sorted(strategies) == sorted(set(strategies))
         for required in ("alternating", "construction", "simulation", "zx"):
             assert required in strategies
+
+    def test_default_plan_is_the_dd_favoured_layout(self):
+        circuit, _, lanes, launch = PLANNED["dd_favoured"]
+        assert list(DEFAULT_PLAN.lanes) == lanes
+        assert [s for s, _ in DEFAULT_PLAN.launch_order()] == launch
+        assert DEFAULT_PLAN.preferred_checker == "alternating"
+        assert any(
+            "portfolio" in line and "0.25s head start" in line
+            for line in DEFAULT_PLAN.rationale
+        )
+
+
+class TestOnePlanTwoExecutors:
+    @staticmethod
+    def _run(circuit1, circuit2, **overrides):
+        options = dict(strategy="combined", timeout=30.0, seed=0)
+        options.update(overrides)
+        return EquivalenceCheckingManager(
+            circuit1, circuit2, Configuration(**options)
+        ).run()
+
+    @staticmethod
+    def _raced_lanes(result):
+        return [
+            (lane["strategy"], lane["offset"])
+            for lane in result.statistics["portfolio"]["plan"]
+        ]
+
+    def test_the_race_runs_the_reports_plan(self, tiny_pair):
+        plan = _plan_for(*tiny_pair)
+        raced = self._run(*tiny_pair, portfolio=True)
+        assert self._raced_lanes(raced) == plan.launch_order()
+        assert raced.statistics["portfolio"]["preferred_checker"] == (
+            plan.preferred_checker
+        )
+        sequential = self._run(*tiny_pair)
+        assert sequential.statistics["analysis"]["lanes"] == [
+            {"strategy": s, "offset": o} for s, o in plan.lanes
+        ]
+        stages = [s for s, _ in plan.lanes]
+        ran = sequential.statistics["combined_schedule"]
+        assert ran == stages[:len(ran)]
+
+    def test_without_the_prepass_both_run_the_default_plan(self):
+        # GHZ-6 is Clifford: with the pre-pass the plan would start with
+        # the stabilizer.  Without it both executors run the default.
+        circuit = ghz_state(6)
+        raced = self._run(
+            circuit, circuit, portfolio=True, static_analysis=False
+        )
+        assert self._raced_lanes(raced) == DEFAULT_PLAN.launch_order()
+        assert raced.statistics["portfolio"]["rationale"] == list(
+            DEFAULT_PLAN.rationale
+        )
+        sequential = self._run(circuit, circuit, static_analysis=False)
+        assert sequential.statistics["combined_schedule"] == [
+            "simulation", "alternating",
+        ]
+        assert "analysis" not in sequential.statistics
 
 
 class TestFallbackSelection:

@@ -123,7 +123,7 @@ class TestAnalyzeCommand:
         assert payload["verdict"] == "not_equivalent"
         assert payload["witness"]["pass"] == "support"
         assert "support" in payload["passes_run"]
-        assert {"profiles", "estimate", "advice"} <= set(payload)
+        assert {"profiles", "estimate", "plan"} <= set(payload)
 
     def test_timeout_exits_2(self, analyze_files, capsys):
         base, extra_x = analyze_files
