@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint typecheck fuzz fuzz-smoke serve-smoke soak bench bench-dd bench-portfolio bench-zx bench-service bench-parameterized
+.PHONY: test lint typecheck fuzz fuzz-smoke serve-smoke soak bench bench-dd bench-portfolio bench-zx bench-service bench-parameterized bench-qasm
 
 # Tier-1 gate: the full unit-test suite.  When pytest-cov is installed
 # (pip install .[test], as CI does) the run also enforces the line-
@@ -92,3 +92,8 @@ bench-service:
 # pairs.
 bench-parameterized:
 	$(PYTHON) benchmarks/bench_parameterized.py
+
+# Regenerate BENCH_qasm.json: circuit_from_qasm on the 48 Table-1 texts
+# (best-of-3 per text, statements/s summary), keeping the trajectory.
+bench-qasm:
+	$(PYTHON) benchmarks/bench_qasm.py

@@ -13,6 +13,22 @@ built in), ``qreg``, ``creg``, ``gate`` definitions, gate applications with
 register broadcasting, ``barrier`` and ``measure`` (both ignored for the
 unitary semantics), and ``//`` comments.
 
+The reader takes one statement at a time.  A statement ends at its first
+``;`` outside a ``//`` comment or a string; a ``gate`` definition ends at
+its first ``}``.  A gate application in the canonical shape, every line
+:func:`circuit_to_qasm` writes after its header::
+
+    name(lit,lit,...) reg[i],reg[j],...;
+
+(numeric literals with an optional leading ``-``, indexed qubits only)
+is matched by one compiled pattern and emitted directly.  Every other
+statement (declarations, ``gate`` definitions, broadcasts, parameter
+expressions, anything malformed) is tokenized on its own, with absolute
+offsets, and handed to the recursive-descent parser, so error messages
+and caret locations are those of a whole-file parse.  When a file holds
+several errors, the first in reading order is reported.  Expressions may
+nest at most :data:`MAX_EXPRESSION_DEPTH` levels deep.
+
 Parameterized circuits use a small dialect extension: a pragma comment
 
     // repro:params theta phi
@@ -20,9 +36,11 @@ Parameterized circuits use a small dialect extension: a pragma comment
 declares free parameter names, after which gate arguments may mention
 them in *linear* expressions (``rz((1/2)*theta) q[0];``).  Declared
 programs are evaluated with exact rational arithmetic for integer
-literals so that coefficients survive the round trip unchanged; files
-without the pragma take the plain float path, bit-for-bit identical to
-before.  Nonlinear uses of a parameter (products of two parameters,
+literals so that coefficients survive the round trip unchanged, and
+every statement of such a file goes through the parser.  Files without
+the pragma take the plain float path: a literal read by the canonical
+pattern is ``float(text)``, the same bits as the parser's unary minus on
+``float(text)``.  Nonlinear uses of a parameter (products of two parameters,
 division by a parameter, parameters inside functions or powers) are
 rejected with located caret errors.
 """
@@ -112,11 +130,12 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> List[Token]:
+def _tokenize(text: str, start: int, end: int) -> List[Token]:
+    """Lex ``text[start:end]``; each token keeps its offset into ``text``."""
     tokens: List[Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
+    pos = start
+    while pos < end:
+        match = _TOKEN_RE.match(text, pos, end)
         if match is None:
             raise QasmError.at(
                 f"unexpected character {text[pos]!r}", text, pos
@@ -125,8 +144,53 @@ def _tokenize(text: str) -> List[Token]:
         if kind not in ("WS", "COMMENT"):
             tokens.append(Token(kind, match.group(), pos))
         pos = match.end()
-    tokens.append(Token("EOF", "", len(text)))
+    tokens.append(Token("EOF", "", end))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# statement scanning
+# ---------------------------------------------------------------------------
+#: Whitespace and ``//`` comments between two statements.
+_GAP_RE = re.compile(r"(?:\s|//[^\n]*)*")
+
+
+def _scan_to(stop: str) -> "re.Pattern[str]":
+    """A statement's text up to its first ``stop`` outside strings and
+    comments; group 1 is empty when the text has none.  The lookahead
+    keeps a comment whole, so backtracking never ends it at a ``stop``
+    inside it."""
+    return re.compile(
+        rf'(?:"[^"]*"|//[^\n]*(?![^\n])|/(?!/)|[^"/{stop}])*({stop}?)'
+    )
+
+
+_TO_SEMICOLON_RE = _scan_to(";")
+_TO_BRACE_RE = _scan_to(r"\}")
+_GATE_KEYWORD_RE = re.compile(r"gate(?![A-Za-z0-9_])")
+
+#: A numeric literal as the tokenizer reads it (``REAL`` or ``INT``),
+#: with an optional leading ``-``.
+_LITERAL = (
+    r"-?(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+    r"|\d+(?:[eE][+-]?\d+)?)"
+)
+_QUBIT = r"[A-Za-z_][A-Za-z0-9_]*\[\d+\]"
+
+#: The canonical gate application ``name(lit,...) reg[i],...;`` and the
+#: gap after it.
+_GATE_LINE_RE = re.compile(
+    rf"([A-Za-z_][A-Za-z0-9_]*)(?:\(({_LITERAL}(?:,[ \t]*{_LITERAL})*)\))?"
+    rf"[ \t]+({_QUBIT}(?:,[ \t]*{_QUBIT})*);" + _GAP_RE.pattern
+)
+_QUBIT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]")
+
+#: Statement keywords; a canonical-looking line that starts with one
+#: (``qreg q[2];``, ``reset q[0];``) is not a gate application.
+_KEYWORDS = frozenset(
+    ("OPENQASM", "include", "qreg", "creg", "gate", "barrier", "measure",
+     "reset")
+)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +207,12 @@ _FUNCTIONS: Dict[str, Callable[[float], float]] = {
     "acos": math.acos,
     "atan": math.atan,
 }
+
+
+#: Deepest nesting of parentheses, function calls, unary signs and
+#: exponents in one expression.  Past it the parser raises a located
+#: :class:`QasmError` rather than exhausting the interpreter's stack.
+MAX_EXPRESSION_DEPTH = 64
 
 
 class _Parser:
@@ -168,6 +238,7 @@ class _Parser:
         self._index = 0
         self._source = source
         self._symbolic = symbolic
+        self._depth = 0
 
     # -- token helpers --------------------------------------------------
     def peek(self) -> Token:
@@ -244,11 +315,23 @@ class _Parser:
         return value
 
     def _parse_unary(self, env: Dict[str, object]) -> object:
+        # Every recursion of the grammar passes through here, so this one
+        # counter bounds the stack.  An error abandons the parser, so the
+        # count is only unwound on success.
+        if self._depth == MAX_EXPRESSION_DEPTH:
+            raise self.error(
+                f"expression nested more than {MAX_EXPRESSION_DEPTH} "
+                "levels deep"
+            )
+        self._depth += 1
         if self.accept("-"):
-            return -self._parse_unary(env)
-        if self.accept("+"):
-            return self._parse_unary(env)
-        return self._parse_power(env)
+            value = -self._parse_unary(env)
+        elif self.accept("+"):
+            value = self._parse_unary(env)
+        else:
+            value = self._parse_power(env)
+        self._depth -= 1
+        return value
 
     def _parse_power(self, env: Dict[str, object]) -> object:
         base = self._parse_atom(env)
@@ -417,7 +500,7 @@ class _QasmReader:
         self._source = text
         self._params = _scan_params_pragma(text)
         self._symbolic = bool(self._params)
-        self._parser = _Parser(_tokenize(text), text, symbolic=self._symbolic)
+        self._parser: _Parser  # the current statement's, see _parse_statement
         self._registers: Dict[str, Tuple[int, int]] = {}  # name -> (offset, size)
         self._num_qubits = 0
         self._macros: Dict[str, _GateMacro] = {}
@@ -427,37 +510,77 @@ class _QasmReader:
         return QasmError.at(message, self._source, pos)
 
     def run(self, name: str = "qasm") -> QuantumCircuit:
-        parser = self._parser
-        while parser.peek().kind != "EOF":
-            kind, text, _ = parser.peek()
-            if text == "OPENQASM":
-                parser.next()
-                parser.expect_kind("REAL")
-                parser.expect(";")
-            elif text == "include":
-                parser.next()
-                parser.expect_kind("STRING")
-                parser.expect(";")
-            elif text == "qreg":
-                self._parse_qreg()
-            elif text == "creg":
-                self._parse_creg()
-            elif text == "gate":
-                self._parse_gate_definition()
-            elif text == "barrier":
-                self._skip_statement()
-            elif text == "measure":
-                self._skip_statement()
-            elif text == "reset":
-                self._skip_statement()
-            elif kind == "ID":
-                self._parse_application()
+        source = self._source
+        end = len(source)
+        # A pragma file's integer literals must stay exact Fractions, so
+        # all of its statements go through the parser.
+        canonical = None if self._symbolic else _GATE_LINE_RE.match
+        pos = _GAP_RE.match(source).end()
+        while pos < end:
+            line = canonical(source, pos) if canonical else None
+            if line is not None and self._apply_canonical(line, pos):
+                pos = line.end()
             else:
-                raise parser.error(f"unexpected token {text!r}")
+                pos = _GAP_RE.match(source, self._parse_statement(pos)).end()
         circuit = QuantumCircuit(self._num_qubits, name=name)
         for op in self._operations:
             circuit.append(op)
         return circuit
+
+    def _apply_canonical(self, line: "re.Match[str]", pos: int) -> bool:
+        """Emit a canonical application; False hands it to the parser
+        (a keyword, an unknown register or an index out of range)."""
+        gate_name, literals, arguments = line.groups()
+        if gate_name in _KEYWORDS:
+            return False
+        qubits = []
+        for reg_name, digits in _QUBIT_RE.findall(arguments):
+            register = self._registers.get(reg_name)
+            index = int(digits)
+            if register is None or index >= register[1]:
+                return False
+            qubits.append(register[0] + index)
+        params: List[object] = (
+            [float(literal) for literal in literals.split(",")] if literals else []
+        )
+        self._emit_single(gate_name, params, qubits, pos)
+        return True
+
+    def _parse_statement(self, pos: int) -> int:
+        """Tokenize and parse the statement at ``pos``; returns its end."""
+        source = self._source
+        if _GATE_KEYWORD_RE.match(source, pos):
+            match = _TO_BRACE_RE.match(source, pos)
+        else:
+            match = _TO_SEMICOLON_RE.match(source, pos)
+        # Without its terminator the statement runs to the end of the
+        # text, where the parser reports what it misses.
+        end = match.end() if match.group(1) else len(source)
+        self._parser = parser = _Parser(
+            _tokenize(source, pos, end), source, symbolic=self._symbolic
+        )
+        kind, text, _ = parser.peek()
+        if text == "OPENQASM":
+            parser.next()
+            parser.expect_kind("REAL")
+            parser.expect(";")
+        elif text == "include":
+            parser.next()
+            parser.expect_kind("STRING")
+            parser.expect(";")
+        elif text == "qreg":
+            self._parse_qreg()
+        elif text == "creg":
+            self._parse_creg()
+        elif text == "gate":
+            self._parse_gate_definition()
+        elif text in ("barrier", "measure", "reset"):
+            self._skip_statement()
+        elif kind == "ID":
+            self._parse_application()
+        else:
+            raise parser.error(f"unexpected token {text!r}")
+        return end
 
     # -- declarations -----------------------------------------------------
     def _parse_qreg(self) -> None:

@@ -19,7 +19,10 @@ permutation, and ``verify`` picks it up automatically (or via
 ``--layout``).
 
 Exit codes of ``verify``: 0 = considered equivalent, 1 = proven
-non-equivalent, 2 = no information / timeout.
+non-equivalent, 2 = no information / timeout.  A bad option value or an
+input file that is missing or not valid QASM is one ``repro <command>:
+error:`` line on stderr and exit status 2, in every command that reads
+circuits.
 """
 
 from __future__ import annotations
@@ -36,19 +39,43 @@ from repro.circuit import circuit_from_qasm, circuit_to_qasm
 from repro.circuit.circuit import QuantumCircuit
 
 
+class _UnreadableInput(Exception):
+    """An input file that cannot be read or parsed; :func:`main` reports
+    it as one ``error:`` line with exit status 2."""
+
+    @classmethod
+    def of(cls, path: object, error: Exception) -> "_UnreadableInput":
+        reason = error.strerror if isinstance(error, OSError) else None
+        return cls(f"{path}: {reason or error}")
+
+
 def _load_circuit(path: str, layout_path: Optional[str] = None) -> QuantumCircuit:
-    text = Path(path).read_text()
-    circuit = circuit_from_qasm(text, name=Path(path).stem)
+    """Read a QASM file and its layout: ``layout_path`` when given, else
+    the ``<path>.layout.json`` sidecar when there is one.
+
+    Raises:
+        _UnreadableInput: A file is missing or unreadable, the QASM is
+            malformed (or names an invalid operation), or the layout is
+            not JSON with integer keys.
+    """
+    try:
+        text = Path(path).read_text()
+        circuit = circuit_from_qasm(text, name=Path(path).stem)
+    except (OSError, ValueError) as error:  # ValueError includes QasmError
+        raise _UnreadableInput.of(path, error) from error
     sidecar = Path(layout_path) if layout_path else Path(path + ".layout.json")
-    if sidecar.exists():
-        metadata = json.loads(sidecar.read_text())
-        circuit.initial_layout = {
-            int(k): v for k, v in metadata.get("initial_layout", {}).items()
-        }
-        circuit.output_permutation = {
-            int(k): v
-            for k, v in metadata.get("output_permutation", {}).items()
-        }
+    if layout_path or sidecar.exists():
+        try:
+            metadata = json.loads(sidecar.read_text())
+            circuit.initial_layout = {
+                int(k): v for k, v in metadata.get("initial_layout", {}).items()
+            }
+            circuit.output_permutation = {
+                int(k): v
+                for k, v in metadata.get("output_permutation", {}).items()
+            }
+        except (OSError, ValueError) as error:
+            raise _UnreadableInput.of(sidecar, error) from error
     return circuit
 
 
@@ -87,7 +114,8 @@ def _print_statistics(statistics: dict, indent: int = 1) -> None:
 
 
 def _usage_error(command: str, message: object) -> int:
-    """Report a bad option value the way argparse does: exit status 2."""
+    """Report a bad option value or an unreadable input file the way
+    argparse reports a bad option: one line, exit status 2."""
     print(f"repro {command}: error: {message}", file=sys.stderr)
     return 2
 
@@ -664,7 +692,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UnreadableInput as error:
+        return _usage_error(args.command, error)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -265,3 +265,229 @@ class TestMacroEdgeCases:
         circuit = circuit_from_qasm(HEADER + "qreg q[2];\nCX q[0],q[1];\n")
         assert circuit[0].name == "x"
         assert circuit[0].controls == (0,)
+
+
+def _exact(circuit):
+    """Width and operations, float parameters as hex so that the sign of
+    zero and the last bit count."""
+    return circuit.num_qubits, [
+        (op.name, op.targets, op.controls, tuple(
+            p.hex() if isinstance(p, float) else str(p) for p in op.params
+        ))
+        for op in circuit
+    ]
+
+
+def _circuit(width, *ops):
+    """The :func:`_exact` form of ``(name, targets, controls, params)``."""
+    return width, [
+        (name, targets, controls, tuple(
+            p.hex() if isinstance(p, float) else p for p in params
+        ))
+        for name, targets, controls, params in ops
+    ]
+
+
+#: Statement-boundary and literal edge cases of the reader, each with
+#: the circuit it reads or its located error (first message line, line,
+#: column).
+_EDGE_CASES = {
+    "semicolon-in-include": (
+        'OPENQASM 2.0;\ninclude "a;b.inc";\nqreg q[1];\nx q[0];\n',
+        _circuit(1, ("x", (0,), (), ())),
+    ),
+    "semicolon-in-comment": (
+        HEADER + "qreg q[1];\nx q[0]; // one; two\nh q[0];\n",
+        _circuit(1, ("x", (0,), (), ()), ("h", (0,), (), ())),
+    ),
+    "gatex-macro": (
+        HEADER + "qreg q[2];\ngate gatex a { x a; }\ngatex q;\n",
+        _circuit(2, ("x", (0,), (), ()), ("x", (1,), (), ())),
+    ),
+    "measurex-macro": (
+        HEADER + "qreg q[1];\ngate measurex a { h a; }\nmeasurex q[0];\n",
+        _circuit(1, ("h", (0,), (), ())),
+    ),
+    "gate-then-application": (
+        HEADER + "qreg q[2];\ngate g a, b { cx a, b; } g q[1], q[0];\n",
+        _circuit(2, ("x", (0,), (1,), ())),
+    ),
+    "no-space-after-name": (
+        HEADER + "qreg q[1];\nxq[0];\n",
+        ("line 4, column 3: expected ID, got '['", 4, 3),
+    ),
+    "spaced-application": (
+        HEADER + "qreg q[2];\ncx q [ 0 ] , q[1] ;\n",
+        _circuit(2, ("x", (1,), (0,), ())),
+    ),
+    "params-touch-qubit": (
+        HEADER + "qreg q[1];\nrz(0.5)q[0];\n",
+        _circuit(1, ("rz", (0,), (), (0.5,))),
+    ),
+    "missing-semicolon": (
+        HEADER + "qreg q[2];\nx q[0]\ny q[1];\n",
+        ("line 5, column 1: expected ';', got 'y'", 5, 1),
+    ),
+    "unterminated-last": (
+        HEADER + "qreg q[1];\nx q[0]",
+        ("line 4, column 7: expected ';', got 'end of input'", 4, 7),
+    ),
+    "broadcast-one": (
+        HEADER + "qreg q[3];\nh q;\n",
+        _circuit(3, *(("h", (i,), (), ()) for i in range(3))),
+    ),
+    "broadcast-two": (
+        HEADER + "qreg a[2];\nqreg b[2];\ncx a, b;\n",
+        _circuit(4, ("x", (2,), (0,), ()), ("x", (3,), (1,), ())),
+    ),
+    "broadcast-mixed": (
+        HEADER + "qreg a[1];\nqreg b[3];\ncx a[0], b;\n",
+        _circuit(4, *(("x", (i,), (0,), ()) for i in (1, 2, 3))),
+    ),
+    "index-out-of-range": (
+        HEADER + "qreg q[2];\ncx q[0],q[2];\n",
+        ("line 4, column 11: index 2 out of range for 'q' (size 2)", 4, 11),
+    ),
+    "unknown-register": (
+        HEADER + "qreg q[2];\ncx q[0],r[1];\n",
+        ("line 4, column 9: unknown register 'r'", 4, 9),
+    ),
+    "unknown-gate": (
+        HEADER + "qreg q[1];\nfrob q[0];\n",
+        ("line 4, column 1: unknown gate 'frob'", 4, 1),
+    ),
+    "wrong-arity": (
+        HEADER + "qreg q[2];\ncx q[0];\n",
+        ("line 4, column 1: gate 'cx' expects 2 qubits, got 1", 4, 1),
+    ),
+    "wrong-param-count": (
+        HEADER + "qreg q[1];\nrz(0.1,0.2) q[0];\n",
+        ("line 4, column 1: gate 'rz' expects 1 params, got 2", 4, 1),
+    ),
+    "nan": (
+        HEADER + "qreg q[1];\nrz(nan) q[0];\n",
+        ("line 4, column 4: unknown identifier 'nan' in expression", 4, 4),
+    ),
+    "negative-zero": (
+        HEADER + "qreg q[1];\nrz(-0) q[0];\n",
+        _circuit(1, ("rz", (0,), (), (-0.0,))),
+    ),
+    "unary-plus": (
+        HEADER + "qreg q[1];\nrz(+1.5) q[0];\n",
+        _circuit(1, ("rz", (0,), (), (1.5,))),
+    ),
+    "capital-exponent": (
+        HEADER + "qreg q[1];\nrz(1E-3) q[0];\n",
+        _circuit(1, ("rz", (0,), (), (1e-3,))),
+    ),
+    "canonical-literals": (
+        HEADER + "qreg q[2];\nu3(-0.5,1e-05,-3) q[1];\nrz(1e400) q[0];\n"
+        "cx q[0], q[1];\n",
+        _circuit(
+            2,
+            ("u3", (1,), (), (-0.5, 1e-05, -3.0)),
+            ("rz", (0,), (), (math.inf,)),
+            ("x", (1,), (0,), ()),
+        ),
+    ),
+    "params-file": (
+        "// repro:params theta\n" + HEADER + "qreg q[1];\nrz(0.5) q[0];\n"
+        "rz(3) q[0];\nrz(-2) q[0];\nrz(3*theta/4 + pi/4) q[0];\n"
+        "rz(-theta - 0.5) q[0];\n",
+        _circuit(
+            1,
+            ("rz", (0,), (), (0.5,)),
+            ("rz", (0,), (), (3.0,)),
+            ("rz", (0,), (), (-2.0,)),
+            ("rz", (0,), (), ("(3/4)*theta+0.7853981633974483",)),
+            ("rz", (0,), (), ("-theta-0.5",)),
+        ),
+    ),
+}
+
+
+class TestStatementReader:
+    @pytest.mark.parametrize(
+        "text, expected", _EDGE_CASES.values(), ids=_EDGE_CASES.keys()
+    )
+    def test_edge_case(self, text, expected):
+        if isinstance(expected[0], str):
+            message, line, column = expected
+            with pytest.raises(QasmError) as info:
+                circuit_from_qasm(text)
+            assert str(info.value).splitlines()[0] == message
+            assert (info.value.line, info.value.column) == (line, column)
+        else:
+            assert _exact(circuit_from_qasm(text)) == expected
+
+    @pytest.mark.parametrize("block", ["compiled", "optimized"])
+    def test_table1_round_trip_is_exact(self, block):
+        from repro.bench.suite import compiled_benchmarks, optimized_benchmarks
+
+        build = compiled_benchmarks if block == "compiled" else optimized_benchmarks
+        circuits = [
+            circuit
+            for instance in build(scale="small", seed=0)
+            for circuit in (instance.original, *instance.variants.values())
+        ]
+        assert len(circuits) == 24
+        for circuit in circuits:
+            parsed = circuit_from_qasm(circuit_to_qasm(circuit))
+            assert _exact(parsed) == _exact(circuit), circuit.name
+
+    def test_canonical_lines_skip_the_tokenizer(self, monkeypatch):
+        """Only the header reaches the tokenizer; a change to the writer's
+        float format that made every line fall back would fail here."""
+        from repro.circuit import qasm
+
+        statements = []
+        tokenize = qasm._tokenize
+
+        def counting(text, start, end):
+            statements.append(text[start:end])
+            return tokenize(text, start, end)
+
+        monkeypatch.setattr(qasm, "_tokenize", counting)
+        circuit = random_circuit(6, 294, seed=3)
+        circuit.rz(-0.0, 0).rz(1e-05, 1).rz(-1e16, 2).u3(1e-300, -2.5, 3.0, 3)
+        circuit.mcx([0, 1, 2, 3, 4], 5).cp(-math.pi / 3, 4, 5)
+        assert len(circuit) == 300
+        parsed = circuit_from_qasm(circuit_to_qasm(circuit))
+        assert _exact(parsed) == _exact(circuit)
+        assert statements == [
+            "OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[6];"
+        ]
+
+
+class TestExpressionNesting:
+    """Nesting is bounded, so no input can exhaust the parser's stack."""
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["(" * 2000 + "1" + ")" * 2000, "-" * 5000 + "1", "2^" * 3000 + "1",
+         "sin(" * 2000 + "1" + ")" * 2000],
+        ids=["parentheses", "unary-minus", "exponents", "functions"],
+    )
+    def test_deep_nesting_is_a_located_error(self, expression):
+        with pytest.raises(QasmError) as info:
+            circuit_from_qasm(
+                HEADER + "qreg q[1];\nrz(" + expression + ") q[0];\n"
+            )
+        assert info.value.line == 4
+        assert info.value.column is not None
+        assert "nested more than" in str(info.value)
+
+    def test_the_bound_is_exact(self):
+        from repro.circuit.qasm import MAX_EXPRESSION_DEPTH
+
+        def nested(depth):
+            return (
+                HEADER + "qreg q[1];\nrz("
+                + "(" * depth + "1" + ")" * depth + ") q[0];\n"
+            )
+
+        # The argument itself is one level; each parenthesis adds one.
+        circuit = circuit_from_qasm(nested(MAX_EXPRESSION_DEPTH - 1))
+        assert circuit[0].params == (1.0,)
+        with pytest.raises(QasmError):
+            circuit_from_qasm(nested(MAX_EXPRESSION_DEPTH))

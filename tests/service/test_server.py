@@ -345,6 +345,41 @@ class TestServerRoundTrip:
         assert pool.audit()["leaked"] == 0
 
 
+    def test_deeply_nested_qasm_is_answered_not_fatal(self):
+        """An expression nested past the reader's bound is malformed
+        input; it must not unwind the serve loop's stack."""
+        pool = WorkerPool(
+            PoolConfig(workers=1, restart_backoff=_FAST_BACKOFF)
+        )
+        server, thread, socket_path = _serve(pool)
+        good = circuit_to_payload(ghz_state(1))
+        expressions = {
+            "parentheses": "(" * 3000 + "1" + ")" * 3000,
+            "unary signs": "-" * 5000 + "1",
+        }
+        try:
+            with ServiceClient(socket_path) as client:
+                for name, expression in expressions.items():
+                    nested = {
+                        "qasm": "OPENQASM 2.0;\nqreg q[1];\n"
+                        f"rz({expression}) q[0];\n"
+                    }
+                    reply = client._request({
+                        "op": "submit", "pairs": [(nested, good)],
+                        "configuration": None,
+                    })
+                    assert reply["ok"] is False, name
+                    assert reply["error"]["kind"] == "invalid_input", name
+                    assert "nested more than" in reply["error"]["message"]
+                assert client.ping()
+        finally:
+            with ServiceClient(socket_path) as closer:
+                closer.shutdown_server()
+            thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert pool.audit()["leaked"] == 0
+
+
 def _submit_raw(pair, configuration):
     """Verdict of one pair submitted as a raw request whose
     ``configuration`` payload is sent exactly as given."""

@@ -234,6 +234,62 @@ class TestStatsCommand:
         assert "cx=2" in out
 
 
+class TestUnreadableInput:
+    """A missing or malformed input file is a usage error, never the
+    NEQ status: one ``error:`` line naming the file, exit 2."""
+
+    @pytest.fixture
+    def bad_file(self, tmp_path):
+        bad = tmp_path / "bad.qasm"
+        bad.write_text(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nfrob q[0];\n'
+        )
+        return bad
+
+    @pytest.mark.parametrize(
+        "command", ["verify", "analyze", "compile", "stats", "submit"]
+    )
+    def test_malformed_qasm(self, command, bad_file, qasm_files, tmp_path, capsys):
+        good, _ = qasm_files
+        argv = {
+            "verify": ["verify", str(bad_file), str(good)],
+            "analyze": ["analyze", str(good), str(bad_file)],
+            "compile": ["compile", str(bad_file), "-o", str(tmp_path / "o.qasm")],
+            "stats": ["stats", str(bad_file)],
+            "submit": [
+                "submit", "--socket", str(tmp_path / "none.sock"),
+                str(good), str(bad_file),
+            ],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == (
+            f"repro {command}: error: {bad_file}: "
+            "line 4, column 1: unknown gate 'frob'"
+        )
+        assert "Traceback" not in captured.err
+
+    def test_missing_file(self, qasm_files, tmp_path, capsys):
+        good, _ = qasm_files
+        missing = tmp_path / "missing.qasm"
+        assert main(["verify", str(good), str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro verify: error: {missing}: No such file or directory\n"
+        )
+
+    def test_missing_layout_given_by_option(self, qasm_files, tmp_path, capsys):
+        """An explicit ``--layout1`` is read, never skipped: checking a
+        compiled circuit without its layout can prove a false NEQ."""
+        good, _ = qasm_files
+        missing = tmp_path / "missing.layout.json"
+        code = main(["verify", str(good), str(good), "--layout1", str(missing)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"repro verify: error: {missing}: No such file or directory\n"
+        )
+
+
 class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
