@@ -65,7 +65,7 @@ def test_zx_indication(benchmark, broken_pairs, case):
     original, broken = broken_pairs[case]
 
     def run():
-        return zx_check(logical_pair(original, broken), Configuration())
+        return zx_check(logical_pair(original, broken))
 
     result = benchmark.pedantic(run, rounds=1)
     # never a wrong acceptance; usually NO_INFORMATION (stuck reduction)

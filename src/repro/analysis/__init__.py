@@ -74,14 +74,10 @@ from repro.analysis.report import (
 )
 from repro.analysis.support import support_check, wire_profiles
 from repro.ec.configuration import Configuration
-from repro.ec.dd_checker import _check_deadline
 # to_logical_form is imported for benchmarks/e2e/spans.py, which wraps it here.
 from repro.ec.permutations import LogicalPair, to_logical_form
-from repro.ec.results import (
-    Equivalence,
-    EquivalenceCheckingResult,
-    EquivalenceCheckingTimeout,
-)
+from repro.ec.results import Equivalence, EquivalenceCheckingResult
+from repro.errors import CheckTimeout, check_deadline
 from repro.perf.counters import PerfCounters
 
 __all__ = [
@@ -143,7 +139,7 @@ def analyze_pair(
         logical2
     )
 
-    _check_deadline(deadline)
+    check_deadline(deadline)
     with counters.phase("analysis.gateset"):
         profiles = (profile_gate_set(logical1), profile_gate_set(logical2))
         passes_run.append("gateset")
@@ -151,7 +147,7 @@ def analyze_pair(
     witness: Optional[Dict[str, object]] = None
     proof_details: Optional[Dict[str, object]] = None
 
-    _check_deadline(deadline)
+    check_deadline(deadline)
     support_summary: Dict[str, object] = {"kind": "skipped_symbolic"}
     if not symbolic:
         with counters.phase("analysis.support"):
@@ -163,7 +159,7 @@ def analyze_pair(
             witness = support_witness
             counters.count("analysis.support_witnesses")
 
-    _check_deadline(deadline)
+    check_deadline(deadline)
     interaction_summary: Dict[str, object] = {
         "fingerprints": [
             interaction_fingerprint(logical1),
@@ -183,7 +179,7 @@ def analyze_pair(
         if fragment_proof is not None:
             proof_details = {"pass": "interaction", "kind": "fragment_factors"}
 
-    _check_deadline(deadline)
+    check_deadline(deadline)
     phase_summary: Dict[str, object] = {"kind": "not_applicable"}
     if all(p.phase_poly_compatible for p in profiles):
         with counters.phase("analysis.phase_polynomial"):
@@ -203,7 +199,7 @@ def analyze_pair(
                 "kind": str(phase_summary.get("kind", "")),
             }
 
-    _check_deadline(deadline)
+    check_deadline(deadline)
     with counters.phase("analysis.cost_model"):
         estimate = estimate_cost((logical1, logical2), profiles)
         plan = plan_checks(profiles, estimate)
@@ -277,7 +273,7 @@ def run_prepass(
     counters = PerfCounters()
     try:
         report = analyze_pair(pair, deadline, counters)
-    except EquivalenceCheckingTimeout:
+    except CheckTimeout:
         raise
     except Exception:
         # A pre-pass bug must degrade to "no pre-pass", not take the

@@ -187,7 +187,8 @@ def run_instance(
     With ``isolate`` every cell runs in a sandboxed subprocess via
     :func:`repro.harness.run_check` (hard SIGKILL timeout, optional
     address-space limit, transient-failure retries); otherwise the check
-    runs in-process under the manager's graceful-degradation path.
+    runs in-process through :meth:`EquivalenceCheckingManager.run`,
+    which degrades failures into results.
     Either way a failing cell yields a degraded :class:`CellResult`, and
     the remaining cells still run.  With ``journal``, completed cells
     are checkpointed immediately and previously journaled cells are

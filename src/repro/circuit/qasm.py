@@ -27,7 +27,9 @@ expressions, anything malformed) is tokenized on its own, with absolute
 offsets, and handed to the recursive-descent parser, so error messages
 and caret locations are those of a whole-file parse.  When a file holds
 several errors, the first in reading order is reported.  Expressions may
-nest at most :data:`MAX_EXPRESSION_DEPTH` levels deep.
+nest at most :data:`MAX_EXPRESSION_DEPTH` levels deep.  A ``gate`` body
+applies builtins and gates defined before it, to its own qubits, and
+one file's macros expand to at most :data:`MAX_MACRO_OPERATIONS`.
 
 Parameterized circuits use a small dialect extension: a pragma comment
 
@@ -213,6 +215,11 @@ _FUNCTIONS: Dict[str, Callable[[float], float]] = {
 #: exponents in one expression.  Past it the parser raises a located
 #: :class:`QasmError` rather than exhausting the interpreter's stack.
 MAX_EXPRESSION_DEPTH = 64
+
+#: Most operations the ``gate`` macro applications of one file may expand
+#: to.  Each definition knows its expansion size, so the application that
+#: would cross the bound is a located :class:`QasmError` before it expands.
+MAX_MACRO_OPERATIONS = 1 << 16
 
 
 class _Parser:
@@ -458,13 +465,28 @@ def _builtin_for(name: str) -> Optional[_BuiltinGate]:
 
 @dataclass
 class _GateMacro:
-    """A user-defined ``gate`` block, expanded on application."""
+    """A user-defined ``gate`` block, expanded on application.
 
-    name: str
+    ``body`` holds one ``(gate_name, macro, param_token_slices,
+    qubit_names, offset)`` per statement, ``macro`` being None for a
+    builtin; ``size`` is the operations one application emits, capped
+    just past :data:`MAX_MACRO_OPERATIONS`.
+    """
+
     params: List[str]
     qubits: List[str]
-    # body statements: (gate_name, param_token_slices, qubit_names, offset)
-    body: List[Tuple[str, List[List[Token]], List[str], int]]
+    body: List[Tuple[str, Optional["_GateMacro"], List[List[Token]], List[str], int]]
+    size: int
+
+
+def _macro_frame(macro: _GateMacro, params: List[object], qubits: List[int]):
+    """One application of ``macro`` during expansion: its remaining body,
+    parameter environment and qubit binding."""
+    return (
+        iter(macro.body),
+        dict(zip(macro.params, params)),
+        dict(zip(macro.qubits, qubits)),
+    )
 
 
 #: The dialect pragma declaring free parameters: ``// repro:params a b``.
@@ -504,6 +526,7 @@ class _QasmReader:
         self._registers: Dict[str, Tuple[int, int]] = {}  # name -> (offset, size)
         self._num_qubits = 0
         self._macros: Dict[str, _GateMacro] = {}
+        self._macro_operations = 0
         self._operations: List[Operation] = []
 
     def _error(self, message: str, pos: int) -> QasmError:
@@ -616,6 +639,9 @@ class _QasmReader:
 
     # -- gate definitions ---------------------------------------------------
     def _parse_gate_definition(self) -> None:
+        """Read one ``gate`` block, checked as OpenQASM 2.0 asks: its body
+        applies builtins and gates defined before it, to its own qubit
+        arguments only."""
         parser = self._parser
         parser.expect("gate")
         gate_name = parser.expect_kind("ID")
@@ -630,7 +656,7 @@ class _QasmReader:
         while parser.accept(","):
             qubits.append(parser.expect_kind("ID"))
         parser.expect("{")
-        body: List[Tuple[str, List[List[Token]], List[str], int]] = []
+        macro = _GateMacro(params, qubits, [], 0)
         while not parser.accept("}"):
             if parser.peek().text == "barrier":
                 self._skip_statement()
@@ -644,12 +670,43 @@ class _QasmReader:
                     while parser.accept(","):
                         param_slices.append(self._collect_expression_tokens())
                     parser.expect(")")
-            args = [parser.expect_kind("ID")]
-            while parser.accept(","):
+            args: List[str] = []
+            while not args or parser.accept(","):
+                arg_token = parser.peek()
                 args.append(parser.expect_kind("ID"))
+                if args[-1] not in qubits:
+                    raise parser.error(
+                        f"{args[-1]!r} is not a qubit argument of gate "
+                        f"{gate_name!r}",
+                        arg_token,
+                    )
             parser.expect(";")
-            body.append((inner_name, param_slices, args, inner_token.pos))
-        self._macros[gate_name] = _GateMacro(gate_name, params, qubits, body)
+            builtin = _builtin_for(inner_name)
+            inner = None if builtin else self._macros.get(inner_name)
+            if builtin is None and inner is None:
+                raise parser.error(
+                    f"gate {gate_name!r} applies {inner_name!r}, which is "
+                    "neither a builtin nor a gate defined before it",
+                    inner_token,
+                )
+            # Expansion trusts a nested macro's arity; a builtin's is
+            # checked when it is emitted.
+            if inner is not None and (len(args), len(param_slices)) != (
+                len(inner.qubits), len(inner.params)
+            ):
+                raise parser.error(
+                    f"gate {inner_name!r} expects {len(inner.qubits)} "
+                    f"qubits and {len(inner.params)} params",
+                    inner_token,
+                )
+            macro.body.append(
+                (inner_name, inner, param_slices, args, inner_token.pos)
+            )
+            macro.size = min(
+                macro.size + (inner.size if inner else 1),
+                MAX_MACRO_OPERATIONS + 1,
+            )
+        self._macros[gate_name] = macro
 
     def _collect_expression_tokens(self) -> List[Token]:
         """Grab raw tokens of one expression up to an unnested ',' or ')'."""
@@ -773,9 +830,23 @@ class _QasmReader:
                 f"got {len(qubits)}",
                 pos,
             )
-        env = dict(zip(macro.params, params))
-        binding = dict(zip(macro.qubits, qubits))
-        for inner_name, param_slices, args, inner_pos in macro.body:
+        self._macro_operations += macro.size
+        if self._macro_operations > MAX_MACRO_OPERATIONS:
+            raise self._error(
+                f"gate macros expand to more than {MAX_MACRO_OPERATIONS} "
+                "operations",
+                pos,
+            )
+        # A stack of body iterators, not recursion: a long chain of
+        # macros cannot exhaust the interpreter's stack.
+        stack = [_macro_frame(macro, params, qubits)]
+        while stack:
+            body, env, binding = stack[-1]
+            statement = next(body, None)
+            if statement is None:
+                stack.pop()
+                continue
+            inner_name, inner, param_slices, args, inner_pos = statement
             inner_params = [
                 _finalize_param(
                     _Parser(
@@ -784,8 +855,11 @@ class _QasmReader:
                 )
                 for tokens in param_slices
             ]
-            inner_qubits = [binding[a] for a in args]
-            self._emit_single(inner_name, inner_params, inner_qubits, inner_pos)
+            inner_qubits = [binding[arg] for arg in args]
+            if inner is None:
+                self._emit_single(inner_name, inner_params, inner_qubits, inner_pos)
+            else:
+                stack.append(_macro_frame(inner, inner_params, inner_qubits))
 
 
 def circuit_from_qasm(text: str, name: str = "qasm") -> QuantumCircuit:
@@ -817,10 +891,14 @@ _CONTROLLED_NAMES = {
 }
 
 
-def _format_param(value) -> str:
-    if isinstance(value, ParamExpr):
-        return str(value)
-    return repr(float(value))
+def _format_param(value, op: Operation) -> str:
+    """One parameter as QASM text; a non-finite one has no QASM form."""
+    offset = value.const if isinstance(value, ParamExpr) else float(value)
+    if not math.isfinite(offset):
+        raise QasmError(
+            f"cannot serialize {op.name!r} with parameter {value!r}"
+        )
+    return str(value) if isinstance(value, ParamExpr) else repr(offset)
 
 
 def circuit_to_qasm(circuit: QuantumCircuit) -> str:
@@ -857,7 +935,7 @@ def circuit_to_qasm(circuit: QuantumCircuit) -> str:
                     f"cannot serialize {num_controls}-controlled {op.name!r}"
                 )
         params = (
-            "(" + ",".join(_format_param(p) for p in op.params) + ")"
+            "(" + ",".join(_format_param(p, op) for p in op.params) + ")"
             if op.params
             else ""
         )

@@ -53,6 +53,11 @@ def _validate_name(name: str) -> str:
     return name
 
 
+#: Concrete offsets a ParamExpr adds and subtracts: the symbolic QASM
+#: reader's integer literals are exact Fractions.
+_OFFSETS = (int, float, Fraction)
+
+
 def _coerce_scalar(value: object) -> Fraction:
     """An exact rational view of a scalar multiplier."""
     if isinstance(value, bool):
@@ -108,7 +113,7 @@ class ParamExpr:
             for name, coeff in other.terms:
                 merged[name] = merged.get(name, Fraction(0)) + coeff
             return ParamExpr._make(merged, self.const + other.const)
-        if isinstance(other, (int, float)) and not isinstance(other, bool):
+        if isinstance(other, _OFFSETS) and not isinstance(other, bool):
             return ParamExpr._make(dict(self.terms), self.const + other)
         return NotImplemented
 
@@ -118,14 +123,14 @@ class ParamExpr:
     def __sub__(self, other: object) -> ParamValue:
         if isinstance(other, ParamExpr):
             return self.__add__(other.__neg__())
-        if isinstance(other, (int, float)) and not isinstance(other, bool):
+        if isinstance(other, _OFFSETS) and not isinstance(other, bool):
             return ParamExpr._make(dict(self.terms), self.const - other)
         return NotImplemented
 
     def __rsub__(self, other: object) -> ParamValue:
         negated = self.__neg__()
         if isinstance(negated, float):
-            if isinstance(other, (int, float)) and not isinstance(other, bool):
+            if isinstance(other, _OFFSETS) and not isinstance(other, bool):
                 return other + negated
             return NotImplemented
         return negated.__add__(other)

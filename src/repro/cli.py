@@ -206,7 +206,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         is_symbolic_circuit,
     )
     from repro.ec.permutations import logical_pair
-    from repro.ec.results import EquivalenceCheckingTimeout
+    from repro.errors import CheckTimeout
 
     deadline = (
         None if args.timeout is None else time.monotonic() + args.timeout
@@ -242,7 +242,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
     try:
         report = analyze_pair(pair, deadline)
-    except EquivalenceCheckingTimeout:
+    except CheckTimeout:
         print(
             f"repro analyze: timed out after {args.timeout} s",
             file=sys.stderr,

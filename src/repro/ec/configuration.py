@@ -30,7 +30,9 @@ class Configuration:
       every plan lane but the preferred checker and ``simulation``.
 
     Retries back off by :class:`repro.errors.RetryPolicy`'s default
-    base, and instantiated parameterized checks run in-process.
+    base, and instantiated parameterized checks run in-process.  Nor is
+    failure handling: :meth:`EquivalenceCheckingManager.run` degrades a
+    failure into a result, ``check`` raises it.
 
     Attributes:
         strategy: ``"construction"``, ``"alternating"``, ``"simulation"``,
@@ -66,11 +68,6 @@ class Configuration:
         trace_sizes: Record the intermediate DD size after every gate
             application (drives the Fig. 4-style experiments).
         seed: Seed for the simulation strategy's random stimuli.
-        graceful_degradation: Catch checker failures inside
-            :meth:`EquivalenceCheckingManager.run` and degrade them into
-            a ``NO_INFORMATION`` result carrying a structured
-            ``statistics["failure"]`` record (default), instead of
-            propagating the exception.
         memory_limit_mb: Address-space headroom in MiB for sandboxed
             execution via :mod:`repro.harness` (None = inherit).  Only
             enforced when the check runs isolated.
@@ -99,7 +96,6 @@ class Configuration:
     timeout: Optional[float] = None
     trace_sizes: bool = False
     seed: Optional[int] = None
-    graceful_degradation: bool = True
     memory_limit_mb: Optional[int] = None
     max_retries: int = 1
     portfolio: bool = False

@@ -36,11 +36,8 @@ from repro.dd.gates import (
 from repro.ec.configuration import FIDELITY_THRESHOLD, Configuration
 # to_logical_form is imported for benchmarks/e2e/spans.py, which wraps it here.
 from repro.ec.permutations import LogicalPair, to_logical_form
-from repro.ec.results import (
-    Equivalence,
-    EquivalenceCheckingResult,
-    EquivalenceCheckingTimeout,
-)
+from repro.ec.results import Equivalence, EquivalenceCheckingResult
+from repro.errors import check_deadline
 from repro.perf import PerfCounters, package_statistics
 
 if TYPE_CHECKING:
@@ -77,11 +74,6 @@ def _columns_cheaper(
         elapsed >= HANDOVER_WARMUP * price
         and elapsed * steps >= price * done
     )
-
-
-def _check_deadline(deadline: Optional[float]) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise EquivalenceCheckingTimeout()
 
 
 def _phase_verdict(
@@ -125,7 +117,7 @@ class ConstructionChecker:
             for circuit in (self.logical1, self.logical2):
                 accumulated = pkg.identity(self.num_qubits)
                 for op in circuit:
-                    _check_deadline(deadline)
+                    check_deadline(deadline)
                     accumulated = apply_operation_left(pkg, accumulated, op)
                     perf.count("gate_applications")
                     if self.configuration.trace_sizes:
@@ -279,7 +271,7 @@ class AlternatingChecker:
             with perf.phase("alternation"):
                 began = time.monotonic()
                 while index1 < len(gates1) or index2 < len(gates2):
-                    _check_deadline(deadline)
+                    check_deadline(deadline)
                     if columns is not None and _columns_cheaper(
                         time.monotonic() - began, index1 + index2, steps, price
                     ):
@@ -321,7 +313,7 @@ class AlternatingChecker:
             with perf.phase("alternation"):
                 began = time.monotonic()
                 for side in schedule:
-                    _check_deadline(deadline)
+                    check_deadline(deadline)
                     if columns is not None and _columns_cheaper(
                         time.monotonic() - began, index1 + index2, steps, price
                     ):

@@ -1,7 +1,9 @@
 """The equivalence-checking manager: strategy dispatch, timeout, combination.
 
 Mirrors QCEC's front end: construct a manager from two circuits and a
-:class:`~repro.ec.configuration.Configuration`, call :meth:`run`.  The
+:class:`~repro.ec.configuration.Configuration`, call :meth:`run`, which
+degrades every failure into a result (:meth:`check`, for the harness,
+raises all but a timeout).  The
 ``combined`` strategy reproduces the paper's QCEC setup — "we run the
 equivalence checking routine described in Section 4.1 in parallel with a
 sequence of 16 simulation runs.  If the simulations manage to prove
@@ -37,14 +39,16 @@ from repro.ec.configuration import Configuration
 from repro.ec.dd_checker import AlternatingChecker, ConstructionChecker
 from repro.ec.permutations import LogicalPair, logical_pair
 from repro.ec.portfolio import DEFAULT_PLAN, Plan
-from repro.ec.results import (
-    Equivalence,
-    EquivalenceCheckingResult,
-    EquivalenceCheckingTimeout,
-)
+from repro.ec.results import EquivalenceCheckingResult
 from repro.ec.sim_checker import ColumnChecker, simulation_check, state_check
 from repro.ec.stab_checker import stabilizer_check
 from repro.ec.zx_checker import zx_check
+from repro.errors import (
+    CheckTimeout,
+    InvalidInput,
+    PortfolioDisagreement,
+    classify_exception,
+)
 
 
 #: Simulation-stage statistics the combined schedule keeps, under
@@ -61,11 +65,10 @@ _SIMULATION_KEYS = (
 class EquivalenceCheckingManager:
     """Runs one equivalence check between two circuits.
 
-    The manager never mutates ``self.configuration``: strategy overrides
-    (:meth:`run_single`) are threaded through the dispatch chain as an
-    explicit configuration value, so one manager instance is safe to
-    drive concurrently — the portfolio racer and the differential fuzz
-    oracle both rely on this.
+    The manager never mutates ``self.configuration``: a derived
+    configuration (the ``parameterized`` strategy on a concrete pair) is
+    threaded through the dispatch chain as an explicit value, so one
+    manager instance is safe to drive more than once.
     """
 
     def __init__(
@@ -80,89 +83,57 @@ class EquivalenceCheckingManager:
         self.configuration.validate()
 
     def run(self) -> EquivalenceCheckingResult:
-        """Execute the configured strategy and return the result.
+        """Execute the configured strategy; never raises on a failed check.
 
-        With ``configuration.graceful_degradation`` (the default), a
-        failing checker never propagates an exception: the failure is
-        classified through :mod:`repro.errors` and degraded into a
-        ``NO_INFORMATION`` result whose ``statistics["failure"]`` holds
-        the structured record — one bad cell must not take down a batch.
-        The single exception is a cross-child
-        :class:`~repro.errors.PortfolioDisagreement`: two racing
-        checkers contradicting each other with sound verdicts is a
-        checker bug and always propagates.
+        :meth:`check`, with every failure it raises classified through
+        :mod:`repro.errors` and degraded into a ``NO_INFORMATION`` result
+        whose ``statistics["failure"]`` holds the record — one bad cell
+        must not take down a batch.  The single exception is a
+        cross-child :class:`~repro.errors.PortfolioDisagreement`: two
+        racing checkers contradicting each other with sound verdicts is
+        a checker bug and always propagates.
         """
-        return self._run(self.configuration)
-
-    def run_single(self, strategy: str) -> EquivalenceCheckingResult:
-        """Run exactly one named strategy, overriding the configured one.
-
-        The differential fuzzer drives the full strategy matrix through
-        this hook: the manager's configuration (timeouts, seeds, table
-        bounds) stays authoritative while the strategy choice is swapped
-        per call.  The override is threaded through explicitly —
-        ``self.configuration`` is never touched, so concurrent
-        ``run_single`` calls on one manager cannot race each other.
-        Degradation semantics are those of :meth:`run`.
-        """
-        override = dataclasses.replace(self.configuration, strategy=strategy)
-        if strategy != "combined":
-            # Portfolio racing only applies to the combined schedule; a
-            # single-strategy override runs that one checker directly.
-            override = dataclasses.replace(override, portfolio=False)
-        override.validate()
-        return self._run(override)
-
-    def _run(self, config: Configuration) -> EquivalenceCheckingResult:
-        """Shared driver behind :meth:`run` and :meth:`run_single`."""
         start = time.monotonic()
         try:
-            return self._run_strategy(config, start)
-        except EquivalenceCheckingTimeout:
-            return EquivalenceCheckingResult(
-                Equivalence.TIMEOUT,
-                config.strategy,
-                time.monotonic() - start,
-            )
+            return self.check()
+        except PortfolioDisagreement:
+            raise
         except Exception as exc:
-            from repro.errors import PortfolioDisagreement, classify_exception
-
-            if isinstance(exc, PortfolioDisagreement):
-                raise  # a checker bug — never swallowed
-            if not config.graceful_degradation:
-                raise
-            return EquivalenceCheckingResult(
-                Equivalence.NO_INFORMATION,
-                config.strategy,
+            return EquivalenceCheckingResult.failed(
+                classify_exception(exc),
+                self.configuration.strategy,
                 time.monotonic() - start,
-                {"failure": classify_exception(exc).to_dict()},
             )
 
-    def _run_strategy(
-        self, config: Configuration, start: float
-    ) -> EquivalenceCheckingResult:
-        """Dispatch to the configured checker (exceptions propagate).
+    def check(self) -> EquivalenceCheckingResult:
+        """Execute the configured strategy; raise what fails.
 
-        This is the single dispatch seam: both :meth:`run` and
-        :meth:`run_single` land here, so the static pre-pass below is
-        exercised identically by users and by the differential fuzzer.
-        It derives the pair's logical forms once, for every stage of the
-        check, and reports their SWAP bookkeeping under
-        ``statistics["permutations"]``.
+        A cooperative timeout is an outcome, not a failure: it returns
+        as ``TIMEOUT`` with its :class:`~repro.errors.CheckTimeout`
+        record.  The single dispatch seam: it derives the pair's logical
+        forms once, for every stage, and reports their SWAP bookkeeping
+        under ``statistics["permutations"]``.
         """
-        deadline = (
-            start + config.timeout if config.timeout is not None else None
-        )
         # Fault-injection seam: repro.harness.chaos arms faults that fire
         # here, inside the checker path, after configuration validation —
         # where a real DD/ZX blowup would occur.  Imported lazily to keep
         # repro.ec free of a load-time dependency on the harness layer.
         from repro.harness import chaos
 
-        chaos.maybe_trigger()
-        # A malformed layout raises ValueError here, which _run degrades.
-        pair = logical_pair(self.circuit1, self.circuit2)
-        result = self._check_pair(pair, config, start, deadline)
+        config = self.configuration
+        start = time.monotonic()
+        deadline = (
+            start + config.timeout if config.timeout is not None else None
+        )
+        try:
+            chaos.maybe_trigger()
+            # A malformed layout raises ValueError here.
+            pair = logical_pair(self.circuit1, self.circuit2)
+            result = self._check_pair(pair, config, start, deadline)
+        except CheckTimeout as error:
+            return EquivalenceCheckingResult.failed(
+                error, config.strategy, time.monotonic() - start
+            )
         result.statistics["permutations"] = pair.statistics
         return result
 
@@ -194,8 +165,6 @@ class EquivalenceCheckingManager:
             # concrete check: fall through to the combined machinery.
             config = dataclasses.replace(config, strategy="combined")
         elif symbolic:
-            from repro.errors import InvalidInput
-
             raise InvalidInput(
                 "circuits carry symbolic parameters; only "
                 "strategy='parameterized' can check them "
@@ -312,9 +281,9 @@ def _run_checker(
     if strategy == "simulation":
         return simulation_check(pair, config, deadline)
     if strategy == "zx":
-        return zx_check(pair, config, deadline)
+        return zx_check(pair, deadline)
     if strategy == "stabilizer":
-        return stabilizer_check(pair, config, deadline)
+        return stabilizer_check(pair, deadline)
     if strategy == "state":
-        return state_check(pair, config, deadline)
+        return state_check(pair, deadline)
     raise ValueError(f"unknown strategy {strategy!r}")

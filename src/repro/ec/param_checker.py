@@ -44,13 +44,10 @@ from repro.analysis.phasepoly import phase_polynomial_check
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.symbolic import circuit_parameters, instantiate_circuit
 from repro.ec.configuration import Configuration
-from repro.ec.dd_checker import _check_deadline
 from repro.ec.permutations import LogicalPair
-from repro.ec.results import (
-    Equivalence,
-    EquivalenceCheckingResult,
-)
+from repro.ec.results import Equivalence, EquivalenceCheckingResult
 from repro.ec.zx_checker import zx_check
+from repro.errors import CheckTimeout, check_deadline
 
 _TWO_PI = 6.283185307179586
 
@@ -124,7 +121,7 @@ def check_instantiated_random(
     undecided = 0
     timeouts = 0
     for index, valuation in enumerate(valuations):
-        _check_deadline(deadline)
+        check_deadline(deadline)
         inst1 = instantiate_circuit(circuit1, valuation)
         inst2 = instantiate_circuit(circuit2, valuation)
         sub_config = dataclasses.replace(
@@ -181,16 +178,21 @@ def parameterized_check(
         equivalence: Equivalence, path: str
     ) -> EquivalenceCheckingResult:
         stats["path"] = path
-        return EquivalenceCheckingResult(
-            equivalence,
-            STRATEGY,
-            time.monotonic() - start,
-            {"parameterized": stats},
-        )
+        elapsed = time.monotonic() - start
+        if equivalence is Equivalence.TIMEOUT:
+            result = EquivalenceCheckingResult.failed(
+                CheckTimeout("every instantiation timed out", hard=False),
+                STRATEGY,
+                elapsed,
+            )
+        else:
+            result = EquivalenceCheckingResult(equivalence, STRATEGY, elapsed)
+        result.statistics["parameterized"] = stats
+        return result
 
     if config.parameterized_symbolic:
         # Path 1: symbolic phase polynomial over the logical forms.
-        _check_deadline(deadline)
+        check_deadline(deadline)
         verdict, details = phase_polynomial_check(pair.circuit1, pair.circuit2)
         stats["phase_polynomial"] = details
         if verdict == "not_equivalent":
@@ -205,8 +207,8 @@ def parameterized_check(
             )
 
         # Path 2: symbolic ZX reduction of the miter.
-        _check_deadline(deadline)
-        zx_result = zx_check(pair, config, deadline)
+        check_deadline(deadline)
+        zx_result = zx_check(pair, deadline)
         stats["zx"] = dict(zx_result.statistics)
         if zx_result.proven:
             if zx_result.equivalence is Equivalence.NOT_EQUIVALENT:

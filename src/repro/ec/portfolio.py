@@ -23,8 +23,9 @@ wins when nothing sound arrives before the deadline.
 
 Cross-child verdict disagreement — two children both claiming a proof,
 with opposite polarity — is a checker bug and surfaces as a hard
-:class:`~repro.errors.PortfolioDisagreement`, bypassing every graceful-
-degradation path.
+:class:`~repro.errors.PortfolioDisagreement`, which no path degrades
+into a result.  A race that ends without any verdict degrades like any
+failed check (:meth:`EquivalenceCheckingResult.failed`).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
+from repro.errors import CheckError, CheckTimeout, error_from_dict
 
 #: Stage order of every plan.  ``stabilizer`` only joins pairs the
 #: gateset pass proves Clifford; on any other pair it can only return
@@ -198,7 +200,7 @@ def run_portfolio(
 
     Raises:
         PortfolioDisagreement: Two lanes returned contradictory sound
-            verdicts (never swallowed by graceful degradation).
+            verdicts (never degraded into a result).
     """
     from repro.harness.race import KILL_LOSER, RaceEntry, race_checks
     from repro.perf import PerfCounters
@@ -254,28 +256,22 @@ def run_portfolio(
         result = winning.result
         assert result is not None
     else:
-        # Every lane failed or was killed undecided: degrade like the
-        # sequential path would — TIMEOUT when the shared deadline
-        # expired, NO_INFORMATION otherwise — keeping the first failure.
+        # Every lane failed or was killed undecided: TIMEOUT when the
+        # shared deadline expired, else NO_INFORMATION with the first
+        # lane failure.
         counters.count("portfolio.no_verdict")
-        verdict = (
-            Equivalence.TIMEOUT
-            if outcome.deadline_expired
-            else Equivalence.NO_INFORMATION
-        )
-        failure = next(
-            (
-                child.error for child in outcome.children
-                if child.error is not None
-            ),
-            None,
-        )
-        statistics: Dict[str, object] = {}
-        if failure is not None:
-            statistics["failure"] = failure
-        result = EquivalenceCheckingResult(
-            verdict, "portfolio", elapsed, statistics
-        )
+        failures = [c.error for c in outcome.children if c.error is not None]
+        if outcome.deadline_expired:
+            error: CheckError = CheckTimeout(
+                "race deadline expired; undecided lanes killed",
+                hard=True,
+                budget_seconds=remaining,
+            )
+        elif failures:
+            error = error_from_dict(failures[0])
+        else:
+            error = CheckError("no lane reported a verdict")
+        result = EquivalenceCheckingResult.failed(error, "portfolio", elapsed)
 
     result.strategy = "portfolio"
     result.time = elapsed

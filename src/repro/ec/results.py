@@ -6,6 +6,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.errors import CheckError, CheckTimeout
+
 
 class Equivalence(enum.Enum):
     """Verdict of an equivalence check.
@@ -79,6 +81,24 @@ class EquivalenceCheckingResult:
             dict(statistics) if isinstance(statistics, dict) else {},
         )
 
+    @classmethod
+    def failed(
+        cls, error: CheckError, strategy: str, time: float
+    ) -> "EquivalenceCheckingResult":
+        """The result of a check that failed with ``error``.
+
+        ``TIMEOUT`` for a :class:`~repro.errors.CheckTimeout`,
+        ``NO_INFORMATION`` for any other failure; either way
+        ``statistics["failure"]`` holds the error's taxonomy record.
+        Every path that turns a failure into a result goes through here.
+        """
+        verdict = (
+            Equivalence.TIMEOUT
+            if isinstance(error, CheckTimeout)
+            else Equivalence.NO_INFORMATION
+        )
+        return cls(verdict, strategy, time, {"failure": error.to_dict()})
+
     @property
     def failure(self) -> Optional[Dict[str, object]]:
         """The structured failure record, if this is a degraded result."""
@@ -103,7 +123,3 @@ class EquivalenceCheckingResult:
         return (
             f"{self.equivalence.value} [{self.strategy}] in {self.time:.3f}s"
         )
-
-
-class EquivalenceCheckingTimeout(Exception):
-    """Raised internally when a checker exceeds its wall-clock budget."""

@@ -43,11 +43,11 @@ from repro.circuit.qasm import circuit_to_qasm
 from repro.dd.array_package import ArrayDDPackage
 from repro.dd.gates import apply_operation_columns
 from repro.ec.configuration import FIDELITY_THRESHOLD, Configuration
-from repro.ec.dd_checker import _check_deadline
 # to_logical_form is imported for benchmarks/e2e/spans.py, which wraps it here.
 from repro.ec.permutations import LogicalPair, to_logical_form
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
 from repro.ec.stimuli import generate_stimulus, prepare_stimulus_columns
+from repro.errors import check_deadline
 from repro.perf import PerfCounters, package_statistics
 
 #: Basis columns simulated per pass when exhausting a register: every
@@ -120,7 +120,7 @@ def _simulate(
     for logical in (pair.circuit1, pair.circuit2):
         current = columns
         for op in logical:
-            _check_deadline(deadline)
+            check_deadline(deadline)
             current = apply_operation_columns(pkg, current, op)
             perf.count("dd.batched_gate_applications")
         states.append(current)
@@ -194,7 +194,7 @@ class ColumnChecker:
             with perf.phase("stimulus_preparation"):
                 stimuli = []
                 for _ in range(batch):
-                    _check_deadline(deadline)
+                    check_deadline(deadline)
                     stimulus = generate_stimulus(
                         config.stimuli_type, pair.num_qubits, pair.data_qubits, rng
                     )
@@ -208,7 +208,7 @@ class ColumnChecker:
                 states1, states2 = _simulate(pair, pkg, perf, columns, deadline)
             with perf.phase("fidelity"):
                 for stimulus, state1, state2 in zip(stimuli, states1, states2):
-                    _check_deadline(deadline)
+                    check_deadline(deadline)
                     overlap = pkg.inner_product(state1, state2)
                     overlaps.append(overlap)
                     index = basis_index(stimulus)
@@ -264,7 +264,7 @@ class ColumnChecker:
         size = 2**self.width
         with perf.phase("exhaustion"):
             for low in range(0, size, EXHAUSTION_BATCH):
-                _check_deadline(deadline)
+                check_deadline(deadline)
                 undrawn = [
                     index
                     for index in range(low, min(size, low + EXHAUSTION_BATCH))
@@ -277,7 +277,7 @@ class ColumnChecker:
                     self.pair, pkg, perf, columns, deadline
                 )
                 for index, state1, state2 in zip(undrawn, states1, states2):
-                    _check_deadline(deadline)
+                    check_deadline(deadline)
                     self.overlaps[index] = pkg.inner_product(state1, state2)
         # Only an exact cover of the register is a proof.
         indices = sorted(self.overlaps)
@@ -332,9 +332,7 @@ def simulation_check(
 
 
 def state_check(
-    pair: LogicalPair,
-    configuration: Optional[Configuration] = None,
-    deadline: Optional[float] = None,
+    pair: LogicalPair, deadline: Optional[float] = None
 ) -> EquivalenceCheckingResult:
     """Decide whether both circuits prepare the same state from ``|0...0>``.
 

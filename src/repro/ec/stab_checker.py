@@ -15,18 +15,15 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.ec.configuration import Configuration
-from repro.ec.dd_checker import _check_deadline
 # to_logical_form is imported for benchmarks/e2e/spans.py, which wraps it here.
 from repro.ec.permutations import LogicalPair, to_logical_form
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
+from repro.errors import check_deadline
 from repro.stab.tableau import CliffordTableau, NonCliffordGateError
 
 
 def stabilizer_check(
-    pair: LogicalPair,
-    configuration: Optional[Configuration] = None,
-    deadline: Optional[float] = None,
+    pair: LogicalPair, deadline: Optional[float] = None
 ) -> EquivalenceCheckingResult:
     """Exact Clifford equivalence via tableau comparison.
 
@@ -36,12 +33,12 @@ def stabilizer_check(
     reports an unfinished reduction).
     """
     start = time.monotonic()
-    _check_deadline(deadline)
+    check_deadline(deadline)
     try:
         tableau1 = CliffordTableau.from_circuit(pair.circuit1)
-        _check_deadline(deadline)
+        check_deadline(deadline)
         tableau2 = CliffordTableau.from_circuit(pair.circuit2)
-        _check_deadline(deadline)
+        check_deadline(deadline)
     except NonCliffordGateError as reason:
         return EquivalenceCheckingResult(
             Equivalence.NO_INFORMATION,

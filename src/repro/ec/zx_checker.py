@@ -16,17 +16,12 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.ec.configuration import Configuration
 # to_logical_form is imported for benchmarks/e2e/spans.py, which wraps it here.
 from repro.ec.permutations import LogicalPair, to_logical_form
-from repro.ec.results import (
-    Equivalence,
-    EquivalenceCheckingResult,
-    EquivalenceCheckingTimeout,
-)
+from repro.ec.results import Equivalence, EquivalenceCheckingResult
 from repro.perf import PerfCounters
 from repro.zx.circuit_conv import circuit_to_zx
-from repro.zx.simplify import SimplificationTimeout, contract_unitary_chains
+from repro.zx.simplify import contract_unitary_chains
 from repro.zx.worklist import full_reduce
 
 #: Distance from the identity below which a single-qubit chain left by
@@ -35,9 +30,7 @@ CHAIN_TOLERANCE = 1e-6
 
 
 def zx_check(
-    pair: LogicalPair,
-    configuration: Optional[Configuration] = None,
-    deadline: Optional[float] = None,
+    pair: LogicalPair, deadline: Optional[float] = None
 ) -> EquivalenceCheckingResult:
     """Check equivalence by reducing the composed ZX-diagram ``G' G†``."""
     start = time.monotonic()
@@ -47,21 +40,16 @@ def zx_check(
             circuit_to_zx(pair.circuit2)
         )
     initial_spiders = diagram.num_spiders
-    try:
-        with perf.phase("simplify"):
-            rewrites = full_reduce(diagram, deadline=deadline, counters=perf)
-        # Reproduction extension: circuits decomposed with different Euler
-        # conventions leave numerically-identity single-qubit chains the
-        # symbolic rules cannot see; contract them and re-reduce.
-        with perf.phase("chain_contraction"):
-            while contract_unitary_chains(
-                diagram, CHAIN_TOLERANCE, deadline=deadline
-            ):
-                rewrites += full_reduce(
-                    diagram, deadline=deadline, counters=perf
-                )
-    except SimplificationTimeout as exc:
-        raise EquivalenceCheckingTimeout() from exc
+    with perf.phase("simplify"):
+        rewrites = full_reduce(diagram, deadline=deadline, counters=perf)
+    # Reproduction extension: circuits decomposed with different Euler
+    # conventions leave numerically-identity single-qubit chains the
+    # symbolic rules cannot see; contract them and re-reduce.
+    with perf.phase("chain_contraction"):
+        while contract_unitary_chains(
+            diagram, CHAIN_TOLERANCE, deadline=deadline
+        ):
+            rewrites += full_reduce(diagram, deadline=deadline, counters=perf)
     statistics = {
         "initial_spiders": initial_spiders,
         "spiders_remaining": diagram.num_spiders,

@@ -9,14 +9,20 @@ environment hiccup rather than a property of the instance) are retried
 with bounded exponential backoff via :class:`RetryPolicy` /
 :func:`call_with_retry`.
 
-The module is deliberately dependency-free so both sides of the process
-boundary (parent harness and sandboxed child) and every layer above
-(:mod:`repro.ec.manager`, :mod:`repro.bench.study`) can share it without
-import cycles.
+Every checker loop calls :func:`check_deadline`, which raises
+:class:`CheckTimeout` (``hard=False``) past the cooperative deadline.
+:meth:`repro.ec.results.EquivalenceCheckingResult.failed` turns any
+failure into a result.
+
+The module imports nothing from :mod:`repro`, so both sides of the
+process boundary (parent harness and sandboxed child) and every layer
+above (the checkers, :mod:`repro.ec.manager`, :mod:`repro.bench.study`)
+can share it without import cycles.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, TypeVar
 
@@ -121,10 +127,10 @@ class PortfolioDisagreement(CheckError):
     """Two racing checkers returned contradictory *sound* verdicts.
 
     One of them is wrong — this is a checker bug, not a property of the
-    instance, and it must never be swallowed: the graceful-degradation
-    paths (:meth:`EquivalenceCheckingManager.run`,
-    :func:`repro.harness.run_check`) re-raise it instead of degrading to
-    ``NO_INFORMATION``.  Permanent: re-racing the same pair reproduces
+    instance, and it must never be swallowed: the paths that degrade
+    failures into results (:meth:`EquivalenceCheckingManager.run`,
+    :func:`repro.harness.run_check`, the service pool) re-raise it
+    instead.  Permanent: re-racing the same pair reproduces
     the same contradiction.
     """
 
@@ -186,11 +192,21 @@ def error_from_dict(payload: Dict[str, object]) -> CheckError:
     return error
 
 
+def check_deadline(deadline: Optional[float]) -> None:
+    """Raise the cooperative :class:`CheckTimeout` once ``deadline`` passed.
+
+    ``deadline`` is a :func:`time.monotonic` timestamp, or None for no
+    budget.  Every checker calls this between its steps.
+    """
+    if deadline is not None and time.monotonic() > deadline:
+        raise CheckTimeout("cooperative deadline exceeded", hard=False)
+
+
 def classify_exception(exc: BaseException) -> CheckError:
     """Map an arbitrary exception onto the structured taxonomy.
 
-    Used by the graceful-degradation path of the manager and by the
-    sandbox child to report failures in a stable shape.
+    Used by :meth:`EquivalenceCheckingManager.run` and by the harness's
+    in-process attempt to report failures in a stable shape.
     """
     if isinstance(exc, CheckError):
         return exc
@@ -198,11 +214,6 @@ def classify_exception(exc: BaseException) -> CheckError:
         return CheckOutOfMemory(
             "check ran out of memory", exception=type(exc).__name__
         )
-    # Imported lazily: repro.ec imports this module at load time.
-    from repro.ec.results import EquivalenceCheckingTimeout
-
-    if isinstance(exc, EquivalenceCheckingTimeout):
-        return CheckTimeout("cooperative deadline exceeded", hard=False)
     if isinstance(exc, (ValueError, TypeError)):
         return InvalidInput(str(exc) or type(exc).__name__,
                             exception=type(exc).__name__)
@@ -302,15 +313,12 @@ def call_with_retry(
         policy = NO_RETRY
     policy.validate()
     if sleep is None:
-        import time
-
         sleep = time.sleep
     attempt = 0
     while True:
         try:
             return fn()
         except CheckError as error:
-            error.diagnostics.setdefault("attempts", attempt + 1)
             error.diagnostics["attempts"] = attempt + 1
             if not error.transient or attempt >= policy.max_retries:
                 raise

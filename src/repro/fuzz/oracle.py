@@ -22,10 +22,11 @@ matrix:
   never count as disagreements: an incomplete method saying "I don't
   know" is exactly the behaviour the paper describes.
 
-Checker failures never abort the campaign: checks run through
-:func:`repro.harness.run_check`, so a hang, OOM or crash in one strategy
-degrades into a structured failure record (and with ``isolate=True`` is
-contained in a sandboxed subprocess with a hard SIGKILL budget).
+Checker failures never abort the campaign: each check runs through
+:meth:`EquivalenceCheckingManager.run`, or with ``isolate=True`` through
+:func:`repro.harness.run_check` in a sandboxed subprocess with a hard
+SIGKILL budget that also contains hangs and crashes, so a failing
+strategy degrades into a structured failure record.
 """
 
 from __future__ import annotations
@@ -197,10 +198,9 @@ class DifferentialOracle:
             )
         from repro.ec.manager import EquivalenceCheckingManager
 
-        manager = EquivalenceCheckingManager(
+        return EquivalenceCheckingManager(
             pair.circuit1, pair.circuit2, config
-        )
-        return manager.run_single(str(overrides["strategy"]))
+        ).run()
 
     def _dense_verdict(self, circuit1, circuit2, n: int) -> str:
         """Dense-unitary comparison of two *concrete* circuits.

@@ -7,8 +7,10 @@ structured serialization of the :class:`~repro.ec.results.\
 EquivalenceCheckingResult` back to the parent.  Failures surface as the
 :mod:`repro.errors` taxonomy; transient ones are retried with bounded
 exponential backoff; :func:`run_check` degrades every failure into a
-``NO_INFORMATION``/``TIMEOUT`` result so batch drivers (the Table-1
-harness) never lose the remaining cells to one bad instance.
+``NO_INFORMATION``/``TIMEOUT`` result
+(:meth:`~repro.ec.results.EquivalenceCheckingResult.failed`), so batch
+drivers never lose the remaining cells to one bad instance.  Isolated
+or not, an attempt is :func:`~repro.harness.child.run_in_process`.
 
 :mod:`repro.harness.race` runs several such children as a race — the
 execution substrate of the concurrent strategy portfolio

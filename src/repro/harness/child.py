@@ -7,7 +7,9 @@ module is the one place that forks a child with its pipe
 the check there (:func:`run_job`), and kills, reaps and classifies it
 afterwards (:meth:`Child.kill`, :meth:`Child.reap`,
 :func:`classify_death`) — so a failed fork, a fatal signal or a hung
-child degrades the same way under every supervisor.
+child degrades the same way under every supervisor.  The check itself
+is :func:`run_in_process`, which :func:`repro.harness.run_check` also
+calls directly when it does not isolate.
 
 A check's result crosses the pipe as a JSON-safe dict
 (:meth:`~repro.ec.results.EquivalenceCheckingResult.to_dict`), never as
@@ -16,7 +18,7 @@ a pickle of live checker state.
 
 from __future__ import annotations
 
-import dataclasses
+import gc
 import multiprocessing
 import os
 import signal
@@ -24,8 +26,10 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
+from repro.ec.results import EquivalenceCheckingResult
 from repro.errors import (
     CheckCrashed,
+    CheckError,
     CheckOutOfMemory,
     CheckWorkerLost,
     classify_exception,
@@ -107,6 +111,35 @@ def apply_memory_limit(memory_mb: int) -> Dict[str, object]:
     return applied
 
 
+def run_in_process(
+    circuit1: QuantumCircuit,
+    circuit2: QuantumCircuit,
+    configuration: Configuration,
+    chaos: Optional[ChaosSpec],
+) -> EquivalenceCheckingResult:
+    """One attempt at a check in this process, with ``chaos`` armed.
+
+    :meth:`EquivalenceCheckingManager.check`, with every failure but a
+    ``KeyboardInterrupt`` or ``SystemExit`` raised as its
+    :mod:`repro.errors` class, for the supervisor to retry or degrade.
+    """
+    from repro.ec.manager import EquivalenceCheckingManager
+    from repro.harness import chaos as chaos_module
+
+    if chaos is not None:
+        chaos_module.activate(chaos)
+    try:
+        return EquivalenceCheckingManager(
+            circuit1, circuit2, configuration
+        ).check()
+    except CheckError:
+        raise
+    except Exception as exc:
+        raise classify_exception(exc) from exc
+    finally:
+        chaos_module.deactivate()
+
+
 def run_job(
     circuit1: QuantumCircuit,
     circuit2: QuantumCircuit,
@@ -116,31 +149,19 @@ def run_job(
     """Run one check in this child; always returns a structured payload.
 
     ``{"ok": True, "result": ...}`` or ``{"ok": False, "error": ...}``;
-    ``"oom"`` marks a :class:`MemoryError`.  ``chaos`` is armed for this
-    check only.
+    ``"oom"`` marks a :class:`~repro.errors.CheckOutOfMemory`.  Unlike
+    :func:`run_in_process` alone, nothing escapes: a child reports even
+    a ``KeyboardInterrupt`` or ``SystemExit`` as a classified failure.
     """
-    from repro.ec.manager import EquivalenceCheckingManager
-    from repro.harness import chaos as chaos_module
-
     try:
-        if chaos is not None:
-            chaos_module.activate(chaos)
-        # Graceful degradation is the supervisor's job: raw failures
-        # must reach the classifier here so the taxonomy stays precise.
-        config = dataclasses.replace(configuration, graceful_degradation=False)
-        result = EquivalenceCheckingManager(circuit1, circuit2, config).run()
+        result = run_in_process(circuit1, circuit2, configuration, chaos)
         return {"ok": True, "result": result.to_dict()}
-    except MemoryError:
-        # Free the balloon before serializing the report.
-        import gc
-
-        gc.collect()
-        error = CheckOutOfMemory("check exceeded its address-space limit")
-        return {"ok": False, "oom": True, "error": error.to_dict()}
     except BaseException as exc:  # noqa: BLE001 - containment is the point
-        return {"ok": False, "error": classify_exception(exc).to_dict()}
-    finally:
-        chaos_module.deactivate()
+        failure = classify_exception(exc).to_dict()
+    oom = failure["kind"] == CheckOutOfMemory.kind
+    if oom:
+        gc.collect()  # the traceback is gone: free the balloon
+    return {"ok": False, "oom": oom, "error": failure}
 
 
 def check_main(

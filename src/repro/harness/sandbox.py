@@ -13,31 +13,31 @@ instances).  The child additionally ceils its address space at
 a clean :class:`~repro.errors.CheckOutOfMemory` instead of triggering
 the host's OOM killer.
 
-:func:`run_check` is the fault-tolerant front door around it: transient
-failures are retried, and every surviving failure degrades into a
-result instead of an exception.
+:func:`run_check` is the fault-tolerant front door around it, or around
+the same check in-process (:func:`~repro.harness.child.run_in_process`):
+transient failures are retried, and every surviving failure degrades
+into a result (:meth:`EquivalenceCheckingResult.failed`) instead of an
+exception.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Optional
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
-from repro.ec.results import Equivalence, EquivalenceCheckingResult
+from repro.ec.results import EquivalenceCheckingResult
 from repro.errors import (
     CheckError,
     CheckTimeout,
-    InvalidInput,
+    PortfolioDisagreement,
     RetryPolicy,
     call_with_retry,
-    classify_exception,
     error_from_dict,
 )
 from repro.harness.chaos import ChaosSpec
-from repro.harness.child import hard_budget
+from repro.harness.child import hard_budget, run_in_process
 from repro.harness.race import RaceEntry, race_checks
 
 
@@ -88,20 +88,6 @@ def run_check_isolated(
     return result
 
 
-def _failure_result(
-    error: CheckError, strategy: str, elapsed: float
-) -> EquivalenceCheckingResult:
-    """Degrade a structured failure into a reportable result."""
-    verdict = (
-        Equivalence.TIMEOUT
-        if isinstance(error, CheckTimeout)
-        else Equivalence.NO_INFORMATION
-    )
-    return EquivalenceCheckingResult(
-        verdict, strategy, elapsed, {"failure": error.to_dict()}
-    )
-
-
 def run_check(
     circuit1: QuantumCircuit,
     circuit2: QuantumCircuit,
@@ -124,38 +110,19 @@ def run_check(
     configuration = configuration or Configuration()
     if retry is None:
         retry = RetryPolicy(max_retries=configuration.max_retries)
-
-    def attempt() -> EquivalenceCheckingResult:
-        if isolate:
-            return run_check_isolated(circuit1, circuit2, configuration, chaos)
-        from repro.ec.manager import EquivalenceCheckingManager
-        from repro.harness import chaos as chaos_module
-
-        config = dataclasses.replace(configuration, graceful_degradation=False)
-        try:
-            config.validate()
-        except ValueError as exc:
-            raise InvalidInput(str(exc)) from exc
-        if chaos is not None:
-            chaos_module.activate(chaos)
-        try:
-            return EquivalenceCheckingManager(circuit1, circuit2, config).run()
-        except Exception as exc:  # noqa: BLE001 - degraded below
-            raise classify_exception(exc) from exc
-        finally:
-            if chaos is not None:
-                chaos_module.deactivate()
-
+    attempt = run_check_isolated if isolate else run_in_process
     start = time.monotonic()
     try:
-        return call_with_retry(attempt, retry, sleep=sleep)
+        return call_with_retry(
+            lambda: attempt(circuit1, circuit2, configuration, chaos),
+            retry,
+            sleep=sleep,
+        )
+    except PortfolioDisagreement:
+        # Contradictory sound verdicts are a checker bug, not an
+        # operational failure — never degrade them into a result.
+        raise
     except CheckError as error:
-        from repro.errors import PortfolioDisagreement
-
-        if isinstance(error, PortfolioDisagreement):
-            # Contradictory sound verdicts are a checker bug, not an
-            # operational failure — never degrade them into a result.
-            raise
-        return _failure_result(
+        return EquivalenceCheckingResult.failed(
             error, configuration.strategy, time.monotonic() - start
         )

@@ -27,7 +27,7 @@ import dataclasses
 import hashlib
 import json
 import os
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from repro.circuit import circuit_to_qasm
 from repro.circuit.circuit import QuantumCircuit
@@ -150,14 +150,6 @@ class VerdictCache:
             self.counters.count("cache.compactions")
 
     # ------------------------------------------------------------------
-    def key_for(
-        self,
-        circuit1: QuantumCircuit,
-        circuit2: QuantumCircuit,
-        configuration: Configuration,
-    ) -> str:
-        return cache_key(circuit1, circuit2, configuration)
-
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """The cached verdict payload (a ``result.to_dict()``), or None."""
         entry = self._entries.get(key)
@@ -198,13 +190,3 @@ class VerdictCache:
 
     def __exit__(self, *_exc: object) -> None:
         self.close()
-
-
-def pair_fingerprints(
-    circuit1: QuantumCircuit, circuit2: QuantumCircuit
-) -> Tuple[str, str]:
-    """Hex digests of both circuits' canonical serializations."""
-    return (
-        _circuit_digest(circuit1).hex(),
-        _circuit_digest(circuit2).hex(),
-    )

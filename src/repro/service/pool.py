@@ -80,7 +80,6 @@ from repro.harness.child import (
     rss_mb,
     run_job,
 )
-from repro.harness.sandbox import _failure_result
 from repro.perf import PerfCounters
 from repro.service.cache import VerdictCache, cache_key
 from repro.service.quarantine import QuarantineStore
@@ -482,19 +481,14 @@ class WorkerPool:
     def _quarantined_result(
         self, job: _Job, record: Dict[str, object]
     ) -> EquivalenceCheckingResult:
-        from repro.ec.results import Equivalence
-
+        """The answer to a poison pair: its last strike, degraded."""
         strikes = record.get("strikes")
-        statistics: Dict[str, object] = {
-            "quarantined": True,
-            "failure": dict(strikes[-1])  # type: ignore[index]
-            if isinstance(strikes, list) and strikes
-            else {},
-        }
-        verdict = str(record.get("verdict", Equivalence.NO_INFORMATION.value))
-        return EquivalenceCheckingResult(
-            Equivalence(verdict), job.configuration.strategy, 0.0, statistics
+        last = strikes[-1] if isinstance(strikes, list) and strikes else {}
+        result = EquivalenceCheckingResult.failed(
+            error_from_dict(last), job.configuration.strategy, 0.0
         )
+        result.statistics["quarantined"] = True
+        return result
 
     def _resolve(self, job: _Job, result: EquivalenceCheckingResult) -> None:
         """Finalize one job (and every duplicate coalesced onto it)."""
@@ -518,7 +512,9 @@ class WorkerPool:
         elapsed = time.monotonic() - job.submitted_at
         self._resolve(
             job,
-            _failure_result(error, job.configuration.strategy, elapsed),
+            EquivalenceCheckingResult.failed(
+                error, job.configuration.strategy, elapsed
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -771,33 +767,21 @@ class WorkerPool:
         self._degrade(job, error)
 
     def _quarantine_job(self, job: _Job, last_error: CheckError) -> None:
-        from repro.ec.results import Equivalence
-
-        verdict = (
-            Equivalence.TIMEOUT
-            if isinstance(last_error, CheckTimeout)
-            else Equivalence.NO_INFORMATION
+        result = EquivalenceCheckingResult.failed(
+            last_error,
+            job.configuration.strategy,
+            time.monotonic() - job.submitted_at,
         )
+        result.statistics.update(quarantined=True, strikes=len(job.strikes))
         self.quarantine.quarantine(
             job.key,
             job.circuit1,
             job.circuit2,
             job.configuration,
             job.strikes,
-            verdict.value,
+            result.equivalence.value,
         )
         self.counters.count("service.quarantined")
-        elapsed = time.monotonic() - job.submitted_at
-        result = EquivalenceCheckingResult(
-            verdict,
-            job.configuration.strategy,
-            elapsed,
-            {
-                "failure": dict(job.strikes[-1]),
-                "quarantined": True,
-                "strikes": len(job.strikes),
-            },
-        )
         self._resolve(job, result)
 
     # -- death, retirement, breaker ------------------------------------

@@ -35,11 +35,11 @@ vertices whose neighborhood a rewrite changed.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import FrozenSet, Optional, Tuple
 
+from repro.errors import check_deadline
 from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
 from repro.zx.phase import SymbolicPhase, negate_phase
 
@@ -61,15 +61,6 @@ def _stored_pauli(phase) -> bool:
 def _stored_proper_clifford(phase) -> bool:
     """:func:`repro.zx.phase.is_proper_clifford_phase` for stored phases."""
     return type(phase) is Fraction and phase.denominator == 2
-
-
-class SimplificationTimeout(Exception):
-    """Raised when a simplification exceeds its wall-clock deadline."""
-
-
-def _check_deadline(deadline) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise SimplificationTimeout()
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +144,7 @@ def to_graph_like(diagram: ZXDiagram, deadline=None) -> ZXDiagram:
     changed = True
     while changed:
         changed = False
-        _check_deadline(deadline)
+        check_deadline(deadline)
         # repro: allow(deadline-loop): one sweep over a materialized edge list
         for u, v, edge_type in list(diagram.edges()):
             if edge_type is not EdgeType.SIMPLE:
@@ -497,7 +488,7 @@ def contract_unitary_chains(
     while changed:
         changed = False
         for start in list(diagram.vertices()):
-            _check_deadline(deadline)
+            check_deadline(deadline)
             if start not in diagram._types:
                 continue
             if diagram.vertex_type(start) is not VertexType.Z:

@@ -52,9 +52,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
+from repro.errors import check_deadline
 from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
 from repro.zx.simplify import (
-    _check_deadline,
     _gadget_shape,
     _id_applicable,
     _lcomp_applicable,
@@ -476,7 +476,7 @@ def _run_rule(
     round_fn = _ROUNDS[rule]
     applied = 0
     while tracker.pending(rule):
-        _check_deadline(deadline)
+        check_deadline(deadline)
         applied += round_fn(diagram, tracker, counters)
     return applied
 
@@ -556,7 +556,7 @@ def full_reduce(diagram: ZXDiagram, *, deadline=None, counters=None) -> int:
     """
     # An expired deadline must fire even when the diagram offers no
     # matches (the per-rule checks only run inside match loops).
-    _check_deadline(deadline)
+    check_deadline(deadline)
 
     def body(tracker: DirtyTracker) -> int:
         total = _interior_clifford(diagram, tracker, deadline, counters)

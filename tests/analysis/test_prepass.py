@@ -67,26 +67,26 @@ class TestShortCircuit:
         assert "analysis" not in result.statistics
 
 
-class TestRunSingleSeam:
-    def test_run_single_exercises_the_prepass(self):
-        # Regression: run_single (the fuzz oracle's entry point) must go
-        # through the same dispatch seam as run(), including the static
-        # pre-pass — otherwise the fuzzer would never exercise the code
-        # path users hit.
+class TestDispatchSeam:
+    def test_every_entry_point_exercises_the_prepass(self):
+        # Regression: run() and check() (the fuzz oracle's and the
+        # harness's entry points) go through one dispatch seam, static
+        # pre-pass included — otherwise the fuzzer would never exercise
+        # the code path users hit.
         manager = EquivalenceCheckingManager(
-            *_neq_pair(), Configuration(strategy="zx")
+            *_neq_pair(), Configuration(strategy="combined")
         )
-        result = manager.run_single("combined")
-        assert result.equivalence is Equivalence.NOT_EQUIVALENT
-        assert result.statistics["analysis"]["verdict"] == "not_equivalent"
-        # The override is transient.
-        assert manager.configuration.strategy == "zx"
+        for result in (manager.run(), manager.check()):
+            assert result.equivalence is Equivalence.NOT_EQUIVALENT
+            assert result.statistics["analysis"]["verdict"] == (
+                "not_equivalent"
+            )
 
-    def test_run_single_respects_static_analysis_flag(self):
+    def test_run_respects_static_analysis_flag(self):
         manager = EquivalenceCheckingManager(
             *_neq_pair(), Configuration(static_analysis=False)
         )
-        result = manager.run_single("combined")
+        result = manager.run()
         assert result.equivalence is Equivalence.NOT_EQUIVALENT
         assert "analysis" not in result.statistics
         assert result.statistics["simulations_run"] >= 1
@@ -192,8 +192,9 @@ class TestTimeoutBehaviour:
         import pytest
 
         from repro.analysis import analyze_pair as ap
-        from repro.ec.results import EquivalenceCheckingTimeout
+        from repro.errors import CheckTimeout
 
         a, b = _neq_pair()
-        with pytest.raises(EquivalenceCheckingTimeout):
+        with pytest.raises(CheckTimeout) as raised:
             ap(logical_pair(a, b), deadline=0.0)  # already expired
+        assert raised.value.diagnostics["hard"] is False

@@ -491,3 +491,78 @@ class TestExpressionNesting:
         assert circuit[0].params == (1.0,)
         with pytest.raises(QasmError):
             circuit_from_qasm(nested(MAX_EXPRESSION_DEPTH))
+
+
+def _doubling_chain(depth):
+    """Macros ``g0`` (one X) .. ``g<depth>`` (two applications of the one
+    before): one application of ``g<depth>`` is ``2**depth`` operations."""
+    lines = ["qreg q[1];", "gate g0 a { x a; }"]
+    lines += [
+        f"gate g{k} a {{ g{k - 1} a; g{k - 1} a; }}"
+        for k in range(1, depth + 1)
+    ]
+    return HEADER + "\n".join(lines) + "\n"
+
+
+class TestMalformedMacros:
+    """A gate body applies builtins and earlier gates to its own qubit
+    arguments only (OpenQASM 2.0); anything else is a located error at
+    definition, whether or not the gate is applied."""
+
+    @pytest.mark.parametrize(
+        "definitions, line, column, message",
+        [
+            ("gate g a { g a; }", 4, 12, "'g' applies 'g'"),
+            ("gate g a { h2 a; }\ngate h2 a { g a; }", 4, 12,
+             "'g' applies 'h2'"),
+            ("gate g a { h2 a; } gate h2 a { h a; }", 4, 12,
+             "'g' applies 'h2'"),
+            ("gate g a { x b; }", 4, 14,
+             "'b' is not a qubit argument of gate 'g'"),
+            ("gate g a, b { cx a, c; }", 4, 21,
+             "'c' is not a qubit argument of gate 'g'"),
+            ("gate g a { cx a; }", 4, 12, "gate 'cx' expects 2 qubits"),
+            ("gate g a { rz a; }", 4, 12, "gate 'rz' expects 1 params"),
+            ("gate k a { x a; }\ngate g a { k(1) a; }", 5, 12,
+             "gate 'k' expects 1 qubits and 0 params"),
+        ],
+        ids=["self", "mutual", "forward", "free-qubit", "free-control",
+             "qubit-count", "param-count", "macro-arity"],
+    )
+    def test_located_error(self, definitions, line, column, message):
+        text = HEADER + "qreg q[2];\n" + definitions + "\ng q[0];\n"
+        with pytest.raises(QasmError) as info:
+            circuit_from_qasm(text)
+        assert (info.value.line, info.value.column) == (line, column)
+        assert message in str(info.value)
+
+    def test_a_long_chain_expands_without_recursion(self):
+        depth = 3000
+        lines = ["qreg q[1];", "gate g0 a { x a; }"]
+        lines += [f"gate g{k} a {{ g{k - 1} a; }}" for k in range(1, depth)]
+        circuit = circuit_from_qasm(
+            HEADER + "\n".join(lines) + f"\ng{depth - 1} q[0];\n"
+        )
+        assert [op.name for op in circuit] == ["x"]
+
+
+class TestMacroExpansionBound:
+    def test_the_bound_is_exact(self):
+        from repro.circuit.qasm import MAX_MACRO_OPERATIONS
+
+        depth = MAX_MACRO_OPERATIONS.bit_length() - 1
+        assert 2 ** depth == MAX_MACRO_OPERATIONS
+        text = _doubling_chain(depth) + f"g{depth} q[0];\nx q[0];\n"
+        assert len(circuit_from_qasm(text)) == MAX_MACRO_OPERATIONS + 1
+        with pytest.raises(QasmError) as info:
+            circuit_from_qasm(text + "g0 q[0];\n")
+        assert info.value.line == depth + 7
+        assert info.value.column == 1
+        assert f"more than {MAX_MACRO_OPERATIONS} operations" in str(
+            info.value
+        )
+
+    def test_an_exponential_chain_is_refused_before_it_expands(self):
+        # 2**40 operations: only a refusal before expansion returns.
+        with pytest.raises(QasmError, match="more than"):
+            circuit_from_qasm(_doubling_chain(40) + "g40 q[0];\n")

@@ -163,3 +163,64 @@ class TestNonlinearDiagnostics:
         )
         with pytest.raises(QasmError):
             circuit_from_qasm(text)
+
+
+class TestIntegerOffsets:
+    """The symbolic reader's integer literals are exact Fractions, and a
+    ParamExpr adds and subtracts them like the float they equal."""
+
+    @pytest.mark.parametrize(
+        "expression, float_form",
+        [
+            ("theta + 1", "theta + 1.0"),
+            ("1 - theta", "1.0 - theta"),
+            ("theta - 1", "theta - 1.0"),
+            ("theta + 1/2", "theta + 0.5"),
+        ],
+    )
+    def test_parses_like_its_float_form(self, expression, float_form):
+        def angle(text):
+            circuit = circuit_from_qasm(
+                "// repro:params theta\nOPENQASM 2.0;\nqreg q[1];\n"
+                f"rz({text}) q[0];\n"
+            )
+            return circuit[0].params[0]
+
+        parsed = angle(expression)
+        assert isinstance(parsed, ParamExpr)
+        assert parsed == angle(float_form)
+
+    def test_verify_returns_a_verdict(self, tmp_path, capsys):
+        from repro.cli import main
+
+        paths = []
+        for name, expression in (("a", "theta + 1"), ("b", "1 + theta")):
+            path = tmp_path / f"{name}.qasm"
+            path.write_text(
+                "// repro:params theta\nOPENQASM 2.0;\nqreg q[1];\n"
+                f"rz({expression}) q[0];\n"
+            )
+            paths.append(str(path))
+        code = main(["verify", *paths, "--strategy", "parameterized"])
+        assert code == 0
+        assert "equivalent" in capsys.readouterr().out
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_the_writer_refuses_them(self, value):
+        circuit = QuantumCircuit(1).rz(float(value), 0)
+        with pytest.raises(QasmError, match="cannot serialize 'rz'"):
+            circuit_to_qasm(circuit)
+
+    def test_a_symbolic_offset_is_checked_too(self):
+        circuit = QuantumCircuit(1)
+        circuit.add("rz", [0], params=[symbol("theta") + float("inf")])
+        with pytest.raises(QasmError, match="cannot serialize 'rz'"):
+            circuit_to_qasm(circuit)
+
+    def test_a_service_client_fails_before_it_sends(self):
+        from repro.service.server import circuit_to_payload
+
+        with pytest.raises(QasmError):
+            circuit_to_payload(QuantumCircuit(1).rz(float("nan"), 0))

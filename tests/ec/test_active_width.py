@@ -104,7 +104,7 @@ class TestPaddedCompiledPairs:
                 ) is expected, name
             else:
                 assert (result.equivalence in POSITIVE) is expected, name
-        state = state_check(logical_pair(original, other), config)
+        state = state_check(logical_pair(original, other))
         assert state.statistics["active_qubits"] == 4
         assert (state.equivalence in POSITIVE) is _dense_same_state(
             original, other

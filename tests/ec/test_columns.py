@@ -21,7 +21,7 @@ from repro.circuit.symbolic import (
 )
 from repro.circuit.unitary import circuit_unitary, hilbert_schmidt_fidelity
 from repro.ec import Configuration, EquivalenceCheckingManager, logical_pair
-from repro.ec.results import Equivalence, EquivalenceCheckingTimeout
+from repro.ec.results import Equivalence
 from repro.ec.sim_checker import (
     ColumnChecker,
     basis_index,
@@ -29,6 +29,7 @@ from repro.ec.sim_checker import (
     simulation_check,
 )
 from repro.ec.stimuli import generate_stimulus, prepare_stimulus_state
+from repro.errors import CheckTimeout
 from repro.fuzz.generator import FAMILIES, generate_instance
 from tests.dd import golden
 
@@ -273,8 +274,9 @@ class TestCombinedHandOver:
         columns = ColumnChecker(
             logical_pair(QuantumCircuit(4).h(0), QuantumCircuit(4).h(0))
         )
-        with pytest.raises(EquivalenceCheckingTimeout):
+        with pytest.raises(CheckTimeout) as raised:
             columns.exhaust(deadline=0.0)
+        assert raised.value.diagnostics["hard"] is False
 
     def test_standalone_alternating_never_hands_over(self):
         circuit = QuantumCircuit(3).h(0).cx(0, 1).t(2)

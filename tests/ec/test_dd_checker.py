@@ -17,7 +17,8 @@ from repro.ec import (
     construction_dd_check,
     logical_pair,
 )
-from repro.ec.results import Equivalence, EquivalenceCheckingTimeout
+from repro.ec.results import Equivalence
+from repro.errors import CheckTimeout
 from repro.bench.errors import flip_random_cnot, remove_random_gate
 from tests.conftest import random_circuit
 
@@ -129,8 +130,9 @@ class TestAlternatingChecker:
     def test_timeout_raised(self):
         circuit = random_circuit(4, 50, seed=10)
         checker = AlternatingChecker(logical_pair(circuit, circuit.copy()))
-        with pytest.raises(EquivalenceCheckingTimeout):
+        with pytest.raises(CheckTimeout) as raised:
             checker.run(deadline=time.monotonic() - 1.0)
+        assert raised.value.diagnostics["hard"] is False
 
     def test_width_mismatch_handled(self):
         narrow = QuantumCircuit(2).h(0).cx(0, 1)

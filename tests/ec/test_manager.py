@@ -129,7 +129,7 @@ class TestTimeout:
 
 
 class TestConfigurationFields:
-    def test_the_fourteen_knobs(self):
+    def test_the_thirteen_knobs(self):
         """Every field is a knob some CLI flag, bench or caller sets; a
         value nothing sets is a module constant instead.  A new knob
         changes this list."""
@@ -144,7 +144,6 @@ class TestConfigurationFields:
             "timeout",
             "trace_sizes",
             "seed",
-            "graceful_degradation",
             "memory_limit_mb",
             "max_retries",
             "portfolio",

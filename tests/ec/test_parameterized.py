@@ -267,20 +267,18 @@ class TestDispatch:
         theta = symbol("theta")
         a = QuantumCircuit(1)
         a.add("rz", [0], params=[theta])
-        config = Configuration(
-            strategy="combined", seed=0, graceful_degradation=False
-        )
+        config = Configuration(strategy="combined", seed=0)
         with pytest.raises(InvalidInput):
-            EquivalenceCheckingManager(a, a.copy(), config).run()
+            EquivalenceCheckingManager(a, a.copy(), config).check()
 
-    def test_run_single_parameterized_override(self):
+    def test_manager_runs_the_parameterized_strategy(self):
         theta = symbol("theta")
         a = QuantumCircuit(1)
         a.add("rz", [0], params=[theta])
         manager = EquivalenceCheckingManager(
-            a, a.copy(), Configuration(seed=0)
+            a, a.copy(), Configuration(strategy="parameterized", seed=0)
         )
-        result = manager.run_single("parameterized")
+        result = manager.run()
         assert result.considered_equivalent
 
 

@@ -275,27 +275,18 @@ class TestFallbackSelection:
 
 
 class TestManagerIntegration:
-    def test_run_single_leaves_configuration_untouched(self, tiny_pair):
-        """Regression: ``run_single`` used to mutate the manager's own
-        configuration; under the portfolio it must thread an explicit
-        override instead."""
+    def test_run_leaves_configuration_untouched(self, tiny_pair):
+        """The race never mutates the manager's configuration, so one
+        manager can run it again."""
         config = _portfolio_config()
         manager = EquivalenceCheckingManager(*tiny_pair, config)
-        result = manager.run_single("alternating")
-        assert result.strategy == "alternating"
-        assert manager.configuration is config
-        assert manager.configuration.strategy == "combined"
-        assert manager.configuration.portfolio is True
-        # The full portfolio run still works afterwards.
-        raced = manager.run()
-        assert raced.strategy == "portfolio"
-        assert raced.equivalence in POSITIVE
-
-    def test_run_single_combined_keeps_the_race(self, tiny_pair):
-        manager = EquivalenceCheckingManager(*tiny_pair, _portfolio_config())
-        result = manager.run_single("combined")
-        assert result.strategy == "portfolio"
-        assert portfolio_winner(result) is not None
+        for _ in range(2):
+            raced = manager.run()
+            assert raced.strategy == "portfolio"
+            assert raced.equivalence in POSITIVE
+            assert portfolio_winner(raced) is not None
+            assert manager.configuration is config
+            assert config == _portfolio_config()
 
     def test_disagreement_is_never_degraded(self, tiny_pair, monkeypatch):
         """A cross-child contradiction must surface as a hard error, not

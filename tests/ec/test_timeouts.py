@@ -1,11 +1,12 @@
-"""Timeout-path coverage for every strategy, graceful degradation, and
-validation of the robustness-related configuration fields."""
+"""Timeout-path coverage for every strategy, the degradation of
+failures into results, and validation of the robustness-related
+configuration fields."""
 
 import pytest
 
 from repro.bench.algorithms import ghz_state
 from repro.ec import Configuration, EquivalenceCheckingManager
-from repro.ec.results import Equivalence, EquivalenceCheckingTimeout
+from repro.ec.results import Equivalence
 from repro.harness import chaos
 from repro.harness.chaos import ChaosSpec
 
@@ -43,6 +44,8 @@ class TestTimeoutPathAllStrategies:
         assert result.equivalence is Equivalence.TIMEOUT, strategy
         assert not result.considered_equivalent
         assert not result.proven
+        assert result.failure["kind"] == "timeout"
+        assert result.failure["diagnostics"]["hard"] is False
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_generous_deadline_still_succeeds(self, strategy, clifford_pair):
@@ -55,26 +58,22 @@ class TestTimeoutPathAllStrategies:
         assert result.considered_equivalent, strategy
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-    def test_timeout_not_raised_even_without_degradation(
+    def test_check_returns_timeout_instead_of_raising(
         self, strategy, clifford_pair
     ):
-        """Timeouts are an expected verdict, not a failure: the TIMEOUT
-        path must hold even with graceful degradation switched off."""
+        """Timeouts are an expected verdict, not a failure: check(),
+        which raises every failure, still returns TIMEOUT."""
         circuit1, circuit2 = clifford_pair
         result = EquivalenceCheckingManager(
             circuit1,
             circuit2,
-            Configuration(
-                strategy=strategy,
-                timeout=1e-9,
-                seed=0,
-                graceful_degradation=False,
-            ),
-        ).run()
+            Configuration(strategy=strategy, timeout=1e-9, seed=0),
+        ).check()
         assert result.equivalence is Equivalence.TIMEOUT, strategy
+        assert result.failure["kind"] == "timeout"
 
 
-class TestGracefulDegradation:
+class TestDegradation:
     def test_checker_exception_degrades_to_no_information(self, clifford_pair):
         circuit1, circuit2 = clifford_pair
         chaos.activate(ChaosSpec(mode="exception"))
@@ -88,18 +87,14 @@ class TestGracefulDegradation:
         assert result.failure["kind"] == "crashed"
         assert "chaos" in result.failure["message"]
 
-    def test_degradation_can_be_disabled(self, clifford_pair):
+    def test_check_raises_what_run_degrades(self, clifford_pair):
         circuit1, circuit2 = clifford_pair
         chaos.activate(ChaosSpec(mode="exception"))
         try:
             with pytest.raises(RuntimeError):
                 EquivalenceCheckingManager(
-                    circuit1,
-                    circuit2,
-                    Configuration(
-                        strategy="combined", graceful_degradation=False
-                    ),
-                ).run()
+                    circuit1, circuit2, Configuration(strategy="combined")
+                ).check()
         finally:
             chaos.deactivate()
 

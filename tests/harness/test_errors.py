@@ -1,8 +1,9 @@
 """Taxonomy classification, serialization and retry/backoff behaviour."""
 
+import time
+
 import pytest
 
-from repro.ec.results import EquivalenceCheckingTimeout
 from repro.errors import (
     CheckCrashed,
     CheckError,
@@ -12,6 +13,7 @@ from repro.errors import (
     InvalidInput,
     RetryPolicy,
     call_with_retry,
+    check_deadline,
     classify_exception,
     error_from_dict,
 )
@@ -65,9 +67,16 @@ class TestClassify:
         assert isinstance(classify_exception(MemoryError()), CheckOutOfMemory)
 
     def test_cooperative_timeout(self):
-        error = classify_exception(EquivalenceCheckingTimeout())
-        assert isinstance(error, CheckTimeout)
+        with pytest.raises(CheckTimeout) as raised:
+            check_deadline(time.monotonic() - 1.0)
+        error = classify_exception(raised.value)
+        assert error is raised.value
         assert error.diagnostics["hard"] is False
+        assert error.message == "cooperative deadline exceeded"
+
+    def test_deadline_not_yet_due(self):
+        check_deadline(None)
+        check_deadline(time.monotonic() + 60.0)
 
     def test_value_error_is_invalid_input(self):
         assert isinstance(classify_exception(ValueError("bad")), InvalidInput)

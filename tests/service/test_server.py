@@ -36,9 +36,10 @@ _REMOVED_KNOBS = {
     "retry_backoff": -1.0,
     "portfolio_head_start": float("inf"),
     "instantiation_isolation": "yes",
+    "graceful_degradation": False,
 }
 
-#: A valid, non-default value for each of the 14 ``Configuration`` knobs.
+#: A valid, non-default value for each of the 13 ``Configuration`` knobs.
 _KNOB_VALUES = {
     "strategy": "alternating",
     "static_analysis": False,
@@ -48,7 +49,6 @@ _KNOB_VALUES = {
     "timeout": 7.5,
     "trace_sizes": True,
     "seed": 11,
-    "graceful_degradation": False,
     "memory_limit_mb": 512,
     "max_retries": 0,
     "portfolio": True,
@@ -111,7 +111,7 @@ class TestWireFormat:
 
     @pytest.mark.parametrize("key, value", sorted(_KNOB_VALUES.items()))
     def test_every_knob_survives_the_wire(self, key, value):
-        """Each of the 14 knobs is set by a client's payload, passes
+        """Each of the 13 knobs is set by a client's payload, passes
         validation and moves the cache key."""
         payload = configuration_to_payload(Configuration())
         payload[key] = value
@@ -371,6 +371,48 @@ class TestServerRoundTrip:
                     assert reply["ok"] is False, name
                     assert reply["error"]["kind"] == "invalid_input", name
                     assert "nested more than" in reply["error"]["message"]
+                assert client.ping()
+        finally:
+            with ServiceClient(socket_path) as closer:
+                closer.shutdown_server()
+            thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert pool.audit()["leaked"] == 0
+
+    def test_malformed_macros_are_answered_not_fatal(self):
+        """A self-applying, free-qubit or exponentially doubling ``gate``
+        macro is malformed input, refused before it expands."""
+        pool = WorkerPool(
+            PoolConfig(workers=1, restart_backoff=_FAST_BACKOFF)
+        )
+        server, thread, socket_path = _serve(pool)
+        good = circuit_to_payload(ghz_state(1))
+        doubling = "".join(
+            f"gate g{k} a {{ g{k - 1} a; g{k - 1} a; }}\n"
+            for k in range(1, 41)
+        )
+        bodies = {
+            "recursion": ("gate g a { g a; }\ng q[0];\n", "applies 'g'"),
+            "free qubit": (
+                "gate g a { x b; }\ng q[0];\n", "not a qubit argument"
+            ),
+            "doubling": (
+                "gate g0 a { x a; }\n" + doubling + "g40 q[0];\n",
+                "more than",
+            ),
+        }
+        try:
+            with ServiceClient(socket_path) as client:
+                for name, (body, message) in bodies.items():
+                    hostile = {"qasm": "OPENQASM 2.0;\nqreg q[1];\n" + body}
+                    reply = client._request({
+                        "op": "submit", "pairs": [(hostile, good)],
+                        "configuration": None,
+                    })
+                    assert reply["ok"] is False, name
+                    assert reply["error"]["kind"] == "invalid_input", name
+                    assert message in reply["error"]["message"], name
+                    assert "line " in reply["error"]["message"], name
                 assert client.ping()
         finally:
             with ServiceClient(socket_path) as closer:

@@ -270,6 +270,28 @@ class TestUnreadableInput:
         )
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("gate g a { g a; }", "line 4, column 12: gate 'g' applies 'g'"),
+            ("gate g a { x b; }", "line 4, column 14: 'b' is not a qubit"),
+        ],
+        ids=["recursion", "free-qubit"],
+    )
+    def test_malformed_macro(self, body, message, qasm_files, tmp_path, capsys):
+        good, _ = qasm_files
+        bad = tmp_path / "macro.qasm"
+        bad.write_text(
+            f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n{body}\n'
+            "g q[0];\n"
+        )
+        assert main(["verify", str(bad), str(good)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"repro verify: error: {bad}: {message}"
+        )
+        assert "Traceback" not in captured.err
+
     def test_missing_file(self, qasm_files, tmp_path, capsys):
         good, _ = qasm_files
         missing = tmp_path / "missing.qasm"

@@ -15,7 +15,7 @@ from repro.zx import (
     to_graph_like,
 )
 from repro.zx.diagram import EdgeType, VertexType
-from repro.zx.simplify import SimplificationTimeout
+from repro.errors import CheckTimeout
 from repro.zx.worklist import (
     _run_rule,
     _with_tracker,
@@ -136,8 +136,9 @@ class TestFullReduce:
         diagram = (
             circuit_to_zx(circuit).adjoint().compose(circuit_to_zx(circuit))
         )
-        with pytest.raises(SimplificationTimeout):
+        with pytest.raises(CheckTimeout) as raised:
             full_reduce(diagram, deadline=time.monotonic() - 1.0)
+        assert raised.value.diagnostics["hard"] is False
 
     @pytest.mark.parametrize(
         "pipeline", [interior_clifford_simp, clifford_simp],
@@ -148,15 +149,17 @@ class TestFullReduce:
         diagram = (
             circuit_to_zx(circuit).adjoint().compose(circuit_to_zx(circuit))
         )
-        with pytest.raises(SimplificationTimeout):
+        with pytest.raises(CheckTimeout) as raised:
             pipeline(diagram, deadline=time.monotonic() - 1.0)
+        assert raised.value.diagnostics["hard"] is False
 
     def test_gadget_rule_deadline_raises(self):
         """The gadget rule honours the deadline even with no fusable gadget."""
         circuit = QuantumCircuit(2).rzz(0.4, 0, 1).h(0).h(0).rzz(0.3, 0, 1)
         diagram = to_graph_like(circuit_to_zx(circuit))
-        with pytest.raises(SimplificationTimeout):
+        with pytest.raises(CheckTimeout) as raised:
             run_rule(diagram, "gadget", deadline=time.monotonic() - 1.0)
+        assert raised.value.diagnostics["hard"] is False
 
     def test_error_injected_does_not_reduce_to_identity(self):
         circuit = random_circuit(4, 30, seed=5, gate_set="mixed")
