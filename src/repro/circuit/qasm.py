@@ -29,7 +29,7 @@ and caret locations are those of a whole-file parse.  When a file holds
 several errors, the first in reading order is reported.  Expressions may
 nest at most :data:`MAX_EXPRESSION_DEPTH` levels deep.  A ``gate`` body
 applies builtins and gates defined before it, to its own qubits, and
-one file's macros expand to at most :data:`MAX_MACRO_OPERATIONS`.
+one file's macros expand within :data:`MAX_MACRO_EXPANSION`.
 
 Parameterized circuits use a small dialect extension: a pragma comment
 
@@ -216,10 +216,17 @@ _FUNCTIONS: Dict[str, Callable[[float], float]] = {
 #: :class:`QasmError` rather than exhausting the interpreter's stack.
 MAX_EXPRESSION_DEPTH = 64
 
-#: Most operations the ``gate`` macro applications of one file may expand
-#: to.  Each definition knows its expansion size, so the application that
-#: would cross the bound is a located :class:`QasmError` before it expands.
-MAX_MACRO_OPERATIONS = 1 << 16
+#: One file's ``gate`` macros may expand ``MAX_MACRO_EXPANSION +
+#: MACRO_EXPANSION_PER_CHAR * len(text)`` units: one per qubit a body
+#: statement binds, nested applications included (so every statement
+#: costs one), and one per expression token it evaluates.  A unit took 1
+#: to 7.5 us on one core, so expansion stays under about 0.5 s plus 120 us
+#: a character; the densest macros measured, qelib1's ``ch`` built down to
+#: ``U`` and ``CX``, cost 6.6 units a character of their application.
+#: The application that would cross the budget is a located
+#: :class:`QasmError` before it expands.
+MAX_MACRO_EXPANSION = 1 << 16
+MACRO_EXPANSION_PER_CHAR = 16
 
 
 class _Parser:
@@ -421,6 +428,7 @@ _BUILTINS: Dict[str, _BuiltinGate] = {
     "u2": _BuiltinGate("u2", 0, 2),
     "u3": _BuiltinGate("u3", 0, 3),
     "u": _BuiltinGate("u3", 0, 3),
+    "U": _BuiltinGate("u3", 0, 3),
     "cx": _BuiltinGate("x", 1, 0),
     "CX": _BuiltinGate("x", 1, 0),
     "cy": _BuiltinGate("y", 1, 0),
@@ -469,8 +477,8 @@ class _GateMacro:
 
     ``body`` holds one ``(gate_name, macro, param_token_slices,
     qubit_names, offset)`` per statement, ``macro`` being None for a
-    builtin; ``size`` is the operations one application emits, capped
-    just past :data:`MAX_MACRO_OPERATIONS`.
+    builtin; ``size`` is the units one application expands (see
+    :data:`MAX_MACRO_EXPANSION`), capped just past the budget left.
     """
 
     params: List[str]
@@ -526,7 +534,9 @@ class _QasmReader:
         self._registers: Dict[str, Tuple[int, int]] = {}  # name -> (offset, size)
         self._num_qubits = 0
         self._macros: Dict[str, _GateMacro] = {}
-        self._macro_operations = 0
+        self._macro_budget = (
+            MAX_MACRO_EXPANSION + MACRO_EXPANSION_PER_CHAR * len(text)
+        )
         self._operations: List[Operation] = []
 
     def _error(self, message: str, pos: int) -> QasmError:
@@ -702,10 +712,10 @@ class _QasmReader:
             macro.body.append(
                 (inner_name, inner, param_slices, args, inner_token.pos)
             )
-            macro.size = min(
-                macro.size + (inner.size if inner else 1),
-                MAX_MACRO_OPERATIONS + 1,
-            )
+            # The slices end in an EOF sentinel, which costs nothing.
+            cost = len(args) + sum(len(tokens) - 1 for tokens in param_slices)
+            cost += inner.size if inner else 0
+            macro.size = min(macro.size + cost, self._macro_budget + 1)
         self._macros[gate_name] = macro
 
     def _collect_expression_tokens(self) -> List[Token]:
@@ -830,11 +840,11 @@ class _QasmReader:
                 f"got {len(qubits)}",
                 pos,
             )
-        self._macro_operations += macro.size
-        if self._macro_operations > MAX_MACRO_OPERATIONS:
+        self._macro_budget -= macro.size
+        if self._macro_budget < 0:
             raise self._error(
-                f"gate macros expand to more than {MAX_MACRO_OPERATIONS} "
-                "operations",
+                f"gate macros expand to more than {MAX_MACRO_EXPANSION} units"
+                f" plus {MACRO_EXPANSION_PER_CHAR} per character of the file",
                 pos,
             )
         # A stack of body iterators, not recursion: a long chain of

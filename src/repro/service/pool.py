@@ -779,7 +779,6 @@ class WorkerPool:
             job.circuit2,
             job.configuration,
             job.strikes,
-            result.equivalence.value,
         )
         self.counters.count("service.quarantined")
         self._resolve(job, result)

@@ -10,12 +10,13 @@ counts *worker-kill strikes* per job key and hands the job to the
 quarantine after the configured strike budget (default two kills).
 
 Quarantined pairs are persisted as self-contained records — canonical
-QASM of both circuits, the configuration fingerprint, the full failure
-taxonomy of every strike, and the degraded verdict — appended to a
-:class:`repro.harness.Journal`, so an operator can replay them offline
-(``python -m repro verify --isolate``) and the pool refuses to
-re-execute them across restarts: a resubmitted poison pair is answered
-immediately from the record instead of costing another worker.
+QASM of both circuits, the configuration fingerprint and the full
+failure taxonomy of every strike, the last of which is the degraded
+answer — appended to a :class:`repro.harness.Journal`, so an operator
+can replay them offline (``python -m repro verify --isolate``) and the
+pool refuses to re-execute them across restarts: a resubmitted poison
+pair is answered immediately from the record instead of costing another
+worker.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class QuarantineStore:
         circuit2: QuantumCircuit,
         configuration: Configuration,
         strikes: List[Dict[str, object]],
-        verdict: str,
     ) -> Dict[str, object]:
         """Record one poison pair; returns the persisted record."""
         record: Dict[str, object] = {
@@ -73,7 +73,6 @@ class QuarantineStore:
             ),
             "strategy": configuration.strategy,
             "strikes": [dict(strike) for strike in strikes],
-            "verdict": verdict,
         }
         self._records[key] = record
         if self._journal is not None:

@@ -14,6 +14,7 @@ from repro.circuit import (
     circuit_unitary,
     unitaries_equivalent,
 )
+from repro.circuit.qasm import MACRO_EXPANSION_PER_CHAR, MAX_MACRO_EXPANSION
 from tests.conftest import random_circuit
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -493,15 +494,52 @@ class TestExpressionNesting:
             circuit_from_qasm(nested(MAX_EXPRESSION_DEPTH))
 
 
-def _doubling_chain(depth):
-    """Macros ``g0`` (one X) .. ``g<depth>`` (two applications of the one
-    before): one application of ``g<depth>`` is ``2**depth`` operations."""
-    lines = ["qreg q[1];", "gate g0 a { x a; }"]
+def _doubling_chain(depth, base="x a;", qubits="a"):
+    """Macros ``g0`` (body ``base``) .. ``g<depth>`` (two applications of
+    the one before) on the gate arguments ``qubits``, over a register
+    ``q`` as wide: one application of ``g<depth>`` is ``2**depth``
+    applications of ``g0``."""
+    lines = [f"qreg q[{qubits.count(',') + 1}];", f"gate g0 {qubits} {{ {base} }}"]
     lines += [
-        f"gate g{k} a {{ g{k - 1} a; g{k - 1} a; }}"
+        f"gate g{k} {qubits} {{ g{k - 1} {qubits}; g{k - 1} {qubits}; }}"
         for k in range(1, depth + 1)
     ]
     return HEADER + "\n".join(lines) + "\n"
+
+
+def _padded(text, length):
+    """``text`` and a trailing comment, ``length`` characters in all."""
+    return text + "//" + "." * (length - len(text) - 3) + "\n"
+
+
+#: qelib1.inc's definitions, as a file that inlines its header would.
+QELIB1_DEFINITIONS = """\
+gate u3(theta,phi,lambda) q { U(theta,phi,lambda) q; }
+gate u2(phi,lambda) q { U(pi/2,phi,lambda) q; }
+gate u1(lambda) q { U(0,0,lambda) q; }
+gate cx c,t { CX c,t; }
+gate id a { U(0,0,0) a; }
+gate u0(gamma) q { U(0,0,0) q; }
+gate x a { u3(pi,0,pi) a; }
+gate y a { u3(pi,pi/2,pi/2) a; }
+gate z a { u1(pi) a; }
+gate h a { u2(0,pi) a; }
+gate s a { u1(pi/2) a; }
+gate sdg a { u1(-pi/2) a; }
+gate t a { u1(pi/4) a; }
+gate tdg a { u1(-pi/4) a; }
+gate rx(theta) a { u3(theta, -pi/2,pi/2) a; }
+gate ry(theta) a { u3(theta,0,0) a; }
+gate rz(phi) a { u1(phi) a; }
+gate cz a,b { h b; cx a,b; h b; }
+gate cy a,b { sdg b; cx a,b; s b; }
+gate swap a,b { cx a,b; cx b,a; cx a,b; }
+gate ch a,b { h b; sdg b; cx a,b; h b; t b; cx a,b; t b; h b; s b; x b; s a; }
+gate ccx a,b,c { h c; cx b,c; tdg c; cx a,c; t c; cx b,c; tdg c; cx a,c; t b; t c; h c; cx a,b; t a; tdg b; cx a,b; }
+gate crz(lambda) a,b { u1(lambda/2) b; cx a,b; u1(-lambda/2) b; cx a,b; }
+gate cu1(lambda) a,b { u1(lambda/2) a; cx a,b; u1(lambda/2) b; cx a,b; u1(lambda/2) b; }
+gate cu3(theta,phi,lambda) c, t { u1((lambda-phi)/2) t; cx c,t; u1((lambda+phi)/2) c; u3(-theta/2,0,-(phi+lambda)/2) t; cx c,t; u3(theta/2,phi,0) t; }
+"""
 
 
 class TestMalformedMacros:
@@ -536,6 +574,22 @@ class TestMalformedMacros:
         assert (info.value.line, info.value.column) == (line, column)
         assert message in str(info.value)
 
+    def test_qelib1_definitions_parse_inline(self):
+        """The spec's primitives ``U`` and ``CX`` are builtins, so a file
+        that pastes in qelib1.inc's definitions parses, and the builtins
+        win at application as they do for the include."""
+        applications = (
+            "u3(0.1,0.2,0.3) q[0];\nU(0.1,0.2,0.3) q[1];\nCX q[0],q[1];\n"
+            "ccx q[0],q[1],q[2];\ncu3(0.1,0.2,0.3) q[2],q[0];\n"
+            "rx(pi/3) q[1];\nswap q[0],q[2];\n"
+        )
+        inline = circuit_from_qasm(
+            "OPENQASM 2.0;\nqreg q[3];\n" + QELIB1_DEFINITIONS + applications
+        )
+        included = circuit_from_qasm(HEADER + "qreg q[3];\n" + applications)
+        assert _exact(inline) == _exact(included)
+        assert [op.name for op in inline][:3] == ["u3", "u3", "x"]
+
     def test_a_long_chain_expands_without_recursion(self):
         depth = 3000
         lines = ["qreg q[1];", "gate g0 a { x a; }"]
@@ -547,22 +601,78 @@ class TestMalformedMacros:
 
 
 class TestMacroExpansionBound:
-    def test_the_bound_is_exact(self):
-        from repro.circuit.qasm import MAX_MACRO_OPERATIONS
+    """One file's macros expand at most ``MAX_MACRO_EXPANSION`` units plus
+    ``MACRO_EXPANSION_PER_CHAR`` per character of the file: one unit per
+    body statement walked, one per expression token evaluated."""
 
-        depth = MAX_MACRO_OPERATIONS.bit_length() - 1
-        assert 2 ** depth == MAX_MACRO_OPERATIONS
-        text = _doubling_chain(depth) + f"g{depth} q[0];\nx q[0];\n"
-        assert len(circuit_from_qasm(text)) == MAX_MACRO_OPERATIONS + 1
+    @pytest.mark.parametrize(
+        "base, units, operations",
+        [
+            # g0's X, then at each level two applications of the level
+            # below, each a statement itself.
+            ("x a;", 3 * 2 ** 16 - 2, 2 ** 16),
+            # An empty body walks nothing, but applying it still costs.
+            ("", 2 ** 17 - 2, 0),
+            ("barrier a;", 2 ** 17 - 2, 0),
+        ],
+        ids=["x", "empty", "barrier-only"],
+    )
+    def test_the_bound_is_exact(self, base, units, operations):
+        text = _doubling_chain(16, base) + "g16 q[0];\n"
+        length = -(-(units - MAX_MACRO_EXPANSION) // MACRO_EXPANSION_PER_CHAR)
+        assert len(circuit_from_qasm(_padded(text, length))) == operations
         with pytest.raises(QasmError) as info:
-            circuit_from_qasm(text + "g0 q[0];\n")
-        assert info.value.line == depth + 7
-        assert info.value.column == 1
-        assert f"more than {MAX_MACRO_OPERATIONS} operations" in str(
-            info.value
-        )
+            circuit_from_qasm(_padded(text, length - 1))
+        assert (info.value.line, info.value.column) == (16 + 5, 1)
+        assert (
+            f"more than {MAX_MACRO_EXPANSION} units plus "
+            f"{MACRO_EXPANSION_PER_CHAR} per character of the file"
+        ) in str(info.value)
 
-    def test_an_exponential_chain_is_refused_before_it_expands(self):
-        # 2**40 operations: only a refusal before expansion returns.
+    @pytest.mark.parametrize(
+        "base", ["x a;", "", "barrier a;"], ids=["x", "empty", "barrier-only"]
+    )
+    def test_an_exponential_chain_is_refused_before_it_expands(self, base):
+        # 2**40 applications of g0: only a refusal before expansion returns.
         with pytest.raises(QasmError, match="more than"):
-            circuit_from_qasm(_doubling_chain(40) + "g40 q[0];\n")
+            circuit_from_qasm(_doubling_chain(40, base) + "g40 q[0];\n")
+
+    @pytest.mark.parametrize(
+        "base, qubits",
+        [
+            # Each of the 2**12 rotations evaluates a 2,001-token sum.
+            ("rz(" + "+".join(["1"] * 1001) + ") a;", "a"),
+            # Each statement binds 64 qubits.
+            ("mcx_63 " + ", ".join(f"a{i}" for i in range(64)) + ";",
+             ", ".join(f"a{i}" for i in range(64))),
+        ],
+        ids=["tokens", "qubits"],
+    )
+    def test_tokens_and_qubits_are_charged(self, base, qubits):
+        # g12's 3 * 2**12 - 2 statements alone would fit the budget.
+        text = _doubling_chain(12, base, qubits)
+        arguments = ",".join(f"q[{i}]" for i in range(qubits.count(",") + 1))
+        assert 3 * 2 ** 12 - 2 < MAX_MACRO_EXPANSION
+        with pytest.raises(QasmError, match="more than"):
+            circuit_from_qasm(text + f"g12 {arguments};\n")
+
+    def test_macros_that_do_not_amplify_have_no_total_cap(self):
+        """``ecr`` exported as two ``rzx`` applications, applied until it
+        emits more than ``MAX_MACRO_EXPANSION`` operations, parses as the
+        same gates written out."""
+        text = HEADER + "qreg q[2];\n" + (
+            "gate rzx(theta) a, b { h b; cx a, b; rz(theta) b; cx a, b; h b; }\n"
+            "gate ecr a, b { rzx(pi/4) a, b; x a; rzx(-pi/4) a, b; }\n"
+        )
+        written_out = circuit_from_qasm(
+            HEADER + "qreg q[2];\n"
+            "h q[1];\ncx q[0],q[1];\nrz(pi/4) q[1];\ncx q[0],q[1];\nh q[1];\n"
+            "x q[0];\n"
+            "h q[1];\ncx q[0],q[1];\nrz(-pi/4) q[1];\ncx q[0],q[1];\nh q[1];\n"
+        )
+        applications = 6000
+        circuit = circuit_from_qasm(text + "ecr q[0],q[1];\n" * applications)
+        assert len(circuit) == 11 * applications > MAX_MACRO_EXPANSION
+        width, operations = _exact(circuit)
+        assert (width, operations[:11]) == _exact(written_out)
+        assert operations == operations[:11] * applications

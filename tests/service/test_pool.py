@@ -162,6 +162,7 @@ class TestFaultSupervision:
             counters = pool.counters.as_dict()["counters"]
             assert replay is not None  # answered synchronously
             assert replay.equivalence is Equivalence.NO_INFORMATION
+            assert replay.statistics["failure"] == failure
             assert counters["service.poison_rejected"] == 1
             assert counters["service.worker_deaths"] == deaths_before
 

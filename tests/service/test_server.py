@@ -381,7 +381,8 @@ class TestServerRoundTrip:
 
     def test_malformed_macros_are_answered_not_fatal(self):
         """A self-applying, free-qubit or exponentially doubling ``gate``
-        macro is malformed input, refused before it expands."""
+        macro is malformed input, refused before it expands, whether the
+        doubled body is an X, empty or a barrier."""
         pool = WorkerPool(
             PoolConfig(workers=1, restart_backoff=_FAST_BACKOFF)
         )
@@ -396,11 +397,15 @@ class TestServerRoundTrip:
             "free qubit": (
                 "gate g a { x b; }\ng q[0];\n", "not a qubit argument"
             ),
-            "doubling": (
-                "gate g0 a { x a; }\n" + doubling + "g40 q[0];\n",
-                "more than",
-            ),
         }
+        for name, base in [
+            ("doubling", "x a;"), ("empty doubling", ""),
+            ("barrier doubling", "barrier a;"),
+        ]:
+            bodies[name] = (
+                f"gate g0 a {{ {base} }}\n" + doubling + "g40 q[0];\n",
+                "more than",
+            )
         try:
             with ServiceClient(socket_path) as client:
                 for name, (body, message) in bodies.items():
