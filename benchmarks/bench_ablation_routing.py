@@ -10,11 +10,11 @@ knock-on effect on equivalence-checking time.
 
 import pytest
 
-from benchmarks.conftest import run_check
 from repro.bench import algorithms
 from repro.compile import compile_circuit, line_architecture, manhattan_architecture
 from repro.compile.decompose import decompose_to_basis
 from repro.compile.routing import route_circuit
+from repro.ec import Configuration, EquivalenceCheckingManager
 
 ROUTERS = ["basic", "lookahead"]
 
@@ -30,12 +30,13 @@ def lowered_benchmarks():
 
 @pytest.mark.parametrize("name", ["qft_6", "grover_4", "ghz_16"])
 @pytest.mark.parametrize("router", ROUTERS)
-def test_routing_time(benchmark, lowered_benchmarks, name, router, manhattan):
+def test_routing_time(benchmark, lowered_benchmarks, name, router):
     lowered = lowered_benchmarks[name]
+    device = manhattan_architecture()
 
     def run():
         return route_circuit(
-            lowered, manhattan, decompose_swaps=False, routing_method=router
+            lowered, device, decompose_swaps=False, routing_method=router
         )
 
     routed = benchmark.pedantic(run, rounds=1)
@@ -64,7 +65,9 @@ def test_ec_time_after_routing(benchmark, router):
     )
 
     def run():
-        return run_check(original, compiled, "alternating")
+        return EquivalenceCheckingManager(
+            original, compiled, Configuration(strategy="alternating", seed=0)
+        ).run()
 
     result = benchmark.pedantic(run, rounds=1)
     assert result.considered_equivalent

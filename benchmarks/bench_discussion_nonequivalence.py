@@ -12,8 +12,8 @@ accepts.
 
 import pytest
 
-from benchmarks.conftest import error_variant, run_check
 from repro.bench import algorithms
+from repro.bench.errors import flip_random_cnot, remove_random_gate
 from repro.compile import compile_circuit, line_architecture
 from repro.ec import Configuration, logical_pair, simulation_check, zx_check
 from repro.ec.results import Equivalence
@@ -30,10 +30,13 @@ def broken_pairs():
         compiled = compile_circuit(
             original, line_architecture(original.num_qubits + 2)
         )
-        for kind in ("gate_missing", "flipped_cnot"):
+        for kind, inject in (
+            ("gate_missing", remove_random_gate),
+            ("flipped_cnot", flip_random_cnot),
+        ):
             pairs[f"{original.name}/{kind}"] = (
                 original,
-                error_variant(compiled, kind),
+                inject(compiled, seed=0),
             )
     return pairs
 

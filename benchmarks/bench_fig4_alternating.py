@@ -9,7 +9,6 @@ that motivates the whole approach.
 
 import pytest
 
-from benchmarks.conftest import run_check
 from repro.bench import algorithms
 from repro.compile import compile_circuit, line_architecture
 from repro.ec import (

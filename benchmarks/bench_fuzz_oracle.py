@@ -9,8 +9,26 @@ the other paper benchmarks.
 import pytest
 
 from repro.ec import Configuration
-from repro.fuzz.generator import FAMILIES
+from repro.fuzz.generator import FAMILIES, generate_instance
+from repro.fuzz.mutators import MutationNotApplicable
 from repro.fuzz.oracle import DifferentialOracle
+
+
+@pytest.fixture(scope="module")
+def fuzz_pairs():
+    """Five labeled fuzz pairs per family."""
+    pairs = {}
+    for family in FAMILIES:
+        collected = []
+        seed = 0
+        while len(collected) < 5:
+            try:
+                collected.append(generate_instance(seed, family)[1])
+            except MutationNotApplicable:
+                pass
+            seed += 1
+        pairs[family] = collected
+    return pairs
 
 
 @pytest.mark.parametrize("family", FAMILIES)

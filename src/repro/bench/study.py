@@ -7,9 +7,15 @@ gate missing / flipped CNOT) the harness runs both checkers —
   simulations), standing in for QCEC,
 * ``t_zx``: the ZX ``full_reduce`` strategy, standing in for PyZX —
 
-under a hard per-run timeout, and prints the same row layout as the
-paper's Table 1.  Runtimes are not comparable in absolute terms (pure
-Python vs. optimized C++/compiled Python on the authors' machine); the
+under a hard per-run timeout, judges every verdict against the
+configuration's label, and renders the rows in the layout of the
+paper's Table 1 as Markdown: the console prints each row as it
+completes, and ``--report`` writes the same lines to a file.  Each cell
+also records which stage decided it (``decided_by``) and, when the
+stimuli did, the stimulus that exposed the difference (``stimuli``);
+``tests/bench/test_table1_shape.py`` checks the paper's claims over
+those rows.  Runtimes are not comparable in absolute terms (pure Python
+vs. optimized C++/compiled Python on the authors' machine); the
 reproduced signal is the *relative* behaviour across benchmark families
 and configurations (see EXPERIMENTS.md).
 
@@ -20,7 +26,7 @@ hang, memory balloon or crash in one cell cannot take down the batch;
 ``--journal PATH`` checkpoints every completed cell to a JSONL file and
 ``--resume`` restarts an interrupted run from the last completed cell.
 
-Run it as a module::
+Run it as a module (or as ``python -m repro bench``)::
 
     python -m repro.bench.study --use-case compiled --scale small \
         --isolate --journal table1.jsonl
@@ -35,8 +41,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from pathlib import Path
+from typing import Callable, Dict, List, Optional
 
 from repro.bench.suite import (
     BenchmarkInstance,
@@ -46,7 +54,8 @@ from repro.bench.suite import (
 )
 from repro.ec.configuration import Configuration
 from repro.ec.manager import EquivalenceCheckingManager
-from repro.ec.results import Equivalence
+from repro.ec.portfolio import loser_kill_codes, portfolio_winner
+from repro.ec.results import Equivalence, EquivalenceCheckingResult
 from repro.harness.journal import Journal
 
 #: Expected verdict polarity per configuration.
@@ -76,11 +85,16 @@ class CellResult:
     overhead).  Both render as ``>T``: a cell that blew its budget must
     never masquerade as a normal runtime.  ``failure`` is the
     :mod:`repro.errors` taxonomy kind for degraded cells, ``cached``
-    marks cells restored from a resume journal.  Portfolio cells
-    additionally carry the winning lane name (``winner``) and the
-    per-lane kill codes of the losers (``kills``) so a journaled study
-    records *which* paradigm decided every cell and what happened to
-    the rest of the race.
+    marks cells restored from a resume journal.
+
+    ``decided_by`` names the stage whose verdict the cell reports: the
+    winning lane of a raced ``t_dd`` cell; the last stage of a
+    sequential one's ``combined_schedule``, or ``columns`` when the
+    alternating stage handed its proof to the basis columns; ``zx`` on
+    a ``t_zx`` cell; None for a failed check.  ``stimuli`` is the
+    1-based stimulus that exposed a difference when the simulation
+    decided.  ``kills`` holds the per-lane kill codes of a race's
+    losers.
     """
 
     seconds: float
@@ -90,7 +104,8 @@ class CellResult:
     overrun: bool = False
     failure: Optional[str] = None
     cached: bool = False
-    winner: Optional[str] = None
+    decided_by: Optional[str] = None
+    stimuli: Optional[int] = None
     kills: Optional[Dict[str, str]] = None
 
     def render(self, timeout: Optional[float]) -> str:
@@ -115,8 +130,10 @@ class CellResult:
             "overrun": self.overrun,
             "failure": self.failure,
         }
-        if self.winner is not None:
-            record["winner"] = self.winner
+        if self.decided_by is not None:
+            record["decided_by"] = self.decided_by
+        if self.stimuli is not None:
+            record["stimuli"] = self.stimuli
         if self.kills:
             record["kills"] = dict(self.kills)
         return record
@@ -126,7 +143,8 @@ class CellResult:
         """Rebuild a cell checkpointed with :meth:`to_record`."""
         correct = record.get("correct")
         failure = record.get("failure")
-        winner = record.get("winner")
+        decided_by = record.get("decided_by")
+        stimuli = record.get("stimuli")
         kills = record.get("kills")
         return cls(
             float(record.get("seconds", 0.0)),
@@ -136,7 +154,8 @@ class CellResult:
             overrun=bool(record.get("overrun")),
             failure=None if failure is None else str(failure),
             cached=True,
-            winner=None if winner is None else str(winner),
+            decided_by=None if decided_by is None else str(decided_by),
+            stimuli=None if stimuli is None else int(stimuli),
             kills=None if not isinstance(kills, dict) else {
                 str(k): str(v) for k, v in kills.items()
             },
@@ -164,6 +183,22 @@ def _judge(verdict: Equivalence, expect_equivalent: bool) -> Optional[bool]:
         Equivalence.PROBABLY_EQUIVALENT,
     )
     return positive == expect_equivalent
+
+
+def _decided_by(method: str, result: EquivalenceCheckingResult) -> Optional[str]:
+    """The stage whose verdict ``result`` reports (see :class:`CellResult`)."""
+    if result.failure is not None:
+        return None
+    if method == "zx":
+        return "zx"
+    winner = portfolio_winner(result)
+    if winner is not None:
+        return winner
+    statistics = result.statistics
+    if statistics.get("columns", {}).get("proof") == "columns":
+        return "columns"
+    schedule = statistics.get("combined_schedule")
+    return str(schedule[-1]) if schedule else None
 
 
 def _cell_key(instance: BenchmarkInstance, config_name: str, method: str) -> str:
@@ -238,9 +273,7 @@ def run_instance(
                 and elapsed > timeout
             )
             failure = result.failure
-            from repro.ec.portfolio import loser_kill_codes, portfolio_winner
-
-            kills = loser_kill_codes(result)
+            decided_by = _decided_by(method, result)
             cell = CellResult(
                 elapsed,
                 result.equivalence,
@@ -248,8 +281,13 @@ def run_instance(
                 _judge(result.equivalence, _EXPECTED[config_name]),
                 overrun=overrun,
                 failure=None if failure is None else str(failure.get("kind")),
-                winner=portfolio_winner(result),
-                kills=kills or None,
+                decided_by=decided_by,
+                stimuli=(
+                    result.statistics.get("first_mismatch")
+                    if decided_by == "simulation"
+                    else None
+                ),
+                kills=loser_kill_codes(result) or None,
             )
             cells[f"{config_name}/{method}"] = cell
             if journal is not None:
@@ -269,19 +307,20 @@ def run_table(
     scale: str = "small",
     timeout: Optional[float] = 60.0,
     seed: int = 0,
-    verbose: bool = True,
     *,
     isolate: bool = False,
     memory_limit_mb: Optional[int] = None,
     retries: int = 1,
     journal: Optional[Journal] = None,
     portfolio: bool = False,
+    on_row: Optional[Callable[[TableRow], None]] = None,
 ) -> List[TableRow]:
     """Build the benchmark suite and run the full table.
 
     ``journal`` (a :class:`repro.harness.Journal`) makes the run
     resumable: completed cells are checkpointed as JSONL and restored
-    instead of re-run when the journal already holds them.
+    instead of re-run when the journal already holds them.  ``on_row``
+    is called with each row as it completes.
     """
     if use_case == "compiled":
         instances = compiled_benchmarks(scale=scale, seed=seed)
@@ -302,39 +341,54 @@ def run_table(
             portfolio=portfolio,
         )
         rows.append(row)
-        if verbose:
-            print(format_row(row, timeout), flush=True)
+        if on_row is not None:
+            on_row(row)
     return rows
 
 
-_HEADER = (
-    f"{'Benchmark':24} {'n':>3} {'|G|':>7} {'|G`|':>7} "
-    f"{'Equivalent':>15} {'1 Gate Missing':>15} {'Flipped CNOT':>15}"
-)
-_SUBHEADER = (
-    f"{'':24} {'':>3} {'':>7} {'':>7} "
-    f"{'t_dd':>7} {'t_zx':>7} {'t_dd':>7} {'t_zx':>7} {'t_dd':>7} {'t_zx':>7}"
+# ---------------------------------------------------------------------------
+# rendering: one Markdown table per block, for the console and the report
+# ---------------------------------------------------------------------------
+#: The header of one Table-1 block, in the paper's column order.
+TABLE_HEADER = (
+    "| Benchmark | n | \\|G\\| | \\|G'\\| | Equivalent t_dd | t_zx "
+    "| 1 Gate Missing t_dd | t_zx | Flipped CNOT t_dd | t_zx |",
+    "|---|---|---|---|---|---|---|---|---|---|",
 )
 
 
-def format_row(row: TableRow, timeout: Optional[float]) -> str:
-    cells = []
-    for config_name in CONFIGURATIONS:
+def markdown_row(row: TableRow, timeout: Optional[float]) -> str:
+    """One Table-1 row as a Markdown table line."""
+    cells = [
+        row.name,
+        str(row.num_qubits),
+        str(row.size_original),
+        str(row.size_variant),
+    ]
+    for config in CONFIGURATIONS:
         for method in ("dd", "zx"):
-            cells.append(
-                f"{row.cells[f'{config_name}/{method}'].render(timeout):>7}"
-            )
-    return (
-        f"{row.name:24} {row.num_qubits:>3} {row.size_original:>7} "
-        f"{row.size_variant:>7} " + " ".join(cells)
+            cells.append(row.cells[f"{config}/{method}"].render(timeout))
+    return "| " + " | ".join(cells) + " |"
+
+
+def summary_line(rows: List[TableRow]) -> str:
+    """The legend of one block, with how many of its cells read each mark."""
+    counts = Counter(
+        "timeout" if cell.timed_out or cell.overrun
+        else "degraded" if cell.failure is not None
+        else "wrong" if cell.correct is False
+        else "unknown" if cell.correct is None
+        else "correct"
+        for row in rows
+        for cell in row.cells.values()
     )
-
-
-def print_table(rows: List[TableRow], timeout: Optional[float]) -> None:
-    print(_HEADER)
-    print(_SUBHEADER)
-    for row in rows:
-        print(format_row(row, timeout))
+    return (
+        f"Cells: seconds per check ({sum(counts.values())} checks total); "
+        f"`>T` timeout ({counts['timeout']}), "
+        f"`!` wrong verdict ({counts['wrong']}), "
+        f"`?` no information ({counts['unknown']}), "
+        f"`oom`/`crash`/`lost`/`inval`/`err` degraded ({counts['degraded']})."
+    )
 
 
 def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
@@ -354,7 +408,7 @@ def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--report", default=None, metavar="PATH",
-        help="additionally write the results as a Markdown report",
+        help="additionally write the printed tables to PATH as Markdown",
     )
     parser.add_argument(
         "--portfolio", action="store_true",
@@ -396,9 +450,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 def run(args: argparse.Namespace) -> int:
     """Run the study on parsed :func:`build_parser` options.
 
-    Returns 1 when any cell's verdict contradicts its label (a ``!``
-    cell), 0 otherwise: timeouts, ``?`` cells and degraded cells are
-    not wrong.
+    Prints one Markdown table per block, each row as it completes, and
+    writes the same lines to ``args.report`` when given.  Returns 1 when
+    any cell's verdict contradicts its label (a ``!`` cell), 0
+    otherwise: timeouts, ``?`` cells and degraded cells are not wrong.
     """
     journal = None
     if args.journal:
@@ -419,51 +474,45 @@ def run(args: argparse.Namespace) -> int:
         if args.resume and len(journal):
             print(f"resuming: {len(journal)} cells restored from {args.journal}")
 
+    lines: List[str] = []
+
+    def emit(*new_lines: str) -> None:
+        lines.extend(new_lines)
+        print("\n".join(new_lines), flush=True)
+
+    emit(
+        f"# Case-study run (scale={args.scale}, timeout={args.timeout:g}s, "
+        f"seed={args.seed}{', portfolio' if args.portfolio else ''})"
+    )
     use_cases = (
         ["compiled", "optimized"] if args.use_case == "both" else [args.use_case]
     )
-    rows_by_use_case = {}
+    rows: List[TableRow] = []
     try:
         for use_case in use_cases:
-            print(f"\n=== {use_case.capitalize()} Circuits ===")
-            print(_HEADER)
-            print(_SUBHEADER)
-            rows_by_use_case[use_case] = run_table(
+            emit("", f"## {use_case.capitalize()} Circuits", "", *TABLE_HEADER)
+            block = run_table(
                 use_case=use_case,
                 scale=args.scale,
                 timeout=args.timeout,
                 seed=args.seed,
-                verbose=True,
                 isolate=args.isolate,
                 memory_limit_mb=args.memory_limit,
                 retries=args.retries,
                 journal=journal,
                 portfolio=args.portfolio,
+                on_row=lambda row: emit(markdown_row(row, args.timeout)),
             )
+            emit("", summary_line(block))
+            rows += block
     finally:
         if journal is not None:
             journal.close()
     if args.report:
-        from repro.bench.report import write_report
-
-        path = write_report(
-            args.report,
-            rows_by_use_case,
-            args.timeout,
-            preamble=(
-                f"# Case-study run (scale={args.scale}, "
-                f"timeout={args.timeout:g}s, seed={args.seed})"
-            ),
-        )
-        print(f"\nreport written to {path}")
-    print(
-        "\nCells: seconds per check; '>T' timeout or budget overrun, "
-        "'!' wrong verdict, '?' no information (ZX cannot prove "
-        "non-equivalence); 'oom'/'crash'/'lost'/'inval' degraded failures."
-    )
+        Path(args.report).write_text("\n".join(lines) + "\n")
+        print(f"\nreport written to {args.report}")
     wrong = [
         f"{row.use_case}:{row.name}:{key}"
-        for rows in rows_by_use_case.values()
         for row in rows
         for key, cell in row.cells.items()
         if cell.correct is False

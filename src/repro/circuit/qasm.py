@@ -29,7 +29,8 @@ and caret locations are those of a whole-file parse.  When a file holds
 several errors, the first in reading order is reported.  Expressions may
 nest at most :data:`MAX_EXPRESSION_DEPTH` levels deep.  A ``gate`` body
 applies builtins and gates defined before it, to its own qubits, and
-one file's macros expand within :data:`MAX_MACRO_EXPANSION`.
+one file's registers, broadcasts and macros expand within
+:data:`MAX_MACRO_EXPANSION`.
 
 Parameterized circuits use a small dialect extension: a pragma comment
 
@@ -216,15 +217,17 @@ _FUNCTIONS: Dict[str, Callable[[float], float]] = {
 #: :class:`QasmError` rather than exhausting the interpreter's stack.
 MAX_EXPRESSION_DEPTH = 64
 
-#: One file's ``gate`` macros may expand ``MAX_MACRO_EXPANSION +
-#: MACRO_EXPANSION_PER_CHAR * len(text)`` units: one per qubit a body
-#: statement binds, nested applications included (so every statement
-#: costs one), and one per expression token it evaluates.  A unit took 1
-#: to 7.5 us on one core, so expansion stays under about 0.5 s plus 120 us
-#: a character; the densest macros measured, qelib1's ``ch`` built down to
-#: ``U`` and ``CX``, cost 6.6 units a character of their application.
-#: The application that would cross the budget is a located
-#: :class:`QasmError` before it expands.
+#: One file may expand ``MAX_MACRO_EXPANSION + MACRO_EXPANSION_PER_CHAR
+#: * len(text)`` units: one per qubit a ``qreg`` declares, one per
+#: operation a broadcast emits beyond its first, and, for ``gate``
+#: macros, one per qubit a body statement binds, nested applications
+#: included (so every statement costs one), and one per expression token
+#: it evaluates.  A unit took 1 to 7.5 us on one core, so expansion stays
+#: under about 0.5 s plus 120 us a character; the densest macros
+#: measured, qelib1's ``ch`` built down to ``U`` and ``CX``, cost 6.6
+#: units a character of their application.  A register of up to 65,536
+#: qubits always parses.  The statement that would cross the budget is a
+#: located :class:`QasmError` before it expands.
 MAX_MACRO_EXPANSION = 1 << 16
 MACRO_EXPANSION_PER_CHAR = 16
 
@@ -534,13 +537,23 @@ class _QasmReader:
         self._registers: Dict[str, Tuple[int, int]] = {}  # name -> (offset, size)
         self._num_qubits = 0
         self._macros: Dict[str, _GateMacro] = {}
-        self._macro_budget = (
-            MAX_MACRO_EXPANSION + MACRO_EXPANSION_PER_CHAR * len(text)
-        )
+        self._budget = MAX_MACRO_EXPANSION + MACRO_EXPANSION_PER_CHAR * len(text)
         self._operations: List[Operation] = []
 
     def _error(self, message: str, pos: int) -> QasmError:
         return QasmError.at(message, self._source, pos)
+
+    def _spend(self, units: int, pos: int) -> None:
+        """Charge ``units`` to the file's expansion budget (see
+        :data:`MAX_MACRO_EXPANSION`); past it, a located error."""
+        self._budget -= units
+        if self._budget < 0:
+            raise self._error(
+                "registers, broadcasts and gate macros expand to more than "
+                f"{MAX_MACRO_EXPANSION} units plus {MACRO_EXPANSION_PER_CHAR} "
+                "per character of the file",
+                pos,
+            )
 
     def run(self, name: str = "qasm") -> QuantumCircuit:
         source = self._source
@@ -622,11 +635,13 @@ class _QasmReader:
         name_token = parser.peek()
         reg_name = parser.expect_kind("ID")
         parser.expect("[")
+        size_token = parser.peek()
         size = int(parser.expect_kind("INT"))
         parser.expect("]")
         parser.expect(";")
         if reg_name in self._registers:
             raise parser.error(f"duplicate qreg {reg_name!r}", name_token)
+        self._spend(size, size_token.pos)
         self._registers[reg_name] = (self._num_qubits, size)
         self._num_qubits += size
 
@@ -715,7 +730,7 @@ class _QasmReader:
             # The slices end in an EOF sentinel, which costs nothing.
             cost = len(args) + sum(len(tokens) - 1 for tokens in param_slices)
             cost += inner.size if inner else 0
-            macro.size = min(macro.size + cost, self._macro_budget + 1)
+            macro.size = min(macro.size + cost, self._budget + 1)
         self._macros[gate_name] = macro
 
     def _collect_expression_tokens(self) -> List[Token]:
@@ -791,6 +806,7 @@ class _QasmReader:
         if len(lengths) > 1:
             raise self._error("mismatched register sizes in broadcast", pos)
         repeat = lengths.pop() if lengths else 1
+        self._spend(repeat - 1, pos)
         for i in range(repeat):
             qubits = [arg[i] if len(arg) > 1 else arg[0] for arg in arguments]
             self._emit_single(gate_name, params, qubits, pos)
@@ -821,9 +837,11 @@ class _QasmReader:
             targets = tuple(qubits[builtin.num_controls:])
             if builtin.base == "id" and gate_name == "u0":
                 params = []
-            self._operations.append(
-                Operation(builtin.base, targets, controls, tuple(params))
-            )
+            try:
+                operation = Operation(builtin.base, targets, controls, tuple(params))
+            except ValueError as exc:  # a qubit named twice
+                raise self._error(str(exc), pos) from None
+            self._operations.append(operation)
             return
         macro = self._macros.get(gate_name)
         if macro is None:
@@ -840,13 +858,7 @@ class _QasmReader:
                 f"got {len(qubits)}",
                 pos,
             )
-        self._macro_budget -= macro.size
-        if self._macro_budget < 0:
-            raise self._error(
-                f"gate macros expand to more than {MAX_MACRO_EXPANSION} units"
-                f" plus {MACRO_EXPANSION_PER_CHAR} per character of the file",
-                pos,
-            )
+        self._spend(macro.size, pos)
         # A stack of body iterators, not recursion: a long chain of
         # macros cannot exhaust the interpreter's stack.
         stack = [_macro_frame(macro, params, qubits)]

@@ -346,7 +346,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import RetryPolicy
     from repro.service import (
         PoolConfig,
         QuarantineStore,
@@ -362,12 +361,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_jobs_per_worker=args.max_jobs_per_worker,
             max_worker_rss_mb=args.max_worker_rss,
             queue_depth=args.queue_depth,
-            restart_backoff=RetryPolicy(
-                max_retries=0,
-                backoff_base=0.05,
-                backoff_max=2.0,
-                jitter=0.5,
-                jitter_seed=args.seed,
+            restart_backoff=dataclasses.replace(
+                PoolConfig().restart_backoff, jitter_seed=args.seed
             ),
         ),
         cache=VerdictCache(args.cache) if args.cache else None,

@@ -386,9 +386,6 @@ class ArrayDDPackage:
         """The zero matrix (an edge of weight 0)."""
         return ZERO_EDGE
 
-    def terminal_vector_edge(self, weight: complex = 1 + 0j) -> int:
-        return self.complex_table.lookup_id(weight)
-
     def terminal_matrix_edge(self, weight: complex = 1 + 0j) -> int:
         return self.complex_table.lookup_id(weight)
 

@@ -88,6 +88,19 @@ from repro.service.quarantine import QuarantineStore
 #: serve loop sees a stop request).
 _MAX_POLL_SECONDS = 0.05
 
+#: Idle seconds before a worker is pinged.
+HEARTBEAT_INTERVAL = 5.0
+
+#: Seconds an idle worker may ignore a ping before it is declared lost
+#: and replaced.
+HEARTBEAT_TIMEOUT = 10.0
+
+#: Worker-kills by one job before the job is quarantined as a poison pair.
+POISON_STRIKES = 2
+
+#: Sliding window (seconds) of the restart-storm circuit breaker.
+STORM_WINDOW = 30.0
+
 
 def _execute_job(message: Dict[str, Any]) -> Dict[str, Any]:
     """Run one job inside the worker; always returns a structured payload."""
@@ -175,19 +188,13 @@ class PoolConfig:
             reporting a resident set above it is retired after the job.
         grace: Seconds added to a job's cooperative timeout to form its
             hard SIGKILL deadline (mirrors the one-shot sandbox).
-        poison_strikes: Worker-kills by one job before the job is
-            quarantined as a poison pair.
         restart_backoff: Deterministic jittered exponential backoff
             schedule for replacing dead workers; attempts index
             consecutive deaths and reset on the next successful job.
-        storm_window: Sliding window (seconds) of the circuit breaker.
         storm_threshold: Job-independent worker deaths tolerated inside
-            ``storm_window`` before the breaker trips the pool.
+            :data:`STORM_WINDOW` before the breaker trips the pool.
         queue_depth: Bound on unresolved jobs; submissions beyond it
             are rejected with :class:`repro.errors.PoolSaturated`.
-        heartbeat_interval: Idle seconds before a worker is pinged.
-        heartbeat_timeout: Seconds an idle worker may ignore a ping
-            before it is declared lost and replaced.
         startup_chaos: Deterministic fault triggered inside every new
             worker before it reports ready (tests of the breaker).
     """
@@ -197,7 +204,6 @@ class PoolConfig:
     max_jobs_per_worker: int = 64
     max_worker_rss_mb: Optional[float] = 1024.0
     grace: float = DEFAULT_GRACE_SECONDS
-    poison_strikes: int = 2
     restart_backoff: RetryPolicy = field(
         default_factory=lambda: RetryPolicy(
             max_retries=0,
@@ -207,11 +213,8 @@ class PoolConfig:
             jitter_seed=0,
         )
     )
-    storm_window: float = 30.0
     storm_threshold: int = 8
     queue_depth: int = 1024
-    heartbeat_interval: float = 5.0
-    heartbeat_timeout: float = 10.0
     startup_chaos: Optional[ChaosSpec] = None
 
     def validate(self) -> None:
@@ -219,19 +222,14 @@ class PoolConfig:
             raise ValueError("workers must be a positive integer")
         if self.max_jobs_per_worker < 1:
             raise ValueError("max_jobs_per_worker must be at least 1")
-        if self.poison_strikes < 1:
-            raise ValueError("poison_strikes must be at least 1")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be at least 1")
         if self.storm_threshold < 1:
             raise ValueError("storm_threshold must be at least 1")
-        for name in ("grace", "storm_window", "heartbeat_interval",
-                     "heartbeat_timeout"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative")
+        if isinstance(self.grace, bool) or not isinstance(self.grace, (int, float)):
+            raise ValueError(f"grace must be a number, got {self.grace!r}")
+        if self.grace < 0:
+            raise ValueError("grace must be non-negative")
         self.restart_backoff.validate()
         if self.startup_chaos is not None:
             self.startup_chaos.validate()
@@ -733,7 +731,7 @@ class WorkerPool:
         """Route one failed execution: retry, quarantine, or degrade."""
         if worker_killed:
             job.strikes.append(error.to_dict())
-            if len(job.strikes) >= self.config.poison_strikes:
+            if len(job.strikes) >= POISON_STRIKES:
                 self._quarantine_job(job, error)
                 return
             self.counters.count("service.jobs_retried")
@@ -821,7 +819,7 @@ class WorkerPool:
         self._death_times.append(now)
         while (
             self._death_times
-            and now - self._death_times[0] > self.config.storm_window
+            and now - self._death_times[0] > STORM_WINDOW
         ):
             self._death_times.popleft()
         if len(self._death_times) >= self.config.storm_threshold:
@@ -846,7 +844,7 @@ class WorkerPool:
         error = PoolBroken(
             "restart storm: workers keep dying independent of any job",
             deaths_in_window=len(self._death_times),
-            window_seconds=self.config.storm_window,
+            window_seconds=STORM_WINDOW,
         )
         for job in list(self._jobs.values()):
             if job.state in (_QUEUED, _RUNNING):
@@ -915,13 +913,11 @@ class WorkerPool:
             if (
                 worker.ready
                 and worker.ping_deadline is None
-                and now - worker.last_seen > self.config.heartbeat_interval
+                and now - worker.last_seen > HEARTBEAT_INTERVAL
             ):
                 try:
                     worker.child.conn.send({"type": "ping"})
-                    worker.ping_deadline = (
-                        now + self.config.heartbeat_timeout
-                    )
+                    worker.ping_deadline = now + HEARTBEAT_TIMEOUT
                 except (BrokenPipeError, OSError):
                     self._worker_died(worker, now)
 

@@ -249,7 +249,6 @@ def run_soak(
             workers=settings.workers,
             grace=settings.grace,
             max_worker_rss_mb=settings.max_worker_rss_mb,
-            poison_strikes=2,
             restart_backoff=RetryPolicy(
                 max_retries=0,
                 backoff_base=0.02,

@@ -19,7 +19,7 @@ Everything else Clifford is a composition of those three.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -198,10 +198,6 @@ class CliffordTableau:
                 return
         raise NonCliffordGateError(f"operation {op} is not Clifford")
 
-    def apply_circuit(self, circuit: QuantumCircuit) -> None:
-        for op in circuit:
-            self.apply_operation(op)
-
     # ------------------------------------------------------------------
     # comparison
     # ------------------------------------------------------------------
@@ -225,27 +221,6 @@ class CliffordTableau:
     # ------------------------------------------------------------------
     # stabilizer states
     # ------------------------------------------------------------------
-    def stabilizer_generators(self) -> List[str]:
-        """The stabilizer generators of ``U |0...0>`` as Pauli strings.
-
-        Row ``n + i`` holds the image of ``Z_i``; since ``Z_i`` stabilizes
-        ``|0...0>``, those images generate the stabilizer group of the
-        output state.  Strings read qubit 0 first, with a leading sign.
-        """
-        n = self.num_qubits
-        out = []
-        for i in range(n):
-            row = n + i
-            sign = "-" if self.r[row] else "+"
-            letters = []
-            for q in range(n):
-                xq, zq = self.x[row, q], self.z[row, q]
-                letters.append(
-                    "Y" if xq and zq else "X" if xq else "Z" if zq else "I"
-                )
-            out.append(sign + "".join(letters))
-        return out
-
     def canonical_stabilizer_generators(self) -> Tuple[str, ...]:
         """Gaussian-eliminated stabilizer generators (state fingerprint).
 

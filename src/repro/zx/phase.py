@@ -190,11 +190,6 @@ def _float_radians_to_phase(angle: float) -> Phase:
     return normalize_phase(angle / _PI)
 
 
-def is_zero_phase(phase: Phase) -> bool:
-    """True for phase 0 (the identity spider phase)."""
-    return normalize_phase(phase) == 0
-
-
 def is_pauli_phase(phase: Phase) -> bool:
     """True for phases 0 or pi (the *Pauli* spiders pivoting acts on)."""
     p = normalize_phase(phase)

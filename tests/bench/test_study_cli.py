@@ -61,6 +61,23 @@ class TestStudyMain:
         assert text.startswith("# Case-study run")
         assert "| ghz_3 |" in text
 
+    def test_report_holds_the_printed_lines(
+        self, tiny_suite, tmp_path, capsys
+    ):
+        """One renderer: the console table and the report are the same
+        Markdown lines, a block per use case with one legend line."""
+        report = tmp_path / "run.md"
+        assert study.main(
+            ["--use-case", "both", "--timeout", "20", "--report", str(report)]
+        ) == 0
+        text = report.read_text()
+        assert capsys.readouterr().out == (
+            text + f"\nreport written to {report}\n"
+        )
+        assert "## Compiled Circuits" in text
+        assert "## Optimized Circuits" in text
+        assert text.count("Cells: seconds per check (6 checks total)") == 2
+
     def test_unknown_use_case_rejected(self):
         with pytest.raises(SystemExit):
             study.main(["--use-case", "imaginary"])

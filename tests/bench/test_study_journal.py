@@ -111,27 +111,37 @@ class TestCellRecordRoundTrip:
         assert restored.correct is None
 
     def test_round_trip_portfolio_attribution(self):
-        """Winner strategy and loser kill codes survive the journal."""
+        """The deciding lane and loser kill codes survive the journal."""
         cell = CellResult(
             0.3, Equivalence.EQUIVALENT_UP_TO_GLOBAL_PHASE, False, True,
-            winner="zx",
+            decided_by="zx",
             kills={"alternating": "loser", "construction": "loser"},
         )
         record = cell.to_record()
-        assert record["winner"] == "zx"
+        assert record["decided_by"] == "zx"
         restored = CellResult.from_record(record)
-        assert restored.winner == "zx"
+        assert restored.decided_by == "zx"
         assert restored.kills == {
             "alternating": "loser", "construction": "loser",
         }
 
-    def test_sequential_cells_omit_portfolio_fields(self):
+    def test_round_trip_stimuli(self):
+        cell = CellResult(
+            0.1, Equivalence.NOT_EQUIVALENT, False, True,
+            decided_by="simulation", stimuli=4,
+        )
+        record = cell.to_record()
+        assert (record["decided_by"], record["stimuli"]) == ("simulation", 4)
+        restored = CellResult.from_record(record)
+        assert (restored.decided_by, restored.stimuli) == ("simulation", 4)
+
+    def test_unset_fields_are_omitted(self):
         cell = CellResult(1.0, Equivalence.EQUIVALENT, False, True)
         record = cell.to_record()
-        assert "winner" not in record
-        assert "kills" not in record
+        assert not {"decided_by", "stimuli", "kills"} & set(record)
         restored = CellResult.from_record(record)
-        assert restored.winner is None
+        assert restored.decided_by is None
+        assert restored.stimuli is None
         assert restored.kills is None
 
 
@@ -237,19 +247,47 @@ class TestJournalResume:
             )
 
 
-class TestPortfolioCells:
-    def test_combined_cells_carry_winner_attribution(self, tiny_instance):
+class TestDecidedBy:
+    def test_sequential_cells_name_the_deciding_stage(self, tiny_instance):
+        row = run_instance(tiny_instance, timeout=30.0, seed=0)
+        for key, cell in row.cells.items():
+            if key.endswith("/zx"):
+                assert cell.decided_by == "zx", key
+            else:
+                assert cell.decided_by is not None, key
+            # Only a verdict of the stimuli carries their count.
+            assert (cell.stimuli is not None) == (
+                cell.decided_by == "simulation"
+            ), key
+            assert cell.kills is None, key
+
+    def test_raced_cells_name_the_winning_lane(self, tiny_instance):
         row = run_instance(
             tiny_instance, timeout=30.0, seed=0, portfolio=True
         )
         for key, cell in row.cells.items():
             if key.endswith("/dd"):
                 # The racing column: every cell records which lane won.
-                assert cell.winner is not None, key
+                assert cell.decided_by is not None, key
             else:
                 # The standalone ZX column never races.
-                assert cell.winner is None, key
+                assert cell.decided_by == "zx", key
                 assert cell.kills is None, key
+
+    def test_failed_cells_name_no_stage(self, tiny_instance, monkeypatch):
+        class Crashing:
+            def __init__(self, *args):
+                pass
+
+            def run(self):
+                return EquivalenceCheckingResult(
+                    Equivalence.NO_INFORMATION, "combined", 0.0,
+                    {"failure": {"kind": "crashed"}},
+                )
+
+        monkeypatch.setattr(study, "EquivalenceCheckingManager", Crashing)
+        row = run_instance(tiny_instance, timeout=30.0, seed=0)
+        assert all(cell.decided_by is None for cell in row.cells.values())
 
 
 @pytest.mark.chaos
@@ -288,11 +326,9 @@ class TestTableLevelContainment:
             assert cell.verdict is baseline.cells[key].verdict, key
 
     def test_isolated_and_in_process_tables_agree(self, tiny_suite):
-        isolated = run_table(
-            use_case="compiled", timeout=30.0, verbose=False, isolate=True
-        )
+        isolated = run_table(use_case="compiled", timeout=30.0, isolate=True)
         in_process = run_table(
-            use_case="compiled", timeout=30.0, verbose=False, isolate=False
+            use_case="compiled", timeout=30.0, isolate=False
         )
         for row_iso, row_in in zip(isolated, in_process):
             for key in row_in.cells:

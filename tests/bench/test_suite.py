@@ -8,7 +8,7 @@ from repro.bench.suite import (
     compiled_benchmarks,
     optimized_benchmarks,
 )
-from repro.bench.study import CellResult, _judge, format_row, run_instance
+from repro.bench.study import CellResult, _judge, markdown_row, run_instance
 from repro.compile.architectures import line_architecture
 from repro.ec.results import Equivalence
 
@@ -108,4 +108,4 @@ class TestStudyHarness:
         for config in CONFIGURATIONS:
             assert row.cells[f"{config}/zx"].correct is not False
         # rendering does not crash
-        assert row.name in format_row(row, 30)
+        assert row.name in markdown_row(row, 30)

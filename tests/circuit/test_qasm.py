@@ -124,6 +124,29 @@ class TestParserErrors:
         with pytest.raises(QasmError):
             circuit_from_qasm(HEADER + "qreg a[2]; qreg b[3];\ncx a,b;\n")
 
+    @pytest.mark.parametrize(
+        "text, line, column, operation",
+        [
+            ("qreg q[2];\ncx q[0],q[0];\n", 4, 1, "cx [0, 0]"),
+            ("qreg q[2];\ncx q[0], q[0];\n", 4, 1, "cx [0, 0]"),
+            ("qreg q[2];\nccx q[0],q[1],q[1];\n", 4, 1, "ccx [0, 1, 1]"),
+            ("qreg q[2];\ncx q, q;\n", 4, 1, "cx [0, 0]"),
+            ("qreg q[2];\ngate g a { cx a, a; }\ng q[0];\n", 4, 12, "cx [0, 0]"),
+        ],
+        ids=["canonical", "parsed", "toffoli", "broadcast", "macro-body"],
+    )
+    def test_a_qubit_named_twice_is_located(self, text, line, column, operation):
+        with pytest.raises(QasmError) as info:
+            circuit_from_qasm(HEADER + text)
+        source_line = (HEADER + text).splitlines()[line - 1]
+        assert (info.value.line, info.value.column) == (line, column)
+        assert str(info.value).splitlines() == [
+            f"line {line}, column {column}: duplicate qubits in operation: "
+            f"{operation}",
+            f"  {source_line}",
+            "  " + " " * (column - 1) + "^",
+        ]
+
 
 class TestGateMacros:
     def test_simple_macro_expansion(self):
@@ -352,6 +375,16 @@ _EDGE_CASES = {
     "unknown-register": (
         HEADER + "qreg q[2];\ncx q[0],r[1];\n",
         ("line 4, column 9: unknown register 'r'", 4, 9),
+    ),
+    "wide-register": (
+        HEADER + "qreg q[1000000];\n",
+        ("line 3, column 8: registers, broadcasts and gate macros expand to "
+         "more than 65536 units plus 16 per character of the file", 3, 8),
+    ),
+    "wide-broadcast": (
+        HEADER + "qreg q[200000];\nh q;",
+        ("line 3, column 8: registers, broadcasts and gate macros expand to "
+         "more than 65536 units plus 16 per character of the file", 3, 8),
     ),
     "unknown-gate": (
         HEADER + "qreg q[1];\nfrob q[0];\n",
@@ -601,9 +634,10 @@ class TestMalformedMacros:
 
 
 class TestMacroExpansionBound:
-    """One file's macros expand at most ``MAX_MACRO_EXPANSION`` units plus
+    """One file expands at most ``MAX_MACRO_EXPANSION`` units plus
     ``MACRO_EXPANSION_PER_CHAR`` per character of the file: one unit per
-    body statement walked, one per expression token evaluated."""
+    declared qubit, per operation a broadcast adds, per body statement
+    walked and per expression token evaluated."""
 
     @pytest.mark.parametrize(
         "base, units, operations",
@@ -619,6 +653,7 @@ class TestMacroExpansionBound:
     )
     def test_the_bound_is_exact(self, base, units, operations):
         text = _doubling_chain(16, base) + "g16 q[0];\n"
+        units += 1  # the register's one qubit
         length = -(-(units - MAX_MACRO_EXPANSION) // MACRO_EXPANSION_PER_CHAR)
         assert len(circuit_from_qasm(_padded(text, length))) == operations
         with pytest.raises(QasmError) as info:
@@ -655,6 +690,27 @@ class TestMacroExpansionBound:
         assert 3 * 2 ** 12 - 2 < MAX_MACRO_EXPANSION
         with pytest.raises(QasmError, match="more than"):
             circuit_from_qasm(text + f"g12 {arguments};\n")
+
+    def test_registers_and_broadcasts_spend_the_budget(self):
+        """One unit per declared qubit and one per operation a broadcast
+        emits beyond its first: a register of ``w`` qubits and ``h`` on
+        all of it cost ``2w - 1``."""
+        width = 40000
+        text = HEADER + f"qreg q[{width}];\nh q;\n"
+        length = -(
+            -(2 * width - 1 - MAX_MACRO_EXPANSION) // MACRO_EXPANSION_PER_CHAR
+        )
+        assert len(circuit_from_qasm(_padded(text, length))) == width
+        with pytest.raises(QasmError) as info:
+            circuit_from_qasm(_padded(text, length - 1))
+        assert (info.value.line, info.value.column) == (4, 1)
+        assert "registers, broadcasts and gate macros expand to more than" in str(
+            info.value
+        )
+
+    def test_a_register_of_65536_qubits_parses(self):
+        circuit = circuit_from_qasm(HEADER + f"qreg q[{MAX_MACRO_EXPANSION}];\n")
+        assert circuit.num_qubits == MAX_MACRO_EXPANSION
 
     def test_macros_that_do_not_amplify_have_no_total_cap(self):
         """``ecr`` exported as two ``rzx`` applications, applied until it

@@ -193,7 +193,6 @@ class TestFaultSupervision:
         config = PoolConfig(
             workers=2,
             storm_threshold=3,
-            storm_window=30.0,
             restart_backoff=_FAST_BACKOFF,
             startup_chaos=ChaosSpec(mode="crash"),
         )

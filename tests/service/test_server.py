@@ -379,10 +379,12 @@ class TestServerRoundTrip:
         assert not thread.is_alive()
         assert pool.audit()["leaked"] == 0
 
-    def test_malformed_macros_are_answered_not_fatal(self):
+    def test_malformed_statements_are_answered_not_fatal(self):
         """A self-applying, free-qubit or exponentially doubling ``gate``
         macro is malformed input, refused before it expands, whether the
-        doubled body is an X, empty or a barrier."""
+        doubled body is an X, empty or a barrier; so are an operation
+        naming one qubit twice and a register wider than the file's
+        expansion budget.  Each reply carries the reader's location."""
         pool = WorkerPool(
             PoolConfig(workers=1, restart_backoff=_FAST_BACKOFF)
         )
@@ -396,6 +398,15 @@ class TestServerRoundTrip:
             "recursion": ("gate g a { g a; }\ng q[0];\n", "applies 'g'"),
             "free qubit": (
                 "gate g a { x b; }\ng q[0];\n", "not a qubit argument"
+            ),
+            "duplicate qubit": (
+                "cx q[0],q[0];\n", "line 3, column 1: duplicate qubits"
+            ),
+            "wide broadcast": (
+                "qreg r[200000];\nh r;", "line 3, column 8: registers"
+            ),
+            "wide register": (
+                "qreg r[1000000];", "line 3, column 8: registers"
             ),
         }
         for name, base in [
