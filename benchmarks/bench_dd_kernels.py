@@ -7,15 +7,19 @@ emptied (``compute_table_clears``), the hits and misses of the compute
 tables the strategy uses (``mul`` and ``apply_left`` for alternating,
 ``mul_vec`` and ``apply_vec`` for simulation) and, for simulation cases,
 the stimulus digest (so a rerun shows at a glance whether the same
-stimuli ran).  The counts are deterministic, but they depend on when
+stimuli ran) and the blocks the column simulation fused the circuits
+into, with the operations they cover.  The counts are deterministic, but they depend on when
 entries are dropped as well as on the DD operation order: the dict
 compute tables kept the order and still moved them, because the slot
 tables they replaced evicted entries on collision and a clear between
 gates drops far fewer.  Besides five Table-1-style pairs, the
 cases include the optimized Table-1 cells (``repro.bench.suite``, scale
 ``small``, seed 0) where table1-optimized's DD column spends its time,
-run as the golden fixture runs them (16 stimuli, no static pre-pass),
-and the basis-column exhaustion that decides urf_s1_5 and hwb5_5
+run as the golden fixture runs them (16 stimuli, no static pre-pass):
+hwb5_5 equivalent, where all 16 stimuli run and the blocks pay, and
+urf_s1_5 gate-missing, which two stimuli decide, so building the blocks
+costs more there than it saves; and the basis-column exhaustion that
+decides urf_s1_5 and hwb5_5
 equivalent under ``combined``: timed as the combined schedule runs it,
 after the 16 stimuli and on the columns they left undrawn, with the
 columns it simulated and reused.
@@ -67,6 +71,7 @@ TABLE1_CELLS = (
     ("hwb5_5", "equivalent", "alternating"),
     ("hwb5_5", "equivalent", "simulation"),
     ("urf_s1_5", "gate_missing", "alternating"),
+    ("urf_s1_5", "gate_missing", "simulation"),
     ("urf_s1_5", "equivalent", "exhaustion"),
     ("hwb5_5", "equivalent", "exhaustion"),
 )
@@ -177,6 +182,9 @@ def main() -> int:
         }
         if strategy == "simulation":
             case["stimuli_digest"] = statistics["stimuli_digest"]
+            counters = perf["counters"]
+            case["blocks_built"] = counters["dd.blocks_built"]
+            case["block_operations"] = counters["dd.block_operations"]
         if strategy == "exhaustion":
             case["columns_simulated"] = statistics["columns_simulated"]
             case["columns_reused"] = statistics["columns_reused"]
@@ -195,8 +203,9 @@ def main() -> int:
             "wall time, verdict, created nodes, compute-table clears, "
             "hits and misses of the tables the strategy uses "
             "(mul/apply_left alternating, mul_vec/apply_vec simulation "
-            "and exhaustion), stimulus digest per simulation case, and "
-            "columns simulated and reused per exhaustion case"
+            "and exhaustion), stimulus digest and fused blocks per "
+            "simulation case, and columns simulated and reused per "
+            "exhaustion case"
         ),
         "repeats": REPEATS,
         "python": platform.python_version(),

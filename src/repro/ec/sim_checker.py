@@ -1,11 +1,13 @@
 """Column checking: simulate both circuits on input columns, compare overlaps.
 
 Simulating ``G`` and ``G'`` on an input column ``|c>`` and taking the
-overlap ``<G c|G' c>`` checks one column of ``G† G'``.  One checker runs
-three sets of columns, each through
-:func:`repro.dd.gates.apply_operation_columns` (one pass per gate over
-the batch, the deadline checked per gate), and one function,
-:func:`column_verdict`, decides every set:
+overlap ``<G c|G' c>`` checks one column of ``G† G'``.  Each circuit is
+first cut into blocks of at most three wires whose matrix diagrams are
+built once per check (:func:`repro.dd.gates.build_blocks`); every batch
+of columns then makes one pass per block
+(:func:`repro.dd.gates.apply_block_columns`, the deadline checked per
+block).  One checker runs three sets of columns this way, and one
+function, :func:`column_verdict`, decides every set:
 
 * ``state`` — the column ``|0...0>``, a complete set for the
   state-preparation semantics (:func:`state_check`);
@@ -41,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.qasm import circuit_to_qasm
 from repro.dd.array_package import ArrayDDPackage
-from repro.dd.gates import apply_operation_columns
+from repro.dd.gates import apply_block_columns, build_blocks
 from repro.ec.configuration import FIDELITY_THRESHOLD, Configuration
 # to_logical_form is imported for benchmarks/e2e/spans.py, which wraps it here.
 from repro.ec.permutations import LogicalPair, to_logical_form
@@ -108,21 +110,41 @@ def basis_index(stimulus: QuantumCircuit) -> Optional[int]:
     return index
 
 
-def _simulate(
+#: Both circuits' block diagrams, in one package.
+Blocks = Tuple[List[int], List[int]]
+
+
+def _build(
     pair: LogicalPair,
+    pkg: ArrayDDPackage,
+    perf: PerfCounters,
+    deadline: Optional[float],
+) -> Blocks:
+    """Both circuits' blocks, built in ``pkg``."""
+    blocks = []
+    for logical in (pair.circuit1, pair.circuit2):
+        built = build_blocks(pkg, logical, deadline)
+        perf.count("dd.blocks_built", len(built))
+        perf.count("dd.block_operations", len(logical))
+        blocks.append(built)
+    return blocks[0], blocks[1]
+
+
+def _simulate(
+    blocks: Blocks,
     pkg: ArrayDDPackage,
     perf: PerfCounters,
     columns: List[int],
     deadline: Optional[float],
 ) -> Tuple[List[int], List[int]]:
-    """Both circuits' output states on ``columns``, one pass per gate."""
+    """Both circuits' output states on ``columns``, one pass per block."""
     states = []
-    for logical in (pair.circuit1, pair.circuit2):
+    for circuit_blocks in blocks:
         current = columns
-        for op in logical:
+        for block in circuit_blocks:
             check_deadline(deadline)
-            current = apply_operation_columns(pkg, current, op)
-            perf.count("dd.batched_gate_applications")
+            current = apply_block_columns(pkg, current, block)
+            perf.count("dd.batched_block_applications")
         states.append(current)
     return states[0], states[1]
 
@@ -133,10 +155,11 @@ class ColumnChecker:
     :meth:`stimuli` keeps, by basis index, the overlap of every stimulus
     that is a basis column.  A basis column's overlap depends only on its
     index, not on how the index was drawn, so :meth:`exhaust` simulates
-    only the columns the stimuli left undrawn.  It runs in the stimuli's
-    DD package, whose gate diagrams and compute tables are warm: on
-    randomwalk_3_2 equivalent that takes its 7 undrawn columns from
-    0.017 s in a fresh package to 0.010 s.
+    only the columns the stimuli left undrawn.  Both modes run in one DD
+    package and on one set of blocks, built when the checker first
+    simulates, so the exhaustion finds the blocks built and the compute
+    tables warm: on randomwalk_3_2 equivalent that takes its 7 undrawn
+    columns from 0.0145 s in a fresh checker to 0.0032 s.
     """
 
     def __init__(
@@ -154,8 +177,18 @@ class ColumnChecker:
         #: Distinct columns the stimuli simulated, and their seconds.
         self.columns_simulated = 0
         self.seconds = 0.0
-        #: The stimuli's package, once they ran.
-        self.package: Optional[ArrayDDPackage] = None
+        #: The package both modes simulate in.
+        self.package = ArrayDDPackage()
+        #: Both circuits' blocks, once the checker first simulated.
+        self.blocks: Optional[Blocks] = None
+
+    def _blocks(
+        self, perf: PerfCounters, deadline: Optional[float]
+    ) -> Blocks:
+        """Both circuits' blocks, built the first time they are asked for."""
+        if self.blocks is None:
+            self.blocks = _build(self.pair, self.package, perf, deadline)
+        return self.blocks
 
     def price(self) -> float:
         """Projected seconds to simulate every basis column not yet simulated.
@@ -177,7 +210,7 @@ class ColumnChecker:
         pair = self.pair
         start = time.monotonic()
         rng = random.Random(config.seed)
-        pkg = self.package = ArrayDDPackage()
+        pkg = self.package
         perf = PerfCounters()
         # Running digest over the serialized stimuli: two runs with the same
         # seed must report byte-identical sequences (reproducibility contract,
@@ -205,7 +238,9 @@ class ColumnChecker:
                 columns = prepare_stimulus_columns(pkg, stimuli, self.width)
             perf.count("dd.batch_width", batch)
             with perf.phase("simulation"):
-                states1, states2 = _simulate(pair, pkg, perf, columns, deadline)
+                states1, states2 = _simulate(
+                    self._blocks(perf, deadline), pkg, perf, columns, deadline
+                )
             with perf.phase("fidelity"):
                 for stimulus, state1, state2 in zip(stimuli, states1, states2):
                     check_deadline(deadline)
@@ -258,7 +293,7 @@ class ColumnChecker:
         order.
         """
         start = time.monotonic()
-        pkg = self.package or ArrayDDPackage()
+        pkg = self.package
         perf = PerfCounters()
         reused = len(self.overlaps)
         size = 2**self.width
@@ -274,7 +309,7 @@ class ColumnChecker:
                     continue
                 columns = [pkg.basis_state(self.width, i) for i in undrawn]
                 states1, states2 = _simulate(
-                    self.pair, pkg, perf, columns, deadline
+                    self._blocks(perf, deadline), pkg, perf, columns, deadline
                 )
                 for index, state1, state2 in zip(undrawn, states1, states2):
                     check_deadline(deadline)
@@ -316,7 +351,7 @@ def simulation_check(
 
     Stimuli run in growing batches — first one, then each batch as large
     as everything simulated so far (1, 1, 2, 4, 8 for 16 stimuli) — and
-    each batch is one matrix-of-columns pass per gate.  The check stops
+    each batch is one matrix-of-columns pass per block.  The check stops
     after the first batch for which :func:`column_verdict` finds a
     fidelity drop or a phase spread.  ``simulations_run`` counts the
     stimuli actually simulated, ``stimuli_digest`` covers exactly those,
@@ -351,8 +386,9 @@ def state_check(
     # Wires above the active register stay |0> in both circuits.
     width = pair.active_qubits
     with perf.phase("simulation"):
+        blocks = _build(pair, pkg, perf, deadline)
         (state1,), (state2,) = _simulate(
-            pair, pkg, perf, [pkg.basis_state(width)], deadline
+            blocks, pkg, perf, [pkg.basis_state(width)], deadline
         )
     with perf.phase("fidelity"):
         overlap = pkg.inner_product(state1, state2)

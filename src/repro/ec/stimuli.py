@@ -131,8 +131,8 @@ def prepare_stimulus_columns(
     """Prepare one column state per stimulus, for batched simulation.
 
     The columns all live in ``pkg``, so node sharing across stimuli is
-    maximal and every later gate pass (see
-    :func:`repro.dd.gates.apply_operation_columns`) amortizes its
+    maximal and every later block pass (see
+    :func:`repro.dd.gates.apply_block_columns`) amortizes its
     compute-table fills across the batch width.
     """
     return [

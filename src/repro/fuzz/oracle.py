@@ -1,7 +1,8 @@
 """The cross-paradigm differential oracle.
 
-One labeled pair is pushed through every applicable strategy — the two
-DD schemes (alternating, reference construction), ZX simplification, the
+One labeled pair is pushed through every applicable strategy — the DD
+schemes (alternating, the sequential ``combined`` schedule whose proof
+may be the basis columns, reference construction), ZX simplification, the
 stabilizer tableau when the pair is Clifford, and the random-stimuli
 simulation — plus the dense-unitary ground truth for widths up to
 ``dense_limit``.  Symbolic pairs (the ``parameterized`` family) swap the
@@ -48,14 +49,17 @@ from repro.fuzz.generator import LabeledPair
 from repro.fuzz.mutators import LABEL_EQUIVALENT, LABEL_NOT_EQUIVALENT
 
 #: The strategies of the differential matrix: name → configuration
-#: overrides applied on top of the oracle's base configuration.  The five
+#: overrides applied on top of the oracle's base configuration.  The six
 #: checker participants run with ``static_analysis=False`` so their
-#: verdicts stay independent of the analyzer; the sixth participant IS
+#: verdicts stay independent of the analyzer.  ``dd_combined`` is the
+#: only path to the basis-columns proof, so whichever proof decides it is
+#: checked against dense truth.  The seventh participant IS
 #: the static analyzer, so a sound-but-wrong static witness shows up as
 #: an ordinary ``false_positive``-style disagreement against dense
 #: ground truth and gets shrunk and persisted like any checker bug.
 STRATEGY_MATRIX: Tuple[Tuple[str, Dict[str, object]], ...] = (
     ("dd_alternating", {"strategy": "alternating", "static_analysis": False}),
+    ("dd_combined", {"strategy": "combined", "static_analysis": False}),
     ("dd_reference", {"strategy": "construction", "static_analysis": False}),
     ("zx", {"strategy": "zx", "static_analysis": False}),
     ("stabilizer", {"strategy": "stabilizer", "static_analysis": False}),
@@ -87,7 +91,7 @@ PARAMETERIZED_MATRIX: Tuple[Tuple[str, Dict[str, object]], ...] = (
     ),
 )
 
-#: The optional seventh participant: the concurrent strategy portfolio.
+#: The optional eighth participant: the concurrent strategy portfolio.
 #: It races the same checkers as sandboxed children, so cross-checking
 #: its verdict against the sequential matrix exercises the whole race
 #: machinery (launch, kill, reap, verdict selection) per fuzzed pair.

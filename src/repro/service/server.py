@@ -111,24 +111,56 @@ def configuration_from_payload(
     )
 
 
+def _located(place: str, error: Exception) -> str:
+    """The message of one malformed part of a request, after its place.
+
+    ``str(error)`` keeps a reader error's caret block intact; a missing
+    key says which.
+    """
+    if isinstance(error, KeyError):
+        return f"{place}: missing key {error.args[0]!r}"
+    return f"{place}: {error}"
+
+
 def batch_from_payload(
     request: Dict[str, Any],
 ) -> Tuple[List[Tuple[QuantumCircuit, QuantumCircuit]], Optional[Configuration]]:
     """Decode a whole ``submit`` request before any of it is admitted.
 
     Raises:
-        InvalidInput: Any pair or the configuration is malformed.
+        InvalidInput: Any pair or the configuration is malformed.  The
+            message starts with the place, ``configuration:`` or
+            ``pairs[i].circuitN:``, and the diagnostics carry ``pair``
+            and ``circuit``.
     """
     try:
         configuration = configuration_from_payload(request.get("configuration"))
         if configuration is not None:
             configuration.validate()
-        pairs = [
-            (circuit_from_payload(payload1), circuit_from_payload(payload2))
-            for payload1, payload2 in request.get("pairs") or []
-        ]
     except (KeyError, TypeError, ValueError) as error:
-        raise InvalidInput(f"malformed submit request: {error!r}") from error
+        raise InvalidInput(_located("configuration", error)) from error
+    pairs = []
+    try:
+        payloads = list(request.get("pairs") or [])
+    except TypeError as error:
+        raise InvalidInput(_located("pairs", error)) from error
+    for index, pair in enumerate(payloads):
+        try:
+            payload1, payload2 = pair
+        except (TypeError, ValueError) as error:
+            raise InvalidInput(
+                _located(f"pairs[{index}]", error), pair=index
+            ) from error
+        circuits = []
+        for number, payload in enumerate((payload1, payload2), 1):
+            try:
+                circuits.append(circuit_from_payload(payload))
+            except (KeyError, TypeError, ValueError) as error:
+                raise InvalidInput(
+                    _located(f"pairs[{index}].circuit{number}", error),
+                    pair=index, circuit=number,
+                ) from error
+        pairs.append((circuits[0], circuits[1]))
     return pairs, configuration
 
 

@@ -3,11 +3,13 @@
 The ``apply_gate_*`` kernels multiply a gate diagram built only up to
 its top qubit into a taller diagram, passing the upper levels through.
 Every product is checked against dense truth: matrix products from
-either side, matrix-vector products and stimulus preparation.
+either side, matrix-vector products, stimulus preparation and the fused
+blocks column simulation applies.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -23,12 +25,15 @@ from repro.circuit.unitary import (
 )
 from repro.dd import ArrayDDPackage, edge_to_matrix, edge_to_vector
 from repro.dd.gates import (
-    apply_operation_columns,
+    FUSION_WIDTH,
+    apply_block_columns,
     apply_operation_left,
     apply_operation_right,
     apply_operation_to_vector,
+    build_blocks,
     circuit_dd,
     compact_operation_dd,
+    fusion_blocks,
     operation_dd,
     permutation_dd,
     simulate_circuit_dd,
@@ -213,9 +218,136 @@ class TestApplyOperationToVector:
             )
 
     def test_columns_match_single_application(self, pkg):
-        """A batch pass equals applying the gate to each column alone."""
+        """A batch pass equals applying the block to each column alone."""
         columns = [pkg.basis_state(3, bits) for bits in (0, 5, 6)]
-        for op in random_circuit(3, 12, seed=4):
-            expected = [apply_operation_to_vector(pkg, c, op) for c in columns]
-            columns = apply_operation_columns(pkg, columns, op)
+        for block in build_blocks(pkg, random_circuit(3, 12, seed=4)):
+            expected = [pkg.apply_gate_vector(block, c) for c in columns]
+            columns = apply_block_columns(pkg, columns, block)
             assert columns == expected
+
+
+def _fusion_circuit(num_qubits: int, seed: int) -> QuantumCircuit:
+    """Random gates of every shape a block may hold.
+
+    One- and two-target gates, multi-controlled gates up to the whole
+    register, ``swap`` and its controlled form, and arbitrary angles.
+    """
+    rng = random.Random(seed)
+    circuit = QuantumCircuit(num_qubits)
+    for _ in range(40):
+        kind = rng.choice(
+            ["h", "rx", "ry", "u3", "cx", "cp", "swap", "rzz", "rxx",
+             "ccx", "mcx", "mcz", "cswap"]
+        )
+        wires = rng.sample(range(num_qubits), 3)
+        angle = rng.uniform(-math.pi, math.pi)
+        if kind == "h":
+            circuit.h(wires[0])
+        elif kind in ("rx", "ry"):
+            getattr(circuit, kind)(angle, wires[0])
+        elif kind == "u3":
+            circuit.u3(angle, rng.uniform(0, math.pi), 0.3, wires[0])
+        elif kind in ("cx", "swap"):
+            getattr(circuit, kind)(wires[0], wires[1])
+        elif kind in ("cp", "rzz", "rxx"):
+            getattr(circuit, kind)(angle, wires[0], wires[1])
+        elif kind == "ccx":
+            circuit.ccx(*wires)
+        elif kind == "cswap":
+            circuit.cswap(*wires)
+        else:
+            controls = rng.sample(
+                range(num_qubits), rng.randint(1, num_qubits - 1)
+            )
+            target = rng.choice(
+                [q for q in range(num_qubits) if q not in controls]
+            )
+            getattr(circuit, kind)(controls, target)
+    return circuit
+
+
+FUSION_CASES = [(n, seed) for n in (3, 4, 5, 6) for seed in (0, 1, 2)]
+
+
+class TestFusedBlocks:
+    """Blocks of at most FUSION_WIDTH wires, built once, applied per column."""
+
+    @pytest.mark.parametrize("num_qubits,seed", FUSION_CASES)
+    def test_block_pass_matches_dense_unitary(self, pkg, num_qubits, seed):
+        circuit = _fusion_circuit(num_qubits, seed)
+        columns = [
+            pkg.basis_state(num_qubits, bits)
+            for bits in range(2**num_qubits)
+        ]
+        for block in build_blocks(pkg, circuit):
+            columns = apply_block_columns(pkg, columns, block)
+        dense = circuit_unitary(circuit)
+        for bits, column in enumerate(columns):
+            np.testing.assert_allclose(
+                edge_to_vector(column, num_qubits, pkg),
+                dense[:, bits],
+                atol=1e-9,
+            )
+
+    @pytest.mark.parametrize("num_qubits,seed", FUSION_CASES)
+    def test_blocks_cover_the_circuit_in_order(self, num_qubits, seed):
+        circuit = _fusion_circuit(num_qubits, seed)
+        blocks = fusion_blocks(circuit)
+        assert [op for block in blocks for op in block] == list(circuit)
+        for block, following in zip(blocks, blocks[1:] + [None]):
+            wires = {q for op in block for q in op.qubits}
+            assert len(block) == 1 or len(wires) <= FUSION_WIDTH
+            if following is not None:
+                # Greedy: the next operation would have overflowed.
+                assert len(wires | set(following[0].qubits)) > FUSION_WIDTH
+
+    @pytest.mark.parametrize(
+        "circuit,sizes",
+        [
+            # A run on three wires fuses; a fourth wire starts a block.
+            (QuantumCircuit(4).h(0).cx(0, 1).t(2).ccx(0, 1, 2).h(3), [4, 1]),
+            # An operation wider than the width is a block of its own.
+            (QuantumCircuit(5).h(0).mcx([0, 1, 2, 3], 4).h(0), [1, 1, 1]),
+        ],
+        ids=["three-wire run", "wide operation"],
+    )
+    def test_block_sizes(self, circuit, sizes):
+        assert [len(block) for block in fusion_blocks(circuit)] == sizes
+
+    @pytest.mark.parametrize(
+        "num_qubits,seed", [case for case in FUSION_CASES if case[0] >= 5]
+    )
+    def test_one_operation_block_is_the_compact_gate(
+        self, pkg, num_qubits, seed
+    ):
+        circuit = _fusion_circuit(num_qubits, seed)
+        blocks = fusion_blocks(circuit)
+        built = build_blocks(pkg, circuit)
+        assert len(built) == len(blocks)
+        singles = [
+            (block[0], edge)
+            for block, edge in zip(blocks, built) if len(block) == 1
+        ]
+        assert singles
+        for op, edge in singles:
+            assert edge == compact_operation_dd(pkg, op)
+
+    def test_block_is_the_product_of_its_gates(self, pkg):
+        circuit = QuantumCircuit(3).h(0).cx(0, 2).rz(0.7, 2).cswap(1, 0, 2)
+        (block,) = build_blocks(pkg, circuit)
+        assert _level(pkg, block) == 2
+        np.testing.assert_allclose(
+            edge_to_matrix(block, 3, pkg), circuit_unitary(circuit),
+            atol=1e-12,
+        )
+
+    def test_building_checks_the_deadline_per_operation(
+        self, pkg, monkeypatch
+    ):
+        import repro.dd.gates as gates
+
+        calls = []
+        monkeypatch.setattr(gates, "check_deadline", calls.append)
+        circuit = _fusion_circuit(5, 0)
+        build_blocks(pkg, circuit, deadline=123.0)
+        assert calls == [123.0] * len(circuit)

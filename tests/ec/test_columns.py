@@ -27,6 +27,7 @@ from repro.ec.sim_checker import (
     basis_index,
     column_verdict,
     simulation_check,
+    state_check,
 )
 from repro.ec.stimuli import generate_stimulus, prepare_stimulus_state
 from repro.errors import CheckTimeout
@@ -277,6 +278,32 @@ class TestCombinedHandOver:
         with pytest.raises(CheckTimeout) as raised:
             columns.exhaust(deadline=0.0)
         assert raised.value.diagnostics["hard"] is False
+
+    def test_block_building_honours_the_deadline(self, monkeypatch):
+        import repro.ec.sim_checker as sim_checker
+
+        monkeypatch.setattr(
+            sim_checker, "_simulate",
+            lambda *args: pytest.fail("simulated past the deadline"),
+        )
+        pair = logical_pair(QuantumCircuit(4).h(0), QuantumCircuit(4).h(0))
+        with pytest.raises(CheckTimeout) as raised:
+            state_check(pair, deadline=0.0)
+        assert raised.value.diagnostics["hard"] is False
+
+    def test_stimuli_and_exhaustion_share_one_set_of_blocks(self):
+        circuit = QuantumCircuit(4).h(0).cx(0, 1).t(1).ccx(0, 1, 2).h(3)
+        pair = logical_pair(circuit, circuit.copy())
+        columns = ColumnChecker(pair, Configuration(seed=0))
+        stimuli = simulation_check(pair, Configuration(seed=0), columns=columns)
+        counters = stimuli.statistics["perf"]["counters"]
+        assert counters["dd.blocks_built"] == 4
+        assert counters["dd.block_operations"] == 10
+        blocks = columns.blocks
+        verdict, statistics = columns.exhaust()
+        assert verdict is EQ
+        assert columns.blocks is blocks
+        assert "dd.blocks_built" not in statistics["perf"]["counters"]
 
     def test_standalone_alternating_never_hands_over(self):
         circuit = QuantumCircuit(3).h(0).cx(0, 1).t(2)

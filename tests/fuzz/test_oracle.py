@@ -20,10 +20,11 @@ def _oracle(**kwargs):
 
 
 class TestStrategyMatrix:
-    def test_covers_all_six_strategies(self):
+    def test_covers_all_seven_strategies(self):
         names = [name for name, _ in STRATEGY_MATRIX]
         assert names == [
             "dd_alternating",
+            "dd_combined",
             "dd_reference",
             "zx",
             "stabilizer",
@@ -32,7 +33,7 @@ class TestStrategyMatrix:
         ]
 
     def test_checker_participants_isolate_the_analyzer(self):
-        # The five checker strategies must run with the static pre-pass
+        # The six checker strategies must run with the static pre-pass
         # disabled: a pre-pass short-circuit would overwrite their own
         # verdicts and destroy the differential isolation (e.g. the
         # simulation participant would stop reporting its own misses).

@@ -117,6 +117,18 @@ class TestCheckerStatistics:
         assert "compute_tables" in perf
         assert perf["unique_matrix_nodes"] >= 0
 
+    def test_simulation_counts_blocks(self):
+        # h(0) and cx(0,1), cx(1,2) fuse on wires 0-2; cx(2,3) starts a
+        # second block.
+        circuit = ghz_state(4)
+        config = Configuration(strategy="simulation", seed=0, num_simulations=2)
+        result = EquivalenceCheckingManager(circuit, circuit, config).run()
+        counters = result.statistics["perf"]["counters"]
+        assert counters["dd.blocks_built"] == 4
+        assert counters["dd.block_operations"] == 2 * len(circuit)
+        # Two batches of one stimulus, each through both circuits' blocks.
+        assert counters["dd.batched_block_applications"] == 8
+
     def test_alternating_counts_gate_applications(self):
         circuit = ghz_state(4)
         config = Configuration(strategy="alternating", seed=0)
@@ -139,7 +151,7 @@ class TestCheckerStatistics:
         assert columns["proof"] == "columns"
         perf = columns["perf"]
         assert set(perf["phase_seconds"]) == {"exhaustion"}
-        assert perf["counters"]["dd.batched_gate_applications"] > 0
+        assert perf["counters"]["dd.batched_block_applications"] > 0
         assert "apply_vec" in perf["compute_tables"]
         simulation = result.statistics["simulation"]["perf"]
         assert {"stimulus_preparation", "simulation", "fidelity"} <= set(

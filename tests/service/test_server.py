@@ -144,8 +144,31 @@ class TestWireFormat:
     def test_bad_knob_value_is_invalid_input(self, knobs):
         payload = configuration_to_payload(Configuration())
         payload.update(knobs)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput) as raised:
             batch_from_payload({"pairs": [], "configuration": payload})
+        assert raised.value.message.startswith("configuration: ")
+
+    @pytest.mark.parametrize(
+        "pairs, message, diagnostics",
+        [
+            ([({}, None)], "pairs[0].circuit1: missing key 'qasm'",
+             {"pair": 0, "circuit": 1}),
+            ([(None, None), (None,)], "pairs[1]: ", {"pair": 1}),
+            (5, "pairs: ", {}),
+        ],
+        ids=["missing qasm", "one circuit", "not a list"],
+    )
+    def test_malformed_pair_names_its_place(self, pairs, message, diagnostics):
+        good = circuit_to_payload(ghz_state(1))
+        if isinstance(pairs, list):
+            pairs = [
+                tuple(good if payload is None else payload for payload in pair)
+                for pair in pairs
+            ]
+        with pytest.raises(InvalidInput) as raised:
+            batch_from_payload({"pairs": pairs, "configuration": None})
+        assert raised.value.message.startswith(message)
+        assert raised.value.diagnostics == diagnostics
 
 
 def _serve(pool):
@@ -429,6 +452,32 @@ class TestServerRoundTrip:
                     assert reply["error"]["kind"] == "invalid_input", name
                     assert message in reply["error"]["message"], name
                     assert "line " in reply["error"]["message"], name
+                    assert reply["error"]["message"].startswith(
+                        "pairs[0].circuit1: "
+                    ), name
+                # The place of a bad circuit, and the reader's caret block
+                # with its real line breaks.
+                hostile = {
+                    "qasm": "OPENQASM 2.0;\nqreg q[1];\nqreg r[1];\n"
+                    "cx q[0],q[0];\n"
+                }
+                reply = client._request({
+                    "op": "submit", "pairs": [(good, good), (good, hostile)],
+                    "configuration": None,
+                })
+                assert reply["ok"] is False
+                error = reply["error"]
+                assert error["kind"] == "invalid_input"
+                assert error["message"] == (
+                    "pairs[1].circuit2: line 4, column 1: duplicate qubits "
+                    "in operation: cx [0, 0]\n  cx q[0],q[0];\n  ^"
+                )
+                assert error["diagnostics"] == {"pair": 1, "circuit": 2}
+                reply = client._request({
+                    "op": "submit", "pairs": [(good, good)],
+                    "configuration": {"num_simulations": 0},
+                })
+                assert reply["error"]["message"].startswith("configuration: ")
                 assert client.ping()
         finally:
             with ServiceClient(socket_path) as closer:
