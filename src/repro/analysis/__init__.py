@@ -44,7 +44,6 @@ from typing import Dict, Optional, Tuple
 from repro.analysis.cost import (
     CostEstimate,
     Plan,
-    circuit_depth,
     estimate_cost,
     plan_checks,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "VERDICT_UNDECIDED",
     "analysis_check",
     "analyze_pair",
-    "circuit_depth",
     "compare_phase_polynomials",
     "estimate_cost",
     "extract_phase_polynomial",

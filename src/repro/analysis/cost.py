@@ -39,18 +39,6 @@ from repro.circuit.circuit import QuantumCircuit
 from repro.ec.portfolio import Plan
 
 
-def circuit_depth(circuit: QuantumCircuit) -> int:
-    """Critical-path length of the circuit (greedy wire-front packing)."""
-    front: Dict[int, int] = {}
-    depth = 0
-    for op in circuit:
-        layer = 1 + max((front.get(q, 0) for q in op.qubits), default=0)
-        for q in op.qubits:
-            front[q] = layer
-        depth = max(depth, layer)
-    return depth
-
-
 @dataclass(frozen=True)
 class CostEstimate:
     """Relative effort scores for one circuit pair.
@@ -88,7 +76,7 @@ def estimate_cost(
 ) -> CostEstimate:
     """Combine both circuits' static features into one pair estimate."""
     num_qubits = max(c.num_qubits for c in circuits)
-    depth = max(circuit_depth(c) for c in circuits)
+    depth = max(c.depth() for c in circuits)
     total_gates = sum(p.num_gates for p in profiles)
     t_count = sum(p.t_like_gates for p in profiles)
     rotations = sum(p.rotation_gates for p in profiles)

@@ -25,7 +25,7 @@ the declared permutation" of compiled circuits falls out of that).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -187,10 +187,3 @@ def fragment_isolation_check(
     if witness is None and all_small and all_proportional:
         proof = "equivalent_up_to_global_phase"
     return witness, proof, summary
-
-
-def fingerprints(
-    circuits: Iterable[QuantumCircuit],
-) -> List[str]:
-    """Interaction fingerprints of several circuits."""
-    return [interaction_fingerprint(circuit) for circuit in circuits]

@@ -23,6 +23,7 @@ from repro.bench.suite import (
 )
 from repro.circuit import circuit_from_qasm, circuit_to_qasm
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.qasm import layout_from_json
 
 MANIFEST_NAME = "MANIFEST.json"
 
@@ -46,13 +47,12 @@ def _read_circuit(path: Path) -> QuantumCircuit:
     circuit = circuit_from_qasm(path.read_text(), name=path.stem)
     sidecar = path.with_suffix(path.suffix + ".layout.json")
     if sidecar.exists():
-        metadata = json.loads(sidecar.read_text())
-        circuit.initial_layout = {
-            int(k): v for k, v in metadata["initial_layout"].items()
-        }
-        circuit.output_permutation = {
-            int(k): v for k, v in metadata["output_permutation"].items()
-        }
+        try:
+            circuit.initial_layout, circuit.output_permutation = (
+                layout_from_json(json.loads(sidecar.read_text()))
+            )
+        except ValueError as error:
+            raise ValueError(f"{sidecar}: {error}") from error
     return circuit
 
 

@@ -890,6 +890,68 @@ def circuit_from_qasm(text: str, name: str = "qasm") -> QuantumCircuit:
 
 
 # ---------------------------------------------------------------------------
+# layout metadata
+# ---------------------------------------------------------------------------
+#: A JSON object key naming a qubit: an integer in its decimal form.
+_QUBIT_KEY_RE = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def layout_from_json(
+    document: object,
+) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Decode the layout metadata OpenQASM 2.0 has no syntax for.
+
+    ``document`` is decoded JSON: a ``<file>.layout.json`` sidecar, or a
+    circuit payload of the service.  Its ``initial_layout`` and
+    ``output_permutation`` sections each map qubits to qubits; a section
+    may be absent or ``null``, which means empty.  Keys are integers (or
+    JSON's decimal strings of them) and values integers, never a bool or
+    a float.  Other keys are ignored.  Whether the maps fit the circuit
+    is :func:`repro.ec.permutations.logical_pair`'s check.
+
+    Returns:
+        ``(initial_layout, output_permutation)``.
+
+    Raises:
+        ValueError: ``document`` or a section is not an object, or a key
+            or a value is not an integer.
+    """
+    if not isinstance(document, dict):
+        raise ValueError(
+            f"layout must be an object, not {type(document).__name__}"
+        )
+    return (
+        _qubit_map(document, "initial_layout"),
+        _qubit_map(document, "output_permutation"),
+    )
+
+
+def _qubit_map(document: Dict[object, object], name: str) -> Dict[int, int]:
+    """One section of :func:`layout_from_json`'s ``document``."""
+    section = document.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ValueError(
+            f"{name} must be an object or null, not {type(section).__name__}"
+        )
+    decoded: Dict[int, int] = {}
+    for key, value in section.items():
+        if isinstance(key, str) and _QUBIT_KEY_RE.fullmatch(key):
+            qubit = int(key)
+        elif isinstance(key, int) and not isinstance(key, bool):
+            qubit = key
+        else:
+            raise ValueError(f"{name}: key {key!r} is not an integer")
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(
+                f"{name}: value {value!r} of key {key!r} is not an integer"
+            )
+        decoded[qubit] = value
+    return decoded
+
+
+# ---------------------------------------------------------------------------
 # writer
 # ---------------------------------------------------------------------------
 _CONTROLLED_NAMES = {

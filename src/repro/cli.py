@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -37,6 +38,7 @@ from typing import List, Optional
 
 from repro.circuit import circuit_from_qasm, circuit_to_qasm
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.qasm import layout_from_json
 
 
 class _UnreadableInput(Exception):
@@ -56,7 +58,7 @@ def _load_circuit(path: str, layout_path: Optional[str] = None) -> QuantumCircui
     Raises:
         _UnreadableInput: A file is missing or unreadable, the QASM is
             malformed (or names an invalid operation), or the layout is
-            not JSON with integer keys.
+            not what :func:`~repro.circuit.qasm.layout_from_json` reads.
     """
     try:
         text = Path(path).read_text()
@@ -66,20 +68,23 @@ def _load_circuit(path: str, layout_path: Optional[str] = None) -> QuantumCircui
     sidecar = Path(layout_path) if layout_path else Path(path + ".layout.json")
     if layout_path or sidecar.exists():
         try:
-            metadata = json.loads(sidecar.read_text())
-            circuit.initial_layout = {
-                int(k): v for k, v in metadata.get("initial_layout", {}).items()
-            }
-            circuit.output_permutation = {
-                int(k): v
-                for k, v in metadata.get("output_permutation", {}).items()
-            }
+            circuit.initial_layout, circuit.output_permutation = (
+                layout_from_json(json.loads(sidecar.read_text()))
+            )
         except (OSError, ValueError) as error:
             raise _UnreadableInput.of(sidecar, error) from error
     return circuit
 
 
+#: ``--device`` values besides ``manhattan``: ``line:N``, ``ring:N`` and
+#: ``grid:RxC``, each size a positive integer.
+_DEVICE_RE = re.compile(
+    r"(line|ring):([1-9][0-9]*)|grid:([1-9][0-9]*)x([1-9][0-9]*)"
+)
+
+
 def _parse_device(spec: str):
+    """The coupling map ``--device`` names; ``ValueError`` if none."""
     from repro.compile import (
         grid_architecture,
         line_architecture,
@@ -89,17 +94,18 @@ def _parse_device(spec: str):
 
     if spec == "manhattan":
         return manhattan_architecture()
-    kind, _, arg = spec.partition(":")
+    match = _DEVICE_RE.fullmatch(spec)
+    if match is None:
+        raise ValueError(
+            f"unknown device {spec!r} (use manhattan, line:N, ring:N or "
+            "grid:RxC, with positive sizes)"
+        )
+    kind, size, rows, cols = match.groups()
     if kind == "line":
-        return line_architecture(int(arg))
+        return line_architecture(int(size))
     if kind == "ring":
-        return ring_architecture(int(arg))
-    if kind == "grid":
-        rows, _, cols = arg.partition("x")
-        return grid_architecture(int(rows), int(cols))
-    raise SystemExit(
-        f"unknown device {spec!r} (use manhattan, line:N, ring:N, grid:RxC)"
-    )
+        return ring_architecture(int(size))
+    return grid_architecture(int(rows), int(cols))
 
 
 def _print_statistics(statistics: dict, indent: int = 1) -> None:
@@ -176,7 +182,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import (
         analyze_pair,
-        circuit_depth,
         format_report,
         interaction_fingerprint,
         profile_gate_set,
@@ -191,7 +196,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # Single-circuit mode: report the static profile only.
         profile = profile_gate_set(circuit1)
         payload = profile.to_dict()
-        payload["depth"] = circuit_depth(circuit1)
+        payload["depth"] = circuit1.depth()
         payload["interaction_fingerprint"] = interaction_fingerprint(circuit1)
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
@@ -264,8 +269,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_compile(args: argparse.Namespace) -> int:
     from repro.compile import compile_circuit
 
+    try:
+        device = _parse_device(args.device)
+    except ValueError as error:
+        return _usage_error("compile", error)
     circuit = _load_circuit(args.circuit)
-    device = _parse_device(args.device)
+    if circuit.num_qubits > device.num_qubits:
+        return _usage_error(
+            "compile",
+            f"{args.circuit}: {circuit.num_qubits} qubits do not fit on "
+            f"{device.name} ({device.num_qubits} qubits)",
+        )
     compiled = compile_circuit(
         circuit,
         device,
@@ -393,9 +407,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service import ServiceClient
 
     if len(args.circuits) % 2 != 0:
-        raise SystemExit(
-            "submit expects an even number of circuits (pairs of "
-            "original/compiled QASM files)"
+        return _usage_error(
+            "submit",
+            "needs an even number of circuits (pairs of original/compiled "
+            f"QASM files), got {len(args.circuits)}",
         )
     pairs = [
         (_load_circuit(args.circuits[i]), _load_circuit(args.circuits[i + 1]))

@@ -66,7 +66,10 @@ class Configuration:
         timeout: Wall-clock budget in seconds (None = unlimited); mirrors
             the paper's 1 h hard timeout, scaled to reproduction sizes.
         trace_sizes: Record the intermediate DD size after every gate
-            application (drives the Fig. 4-style experiments).
+            application (drives the Fig. 4-style experiments).  Without
+            it, an alternating result's ``max_dd_size`` is the size
+            where the proof stopped, not the peak, unless the oracle is
+            ``lookahead``.
         seed: Seed for the simulation strategy's random stimuli.
         memory_limit_mb: Address-space headroom in MiB for sandboxed
             execution via :mod:`repro.harness` (None = inherit).  Only
@@ -115,8 +118,22 @@ class Configuration:
         if value <= 0:
             raise ValueError(f"{name} must be positive, got {value!r}")
 
+    @staticmethod
+    def _require_int(
+        name: str, value: object, minimum: Optional[int] = None
+    ) -> None:
+        """An int that is not a bool, at least ``minimum`` when given."""
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(
+                f"{name} must be an integer, got {type(value).__name__} "
+                f"{value!r}"
+            )
+        if minimum is not None and value < minimum:
+            raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+
     def validate(self) -> None:
-        """Raise ``ValueError`` on inconsistent settings."""
+        """Raise ``ValueError`` on inconsistent settings or on a field of
+        the wrong type (a client's payload can set every field)."""
         strategies = {
             "construction", "alternating", "simulation", "zx", "combined",
             "stabilizer", "state", "analysis", "parameterized",
@@ -127,56 +144,29 @@ class Configuration:
             "naive", "proportional", "lookahead", "compilation_flow",
         ):
             raise ValueError(f"unknown oracle {self.oracle!r}")
-        if self.num_simulations < 1:
-            raise ValueError("num_simulations must be at least 1")
+        for name in (
+            "static_analysis", "trace_sizes", "portfolio",
+            "parameterized_symbolic",
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
+        self._require_int("num_simulations", self.num_simulations, 1)
         from repro.ec.stimuli import STIMULI_TYPES
 
         if self.stimuli_type not in STIMULI_TYPES:
             raise ValueError(f"unknown stimuli type {self.stimuli_type!r}")
         if self.timeout is not None:
             self._require_positive_number("timeout", self.timeout)
+        if self.seed is not None:
+            self._require_int("seed", self.seed)
         if self.memory_limit_mb is not None:
-            self._require_positive_number("memory_limit_mb", self.memory_limit_mb)
-            if not isinstance(self.memory_limit_mb, int):
-                raise ValueError(
-                    "memory_limit_mb must be an integer number of MiB, "
-                    f"got {self.memory_limit_mb!r}"
-                )
-        if isinstance(self.max_retries, bool) or not isinstance(
-            self.max_retries, int
-        ):
-            raise ValueError(
-                "max_retries must be an integer, got "
-                f"{type(self.max_retries).__name__} {self.max_retries!r}"
-            )
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be non-negative, got {self.max_retries!r}"
-            )
-        if not isinstance(self.portfolio, bool):
-            raise ValueError(
-                f"portfolio must be a bool, got {self.portfolio!r}"
-            )
+            self._require_int("memory_limit_mb", self.memory_limit_mb, 1)
+        self._require_int("max_retries", self.max_retries, 0)
         if self.portfolio and self.strategy != "combined":
             raise ValueError(
                 "portfolio racing replaces the sequential combined "
                 f"schedule and requires strategy='combined', not "
                 f"{self.strategy!r}"
             )
-        if isinstance(self.num_instantiations, bool) or not isinstance(
-            self.num_instantiations, int
-        ):
-            raise ValueError(
-                "num_instantiations must be an integer, got "
-                f"{self.num_instantiations!r}"
-            )
-        if self.num_instantiations < 1:
-            raise ValueError(
-                "num_instantiations must be at least 1, got "
-                f"{self.num_instantiations!r}"
-            )
-        if not isinstance(self.parameterized_symbolic, bool):
-            raise ValueError(
-                "parameterized_symbolic must be a bool, got "
-                f"{self.parameterized_symbolic!r}"
-            )
+        self._require_int("num_instantiations", self.num_instantiations, 1)

@@ -253,6 +253,12 @@ class AlternatingChecker:
         proofs, so the choice moves only time; ``statistics["columns"]``
         says which one decided, at what price and after how many gate
         applications.
+
+        ``statistics["max_dd_size"]`` is the peak over every gate
+        application only when ``trace_sizes`` is set or the oracle is
+        ``lookahead`` (which sizes every step anyway).  Otherwise it is
+        the size of the product where the proof stopped: its
+        ``final_dd_size``, or its size at the hand-over to the columns.
         """
         start = time.monotonic()
         pkg = self.package

@@ -142,7 +142,8 @@ class PoolBroken(CheckError):
     """The worker pool tripped its restart-storm circuit breaker.
 
     Raised by :mod:`repro.service.pool` when freshly started workers
-    keep dying faster than the configured storm threshold — a systemic
+    keep dying faster than :data:`repro.service.pool.STORM_THRESHOLD`
+    deaths per :data:`~repro.service.pool.STORM_WINDOW` — a systemic
     environment problem (broken interpreter, cgroup OOM-killing every
     fork, ...), not a property of any job.  Permanent for the lifetime
     of the pool: resubmitting cannot help until the pool is rebuilt.

@@ -21,17 +21,18 @@ Layers:
 ``rules``
     The rule set (syntactic call-pattern rules and the dataflow rules).
 ``engine``
-    Orchestration: suppressions, stale-allow, fingerprints, baseline.
+    Orchestration: run the rules, apply the inline
+    ``# repro: allow(<rule-id>): <reason>`` suppressions, report dead
+    ones as ``stale-allow``.
 ``cli``
     The ``tools/check_repro.py`` command line.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline, write_baseline
 from repro.lint.cfg import CFG, CFGNode, build_cfg
-from repro.lint.engine import LintReport, run_checks, run_lint
-from repro.lint.findings import Finding, compute_fingerprint
+from repro.lint.engine import LintReport, run_lint
+from repro.lint.findings import Finding
 from repro.lint.project import FunctionInfo, ModuleInfo, Project
 from repro.lint.rules import Rule, default_rules
 from repro.lint.solver import (
@@ -43,7 +44,6 @@ from repro.lint.solver import (
 from repro.lint.suppressions import Suppression, SuppressionIndex
 
 __all__ = [
-    "Baseline",
     "CFG",
     "CFGNode",
     "DataflowResult",
@@ -56,12 +56,9 @@ __all__ = [
     "Suppression",
     "SuppressionIndex",
     "build_cfg",
-    "compute_fingerprint",
     "control_dependence",
     "default_rules",
     "postdominators",
-    "run_checks",
     "run_lint",
     "solve_forward",
-    "write_baseline",
 ]

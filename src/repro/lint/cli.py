@@ -1,8 +1,7 @@
 """Command-line front end of the lint engine.
 
-Exit code contract (unchanged from the original ``tools/check_repro.py``):
-``0`` when the tree is clean, ``1`` when there are actionable findings.
-``2`` is reserved for operational errors (unreadable root).
+Exit codes: ``0`` when the tree is clean, ``1`` when there are
+findings, ``2`` for operational errors (a root without ``src/repro``).
 """
 
 from __future__ import annotations
@@ -13,10 +12,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.baseline import Baseline, write_baseline
 from repro.lint.engine import run_lint
-
-DEFAULT_BASELINE = Path("tools") / "lint_baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,26 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="also write the findings report as JSON to FILE ('-' = stdout)",
     )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report every finding as actionable",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "write current findings to the baseline file (with blank "
-            "reasons, which must be filled in) and exit 0"
-        ),
-    )
     return parser
 
 
@@ -74,20 +50,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {root} has no src/repro tree", file=sys.stderr)
         return 2
 
-    baseline_path = args.baseline or (root / DEFAULT_BASELINE)
-    baseline = None
-    if not args.no_baseline and not args.write_baseline:
-        baseline = Baseline.load(baseline_path)
-
-    report = run_lint(root, baseline=baseline)
-
-    if args.write_baseline:
-        write_baseline(baseline_path, report.findings)
-        print(
-            f"wrote {len(report.findings)} entries to {baseline_path}; "
-            "fill in the 'reason' fields before committing"
-        )
-        return 0
+    report = run_lint(root)
 
     # With ``--json -`` the machine-readable report owns stdout; the
     # human-readable rendering moves to stderr so the output stays
@@ -103,8 +66,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     for finding in report.findings:
         print(finding, file=human)
-    for finding in report.grandfathered:
-        print(f"{finding}  [baselined]", file=human)
     if report.findings:
         print(
             f"\n{len(report.findings)} finding(s). Fix them, or suppress a "
@@ -112,10 +73,5 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=human,
         )
         return 1
-    suffix = (
-        f" ({len(report.grandfathered)} baselined finding(s) remain)"
-        if report.grandfathered
-        else ""
-    )
-    print(f"check_repro: all invariants hold{suffix}", file=human)
+    print("check_repro: all invariants hold", file=human)
     return 0

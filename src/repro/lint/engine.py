@@ -1,57 +1,37 @@
-"""The lint engine: run rules, apply suppressions, reconcile the baseline.
+"""The lint engine: run rules, apply suppressions, report dead ones.
 
 Pipeline per run:
 
 1. Load the :class:`~repro.lint.project.Project` (every module under
    ``src/repro``) and run every rule to collect *raw* findings.
-2. Assign each finding its content fingerprint.
-3. Filter findings through the per-file ``# repro: allow`` suppressions
+2. Filter findings through the per-file ``# repro: allow`` suppressions
    (marking the ones that matched as used).
-4. Emit a ``stale-allow`` finding for every suppression that matched
+3. Emit a ``stale-allow`` finding for every suppression that matched
    nothing — dead suppressions are themselves violations.
-5. Partition the survivors against the baseline: grandfathered findings
-   are reported separately; baseline entries that no longer match
-   become ``stale-baseline`` findings, entries without a reason become
-   ``unexplained-baseline`` findings.
 
-``run_lint`` returns a :class:`LintReport`; the historic
-``run_checks(root)`` contract (post-suppression findings including
-stale-allow, no baseline handling) stays available for the
-``tools/check_repro.py`` wrapper and its tests.
+Every finding that survives is actionable.  The one way to accept a
+deliberate exception is an inline ``# repro: allow(<rule-id>): <reason>``
+on, or directly above, the flagged line; the rule id is the key.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.lint.baseline import Baseline
-from repro.lint.findings import Finding, compute_fingerprint
-from repro.lint.project import ModuleInfo, Project
+from repro.lint.findings import Finding
+from repro.lint.project import Project
 from repro.lint.rules import Rule, default_rules
 
 #: Rule id of the dead-suppression findings the engine itself emits.
 STALE_ALLOW = "stale-allow"
-#: Rule ids of the baseline bookkeeping findings.
-STALE_BASELINE = "stale-baseline"
-UNEXPLAINED_BASELINE = "unexplained-baseline"
 
 
 class LintReport:
-    """Everything one engine run learned."""
+    """Everything one engine run found: non-empty means the lint fails."""
 
-    def __init__(
-        self,
-        findings: List[Finding],
-        grandfathered: List[Finding],
-        project: Project,
-    ) -> None:
-        #: Actionable findings (violations, stale suppressions, baseline
-        #: bookkeeping errors) — non-empty means the lint fails.
+    def __init__(self, findings: List[Finding]) -> None:
         self.findings = findings
-        #: Violations matched by a baseline entry: reported, not fatal.
-        self.grandfathered = grandfathered
-        self.project = project
 
     @property
     def ok(self) -> bool:
@@ -61,50 +41,10 @@ class LintReport:
         return {
             "ok": self.ok,
             "findings": [f.to_dict() for f in self.findings],
-            "grandfathered": [f.to_dict() for f in self.grandfathered],
         }
 
 
-def _fingerprint_findings(findings: Sequence[Finding], root: Path) -> None:
-    """Assign content fingerprints, disambiguating identical lines."""
-    lines_cache: Dict[Path, List[str]] = {}
-    seen: Dict[Tuple[str, str, str], int] = {}
-    for finding in sorted(findings, key=lambda f: (str(f.path), f.line)):
-        try:
-            relpath = finding.path.relative_to(root).as_posix()
-        except ValueError:
-            relpath = finding.path.as_posix()
-        if finding.path not in lines_cache:
-            try:
-                lines_cache[finding.path] = finding.path.read_text().splitlines()
-            except OSError:
-                lines_cache[finding.path] = []
-        source_lines = lines_cache[finding.path]
-        text = ""
-        if 1 <= finding.line <= len(source_lines):
-            text = source_lines[finding.line - 1].strip()
-        key = (finding.rule, relpath, text)
-        occurrence = seen.get(key, 0)
-        seen[key] = occurrence + 1
-        finding.fingerprint = compute_fingerprint(
-            finding.rule, relpath, source_lines, finding.line, occurrence
-        )
-
-
-def _module_for(
-    project: Project, path: Path
-) -> Optional[ModuleInfo]:
-    for module in project.modules.values():
-        if module.path == path:
-            return module
-    return None
-
-
-def run_lint(
-    root: Path,
-    rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
-) -> LintReport:
+def run_lint(root: Path, rules: Optional[Sequence[Rule]] = None) -> LintReport:
     """Run the engine over ``<root>/src/repro``."""
     project = Project(root)
     active_rules = list(rules) if rules is not None else default_rules()
@@ -123,9 +63,10 @@ def run_lint(
         raw.extend(rule.run(project))
 
     # Suppression filtering (marks matched suppressions as used).
+    modules = {module.path: module for module in project.iter_modules()}
     kept: List[Finding] = []
     for finding in raw:
-        module = _module_for(project, finding.path)
+        module = modules.get(finding.path)
         if module is not None and module.suppressions.suppresses(
             finding.rule, finding.line
         ):
@@ -145,43 +86,5 @@ def run_lint(
                 )
             )
 
-    _fingerprint_findings(kept, root)
     kept.sort(key=lambda f: (str(f.path), f.line, f.rule))
-
-    if baseline is None:
-        return LintReport(kept, [], project)
-
-    actionable: List[Finding] = []
-    grandfathered: List[Finding] = []
-    for finding in kept:
-        if finding.rule not in (STALE_ALLOW,) and baseline.matches(finding):
-            grandfathered.append(finding)
-        else:
-            actionable.append(finding)
-    for entry in baseline.stale_entries():
-        actionable.append(
-            Finding(
-                baseline.path,
-                1,
-                STALE_BASELINE,
-                f"baseline entry {entry.fingerprint} ({entry.rule} in "
-                f"{entry.path}) matches no finding; remove it",
-            )
-        )
-    for entry in baseline.unexplained_entries():
-        actionable.append(
-            Finding(
-                baseline.path,
-                1,
-                UNEXPLAINED_BASELINE,
-                f"baseline entry {entry.fingerprint} ({entry.rule} in "
-                f"{entry.path}) has no reason; every grandfathered finding "
-                "needs one",
-            )
-        )
-    return LintReport(actionable, grandfathered, project)
-
-
-def run_checks(root: Path) -> List[Finding]:
-    """Historic entry point: post-suppression findings, no baseline."""
-    return run_lint(root).findings
+    return LintReport(kept)

@@ -1,19 +1,15 @@
 """Finding records of the :mod:`repro.lint` engine.
 
-A :class:`Finding` is one rule violation at one source location.  The
-class deliberately keeps the attribute surface of the historical
-``tools/check_repro.py`` findings (``path``/``line``/``rule``/
-``message`` and the ``str()`` rendering) so existing callers and tests
-keep working, and adds the machine-readable pieces the baseline and the
-``--json`` report need: a stable ``fingerprint`` that survives
-unrelated-line churn, and a ``to_dict`` wire format.
+A :class:`Finding` is one rule violation at one source location:
+``path``/``line``/``rule``/``message``, the ``str()`` rendering the
+command line prints, and a ``to_dict`` wire format for the ``--json``
+report.
 """
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 
 class Finding:
@@ -34,9 +30,6 @@ class Finding:
         self.message = message
         #: Qualified name of the enclosing function, when the rule knows it.
         self.function = function
-        #: Content-based identity, filled in by the engine (it knows the
-        #: repository root and the source text).
-        self.fingerprint: Optional[str] = None
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
@@ -52,27 +45,4 @@ class Finding:
             "line": self.line,
             "function": self.function,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
-
-
-def compute_fingerprint(
-    rule: str,
-    relpath: str,
-    source_lines: Sequence[str],
-    line: int,
-    occurrence: int,
-) -> str:
-    """Content-addressed identity of one finding.
-
-    Hashes the rule id, the repository-relative path, the *stripped text*
-    of the flagged line and an occurrence index (disambiguating several
-    identical findings on textually identical lines).  The line *number*
-    stays out of the hash on purpose: inserting an unrelated line above a
-    grandfathered finding must not turn it into a "new" finding.
-    """
-    text = ""
-    if 1 <= line <= len(source_lines):
-        text = source_lines[line - 1].strip()
-    payload = f"{rule}\x00{relpath}\x00{text}\x00{occurrence}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

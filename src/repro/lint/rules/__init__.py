@@ -1,9 +1,9 @@
 """Rule registry of the :mod:`repro.lint` engine.
 
 Every rule is a :class:`~repro.lint.rules.base.Rule` subclass with a
-stable ``id`` (the name used in ``# repro: allow(<id>): reason``
-suppressions and baseline entries).  ``default_rules()`` builds the
-production rule set; tests instantiate individual rules directly.
+stable ``id``, the key of its ``# repro: allow(<id>): reason``
+suppressions.  ``default_rules()`` builds the production rule set;
+tests instantiate individual rules directly.
 """
 
 from __future__ import annotations

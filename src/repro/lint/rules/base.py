@@ -19,7 +19,7 @@ class Rule:
     (``stale-allow``).
     """
 
-    #: Stable rule identifier, used in suppressions and baselines.
+    #: Stable rule identifier, the key of its inline suppressions.
     id: str = ""
 
     def run(self, project: Project) -> List[Finding]:

@@ -101,6 +101,10 @@ POISON_STRIKES = 2
 #: Sliding window (seconds) of the restart-storm circuit breaker.
 STORM_WINDOW = 30.0
 
+#: Job-independent worker deaths tolerated inside :data:`STORM_WINDOW`
+#: before the breaker trips the pool.
+STORM_THRESHOLD = 8
+
 
 def _execute_job(message: Dict[str, Any]) -> Dict[str, Any]:
     """Run one job inside the worker; always returns a structured payload."""
@@ -191,8 +195,6 @@ class PoolConfig:
         restart_backoff: Deterministic jittered exponential backoff
             schedule for replacing dead workers; attempts index
             consecutive deaths and reset on the next successful job.
-        storm_threshold: Job-independent worker deaths tolerated inside
-            :data:`STORM_WINDOW` before the breaker trips the pool.
         queue_depth: Bound on unresolved jobs; submissions beyond it
             are rejected with :class:`repro.errors.PoolSaturated`.
         startup_chaos: Deterministic fault triggered inside every new
@@ -213,7 +215,6 @@ class PoolConfig:
             jitter_seed=0,
         )
     )
-    storm_threshold: int = 8
     queue_depth: int = 1024
     startup_chaos: Optional[ChaosSpec] = None
 
@@ -224,8 +225,6 @@ class PoolConfig:
             raise ValueError("max_jobs_per_worker must be at least 1")
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be at least 1")
-        if self.storm_threshold < 1:
-            raise ValueError("storm_threshold must be at least 1")
         if isinstance(self.grace, bool) or not isinstance(self.grace, (int, float)):
             raise ValueError(f"grace must be a number, got {self.grace!r}")
         if self.grace < 0:
@@ -822,7 +821,7 @@ class WorkerPool:
             and now - self._death_times[0] > STORM_WINDOW
         ):
             self._death_times.popleft()
-        if len(self._death_times) >= self.config.storm_threshold:
+        if len(self._death_times) >= STORM_THRESHOLD:
             self._trip_breaker()
             return True
         return False

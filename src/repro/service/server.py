@@ -41,6 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.circuit import circuit_from_qasm, circuit_to_qasm
 from repro.circuit.circuit import QuantumCircuit
+from repro.circuit.qasm import layout_from_json
 from repro.ec.configuration import Configuration
 from repro.errors import CheckError, InvalidInput, PoolSaturated
 from repro.service.pool import WorkerPool
@@ -77,18 +78,17 @@ def circuit_to_payload(circuit: QuantumCircuit) -> Dict[str, object]:
 
 
 def circuit_from_payload(payload: Dict[str, Any]) -> QuantumCircuit:
-    """Reconstruct one circuit sent with :func:`circuit_to_payload`."""
+    """Reconstruct one circuit sent with :func:`circuit_to_payload`.
+
+    Raises:
+        KeyError: The payload has no ``qasm``.
+        ValueError: The QASM does not parse, or the layout is not what
+            :func:`~repro.circuit.qasm.layout_from_json` reads.
+    """
     circuit = circuit_from_qasm(str(payload["qasm"]))
-    layout = payload.get("initial_layout")
-    if layout:
-        circuit.initial_layout = {
-            int(k): int(v) for k, v in dict(layout).items()
-        }
-    permutation = payload.get("output_permutation")
-    if permutation:
-        circuit.output_permutation = {
-            int(k): int(v) for k, v in dict(permutation).items()
-        }
+    circuit.initial_layout, circuit.output_permutation = layout_from_json(
+        payload
+    )
     return circuit
 
 

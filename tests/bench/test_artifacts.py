@@ -10,6 +10,8 @@ from repro.bench.artifacts import (
     load_benchmark_pair,
     load_manifest,
 )
+from repro.bench.algorithms import ghz_state
+from repro.circuit import circuit_to_qasm
 from repro.ec import Configuration, EquivalenceCheckingManager
 
 
@@ -79,3 +81,43 @@ class TestRoundtrip:
         directory, _ = exported
         with pytest.raises(FileNotFoundError):
             load_benchmark_pair(directory, "optimized", "nonexistent")
+
+
+class TestLayoutSidecars:
+    """Sidecars are read by :func:`repro.circuit.qasm.layout_from_json`,
+    the same decoder as ``repro verify`` and the service."""
+
+    @staticmethod
+    def _export(directory, sidecar):
+        folder = directory / "compiled" / "ghz_2"
+        folder.mkdir(parents=True)
+        text = circuit_to_qasm(ghz_state(2))
+        (folder / "original.qasm").write_text(text)
+        (folder / "equivalent.qasm").write_text(text)
+        (folder / "equivalent.qasm.layout.json").write_text(sidecar)
+        return folder / "equivalent.qasm.layout.json"
+
+    @pytest.mark.parametrize(
+        "sidecar, layout",
+        [
+            ('{"initial_layout": {"0": 1, "1": 0}}', {0: 1, 1: 0}),
+            ('{"initial_layout": null, "output_permutation": null}', {}),
+        ],
+        ids=["one section", "null sections"],
+    )
+    def test_a_section_may_be_absent_or_null(self, tmp_path, sidecar, layout):
+        self._export(tmp_path, sidecar)
+        _, variant = load_benchmark_pair(tmp_path, "compiled", "ghz_2")
+        assert variant.initial_layout == layout
+        assert variant.output_permutation == {}
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        ["[1, 2]", '{"initial_layout": {"0": 1.9, "1": 0.2}}'],
+        ids=["top-level list", "float value"],
+    )
+    def test_malformed_sidecar_names_its_file(self, tmp_path, sidecar):
+        path = self._export(tmp_path, sidecar)
+        with pytest.raises(ValueError) as raised:
+            load_benchmark_pair(tmp_path, "compiled", "ghz_2")
+        assert str(raised.value).startswith(f"{path}: ")

@@ -14,7 +14,11 @@ from repro.circuit import (
     circuit_unitary,
     unitaries_equivalent,
 )
-from repro.circuit.qasm import MACRO_EXPANSION_PER_CHAR, MAX_MACRO_EXPANSION
+from repro.circuit.qasm import (
+    MACRO_EXPANSION_PER_CHAR,
+    MAX_MACRO_EXPANSION,
+    layout_from_json,
+)
 from tests.conftest import random_circuit
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -732,3 +736,52 @@ class TestMacroExpansionBound:
         width, operations = _exact(circuit)
         assert (width, operations[:11]) == _exact(written_out)
         assert operations == operations[:11] * applications
+
+
+class TestLayoutFromJson:
+    """The one decoder of layout sidecars and service payloads."""
+
+    def test_json_keys_and_python_keys_decode_alike(self):
+        sidecar = {"initial_layout": {"0": 2, "1": 0, "2": 1},
+                   "output_permutation": {"-1": 0}}
+        payload = {"qasm": "ignored", "initial_layout": {0: 2, 1: 0, 2: 1},
+                   "output_permutation": {-1: 0}}
+        expected = ({0: 2, 1: 0, 2: 1}, {-1: 0})
+        assert layout_from_json(sidecar) == expected
+        assert layout_from_json(payload) == expected
+
+    @pytest.mark.parametrize(
+        "document",
+        [{}, {"initial_layout": None, "output_permutation": None}],
+        ids=["absent", "null"],
+    )
+    def test_absent_or_null_sections_are_empty(self, document):
+        assert layout_from_json(document) == ({}, {})
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ([1, 2], "layout must be an object, not list"),
+            (None, "layout must be an object, not NoneType"),
+            ({"initial_layout": [0, 1]},
+             "initial_layout must be an object or null, not list"),
+            ({"output_permutation": "0:1"},
+             "output_permutation must be an object or null, not str"),
+            ({"initial_layout": {"x": 0}}, "initial_layout: key 'x' is not"),
+            ({"initial_layout": {"01": 0}}, "initial_layout: key '01' is not"),
+            ({"initial_layout": {"1.0": 0}}, "initial_layout: key '1.0' is not"),
+            ({"initial_layout": {True: 0}}, "initial_layout: key True is not"),
+            ({"initial_layout": {"0": 1.9, "1": 0.2}},
+             "initial_layout: value 1.9 of key '0' is not an integer"),
+            ({"initial_layout": {"0": 1.0}},
+             "initial_layout: value 1.0 of key '0' is not an integer"),
+            ({"output_permutation": {"0": True}},
+             "output_permutation: value True of key '0' is not an integer"),
+            ({"output_permutation": {"0": "1"}},
+             "output_permutation: value '1' of key '0' is not an integer"),
+        ],
+    )
+    def test_malformed_layout_is_a_value_error(self, document, message):
+        with pytest.raises(ValueError) as raised:
+            layout_from_json(document)
+        assert str(raised.value).startswith(message)

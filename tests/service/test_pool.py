@@ -22,6 +22,7 @@ from repro.errors import PoolBroken, PoolSaturated, RetryPolicy
 from repro.harness import run_check
 from repro.harness.chaos import ChaosSpec
 from repro.service import PoolConfig, VerdictCache, WorkerPool
+from repro.service import pool as pool_module
 
 #: Tiny restart backoff so chaos tests do not sleep through real delays.
 _FAST_BACKOFF = RetryPolicy(
@@ -188,11 +189,11 @@ class TestFaultSupervision:
         assert result.statistics["failure"]["kind"] == "timeout"
         assert counters["service.deadline_kills"] == 2
 
-    def test_restart_storm_trips_breaker(self, small_pair):
+    def test_restart_storm_trips_breaker(self, small_pair, monkeypatch):
         circuit1, circuit2 = small_pair
+        monkeypatch.setattr(pool_module, "STORM_THRESHOLD", 3)
         config = PoolConfig(
             workers=2,
-            storm_threshold=3,
             restart_backoff=_FAST_BACKOFF,
             startup_chaos=ChaosSpec(mode="crash"),
         )

@@ -138,6 +138,12 @@ class TestWireFormat:
             {"portfolio": True, "strategy": "zx"},
             {"num_instantiations": 0},
             {"parameterized_symbolic": "yes"},
+            {"static_analysis": "false"},
+            {"trace_sizes": 1},
+            {"num_simulations": 2.5},
+            {"num_simulations": True},
+            {"seed": 1.5},
+            {"seed": [1]},
         ],
         ids=lambda knobs: "-".join(f"{k}={v}" for k, v in knobs.items()),
     )
@@ -155,8 +161,17 @@ class TestWireFormat:
              {"pair": 0, "circuit": 1}),
             ([(None, None), (None,)], "pairs[1]: ", {"pair": 1}),
             (5, "pairs: ", {}),
+            ([(dict(circuit_to_payload(ghz_state(2)),
+                    initial_layout={"0": 1.9, "1": 0.2}), None)],
+             "pairs[0].circuit1: initial_layout: value 1.9 of key '0' is not "
+             "an integer", {"pair": 0, "circuit": 1}),
+            ([(None, dict(circuit_to_payload(ghz_state(2)),
+                          output_permutation={"0": True, "1": 0}))],
+             "pairs[0].circuit2: output_permutation: value True of key '0' "
+             "is not an integer", {"pair": 0, "circuit": 2}),
         ],
-        ids=["missing qasm", "one circuit", "not a list"],
+        ids=["missing qasm", "one circuit", "not a list", "float layout",
+             "bool permutation"],
     )
     def test_malformed_pair_names_its_place(self, pairs, message, diagnostics):
         good = circuit_to_payload(ghz_state(1))

@@ -181,13 +181,35 @@ class TestCompileCommand:
         ])
         assert code == 0
 
-    def test_unknown_device_rejected(self, qasm_files, tmp_path):
+    @pytest.mark.parametrize(
+        "device", ["torus:9", "line:x", "ring:0", "grid:2", "grid:2x-1"]
+    )
+    def test_unknown_device_rejected(self, qasm_files, tmp_path, capsys, device):
         original, _ = qasm_files
-        with pytest.raises(SystemExit):
-            main([
-                "compile", str(original), "--device", "torus:9",
-                "-o", str(tmp_path / "x.qasm"),
-            ])
+        code = main([
+            "compile", str(original), "--device", device,
+            "-o", str(tmp_path / "x.qasm"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"repro compile: error: unknown device {device!r} (use manhattan, "
+            "line:N, ring:N or grid:RxC, with positive sizes)\n"
+        )
+        assert not (tmp_path / "x.qasm").exists()
+
+    def test_circuit_wider_than_device_rejected(
+        self, qasm_files, tmp_path, capsys
+    ):
+        original, _ = qasm_files
+        code = main([
+            "compile", str(original), "--device", "line:2",
+            "-o", str(tmp_path / "x.qasm"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"repro compile: error: {original}: 3 qubits do not fit on "
+            "line-2 (2 qubits)\n"
+        )
 
     @pytest.mark.parametrize("level", ["0", "1", "2"])
     def test_each_optimization_level_verifies(self, qasm_files, tmp_path, level):
@@ -232,6 +254,25 @@ class TestStatsCommand:
         out = capsys.readouterr().out
         assert "qubits:          3" in out
         assert "cx=2" in out
+
+
+class TestSubmitCommand:
+    def test_odd_number_of_circuits_is_a_usage_error(
+        self, qasm_files, tmp_path, capsys
+    ):
+        """Exit 1 would read as "a pair is not equivalent"."""
+        original, other = qasm_files
+        code = main([
+            "submit", "--socket", str(tmp_path / "none.sock"),
+            str(original), str(other), str(original),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro submit: error: needs an even number of circuits (pairs "
+            "of original/compiled QASM files), got 3\n"
+        )
 
 
 class TestUnreadableInput:
@@ -299,6 +340,51 @@ class TestUnreadableInput:
         assert capsys.readouterr().err == (
             f"repro verify: error: {missing}: No such file or directory\n"
         )
+
+    @pytest.mark.parametrize(
+        "sidecar, message",
+        [
+            ("[1, 2]", "layout must be an object, not list"),
+            ('{"initial_layout": [0, 1, 2]}',
+             "initial_layout must be an object or null, not list"),
+            ('{"initial_layout": {"0": 1.9, "1": 0.2, "2": 2}}',
+             "initial_layout: value 1.9 of key '0' is not an integer"),
+            ('{"output_permutation": {"0": true}}',
+             "output_permutation: value True of key '0' is not an integer"),
+        ],
+        ids=["top-level list", "section list", "float value", "bool value"],
+    )
+    @pytest.mark.parametrize(
+        "command", ["verify", "analyze", "compile", "stats", "submit"]
+    )
+    def test_malformed_layout(
+        self, command, sidecar, message, qasm_files, tmp_path, capsys
+    ):
+        good, _ = qasm_files
+        layout = tmp_path / f"{good.name}.layout.json"
+        layout.write_text(sidecar)
+        argv = {
+            "verify": ["verify", str(good), str(good)],
+            "analyze": ["analyze", str(good)],
+            "compile": ["compile", str(good), "-o", str(tmp_path / "o.qasm")],
+            "stats": ["stats", str(good)],
+            "submit": [
+                "submit", "--socket", str(tmp_path / "none.sock"),
+                str(good), str(good),
+            ],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro {command}: error: {layout}: {message}\n"
+
+    def test_null_layout_sections_mean_empty(self, qasm_files, tmp_path, capsys):
+        good, _ = qasm_files
+        (tmp_path / f"{good.name}.layout.json").write_text(
+            '{"initial_layout": null, "output_permutation": null}'
+        )
+        assert main(["verify", str(good), str(good)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_layout_given_by_option(self, qasm_files, tmp_path, capsys):
         """An explicit ``--layout1`` is read, never skipped: checking a

@@ -1,8 +1,9 @@
 """Self-tests for the project-invariant AST lint (tools/check_repro.py)."""
 
 import importlib.util
-import sys
 from pathlib import Path
+
+from repro.lint import run_lint
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
@@ -21,12 +22,12 @@ def _run_on(tmp_path: Path, relative: str, source: str):
     target = root / "src" / "repro" / relative
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(source)
-    return check_repro.run_checks(root)
+    return run_lint(root).findings
 
 
 class TestRealTreeIsClean:
     def test_zero_findings_on_the_repository(self):
-        findings = check_repro.run_checks(_REPO_ROOT)
+        findings = run_lint(_REPO_ROOT).findings
         assert findings == [], [str(f) for f in findings]
 
 

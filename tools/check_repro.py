@@ -1,47 +1,21 @@
 #!/usr/bin/env python3
-"""Project-invariant checks — thin wrapper over :mod:`repro.lint`.
+"""Project-invariant lint of the repro codebase (``make lint``).
 
-The actual engine (CFG construction, dataflow solver, rules,
-suppressions, baseline) lives in ``src/repro/lint`` where it is
-imported, typed, and unit-tested like any other package.  This script
-only bootstraps ``sys.path`` and preserves the historical entry points:
-
-``run_checks(root) -> List[Finding]``
-    Post-suppression findings (including ``stale-allow``), no baseline.
-``main(argv) -> int``
-    The CLI: exit 0 on a clean tree, 1 on findings.  See
-    ``python tools/check_repro.py --help`` for ``--json``, ``--baseline``
-    and friends.
+The engine lives in ``src/repro/lint``; this script only puts ``src`` on
+``sys.path`` and runs :func:`repro.lint.cli.main`.  See
+``python tools/check_repro.py --help`` for ``--root`` and ``--json``.
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import List, Optional
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = str(_REPO_ROOT / "src")
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.lint import Finding  # noqa: E402,F401  (re-exported for callers)
-from repro.lint import run_checks as _run_checks  # noqa: E402
-from repro.lint.cli import main as _main  # noqa: E402
-
-
-def run_checks(root: Path) -> List[Finding]:
-    """Historic API: all post-suppression findings under ``root``."""
-    return _run_checks(root)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    has_root = any(a == "--root" or a.startswith("--root=") for a in args)
-    if not has_root:
-        args = ["--root", str(_REPO_ROOT)] + args
-    return _main(args)
-
+from repro.lint.cli import main  # noqa: E402
 
 if __name__ == "__main__":
     raise SystemExit(main())
