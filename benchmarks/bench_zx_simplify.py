@@ -13,6 +13,13 @@ cells matter as much as the equivalent ones: ZX answers ``?`` there,
 but still runs to its fixpoint.  Earlier reports covered six equivalent
 pairs only; their summaries stay in the report's ``trajectory``.
 
+The counters are deterministic, so before the previous report is folded
+into ``trajectory`` each cell's ``zx.*`` counters are compared with it:
+the summary's ``counters_match_previous`` is true when every cell
+matches (a change that keeps the rewrite order), false when a cell
+differs or is new (each one is printed), and null when there is no
+previous report.
+
 Run:  make bench-zx
  (or  PYTHONPATH=src python benchmarks/bench_zx_simplify.py)
 
@@ -76,6 +83,22 @@ def timed_reduce(circuit1, circuit2):
     return best_compose, best, initial_spiders, diagram, perf.counters
 
 
+def counter_changes(cases, previous_path: Path):
+    """``(cell, previous counters, counters)`` for every cell whose
+    counters differ from the report at ``previous_path``; None without a
+    readable one."""
+    try:
+        previous = json.loads(previous_path.read_text())
+        old = {case["case"]: case["counters"] for case in previous["cases"]}
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return [
+        (case["case"], old.get(case["case"]), case["counters"])
+        for case in cases
+        if old.get(case["case"]) != case["counters"]
+    ]
+
+
 def main() -> int:
     cases = []
     for cell, circuit1, circuit2 in build_cases():
@@ -105,6 +128,12 @@ def main() -> int:
             f"{diagram.num_spiders} spiders, {diagram.num_edges} edges left"
         )
 
+    changes = counter_changes(cases, OUTPUT)
+    for cell, previous, current in changes or ():
+        print(
+            f"counters differ from the previous report: {cell}: "
+            f"{previous} -> {current}"
+        )
     seconds = [case["seconds"] for case in cases]
     report = {
         "benchmark": "zx_simplify",
@@ -132,6 +161,9 @@ def main() -> int:
                 ), 6)
                 for variant in CONFIGURATIONS
             },
+            "counters_match_previous": (
+                None if changes is None else not changes
+            ),
         },
     }
     report = with_trajectory(report, OUTPUT)
@@ -139,7 +171,9 @@ def main() -> int:
     print(f"\nwrote {OUTPUT}")
     print(
         f"total {report['summary']['total_seconds']} s, "
-        f"geomean {report['summary']['geomean_seconds']} s"
+        f"geomean {report['summary']['geomean_seconds']} s, "
+        "counters match the previous report: "
+        f"{report['summary']['counters_match_previous']}"
     )
     return 0
 

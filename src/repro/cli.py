@@ -22,7 +22,8 @@ Exit codes of ``verify``: 0 = considered equivalent, 1 = proven
 non-equivalent, 2 = no information / timeout.  A bad option value or an
 input file that is missing or not valid QASM is one ``repro <command>:
 error:`` line on stderr and exit status 2, in every command that reads
-circuits.
+circuits; so is a ``compile`` input that already carries a layout and a
+``submit`` whose ``--socket`` no server listens on.
 """
 
 from __future__ import annotations
@@ -280,13 +281,18 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             f"{args.circuit}: {circuit.num_qubits} qubits do not fit on "
             f"{device.name} ({device.num_qubits} qubits)",
         )
-    compiled = compile_circuit(
-        circuit,
-        device,
-        layout_method=args.layout_method,
-        routing_method=args.routing_method,
-        optimization_level=args.optimization_level,
-    )
+    try:
+        compiled = compile_circuit(
+            circuit,
+            device,
+            layout_method=args.layout_method,
+            routing_method=args.routing_method,
+            optimization_level=args.optimization_level,
+        )
+    except ValueError as error:
+        # an input the compiler refuses, e.g. one that already carries a
+        # layout (``compile``'s own output with its sidecar)
+        return _usage_error("compile", f"{args.circuit}: {error}")
     out_path = Path(args.output)
     out_path.write_text(circuit_to_qasm(compiled))
     sidecar = Path(str(out_path) + ".layout.json")
@@ -417,7 +423,15 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         for i in range(0, len(args.circuits), 2)
     ]
     configuration = Configuration(timeout=args.timeout, seed=args.seed)
-    with ServiceClient(args.socket) as client:
+    try:
+        client = ServiceClient(args.socket)
+    except OSError as error:
+        return _usage_error(
+            "submit",
+            f"cannot reach the service at {args.socket}: "
+            f"{error.strerror or error}",
+        )
+    with client:
         results = client.submit_batch(pairs, configuration)
     worst = 0
     for (index, result) in enumerate(results):

@@ -14,13 +14,23 @@ dirty-vertex worklist (PyZX-style match-then-rewrite):
   into each rule's *own* dirty set whenever a rule drains, so a vertex
   dirtied while one rule runs is still pending for all the others.
 
-* Every match predicate but one is *local*: whether a rule applies at a
-  vertex (or edge) depends only on that vertex and its direct neighbors —
-  plus, for the gadget guards, neighbor degrees, which are themselves
-  invalidated only by edge mutations that touch the middle vertex.
-  Draining a rule's dirty set therefore returns the dirty vertices **plus
-  their current neighbors** as the complete candidate set; everything
-  else is provably still a non-match.
+* The identity, local-complementation, pivot and boundary-pivot
+  predicates read only the anchor's phase, its incident edges and its
+  neighbors' *types*.  Types are fixed while a tracker is attached
+  (:func:`_with_tracker` recolors before attaching, and the rewrite
+  steps only add Z spiders), and an edge change touches both endpoints,
+  so a match of these rules appears or disappears only at a vertex that
+  was itself touched: every current match has an endpoint in the rule's
+  dirty set.  Draining returns exactly the live dirty vertices; a pivot
+  round scans every edge of a dirty Pauli anchor and, from a Pauli
+  neighbor of a dirty Pauli spider, only its edges to dirty partners
+  (:func:`_pivot_anchors`).  Everything else is provably still a
+  non-match.
+
+* The pivot-gadget guards also read neighbor *degrees*, which change
+  without touching the vertex itself, so ``pivot_gadget`` (like the
+  non-local ``gadget`` round below) drains the dirty vertices **plus
+  their current neighbors** (:data:`NEIGHBORHOOD_RULES`).
 
 * Phase-gadget fusion is the one non-local match: two gadgets with the
   same support sit leaf–axis–support–axis–leaf apart.  A cache
@@ -50,7 +60,7 @@ dirty-vertex worklist (PyZX-style match-then-rewrite):
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import check_deadline
 from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
@@ -78,6 +88,11 @@ RULES = (
     "id", "lcomp", "pivot", "pivot_gadget", "pivot_boundary", "gadget",
 )
 
+#: Rules whose candidates are the dirty vertices plus their current
+#: neighbors: the pivot-gadget guards read neighbor degrees, and gadget
+#: fusion is non-local.  Every other rule examines its dirty vertices only.
+NEIGHBORHOOD_RULES = frozenset({"pivot_gadget", "gadget"})
+
 #: Safety backstop on ``full_reduce``'s outer rounds; every rewrite
 #: strictly reduces a well-founded measure, so it is never reached.
 MAX_ROUNDS = 10_000
@@ -93,6 +108,10 @@ class DirtyTracker:
       the neighbors); ``_pending`` is folded into every ``_dirty[r]`` at
       the next :meth:`pending` or :meth:`drain`, so a notification costs
       one ``set.add`` and each fold one set union per rule;
+    * hence, with the rounds re-queueing every match they defer or fail
+      to re-validate, every current identity, local-complementation,
+      pivot or boundary-pivot match has an endpoint in ``_pending`` or
+      in that rule's ``_dirty`` set;
     * ``v in pauli_spiders`` iff ``v`` is a live Z spider with phase
       0 or pi, and ``v in clifford_spiders`` iff its phase is ±pi/2
       (interior-ness is *not* part of the invariant — it is a neighbor
@@ -155,8 +174,9 @@ class DirtyTracker:
     def drain(self, rule: str) -> List[int]:
         """Consume the rule's dirty set; return sorted live candidates.
 
-        Candidates are the dirty vertices plus their *current* neighbors —
-        the complete set of vertices at which a match may have appeared or
+        Candidates are the live dirty vertices, plus their *current*
+        neighbors for the :data:`NEIGHBORHOOD_RULES` — the complete set
+        of vertices at which a match of the rule may have appeared or
         disappeared (sorted for deterministic rewrite order).
         """
         self._fold()
@@ -165,6 +185,8 @@ class DirtyTracker:
             return []
         self._dirty[rule] = set()
         alive = self.diagram._types
+        if rule not in NEIGHBORHOOD_RULES:
+            return sorted(vertex for vertex in dirty if vertex in alive)
         adjacency = self.diagram._adjacency
         candidates: Set[int] = set()
         for vertex in dirty:
@@ -221,7 +243,7 @@ def _id_round(diagram: ZXDiagram, tracker: DirtyTracker, counters) -> int:
     matches: List[int] = []
     claimed: Set[int] = set()
     for vertex in candidates:
-        if vertex not in alive or not _id_applicable(diagram, vertex):
+        if not _id_applicable(diagram, vertex):
             continue
         n1, n2 = adjacency[vertex]
         if vertex in claimed or n1 in claimed or n2 in claimed:
@@ -280,7 +302,7 @@ def _edge_round(
     diagram: ZXDiagram,
     tracker: DirtyTracker,
     rule: str,
-    anchors: Iterable[int],
+    anchors: Iterable[Tuple[int, Optional[List[int]]]],
     anchor_ok,
     partner_ok,
     step,
@@ -289,12 +311,14 @@ def _edge_round(
 ) -> int:
     """One batch round of an edge-anchored pivot-family rule.
 
-    ``anchors`` are candidate first-endpoints.  The match predicate is
-    split: ``anchor_ok(diagram, a)`` covers everything depending on the
-    anchor alone and runs **once per anchor** (the diagram is static
-    during collection), ``partner_ok(diagram, b)`` covers the other
-    endpoint and runs per Hadamard edge — without the split, an anchor of
-    degree *d* would re-scan its own neighborhood *d* times.  ``oriented``
+    ``anchors`` are live candidate first-endpoints in sorted order, each
+    with the sorted partners to try, or ``None`` for all of its
+    neighbors.  The match predicate is split: ``anchor_ok(diagram, a)``
+    covers everything depending on the anchor alone and runs **once per
+    anchor** (the diagram is static during collection),
+    ``partner_ok(diagram, b)`` covers the other endpoint and runs per
+    Hadamard edge — without the split, an anchor of degree *d* would
+    re-scan its own neighborhood *d* times.  ``oriented``
     rules (gadget/boundary pivots) distinguish the two endpoints, plain
     pivots do not (each undirected edge is tested once).
 
@@ -318,10 +342,10 @@ def _edge_round(
     # memoized for the duration of the round — without this, a partner of
     # in-degree k is re-scanned k times.
     partner_cache: Dict[int, bool] = {}
-    for a in anchors:
-        if a not in alive or not anchor_ok(diagram, a):
+    for a, partners in anchors:
+        if not anchor_ok(diagram, a):
             continue
-        for b in sorted(adjacency[a]):
+        for b in sorted(adjacency[a]) if partners is None else partners:
             edge = (a, b) if (oriented or a < b) else (b, a)
             if edge in seen:
                 continue
@@ -359,13 +383,38 @@ def _edge_round(
     return applied
 
 
+def _pivot_anchors(
+    diagram: ZXDiagram, tracker: DirtyTracker, dirty: List[int]
+) -> List[Tuple[int, Optional[List[int]]]]:
+    """Anchors of a plain or boundary pivot round, for ``_edge_round``.
+
+    Both endpoints of these matches are Pauli spiders and every current
+    match has a dirty endpoint (module docstring), so a dirty Pauli
+    anchor scans all of its edges, and a Pauli neighbor of a dirty
+    Pauli spider scans only its edges to those dirty partners.  Any
+    other edge is a non-match, so the round collects, claims and
+    re-queues what a scan of every neighbor's edges would, in the same
+    order: anchors sorted, each one's partners sorted.
+    """
+    pauli = tracker.pauli_spiders
+    adjacency = diagram._adjacency
+    dirty_pauli = [v for v in dirty if v in pauli]
+    anchors: Dict[int, Optional[List[int]]] = dict.fromkeys(dirty_pauli)
+    for vertex in dirty_pauli:  # sorted, so each partner list is too
+        for neighbor in adjacency[vertex]:
+            if neighbor in pauli:
+                partners = anchors.setdefault(neighbor, [])
+                if partners is not None:
+                    partners.append(vertex)
+    return sorted(anchors.items())  # anchors are distinct
+
+
 def _pivot_round(diagram: ZXDiagram, tracker: DirtyTracker, counters) -> int:
-    candidates = tracker.drain("pivot")
-    if not candidates:
+    dirty = tracker.drain("pivot")
+    if not dirty:
         return 0
-    anchors = [v for v in candidates if v in tracker.pauli_spiders]
     return _edge_round(
-        diagram, tracker, "pivot", anchors,
+        diagram, tracker, "pivot", _pivot_anchors(diagram, tracker, dirty),
         _pivot_endpoint_applicable, _pivot_endpoint_applicable, pivot_step,
         counters, oriented=False,
     )
@@ -379,7 +428,9 @@ def _pivot_gadget_round(
         return 0
     # The Pauli anchor is drained directly, or is a neighbor of the dirty
     # non-Pauli partner — drain() already added those neighbors.
-    anchors = [v for v in candidates if v in tracker.pauli_spiders]
+    anchors = [
+        (v, None) for v in candidates if v in tracker.pauli_spiders
+    ]
     return _edge_round(
         diagram, tracker, "pivot_gadget", anchors,
         _pivot_gadget_anchor_applicable, _pivot_gadget_partner_applicable,
@@ -390,12 +441,12 @@ def _pivot_gadget_round(
 def _pivot_boundary_round(
     diagram: ZXDiagram, tracker: DirtyTracker, counters
 ) -> int:
-    candidates = tracker.drain("pivot_boundary")
-    if not candidates:
+    dirty = tracker.drain("pivot_boundary")
+    if not dirty:
         return 0
-    anchors = [v for v in candidates if v in tracker.pauli_spiders]
     return _edge_round(
-        diagram, tracker, "pivot_boundary", anchors,
+        diagram, tracker, "pivot_boundary",
+        _pivot_anchors(diagram, tracker, dirty),
         _pivot_endpoint_applicable, _pivot_boundary_partner_applicable,
         pivot_boundary_step, counters, oriented=True,
     )

@@ -16,6 +16,7 @@ and both stay fast enough for tier-1.
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -132,6 +133,32 @@ def test_zx_simplify_smoke():
     assert counters.get("zx.rounds", 0) >= 1
     # Generous bound: this pair takes ~0.05 s; 5 s means something broke.
     assert elapsed < 5.0
+
+
+def test_zx_bench_compares_counters_with_the_previous_report(tmp_path):
+    """``bench_zx_simplify`` lists the cells whose ``zx.*`` counters
+    moved (a new cell counts as moved) and cannot compare without a
+    readable previous report."""
+    from benchmarks.bench_zx_simplify import counter_changes
+
+    previous = tmp_path / "BENCH_zx_simplify.json"
+    assert counter_changes([], previous) is None
+    previous.write_text(json.dumps({"cases": [
+        {"case": "a", "counters": {"zx.id.rewrites": 3}},
+        {"case": "b", "counters": {"zx.id.rewrites": 4}},
+    ]}))
+    cases = [
+        {"case": "a", "counters": {"zx.id.rewrites": 3}},
+        {"case": "b", "counters": {"zx.id.rewrites": 5}},
+        {"case": "c", "counters": {}},
+    ]
+    assert counter_changes(cases, previous) == [
+        ("b", {"zx.id.rewrites": 4}, {"zx.id.rewrites": 5}),
+        ("c", None, {}),
+    ]
+    assert counter_changes(cases[:1], previous) == []
+    previous.write_text("{")
+    assert counter_changes(cases, previous) is None
 
 
 @pytest.mark.bench_smoke

@@ -1,6 +1,7 @@
 """Tests for the command-line interface (`repro.cli`)."""
 
 import json
+import socket
 
 import pytest
 
@@ -211,6 +212,29 @@ class TestCompileCommand:
             "line-2 (2 qubits)\n"
         )
 
+    def test_input_with_a_layout_rejected(self, qasm_files, tmp_path, capsys):
+        """Compiling ``compile``'s own output again: the sidecar gives the
+        input a layout, which the compiler cannot take."""
+        original, _ = qasm_files
+        compiled = tmp_path / "c.qasm"
+        assert main([
+            "compile", str(original), "--device", "line:5",
+            "-o", str(compiled),
+        ]) == 0
+        capsys.readouterr()
+        code = main([
+            "compile", str(compiled), "--device", "line:5",
+            "-o", str(tmp_path / "cc.qasm"),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro compile: error: {compiled}: input circuit already "
+            "carries layout metadata\n"
+        )
+        assert not (tmp_path / "cc.qasm").exists()
+
     @pytest.mark.parametrize("level", ["0", "1", "2"])
     def test_each_optimization_level_verifies(self, qasm_files, tmp_path, level):
         original, _ = qasm_files
@@ -272,6 +296,32 @@ class TestSubmitCommand:
         assert captured.err == (
             "repro submit: error: needs an even number of circuits (pairs "
             "of original/compiled QASM files), got 3\n"
+        )
+
+    @pytest.mark.parametrize("server", ["missing", "not_listening"])
+    def test_unreachable_service_is_a_usage_error(
+        self, qasm_files, tmp_path, capsys, server
+    ):
+        """No server on ``--socket``: one line and exit 2, not a
+        traceback and the non-equivalence status."""
+        original, _ = qasm_files
+        path = tmp_path / "service.sock"
+        reason = "No such file or directory"
+        if server == "not_listening":
+            # a socket file that nothing listens on refuses connections
+            bound = socket.socket(socket.AF_UNIX)
+            bound.bind(str(path))
+            bound.close()
+            reason = "Connection refused"
+        code = main([
+            "submit", "--socket", str(path), str(original), str(original),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro submit: error: cannot reach the service at {path}: "
+            f"{reason}\n"
         )
 
 

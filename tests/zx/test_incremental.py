@@ -6,8 +6,10 @@ still denote the unreduced pair (dense truth), must be the identity
 exactly when the pair is equivalent and ZX decides it, and must be
 ``full_reduce``'s own fixpoint: a second pass that finds a rewrite has
 found a match the first pass lost.  The :class:`DirtyTracker` candidate
-indexes must always mirror the live diagram, and its gadget cache must
-not lose a gadget whose support spider changed.
+indexes must always mirror the live diagram, its gadget cache must not
+lose a gadget whose support spider changed, and every current match of
+the identity, local-complementation and (boundary) pivot rules must have
+an endpoint among the vertices that rule will re-examine.
 """
 
 from fractions import Fraction
@@ -25,10 +27,19 @@ from repro.zx import (
     full_reduce,
     to_graph_like,
 )
+from repro.zx import worklist
 from repro.zx.diagram import EdgeType, VertexType, ZXDiagram
+from repro.zx.simplify import (
+    _id_applicable,
+    _lcomp_applicable,
+    _pivot_boundary_partner_applicable,
+    _pivot_endpoint_applicable,
+)
 from repro.zx.worklist import (
+    NEIGHBORHOOD_RULES,
     RULES,
     DirtyTracker,
+    _pivot_anchors,
     _pivot_gadget_round,
     _run_rule,
 )
@@ -171,17 +182,55 @@ class TestDirtyTracker:
         for rule in RULES:
             assert tracker.pending(rule)
 
-    def test_drain_includes_neighbors_of_dirty(self):
+    @pytest.mark.parametrize("rule", sorted(NEIGHBORHOOD_RULES))
+    def test_drain_includes_neighbors_of_dirty(self, rule):
+        """The pivot-gadget guards read neighbor degrees and gadget
+        fusion is non-local, so these two rules still expand."""
         diagram, tracker = self._tracked_diagram()
-        for rule in RULES:
-            tracker.drain(rule)
+        for name in RULES:
+            tracker.drain(name)
         spiders = [
             v for v in diagram.vertices() if not diagram.is_boundary(v)
         ]
         diagram.set_phase(spiders[0], Fraction(1, 4))
-        candidates = tracker.drain("lcomp")
+        candidates = tracker.drain(rule)
         assert spiders[0] in candidates
         assert set(diagram.neighbor_view(spiders[0])) <= set(candidates)
+
+    @pytest.mark.parametrize(
+        "rule", sorted(set(RULES) - NEIGHBORHOOD_RULES)
+    )
+    def test_local_rules_drain_exactly_the_dirty_vertices(self, rule):
+        diagram, tracker = self._tracked_diagram()
+        for name in RULES:
+            tracker.drain(name)
+        spider = next(
+            v for v in diagram.vertices()
+            if not diagram.is_boundary(v) and diagram.degree(v) > 1
+        )
+        diagram.set_phase(spider, Fraction(1, 4))
+        assert tracker.drain(rule) == [spider]
+
+    def test_pivot_anchors_of_a_dirty_pauli_spider(self):
+        """A dirty Pauli spider scans all its edges; each Pauli neighbor
+        scans only its edge back to it, and other neighbors not at all."""
+        diagram = ZXDiagram()
+        hub = diagram.add_vertex(VertexType.Z, Fraction(1, 4))
+        pauli = [
+            diagram.add_vertex(VertexType.Z, Fraction(1)) for _ in range(2)
+        ]
+        t_spider = diagram.add_vertex(VertexType.Z, Fraction(1, 4))
+        _hadamard_edges(diagram, [(hub, n) for n in (*pauli, t_spider)])
+        tracker = DirtyTracker(diagram)
+        diagram.attach_tracker(tracker)
+        for name in RULES:
+            tracker.drain(name)
+        diagram.set_phase(hub, Fraction(0))
+        dirty = tracker.drain("pivot")
+        assert dirty == [hub]
+        assert _pivot_anchors(diagram, tracker, dirty) == [
+            (hub, None), (pauli[0], [hub]), (pauli[1], [hub]),
+        ]
 
     def test_removed_vertex_dirties_former_neighbors(self):
         diagram, tracker = self._tracked_diagram()
@@ -248,6 +297,70 @@ class TestDirtyTracker:
             diagram.attach_tracker(DirtyTracker(diagram))
         diagram.detach_tracker()
         diagram.attach_tracker(DirtyTracker(diagram))
+
+
+def _local_matches(diagram):
+    """Every current match of the four local rules, by brute force over
+    every vertex and edge, as ``(rule, endpoints)``."""
+    for vertex in diagram.vertices():
+        if _id_applicable(diagram, vertex):
+            yield "id", (vertex,)
+        if _lcomp_applicable(diagram, vertex):
+            yield "lcomp", (vertex,)
+    for a, b, edge_type in diagram.edges():
+        if edge_type is not EdgeType.HADAMARD:
+            continue
+        for anchor, partner in ((a, b), (b, a)):
+            if not _pivot_endpoint_applicable(diagram, anchor):
+                continue
+            if anchor < partner and _pivot_endpoint_applicable(
+                diagram, partner
+            ):
+                yield "pivot", (anchor, partner)
+            if _pivot_boundary_partner_applicable(diagram, partner):
+                yield "pivot_boundary", (anchor, partner)
+
+
+class TestLocalMatchesStayQueued:
+    """The identity, local-complementation and pivot rounds re-examine
+    only their dirty vertices, which is complete only if every current
+    match keeps an endpoint among them (or among the pending touches)
+    after every round of every rule."""
+
+    @pytest.fixture
+    def checked_rounds(self, monkeypatch):
+        seen = {"rounds": 0, "matches": 0}
+
+        def checked(round_fn, diagram, tracker, counters):
+            applied = round_fn(diagram, tracker, counters)
+            seen["rounds"] += 1
+            for rule, endpoints in _local_matches(diagram):
+                queued = tracker._dirty[rule] | tracker._pending
+                assert queued.intersection(endpoints), (rule, endpoints)
+                seen["matches"] += 1
+            return applied
+
+        for rule, round_fn in list(worklist._ROUNDS.items()):
+            monkeypatch.setitem(
+                worklist._ROUNDS, rule,
+                lambda *args, round_fn=round_fn: checked(round_fn, *args),
+            )
+        return seen
+
+    @pytest.mark.parametrize("kind", ["equivalent", "gate_missing"])
+    @pytest.mark.parametrize("gate_set", ["clifford_t", "mixed"])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("qubits, depth", [(4, 30), (6, 100)])
+    def test_every_match_has_a_queued_endpoint(
+        self, checked_rounds, qubits, depth, kind, gate_set, seed
+    ):
+        # the larger size reaches boundary pivots whose only dirty
+        # endpoint is the boundary-adjacent partner
+        circuit = random_circuit(qubits, depth, seed=seed, gate_set=gate_set)
+        diagram = _composed(circuit, _variant(circuit, kind, seed))
+        full_reduce(diagram)
+        assert checked_rounds["rounds"] > 0
+        assert checked_rounds["matches"] > 0
 
 
 class TestLargerCircuit:
