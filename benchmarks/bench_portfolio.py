@@ -7,10 +7,12 @@ portfolio race (``Configuration.portfolio``) — and records the
 comparison in ``BENCH_portfolio.json`` at the repository root.
 
 Both arms run with the static pre-pass on, so both executors run the
-pre-pass report's plan: the sequential schedule walks its lanes in
-order until a proof, the race launches each lane at its offset (without
-the pre-pass both would run the default plan instead).  The pre-pass
-decides none of these cells, so it short-circuits neither arm.
+same lanes (none of these pairs is proven Clifford, so the plan is
+``simulation``, ``alternating``, ``zx``, ``construction``): the
+sequential schedule walks them in order until a proof, the race starts
+the first two at once and each lane that ends without a proof starts
+the next.  The pre-pass decides none of these cells, so it
+short-circuits neither arm.
 
 Verdict agreement is judged by *polarity* (proven/considered equivalent
 vs proven non-equivalent): racing paradigms legitimately prove at

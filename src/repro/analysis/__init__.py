@@ -1,6 +1,6 @@
-"""Static circuit analysis: sound pre-checks and the check plan.
+"""Static circuit analysis: sound pre-checks and the Clifford fact.
 
-The subsystem runs five static passes over a circuit pair *without
+The subsystem runs four static passes over a circuit pair *without
 executing anything* — no decision diagram, no ZX graph, no simulation:
 
 1. :mod:`repro.analysis.support` — qubit-support / idle-wire analysis
@@ -8,13 +8,11 @@ executing anything* — no decision diagram, no ZX graph, no simulation:
 2. :mod:`repro.analysis.interaction` — interaction-graph fingerprints
    and dense comparison of small isolated fragments;
 3. :mod:`repro.analysis.gateset` — Clifford / Clifford+T /
-   rotation-heavy fragment profiling (decides whether ``stabilizer``
-   applies);
+   rotation-heavy fragment profiling; its proof that both circuits are
+   Clifford is the one fact the check's plan depends on
+   (:func:`repro.ec.portfolio.plan` puts ``stabilizer`` first);
 4. :mod:`repro.analysis.phasepoly` — canonical phase-polynomial
-   fingerprints for the {CNOT, X, Rz} fragment, decided exactly;
-5. :mod:`repro.analysis.cost` — a DD-vs-ZX effort model and the
-   planner: the pair's :class:`~repro.ec.portfolio.Plan`, which both
-   executors of the ``combined`` strategy run.
+   fingerprints for the {CNOT, X, Rz} fragment, decided exactly.
 
 Every entry point takes the :class:`~repro.ec.permutations.LogicalPair`
 the manager derived for the check, so the passes see exactly the logical
@@ -24,7 +22,8 @@ wires the checkers see.  Entry points:
   :class:`~repro.analysis.report.StaticAnalysisReport`;
 * :func:`run_prepass` — the manager's pre-pass: returns a short-circuit
   :class:`~repro.ec.results.EquivalenceCheckingResult` for sound NEQ
-  verdicts, plus the report (its plan and its statistics block);
+  verdicts, plus the report (its Clifford fact and its statistics
+  block);
 * :func:`analysis_check` — the standalone ``analysis`` strategy (also
   the fuzz oracle's seventh participant): sound verdicts map to
   ``NOT_EQUIVALENT`` / ``EQUIVALENT_UP_TO_GLOBAL_PHASE``, anything else
@@ -41,12 +40,6 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.cost import (
-    CostEstimate,
-    Plan,
-    estimate_cost,
-    plan_checks,
-)
 from repro.analysis.gateset import (
     GateSetProfile,
     is_phase_poly_operation,
@@ -80,11 +73,9 @@ from repro.errors import CheckTimeout, check_deadline
 from repro.perf.counters import PerfCounters
 
 __all__ = [
-    "CostEstimate",
     "GateSetProfile",
     "MAX_FRAGMENT_QUBITS",
     "PhasePolynomial",
-    "Plan",
     "StaticAnalysisReport",
     "VERDICT_EQUIVALENT_UP_TO_GLOBAL_PHASE",
     "VERDICT_NOT_EQUIVALENT",
@@ -92,14 +83,12 @@ __all__ = [
     "analysis_check",
     "analyze_pair",
     "compare_phase_polynomials",
-    "estimate_cost",
     "extract_phase_polynomial",
     "format_report",
     "fragment_isolation_check",
     "interaction_fingerprint",
     "is_phase_poly_operation",
     "phase_polynomial_check",
-    "plan_checks",
     "profile_gate_set",
     "run_prepass",
     "support_check",
@@ -114,7 +103,7 @@ def analyze_pair(
     deadline: Optional[float] = None,
     counters: Optional[PerfCounters] = None,
 ) -> StaticAnalysisReport:
-    """Run all five static passes over a pair's logical forms.
+    """Run all four static passes over a pair's logical forms.
 
     Respects the cooperative ``deadline`` between passes, charges wall
     time to ``analysis.*`` phases of ``counters`` when given, and never
@@ -129,8 +118,8 @@ def analyze_pair(
 
     # The support and fragment passes multiply out gate matrices, which
     # symbolic parameters cannot do; the remaining passes (gate-set
-    # profile, symbolic phase polynomial, cost model) stay sound for
-    # every valuation, so a symbolic pair skips just the dense passes.
+    # profile, symbolic phase polynomial) stay sound for every
+    # valuation, so a symbolic pair skips just the dense passes.
     from repro.circuit.symbolic import is_symbolic_circuit
 
     symbolic = is_symbolic_circuit(logical1) or is_symbolic_circuit(
@@ -197,12 +186,6 @@ def analyze_pair(
                 "kind": str(phase_summary.get("kind", "")),
             }
 
-    check_deadline(deadline)
-    with counters.phase("analysis.cost_model"):
-        estimate = estimate_cost((logical1, logical2), profiles)
-        plan = plan_checks(profiles, estimate)
-        passes_run.append("cost_model")
-
     if witness is not None:
         verdict = VERDICT_NOT_EQUIVALENT
     elif proof_details is not None:
@@ -218,8 +201,6 @@ def analyze_pair(
         support=support_summary,
         interaction=interaction_summary,
         phase_polynomial=phase_summary,
-        estimate=estimate,
-        plan=plan,
         passes_run=tuple(passes_run),
         time=time.perf_counter() - started,
     )
@@ -264,9 +245,10 @@ def run_prepass(
     Returns ``(short_circuit, report)``.  ``short_circuit`` is a
     finished ``NOT_EQUIVALENT`` result when the analyzer holds a sound
     NEQ witness (the spec'd short-circuit; positive proofs do *not*
-    short-circuit the configured checker).  ``report``, whose plan the
-    ``combined`` strategy runs, is ``None`` only if the pre-pass itself
-    failed and was swallowed (the pre-pass must never break a check).
+    short-circuit the configured checker).  ``report``, whose Clifford
+    fact lays out the ``combined`` strategy's plan, is ``None`` only if
+    the pre-pass itself failed and was swallowed (the pre-pass must
+    never break a check).
     """
     counters = PerfCounters()
     try:

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.cost import CostEstimate, Plan
-from repro.analysis.gateset import GateSetProfile
+from repro.analysis.gateset import FRAGMENT_CLIFFORD, GateSetProfile
+from repro.ec.portfolio import plan
 
 #: Verdict labels — the only sound conclusions the analyzer ever emits.
 VERDICT_NOT_EQUIVALENT = "not_equivalent"
@@ -16,7 +16,7 @@ VERDICT_UNDECIDED = "undecided"
 
 @dataclass(frozen=True)
 class StaticAnalysisReport:
-    """Everything the five passes learned about one circuit pair.
+    """Everything the four passes learned about one circuit pair.
 
     Attributes:
         verdict: One of the ``VERDICT_*`` labels.  Anything other than
@@ -28,8 +28,6 @@ class StaticAnalysisReport:
         support: Pass-1 summary (idle wires, compared local factors).
         interaction: Pass-2 summary (fingerprints, union components).
         phase_polynomial: Pass-4 details (term counts, comparison kind).
-        estimate: Pass-5 cost features and scores.
-        plan: The pass-5 plan both executors of ``combined`` run.
         passes_run: Names of the passes that actually executed.
         time: Wall-clock seconds spent inside the analyzer.
     """
@@ -40,8 +38,6 @@ class StaticAnalysisReport:
     support: Dict[str, object]
     interaction: Dict[str, object]
     phase_polynomial: Dict[str, object]
-    estimate: CostEstimate
-    plan: Plan
     passes_run: Tuple[str, ...] = field(default=())
     time: float = 0.0
 
@@ -53,6 +49,11 @@ class StaticAnalysisReport:
     def is_sound_eq(self) -> bool:
         return self.verdict == VERDICT_EQUIVALENT_UP_TO_GLOBAL_PHASE
 
+    @property
+    def clifford(self) -> bool:
+        """The gateset pass proved both circuits Clifford."""
+        return all(p.fragment == FRAGMENT_CLIFFORD for p in self.profiles)
+
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe summary — the ``statistics["analysis"]`` block."""
         payload: Dict[str, object] = {
@@ -60,8 +61,7 @@ class StaticAnalysisReport:
             "passes_run": list(self.passes_run),
             "time": round(self.time, 6),
             "fragments": [p.fragment for p in self.profiles],
-            "lanes": self.plan.to_dict()["lanes"],
-            "preferred_checker": self.plan.preferred_checker,
+            "lanes": list(plan(self.clifford)),
         }
         if self.witness is not None:
             payload["witness"] = dict(self.witness)
@@ -76,8 +76,6 @@ class StaticAnalysisReport:
                 "support": dict(self.support),
                 "interaction": dict(self.interaction),
                 "phase_polynomial": dict(self.phase_polynomial),
-                "estimate": self.estimate.to_dict(),
-                "plan": self.plan.to_dict(),
             }
         )
         return payload
@@ -103,11 +101,6 @@ def format_report(report: StaticAnalysisReport) -> str:
             f"t={profile.t_like_gates} rotations={profile.rotation_gates} "
             f"2q={profile.two_qubit_gates}"
         )
-    estimate = report.estimate
-    lines.append(
-        f"cost:      depth={estimate.depth} "
-        f"dd_score={estimate.dd_score:.0f} zx_score={estimate.zx_score:.0f}"
-    )
     fingerprints = report.interaction.get("fingerprints")
     if fingerprints:
         match = "match" if len(set(fingerprints)) == 1 else "differ"
@@ -118,11 +111,7 @@ def format_report(report: StaticAnalysisReport) -> str:
             f"fragments: {len(components)} isolated component(s), "
             f"{report.interaction.get('fragments_compared', 0)} compared"
         )
-    plan = report.plan
-    lanes = ", ".join(f"{strategy}@{offset:g}s" for strategy, offset in plan.lanes)
-    lines.append(f"plan:      prefer {plan.preferred_checker}; lanes {lanes}")
-    for reason in plan.rationale:
-        lines.append(f"           - {reason}")
+    lines.append(f"plan:      {', '.join(plan(report.clifford))}")
     lines.append(
         f"passes:    {', '.join(report.passes_run)} "
         f"({report.time * 1000:.2f} ms)"

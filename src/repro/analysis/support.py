@@ -123,7 +123,7 @@ def support_check(
     Returns ``(witness, summary)``.  ``witness`` is ``None`` unless a
     wire carries provably different local unitaries on the two sides —
     a sound non-equivalence witness.  ``summary`` always reports the
-    support statistics feeding the cost model and the CLI report.
+    support statistics feeding the CLI report.
     """
     profiles1 = wire_profiles(logical1, num_qubits)
     profiles2 = wire_profiles(logical2, num_qubits)

@@ -439,11 +439,27 @@ def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
     return parser
 
 
+def validate_options(args: argparse.Namespace) -> None:
+    """Raise ``ValueError`` on parsed options no cell can run with, so a
+    bad value is reported before the first table line."""
+    if args.resume and not args.journal:
+        raise ValueError("--resume requires --journal PATH")
+    Configuration(
+        portfolio=args.portfolio,
+        timeout=args.timeout,
+        seed=args.seed,
+        memory_limit_mb=args.memory_limit,
+        max_retries=args.retries,
+    ).validate()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.resume and not args.journal:
-        parser.error("--resume requires --journal PATH")
+    try:
+        validate_options(args)
+    except ValueError as error:
+        parser.error(str(error))
     return run(args)
 
 

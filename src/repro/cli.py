@@ -329,10 +329,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.study import run
+    from repro.bench.study import run, validate_options
 
-    if args.resume and not args.journal:
-        return _usage_error("bench", "--resume requires --journal PATH")
+    try:
+        validate_options(args)
+    except ValueError as error:
+        return _usage_error("bench", error)
     return run(args)
 
 
@@ -351,6 +353,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         check_timeout=args.timeout,
         max_seconds=args.max_seconds,
     )
+    try:
+        settings.validate()
+    except ValueError as error:
+        return _usage_error("fuzz", error)
     outcome = run_fuzz(settings, log=print)
     summary = outcome.describe()
     print(
@@ -374,17 +380,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         WorkerPool,
     )
 
-    pool = WorkerPool(
-        PoolConfig(
-            workers=args.workers,
-            memory_mb=args.memory_limit,
-            max_jobs_per_worker=args.max_jobs_per_worker,
-            max_worker_rss_mb=args.max_worker_rss,
-            queue_depth=args.queue_depth,
-            restart_backoff=dataclasses.replace(
-                PoolConfig().restart_backoff, jitter_seed=args.seed
-            ),
+    config = PoolConfig(
+        workers=args.workers,
+        memory_mb=args.memory_limit,
+        max_jobs_per_worker=args.max_jobs_per_worker,
+        max_worker_rss_mb=args.max_worker_rss,
+        queue_depth=args.queue_depth,
+        restart_backoff=dataclasses.replace(
+            PoolConfig().restart_backoff, jitter_seed=args.seed
         ),
+    )
+    try:
+        config.validate()
+    except ValueError as error:
+        return _usage_error("serve", error)
+    pool = WorkerPool(
+        config,
         cache=VerdictCache(args.cache) if args.cache else None,
         quarantine=QuarantineStore(args.quarantine)
         if args.quarantine
@@ -449,17 +460,19 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.service import SoakSettings, run_soak
 
-    report = run_soak(
-        SoakSettings(
-            seed=args.seed,
-            jobs=args.jobs,
-            workers=args.workers,
-            fault_rate=args.fault_rate,
-            poison_pairs=args.poison_pairs,
-            check_timeout=args.timeout,
-        ),
-        log=print,
+    settings = SoakSettings(
+        seed=args.seed,
+        jobs=args.jobs,
+        workers=args.workers,
+        fault_rate=args.fault_rate,
+        poison_pairs=args.poison_pairs,
+        check_timeout=args.timeout,
     )
+    try:
+        settings.validate()
+    except ValueError as error:
+        return _usage_error("soak", error)
+    report = run_soak(settings, log=print)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.ok else 1
@@ -496,14 +509,15 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--portfolio", action="store_true",
-        help="race all applicable strategies as concurrent sandboxed "
-        "children; first sound verdict wins (requires --strategy combined)",
+        help="race the plan's lanes as sandboxed children, two at a "
+        "time; first sound verdict wins (requires --strategy combined)",
     )
     verify.add_argument(
         "--no-static-analysis", action="store_true",
         help="skip the static analysis pre-pass (sound NEQ short-circuit "
-        "and the combined strategy's plan) in front of the configured "
-        "checker; combined then runs the default plan",
+        "and the Clifford proof that puts the stabilizer lane first) in "
+        "front of the configured checker; combined then runs every lane "
+        "but stabilizer",
     )
     verify.add_argument(
         "--oracle", default="proportional",

@@ -26,8 +26,9 @@ class Configuration:
       every DD package's complex table;
     * :data:`FIDELITY_THRESHOLD`, the fidelity deviation of the DD and
       column verdicts;
-    * :data:`repro.ec.portfolio.PORTFOLIO_HEAD_START`, the offset of
-      every plan lane but the preferred checker and ``simulation``.
+    * :data:`repro.harness.race.STARTING_LANES`, the lanes a portfolio
+      race starts at once (each further lane starts when one ends
+      without a sound verdict).
 
     Retries back off by :class:`repro.errors.RetryPolicy`'s default
     base, and instantiated parameterized checks run in-process.  Nor is
@@ -44,11 +45,13 @@ class Configuration:
             ``NO_INFORMATION``, see :mod:`repro.analysis`).
         static_analysis: Run the static analysis pre-pass before any
             checker (default).  A sound non-equivalence witness
-            short-circuits the check to ``NOT_EQUIVALENT``, and its
-            report's plan is what both executors of ``combined`` run
-            (the sequential schedule and the portfolio race).  Without
-            the pre-pass (CLI ``--no-static-analysis``) both run
-            :data:`repro.ec.portfolio.DEFAULT_PLAN`.
+            short-circuits the check to ``NOT_EQUIVALENT``, and a proof
+            that both circuits are Clifford puts the ``stabilizer`` lane
+            first in the plan both executors of ``combined`` run (the
+            sequential schedule and the portfolio race;
+            :func:`repro.ec.portfolio.plan`).  Without the pre-pass (CLI
+            ``--no-static-analysis``) the plan has no ``stabilizer``
+            lane.
         oracle: Gate-selection oracle of the alternating scheme —
             ``"naive"`` (strict 1:1 alternation), ``"proportional"``
             (alternation weighted by the gate-count ratio, QCEC's default
@@ -76,8 +79,8 @@ class Configuration:
             enforced when the check runs isolated.
         max_retries: Bounded retries of *transient* failures (crashed or
             lost workers) in :func:`repro.harness.run_check`.
-        portfolio: Race the plan's lanes as concurrent sandboxed
-            children instead of running the ``combined`` schedule
+        portfolio: Race the plan's lanes as sandboxed children, two
+            at a time, instead of running the ``combined`` schedule
             sequentially; the first *sound* verdict wins and the losers
             are SIGKILLed (see :mod:`repro.ec.portfolio`).  Only
             meaningful with ``strategy="combined"``.

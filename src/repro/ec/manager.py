@@ -8,9 +8,9 @@ raises all but a timeout).  The
 equivalence checking routine described in Section 4.1 in parallel with a
 sequence of 16 simulation runs.  If the simulations manage to prove
 non-equivalence of the circuits, the equivalence checking routine is
-terminated early."  Both of its executors run one
-:class:`~repro.ec.portfolio.Plan`: the static pre-pass report's, or
-:data:`~repro.ec.portfolio.DEFAULT_PLAN` without one.
+terminated early."  Both of its executors run one plan, the lanes
+:func:`~repro.ec.portfolio.plan` lays out from one proven fact: whether
+the static pre-pass proved both circuits Clifford.
 
 CPython's GIL makes thread-parallel DD work pointless, so the sequential
 executor walks the plan's lanes in order until one proves: the (cheap,
@@ -23,22 +23,22 @@ to cost less: all ``2^w`` basis columns prove equivalence as the
 alternating proof does (:mod:`repro.ec.sim_checker`).
 
 With ``configuration.portfolio`` the plan runs with genuine concurrency:
-every lane races in its own sandboxed child process and the first
-*sound* verdict wins (:mod:`repro.ec.portfolio`) — process isolation
-sidesteps the GIL the same way QCEC's native threads do.
+its lanes race in sandboxed child processes, two at a time, and the
+first *sound* verdict wins (:mod:`repro.ec.portfolio`) — process
+isolation sidesteps the GIL the same way QCEC's native threads do.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
 from repro.ec.dd_checker import AlternatingChecker, ConstructionChecker
 from repro.ec.permutations import LogicalPair, logical_pair
-from repro.ec.portfolio import DEFAULT_PLAN, Plan
+from repro.ec.portfolio import plan
 from repro.ec.results import EquivalenceCheckingResult
 from repro.ec.sim_checker import ColumnChecker, simulation_check, state_check
 from repro.ec.stab_checker import stabilizer_check
@@ -177,7 +177,7 @@ class EquivalenceCheckingManager:
             from repro import analysis
 
             return analysis.analysis_check(pair, deadline)
-        plan = DEFAULT_PLAN
+        clifford = False
         analysis_block: Optional[dict] = None
         # The pre-pass reasons about full unitary equivalence, which the
         # "state" strategy deliberately weakens (states from |0...0>
@@ -192,20 +192,21 @@ class EquivalenceCheckingManager:
             if short_circuit is not None:
                 return short_circuit
             if report is not None:
-                plan = report.plan
+                clifford = report.clifford
                 analysis_block = report.to_dict()
+        lanes = plan(clifford)
         if config.strategy != "combined":
             result = _run_checker(config.strategy, pair, config, deadline)
         elif config.portfolio:
-            # Race the plan's lanes in sandboxed children; the first
-            # sound verdict wins (repro.ec.portfolio).
+            # Race the lanes in sandboxed children; the first sound
+            # verdict wins (repro.ec.portfolio).
             from repro.ec.portfolio import run_portfolio
 
             result = run_portfolio(
-                self.circuit1, self.circuit2, plan, config, start, deadline
+                self.circuit1, self.circuit2, lanes, config, start, deadline
             )
         else:
-            result = self._run_combined(pair, config, start, deadline, plan)
+            result = self._run_combined(pair, config, start, deadline, lanes)
         if analysis_block is not None:
             result.statistics.setdefault("analysis", analysis_block)
         return result
@@ -216,9 +217,9 @@ class EquivalenceCheckingManager:
         config: Configuration,
         start: float,
         deadline: Optional[float],
-        plan: Plan,
+        lanes: Tuple[str, ...],
     ) -> EquivalenceCheckingResult:
-        """Run the combined schedule: the plan's lanes in order until a proof.
+        """Run the combined schedule: the lanes in order until a proof.
 
         A stage's result is final when it is a proof; a ``NOT_EQUIVALENT``
         falsification from the stimuli is one.  Otherwise the next stage
@@ -236,7 +237,7 @@ class EquivalenceCheckingManager:
         ran: List[str] = []
         simulation: Optional[EquivalenceCheckingResult] = None
         columns: Optional[ColumnChecker] = None
-        for stage, _ in plan.lanes:
+        for stage in lanes:
             ran.append(stage)
             if stage == "simulation":
                 columns = ColumnChecker(pair, config)

@@ -2,24 +2,21 @@
 
 The source paper's central finding is that no single paradigm dominates
 — DD construction, the alternating scheme, random-stimuli simulation
-and ZX rewriting each win different Table-1 cells.  A :class:`Plan`
-says which checkers run on a pair, in what order, and when: its lanes
-are ``(strategy, offset)`` pairs in stage order.  The static pre-pass
-plans each pair once (:func:`repro.analysis.cost.plan_checks`); without
-its report both executors run :data:`DEFAULT_PLAN`.
+and ZX rewriting each win different Table-1 cells.  So a check's plan
+is a function of one proven fact: :func:`plan` puts ``stabilizer`` in
+front of the other :data:`STAGES` when the static pre-pass's gateset
+pass proved both circuits Clifford, and leaves it out otherwise (and
+without a pre-pass report).
 
 The manager's sequential ``combined`` schedule walks the lanes in order
 until a proof.  With ``Configuration.portfolio`` the manager instead
-hands the plan to :func:`run_portfolio`, which launches every lane as a
-sandboxed child (via :mod:`repro.harness.race`) at its offset under one
-shared deadline and SIGKILLs the losers the moment any child returns a
-*sound* EQ/NEQ verdict.  The preferred checker and the cheap simulation
-falsifier start at once; the other lanes stagger in behind a short head
-start (:data:`PORTFOLIO_HEAD_START`; crucial on few-core machines,
-where every concurrent child slows the others), and a lane finishing
-undecided promotes the next pending launch at once.
-``PROBABLY_EQUIVALENT`` from simulation is evidence, not proof: it only
-wins when nothing sound arrives before the deadline.
+hands the lanes to :func:`run_portfolio`, which races them as sandboxed
+children (via :mod:`repro.harness.race`) under one shared deadline: the
+first two start at once, each lane that ends without a sound verdict
+starts the next, and the losers are SIGKILLed the moment any child
+returns a *sound* EQ/NEQ verdict.  ``PROBABLY_EQUIVALENT`` from
+simulation is evidence, not proof: it only wins when nothing sound
+arrives before the deadline.
 
 Cross-child verdict disagreement — two children both claiming a proof,
 with opposite polarity — is a checker bug and surfaces as a hard
@@ -32,8 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.ec.configuration import Configuration
@@ -45,14 +41,6 @@ from repro.errors import CheckError, CheckTimeout, error_from_dict
 #: ``NO_INFORMATION``.
 STAGES = ("stabilizer", "simulation", "alternating", "zx", "construction")
 
-#: Seconds the zero-offset lanes (the preferred checker and the
-#: simulation falsifier) race alone before the other lanes launch.
-#: Staggering matters most on few-core machines, where every extra
-#: concurrent child slows the winner; a lane that finishes undecided
-#: promotes the next pending launch at once, so the head start never
-#: idles the machine.
-PORTFOLIO_HEAD_START = 0.25
-
 #: Preference order among non-sound survivors when the race drains
 #: undecided: probabilistic evidence beats "I don't know" beats timeout.
 _FALLBACK_RANK = {
@@ -62,84 +50,13 @@ _FALLBACK_RANK = {
 }
 
 
-@dataclass(frozen=True)
-class Plan:
-    """Which checkers run on one pair, in what order, and when.
+def plan(clifford: bool) -> Tuple[str, ...]:
+    """The lanes both executors of ``combined`` run, in stage order.
 
-    Attributes:
-        lanes: ``(strategy, offset)`` pairs in stage order; the offset is
-            the seconds after race start before the lane launches.  A
-            plan only orders and staggers lanes: every lane's timeout
-            and memory ceiling come from the check's ``Configuration``.
-        preferred_checker: The single-strategy recommendation, which
-            races from t=0 (shown by ``repro analyze``).
-        rationale: Human-readable one-liners justifying the plan.
+    ``clifford`` is the pre-pass's proof that both circuits are
+    Clifford; every stage but ``stabilizer`` runs without it.
     """
-
-    lanes: Tuple[Tuple[str, float], ...]
-    preferred_checker: str
-    rationale: Tuple[str, ...]
-
-    @classmethod
-    def staged(
-        cls, preferred: str, clifford: bool, rationale: Tuple[str, ...]
-    ) -> "Plan":
-        """Lay :data:`STAGES` out around ``preferred``.
-
-        ``preferred`` and ``simulation`` start at t=0, every other lane
-        after :data:`PORTFOLIO_HEAD_START`; ``stabilizer`` joins only
-        ``clifford`` pairs.
-        """
-        lanes = tuple(
-            (
-                stage,
-                0.0
-                if stage in (preferred, "simulation")
-                else PORTFOLIO_HEAD_START,
-            )
-            for stage in STAGES
-            if clifford or stage != "stabilizer"
-        )
-        late = sum(1 for _, offset in lanes if offset)
-        return cls(
-            lanes,
-            preferred,
-            rationale + (
-                f"portfolio: {preferred} and simulation race from t=0, "
-                f"{late} companion lane(s) stagger in after a "
-                f"{PORTFOLIO_HEAD_START:g}s head start",
-            ),
-        )
-
-    def launch_order(self) -> List[Tuple[str, float]]:
-        """The lanes as the race forks them: by offset, and among lanes
-        due at the same time the preferred checker first."""
-        return sorted(
-            self.lanes,
-            key=lambda lane: (lane[1], lane[0] != self.preferred_checker),
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "lanes": _lane_dicts(self.lanes),
-            "preferred_checker": self.preferred_checker,
-            "rationale": list(self.rationale),
-        }
-
-
-def _lane_dicts(lanes: Iterable[Tuple[str, float]]) -> List[Dict[str, object]]:
-    return [
-        {"strategy": strategy, "offset": offset} for strategy, offset in lanes
-    ]
-
-
-#: The plan both executors run when there is no pre-pass report
-#: (``static_analysis=False``, or a pre-pass failure it swallowed).
-DEFAULT_PLAN = Plan.staged(
-    "alternating",
-    clifford=False,
-    rationale=("no static pre-pass report: the default plan",),
-)
+    return STAGES if clifford else STAGES[1:]
 
 
 def _child_configuration(
@@ -179,17 +96,17 @@ def _select_fallback(outcomes) -> Optional[str]:
 def run_portfolio(
     circuit1: QuantumCircuit,
     circuit2: QuantumCircuit,
-    plan: Plan,
+    lanes: Tuple[str, ...],
     configuration: Configuration,
     start: float,
     deadline: Optional[float],
 ) -> EquivalenceCheckingResult:
-    """Race the plan's lanes; return the winning verdict.
+    """Race the check's lanes; return the winning verdict.
 
     Args:
         circuit1, circuit2: The input circuits.  Every lane is a manager
             run of its own and derives its logical forms after the fork.
-        plan: The check's plan; each lane launches at its offset.
+        lanes: The check's :func:`plan`, in the order the lanes start.
         configuration: The manager's configuration (``portfolio=True``,
             ``strategy="combined"``).
         start: The manager's ``time.monotonic()`` reference — the
@@ -207,7 +124,6 @@ def run_portfolio(
 
     counters = PerfCounters()
     counters.count("portfolio.races")
-    launches = plan.launch_order()
     now = time.monotonic()
     remaining = None if deadline is None else max(0.01, deadline - now)
     # Each lane's cooperative timeout: what is left of the check's.
@@ -221,9 +137,8 @@ def run_portfolio(
             configuration=_child_configuration(
                 configuration, strategy, lane_timeout
             ),
-            delay=offset,
         )
-        for strategy, offset in launches
+        for strategy in lanes
     ]
     outcome = race_checks(circuit1, circuit2, entries, shared_budget=remaining)
     counters.count(
@@ -278,9 +193,7 @@ def run_portfolio(
     result.statistics["portfolio"] = {
         "winner": winner,
         "sound": sound,
-        "preferred_checker": plan.preferred_checker,
-        "rationale": list(plan.rationale),
-        "plan": _lane_dicts(launches),
+        "plan": list(lanes),
         "children": [child.to_dict() for child in outcome.children],
         "kills": outcome.kill_counts(),
         "all_reaped": all(

@@ -60,6 +60,8 @@ class FuzzSettings:
             )
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
+        if self.num_qubits is not None and self.num_qubits < 1:
+            raise ValueError("num_qubits must be at least 1")
         if self.check_timeout <= 0:
             raise ValueError("check_timeout must be positive")
         if self.max_seconds is not None and self.max_seconds <= 0:

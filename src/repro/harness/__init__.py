@@ -14,7 +14,7 @@ or not, an attempt is :func:`~repro.harness.child.run_in_process`.
 
 :mod:`repro.harness.race` runs several such children as a race — the
 execution substrate of the concurrent strategy portfolio
-(:mod:`repro.ec.portfolio`): staggered launches under one shared
+(:mod:`repro.ec.portfolio`): two lanes at a time under one shared
 deadline, first sound verdict wins, losers SIGKILLed and reaped.  The
 sandbox is the race's one-lane case.  :mod:`repro.harness.child` is
 the one place that forks, limits, kills, reaps and classifies a child,

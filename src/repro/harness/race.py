@@ -12,12 +12,10 @@ nothing sound arrives before the deadline.  The one-shot sandbox,
 :func:`repro.harness.sandbox.run_check_isolated`, is a race with one
 lane.
 
-Scheduling is a staggered launch plan: each entry carries a ``delay``
-relative to the race start (the check's plan puts the preferred checker
-and the cheap simulation falsifier at zero and holds expensive
-companions behind a short head start), and whenever a running child
-completes *without* deciding the race, the earliest pending entry is
-promoted immediately — an idle CPU never waits out a head start.
+Scheduling follows the entry order: the first :data:`STARTING_LANES`
+entries start at once, and each lane that ends without a sound verdict
+(undecided, failed, killed at its budget, or unable to fork) starts the
+next pending entry, so at most that many lanes share the CPUs.
 
 Containment: per-child RLIMIT_AS headroom
 (``Configuration.memory_limit_mb``), per-child hard wall budgets, and a
@@ -53,8 +51,9 @@ from repro.harness.child import (
     hard_budget,
 )
 
-#: Upper bound on one poll-loop sleep, so launch times stay responsive.
-_MAX_POLL_SECONDS = 0.05
+#: Lanes a race starts at once; every further lane waits for one to end
+#: without a sound verdict.
+STARTING_LANES = 2
 
 #: Kill codes recorded per child (``None`` = the child was not killed).
 KILL_LOSER = "loser"  # a sound verdict arrived elsewhere
@@ -71,8 +70,6 @@ class RaceEntry:
         configuration: Full child configuration — strategy, cooperative
             timeout, seeds, ``memory_limit_mb`` (the child's RLIMIT_AS
             headroom).  Validated before any child is forked.
-        delay: Seconds after race start before this child launches
-            (subject to early promotion when a lane frees up).
         budget: Hard per-child wall budget in seconds from *launch*
             (SIGKILL on overrun), or ``None`` to derive it from the
             configuration's cooperative timeout plus a grace period.
@@ -81,7 +78,6 @@ class RaceEntry:
 
     name: str
     configuration: Configuration
-    delay: float = 0.0
     budget: Optional[float] = None
     chaos: Optional[ChaosSpec] = None
 
@@ -90,8 +86,6 @@ class RaceEntry:
             self.configuration.validate()
         except ValueError as exc:
             raise InvalidInput(f"entry {self.name!r}: {exc}") from exc
-        if self.delay < 0:
-            raise InvalidInput(f"entry {self.name!r}: negative delay")
         if self.budget is not None and self.budget <= 0:
             raise InvalidInput(f"entry {self.name!r}: non-positive budget")
 
@@ -234,9 +228,9 @@ def race_checks(
 
     Args:
         circuit1, circuit2: The pair every child checks.
-        entries: Launch plan, in schedule order.  Entry ``delay`` values
-            stagger launches; a pending entry is promoted early whenever
-            a running child completes without deciding the race.
+        entries: The lanes in the order they start: the first
+            :data:`STARTING_LANES` at once, each further one when a lane
+            ends without a sound verdict.
         shared_budget: Wall-clock seconds for the whole race, measured
             from the first launch; on expiry every running child is
             SIGKILLed (``deadline`` kill code) and pending entries are
@@ -271,35 +265,36 @@ def race_checks(
         for entry in entries
     ]
     pending: List[_Lane] = list(lanes)
-    launch_at: Dict[str, float] = {
-        lane.entry.name: start + lane.entry.delay for lane in lanes
-    }
     running: List[_Lane] = []
     deadline_expired = False
 
-    def launch(lane: _Lane, now: float) -> None:
-        entry = lane.entry
-        try:
-            lane.child = Child.spawn(
-                ctx,
-                check_main,
-                (circuit1, circuit2, entry.configuration, entry.chaos),
+    def start_next(now: float) -> None:
+        """Start the next pending lane.  A lane that cannot fork fails,
+        and the one after it starts in its place."""
+        while pending:
+            lane = pending.pop(0)
+            entry = lane.entry
+            try:
+                lane.child = Child.spawn(
+                    ctx,
+                    check_main,
+                    (circuit1, circuit2, entry.configuration, entry.chaos),
+                )
+            except CheckWorkerLost as error:
+                lane.outcome.status = "failed"
+                lane.outcome.error = error.to_dict()
+                continue
+            budget = (
+                entry.budget
+                if entry.budget is not None
+                else hard_budget(entry.configuration.timeout)
             )
-        except CheckWorkerLost as error:
-            # The lane fails; the race goes on with the others.
-            lane.outcome.status = "failed"
-            lane.outcome.error = error.to_dict()
+            lane.hard_deadline = None if budget is None else now + budget
+            lane.outcome.status = "running"
+            lane.outcome.pid = lane.child.pid
+            lane.outcome.launched_after = now - start
+            running.append(lane)
             return
-        budget = (
-            entry.budget
-            if entry.budget is not None
-            else hard_budget(entry.configuration.timeout)
-        )
-        lane.hard_deadline = None if budget is None else now + budget
-        lane.outcome.status = "running"
-        lane.outcome.pid = lane.child.pid
-        lane.outcome.launched_after = now - start
-        running.append(lane)
 
     def record_exit(lane: _Lane, now: float) -> None:
         """Record one lane's exit once its child is reaped."""
@@ -353,42 +348,29 @@ def race_checks(
 
     winner: Optional[str] = None
     try:
-        while running or pending:
-            now = time.monotonic()
-            # Launch every pending lane whose time has come.
-            due = [
-                lane for lane in pending if launch_at[lane.entry.name] <= now
-            ]
-            for lane in due:
-                pending.remove(lane)
-                launch(lane, now)
-            if not running and not pending:
-                break  # every remaining fork failed
-            # Sleep until something reports, a budget expires, or the
-            # next pending launch is due — whichever comes first.
-            horizons = [now + _MAX_POLL_SECONDS]
-            if race_deadline is not None:
-                horizons.append(race_deadline)
-            horizons.extend(
+        for _ in range(STARTING_LANES):
+            start_next(start)
+        while running:
+            # Sleep until something reports or a budget expires.
+            horizons = [
                 lane.hard_deadline
                 for lane in running
                 if lane.hard_deadline is not None
-            )
-            if pending:
-                horizons.append(
-                    min(launch_at[lane.entry.name] for lane in pending)
-                )
-            timeout = max(0.0, min(horizons) - now)
+            ]
+            if race_deadline is not None:
+                horizons.append(race_deadline)
+            now = time.monotonic()
             ready = connection_wait(
-                [lane.child.conn for lane in running], timeout=timeout
+                [lane.child.conn for lane in running],
+                timeout=max(0.0, min(horizons) - now) if horizons else None,
             )
             now = time.monotonic()
-            finished_without_decision = 0
+            ended_undecided = 0
             for conn in ready:
                 lane = next(l for l in running if l.child.conn is conn)
                 settle(lane, now)
                 if not _is_sound(lane.outcome.result):
-                    finished_without_decision += 1
+                    ended_undecided += 1
                 elif winner is None:
                     winner = lane.entry.name
             # Contradictory sound verdicts among everything received so
@@ -406,26 +388,17 @@ def race_checks(
                     and now >= lane.hard_deadline
                 ):
                     kill(lane, KILL_BUDGET, now)
-                    finished_without_decision += 1
+                    ended_undecided += 1
             # Shared race deadline.
             if race_deadline is not None and now >= race_deadline:
                 deadline_expired = True
                 for lane in list(running):
                     kill(lane, KILL_DEADLINE, now)
                 break
-            # Early promotion: freed lanes pull the next pending launch
-            # forward so a head start never idles the machine.
-            for _ in range(finished_without_decision):
-                waiting = [
-                    lane for lane in pending
-                    if launch_at[lane.entry.name] > now
-                ]
-                if not waiting:
-                    break
-                promoted = min(
-                    waiting, key=lambda lane: launch_at[lane.entry.name]
-                )
-                launch_at[promoted.entry.name] = now
+            # Each lane that ended without a sound verdict hands its
+            # place to the next pending one.
+            for _ in range(ended_undecided):
+                start_next(now)
     finally:
         # Belt and braces: no child may outlive the race, whatever path
         # exited the loop (including a PortfolioDisagreement raise).

@@ -221,8 +221,19 @@ class PoolConfig:
     def validate(self) -> None:
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ValueError("workers must be a positive integer")
+        if self.memory_mb is not None and self.memory_mb < 1:
+            raise ValueError(
+                f"memory_mb must be at least 1, got {self.memory_mb!r}"
+            )
         if self.max_jobs_per_worker < 1:
             raise ValueError("max_jobs_per_worker must be at least 1")
+        if self.max_worker_rss_mb is not None and not (
+            self.max_worker_rss_mb > 0
+        ):
+            raise ValueError(
+                "max_worker_rss_mb must be positive, got "
+                f"{self.max_worker_rss_mb!r}"
+            )
         if self.queue_depth < 1:
             raise ValueError("queue_depth must be at least 1")
         if isinstance(self.grace, bool) or not isinstance(self.grace, (int, float)):

@@ -91,10 +91,14 @@ class SoakSettings:
     def validate(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be positive")
         if not 0.0 <= self.fault_rate <= 1.0:
             raise ValueError("fault_rate must be within [0, 1]")
         if self.poison_pairs < 0:
             raise ValueError("poison_pairs must be non-negative")
+        if not self.check_timeout > 0:
+            raise ValueError("check_timeout must be positive")
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """The one plan and the concurrent strategy portfolio
-(:mod:`repro.ec.portfolio`): the planner's stage order, offsets and
-launch order, both executors reading one plan, deterministic winner
+(:mod:`repro.ec.portfolio`): the plan as a function of the Clifford
+proof, both executors reading one plan, deterministic winner
 attribution, fallback selection, and the manager-level guarantees
 around racing."""
 
@@ -16,10 +16,10 @@ from repro.compile import (
 )
 from repro.ec import Configuration, EquivalenceCheckingManager, logical_pair
 from repro.ec.portfolio import (
-    DEFAULT_PLAN,
-    PORTFOLIO_HEAD_START,
+    STAGES,
     _select_fallback,
     loser_kill_codes,
+    plan,
     portfolio_winner,
 )
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
@@ -52,24 +52,31 @@ def _portfolio_config(**overrides):
 
 
 class TestWinnerAttribution:
-    def test_zx_wins_the_compiled_ghz_cell(self):
+    def test_the_race_answers_the_compiled_ghz_cell_as_the_schedule_does(
+        self,
+    ):
         """Deterministic-seed winner attribution on a fixed Table-1 pair.
 
-        On the compiled GHZ-16 cell the pre-pass plan launches ZX at t=0
-        and it proves equivalence up to global phase roughly an order of
-        magnitude before any DD lane — the attribution is stable across
-        runs (same seed, same plan, same margin).  Without the pre-pass
-        the default plan races the alternating proof at t=0 instead."""
+        Compilation leaves compiled GHZ-16 outside the Clifford
+        fragment, so the race starts ``simulation`` and ``alternating``;
+        the alternating proof decides before the stimuli finish, and the
+        race answers ``equivalent``, exactly as the sequential schedule
+        does, rather than ZX's up-to-global-phase proof."""
         original = ghz_state(16)
         compiled = compile_circuit(original, manhattan_architecture())
-        manager = EquivalenceCheckingManager(
+        raced = EquivalenceCheckingManager(
             original, compiled, _portfolio_config(static_analysis=True)
-        )
-        result = manager.run()
-        assert result.strategy == "portfolio"
-        assert result.equivalence in POSITIVE
-        assert portfolio_winner(result) == "zx"
-        block = result.statistics["portfolio"]
+        ).run()
+        sequential = EquivalenceCheckingManager(
+            original,
+            compiled,
+            Configuration(strategy="combined", timeout=30.0, seed=0),
+        ).run()
+        assert sequential.equivalence is Equivalence.EQUIVALENT
+        assert raced.strategy == "portfolio"
+        assert raced.equivalence is Equivalence.EQUIVALENT
+        assert portfolio_winner(raced) == "alternating"
+        block = raced.statistics["portfolio"]
         assert block["sound"] is True
         assert block["all_reaped"] is True
         assert block["perf"]["counters"]["portfolio.sound_wins"] == 1
@@ -77,8 +84,8 @@ class TestWinnerAttribution:
         # completed/was never launched — nothing is unaccounted for.
         accounted = {"completed", "failed", "killed", "skipped"}
         assert {c["status"] for c in block["children"]} <= accounted
-        for name, code in loser_kill_codes(result).items():
-            assert name != "zx"
+        for name, code in loser_kill_codes(raced).items():
+            assert name != "alternating"
             assert code in ("loser", "budget", "deadline")
 
     def test_statistics_block_reports_the_plan(self, tiny_pair):
@@ -87,104 +94,47 @@ class TestWinnerAttribution:
         )
         result = manager.run()
         block = result.statistics["portfolio"]
-        planned = [slot["strategy"] for slot in block["plan"]]
-        assert block["preferred_checker"] in planned
-        assert "simulation" in planned
-        assert block["winner"] in planned
-        assert any("portfolio" in line for line in block["rationale"])
+        assert block["plan"] == list(plan(clifford=False))
+        assert block["winner"] in block["plan"]
+        assert [child["name"] for child in block["children"]] == block["plan"]
 
 
-def _plan_for(circuit1, circuit2):
-    return analyze_pair(logical_pair(circuit1, circuit2)).plan
+def _lanes_for(circuit1, circuit2):
+    report = analyze_pair(logical_pair(circuit1, circuit2))
+    return plan(report.clifford)
 
 
-#: One pair per preference of the planner, with the stage order, offsets
-#: and launch order it plans.  H is the 0.25 s head start.
-H = 0.25
-PLANNED = {
-    "clifford": (
-        ghz_state(6),
-        "stabilizer",
-        [("stabilizer", 0.0), ("simulation", 0.0), ("alternating", H),
-         ("zx", H), ("construction", H)],
-        # Behind the head start zx and alternating launch in stage order;
-        # the cost model's zx_score < dd_score used to put zx first.
-        ["stabilizer", "simulation", "alternating", "zx", "construction"],
-    ),
-    "clifford_t_zx_favoured": (
-        ghz_state(6).t(5),
-        "zx",
-        [("simulation", 0.0), ("alternating", H), ("zx", 0.0),
-         ("construction", H)],
-        ["zx", "simulation", "alternating", "construction"],
-    ),
-    "rotation_heavy": (
-        qft(4),
-        "alternating",
-        [("simulation", 0.0), ("alternating", 0.0), ("zx", H),
-         ("construction", H)],
-        ["alternating", "simulation", "zx", "construction"],
-    ),
-    "dd_favoured": (
-        QuantumCircuit(3).h(0).cx(0, 1).t(1).cx(1, 2).tdg(2),
-        "alternating",
-        [("simulation", 0.0), ("alternating", 0.0), ("zx", H),
-         ("construction", H)],
-        ["alternating", "simulation", "zx", "construction"],
-    ),
+#: Pairs of every fragment the gateset pass tells apart; only the
+#: Clifford one gets the stabilizer lane.
+FRAGMENTS = {
+    "clifford": (ghz_state(6), True),
+    "clifford_t": (QuantumCircuit(3).h(0).cx(0, 1).t(1).cx(1, 2).tdg(2), False),
+    "rotation_heavy": (qft(4), False),
+    "mixed": (QuantumCircuit(3).h(0).cx(0, 1).cx(1, 2).h(2).s(1).rz(0.3, 2), False),
 }
 
 
-class TestPlanSeeding:
-    @pytest.mark.parametrize("case", sorted(PLANNED))
-    def test_stage_order_offsets_and_launch_order(self, case):
-        circuit, preferred, lanes, launch = PLANNED[case]
-        plan = _plan_for(circuit, circuit)
-        assert plan.preferred_checker == preferred
-        assert list(plan.lanes) == lanes
-        assert [strategy for strategy, _ in plan.launch_order()] == launch
-        assert any(
-            "portfolio" in line and "0.25s head start" in line
-            for line in plan.rationale
+class TestThePlan:
+    def test_stage_order(self):
+        assert STAGES == (
+            "stabilizer", "simulation", "alternating", "zx", "construction",
         )
+        assert plan(clifford=True) == STAGES
+        assert plan(clifford=False) == STAGES[1:]
 
-    def test_stabilizer_joins_only_clifford_pairs(self):
-        clifford = ghz_state(6)
-        strategies = [s for s, _ in _plan_for(clifford, clifford).lanes]
-        assert "stabilizer" in strategies
+    @pytest.mark.parametrize("case", sorted(FRAGMENTS))
+    def test_stabilizer_joins_only_clifford_pairs(self, case):
+        circuit, clifford = FRAGMENTS[case]
+        report = analyze_pair(logical_pair(circuit, circuit))
+        assert report.to_dict()["fragments"] == [case, case]
+        assert report.clifford is clifford
+        assert _lanes_for(circuit, circuit) == plan(clifford)
 
-        non_clifford = qft(4)
-        plan = _plan_for(non_clifford, non_clifford)
-        assert "stabilizer" not in [s for s, _ in plan.lanes]
-
-    def test_two_zero_delay_lanes_then_head_start(self, tiny_pair):
-        plan = _plan_for(*tiny_pair)
-        offsets = [offset for _, offset in plan.launch_order()]
-        assert PORTFOLIO_HEAD_START == 0.25
-        assert offsets[:2] == [0.0, 0.0]
-        assert len(offsets) > 2
-        assert all(offset == PORTFOLIO_HEAD_START for offset in offsets[2:])
-        assert any("0.25s head start" in line for line in plan.rationale)
-        # The preferred checker races from t=0 alongside the simulation
-        # falsifier.
-        front = {strategy for strategy, _ in plan.launch_order()[:2]}
-        assert front == {plan.preferred_checker, "simulation"}
-
-    def test_seeder_never_drops_a_strategy(self, tiny_pair):
-        strategies = [s for s, _ in _plan_for(*tiny_pair).lanes]
+    def test_the_plan_never_drops_a_strategy(self, tiny_pair):
+        strategies = _lanes_for(*tiny_pair)
         assert sorted(strategies) == sorted(set(strategies))
         for required in ("alternating", "construction", "simulation", "zx"):
             assert required in strategies
-
-    def test_default_plan_is_the_dd_favoured_layout(self):
-        circuit, _, lanes, launch = PLANNED["dd_favoured"]
-        assert list(DEFAULT_PLAN.lanes) == lanes
-        assert [s for s, _ in DEFAULT_PLAN.launch_order()] == launch
-        assert DEFAULT_PLAN.preferred_checker == "alternating"
-        assert any(
-            "portfolio" in line and "0.25s head start" in line
-            for line in DEFAULT_PLAN.rationale
-        )
 
 
 class TestOnePlanTwoExecutors:
@@ -196,44 +146,116 @@ class TestOnePlanTwoExecutors:
             circuit1, circuit2, Configuration(**options)
         ).run()
 
-    @staticmethod
-    def _raced_lanes(result):
-        return [
-            (lane["strategy"], lane["offset"])
-            for lane in result.statistics["portfolio"]["plan"]
-        ]
-
     def test_the_race_runs_the_reports_plan(self, tiny_pair):
-        plan = _plan_for(*tiny_pair)
+        lanes = list(_lanes_for(*tiny_pair))
         raced = self._run(*tiny_pair, portfolio=True)
-        assert self._raced_lanes(raced) == plan.launch_order()
-        assert raced.statistics["portfolio"]["preferred_checker"] == (
-            plan.preferred_checker
-        )
+        assert raced.statistics["portfolio"]["plan"] == lanes
+        assert raced.statistics["analysis"]["lanes"] == lanes
         sequential = self._run(*tiny_pair)
-        assert sequential.statistics["analysis"]["lanes"] == [
-            {"strategy": s, "offset": o} for s, o in plan.lanes
-        ]
-        stages = [s for s, _ in plan.lanes]
+        assert sequential.statistics["analysis"]["lanes"] == lanes
         ran = sequential.statistics["combined_schedule"]
-        assert ran == stages[:len(ran)]
+        assert ran == lanes[:len(ran)]
 
-    def test_without_the_prepass_both_run_the_default_plan(self):
+    def test_without_the_prepass_the_plan_has_no_stabilizer(self):
         # GHZ-6 is Clifford: with the pre-pass the plan would start with
-        # the stabilizer.  Without it both executors run the default.
+        # the stabilizer.  Without it neither executor runs that lane.
         circuit = ghz_state(6)
         raced = self._run(
             circuit, circuit, portfolio=True, static_analysis=False
         )
-        assert self._raced_lanes(raced) == DEFAULT_PLAN.launch_order()
-        assert raced.statistics["portfolio"]["rationale"] == list(
-            DEFAULT_PLAN.rationale
+        assert raced.statistics["portfolio"]["plan"] == list(
+            plan(clifford=False)
         )
         sequential = self._run(circuit, circuit, static_analysis=False)
         assert sequential.statistics["combined_schedule"] == [
             "simulation", "alternating",
         ]
         assert "analysis" not in sequential.statistics
+
+
+#: Seeded fuzz pairs of the two families with a Clifford fragment, at
+#: widths dense truth covers (the sampled sizes stay within 5 qubits).
+_FUZZ_PAIRS = [
+    (family, seed) for family in ("clifford", "clifford_t") for seed in range(12)
+]
+
+
+def _polarity(verdict):
+    if verdict in ("equivalent", "equivalent_up_to_global_phase"):
+        return "equivalent"
+    if verdict == "not_equivalent":
+        return "not_equivalent"
+    return None
+
+
+class TestThePlanUsersGet:
+    """The default configuration, pre-pass included, on fuzz pairs:
+    both executors run the report's plan, raced Clifford pairs start
+    the stabilizer lane, and every decisive verdict has dense truth's
+    polarity."""
+
+    @pytest.fixture(scope="class")
+    def checks(self):
+        from repro.fuzz.generator import generate_instance
+        from repro.fuzz.oracle import DifferentialOracle
+
+        oracle = DifferentialOracle()
+        checks = []
+        for family, seed in _FUZZ_PAIRS:
+            _, pair = generate_instance(seed, family)
+            truth = oracle._dense_truth(pair)
+            assert truth is not None, (family, seed, pair.num_qubits)
+            results = {
+                portfolio: EquivalenceCheckingManager(
+                    pair.circuit1,
+                    pair.circuit2,
+                    Configuration(timeout=30.0, seed=0, portfolio=portfolio),
+                ).run()
+                for portfolio in (False, True)
+            }
+            checks.append((family, seed, truth, results))
+        return checks
+
+    def test_decisive_verdicts_have_dense_truths_polarity(self, checks):
+        decisive = 0
+        for family, seed, truth, results in checks:
+            for portfolio, result in results.items():
+                polarity = _polarity(result.equivalence.value)
+                if polarity is not None:
+                    decisive += 1
+                    assert polarity == _polarity(truth), (
+                        family, seed, portfolio, result.equivalence, truth
+                    )
+        assert decisive >= len(checks)
+
+    def test_both_executors_run_the_reports_plan(self, checks):
+        raced_clifford = 0
+        for family, seed, _, results in checks:
+            sequential, raced = results[False], results[True]
+            lanes = sequential.statistics["analysis"]["lanes"]
+            assert raced.statistics["analysis"]["lanes"] == lanes
+            if "combined_schedule" in sequential.statistics:
+                ran = sequential.statistics["combined_schedule"]
+                assert ran == lanes[:len(ran)]
+            if "portfolio" not in raced.statistics:
+                # The pre-pass short-circuited a sound NEQ witness.
+                assert raced.statistics["analysis"]["verdict"] == (
+                    "not_equivalent"
+                )
+                continue
+            block = raced.statistics["portfolio"]
+            assert block["plan"] == lanes, (family, seed)
+            if raced.statistics["analysis"]["fragments"] == [
+                "clifford", "clifford",
+            ]:
+                raced_clifford += 1
+                assert lanes[0] == "stabilizer"
+                first = block["children"][0]
+                assert first["name"] == "stabilizer"
+                assert first["launched_after"] == 0.0
+            else:
+                assert "stabilizer" not in lanes
+        assert raced_clifford >= 6
 
 
 class TestFallbackSelection:

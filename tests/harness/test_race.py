@@ -1,5 +1,6 @@
 """Multi-child racing (:mod:`repro.harness.race`): winner selection,
-loser kills, chaos containment, budgets, and zombie-free bookkeeping."""
+loser kills, lane scheduling, chaos containment, budgets, and
+zombie-free bookkeeping."""
 
 import multiprocessing
 import os
@@ -10,12 +11,14 @@ from repro.bench.algorithms import ghz_state
 from repro.compile import compile_circuit, line_architecture
 from repro.ec import Configuration
 from repro.ec.results import Equivalence, EquivalenceCheckingResult
-from repro.errors import InvalidInput, PortfolioDisagreement
+from repro.errors import CheckWorkerLost, InvalidInput, PortfolioDisagreement
 from repro.harness.chaos import ChaosSpec
+from repro.harness.child import Child
 from repro.harness.race import (
     KILL_BUDGET,
     KILL_DEADLINE,
     KILL_LOSER,
+    STARTING_LANES,
     ChildOutcome,
     RaceEntry,
     check_sound_consistency,
@@ -89,16 +92,103 @@ class TestBasicRace:
         )
         assert_no_zombies()
 
-    def test_pending_lane_skipped_when_race_decided_first(self, tiny_pair):
+
+def _hung(name="hung", budget=120.0):
+    """A lane that never reports: killed as a loser, or at ``budget``."""
+    return RaceEntry(
+        name=name,
+        configuration=_config("construction"),
+        budget=budget,
+        chaos=ChaosSpec(mode="hang"),
+    )
+
+
+@pytest.mark.chaos
+class TestLaneScheduling:
+    def test_two_lanes_start_and_the_third_waits(self, tiny_pair):
+        """The first two lanes decide the race; the third never starts."""
+        assert STARTING_LANES == 2
         outcome = race_checks(
             *tiny_pair,
-            [_entry("alternating"), _entry("construction", delay=120.0)],
+            [_entry("alternating"), _hung(), _entry("construction")],
         )
         assert outcome.winner == "alternating"
+        assert outcome.outcome("alternating").launched_after == 0.0
+        assert outcome.outcome("hung").kill_code == KILL_LOSER
         late = outcome.outcome("construction")
         assert late.status == "skipped"
         assert late.pid is None
         assert late.kill_code is None
+        assert_no_zombies()
+
+    @pytest.mark.parametrize(
+        "first, status",
+        [
+            # Random stimuli end undecided: PROBABLY_EQUIVALENT.
+            (_entry("simulation"), "completed"),
+            (
+                RaceEntry(
+                    name="crashing",
+                    configuration=_config("alternating"),
+                    chaos=ChaosSpec(mode="crash"),
+                ),
+                "failed",
+            ),
+            (_hung("over_budget", budget=0.3), "killed"),
+        ],
+        ids=["undecided", "failed", "budget"],
+    )
+    def test_a_third_lane_starts_when_a_lane_ends_undecided(
+        self, tiny_pair, first, status
+    ):
+        """Whatever way the first lane ends without a proof, the third
+        starts at that moment, decides, and the hung second lane loses."""
+        outcome = race_checks(
+            *tiny_pair, [first, _hung(), _entry("alternating")]
+        )
+        ended = outcome.outcome(first.name)
+        assert ended.status == status
+        assert ended.result is None or not ended.result.proven
+        third = outcome.outcome("alternating")
+        assert third.launched_after == pytest.approx(
+            ended.launched_after + ended.wall_seconds
+        )
+        assert outcome.winner == "alternating"
+        assert outcome.outcome("hung").kill_code == KILL_LOSER
+        assert_no_zombies()
+
+    def test_a_lane_that_cannot_fork_starts_the_next(
+        self, tiny_pair, monkeypatch
+    ):
+        spawn = Child.spawn
+        calls = []
+
+        def first_fork_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise CheckWorkerLost("fork failed: injected", errno=11)
+            return spawn(*args, **kwargs)
+
+        monkeypatch.setattr(Child, "spawn", first_fork_fails)
+        outcome = race_checks(
+            *tiny_pair,
+            [
+                _entry("lost", "alternating"),
+                _hung(),
+                _entry("alternating"),
+                _entry("construction"),
+            ],
+        )
+        lost = outcome.outcome("lost")
+        assert lost.status == "failed"
+        assert lost.error["kind"] == "worker_lost"
+        assert lost.pid is None
+        # The third lane starts at once in the lost lane's place; the
+        # fourth waits for a lane to end and never starts.
+        assert outcome.outcome("alternating").launched_after == 0.0
+        assert outcome.winner == "alternating"
+        assert outcome.outcome("hung").kill_code == KILL_LOSER
+        assert outcome.outcome("construction").status == "skipped"
         assert_no_zombies()
 
 
@@ -226,10 +316,6 @@ class TestValidation:
             race_checks(
                 *tiny_pair, [_entry("alternating"), _entry("alternating")]
             )
-
-    def test_negative_delay(self, tiny_pair):
-        with pytest.raises(InvalidInput):
-            race_checks(*tiny_pair, [_entry("alternating", delay=-1.0)])
 
     def test_non_positive_budget(self, tiny_pair):
         with pytest.raises(InvalidInput):

@@ -194,7 +194,7 @@ def test_isolation_overhead_smoke():
 def test_portfolio_overhead_smoke():
     """Racing a trivial pair must stay within a fixed multiple of the
     sequential combined schedule: the portfolio's value is on expensive
-    cells, but its fork/stagger overhead on cheap ones has to stay
+    cells, but its fork overhead on cheap ones has to stay
     bounded or `--portfolio` would tax every small instance."""
     from repro.ec.portfolio import portfolio_winner
 

@@ -93,6 +93,64 @@ class TestVerifyUsageErrors:
         assert lines[0].startswith("repro verify: error: ")
 
 
+class TestRunCommandUsageErrors:
+    """``bench``, ``fuzz``, ``serve`` and ``soak`` check their option
+    values before any work starts: one error line, exit 2 (for
+    ``bench``, exit 1 would mean a wrong verdict)."""
+
+    @pytest.fixture(autouse=True)
+    def no_work_starts(self, monkeypatch, tmp_path):
+        """Fail the test if a bad value reaches a table, a campaign, a
+        pool or a server; none of them is started."""
+        import repro.bench.study
+        import repro.fuzz
+        import repro.service
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("work started with a bad option value")
+
+        monkeypatch.setattr(repro.bench.study, "run", refuse)
+        monkeypatch.setattr(repro.fuzz, "run_fuzz", refuse)
+        monkeypatch.setattr(repro.service, "WorkerPool", refuse)
+        monkeypatch.setattr(repro.service, "ServiceServer", refuse)
+        monkeypatch.setattr(repro.service, "run_soak", refuse)
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bench", "--use-case", "compiled", "--timeout", "0"],
+             "timeout must be positive"),
+            (["bench", "--use-case", "compiled", "--retries", "-1"],
+             "max_retries must be at least 0"),
+            (["fuzz", "--budget", "0"], "budget must be at least 1"),
+            (["fuzz", "--timeout", "0"], "check_timeout must be positive"),
+            (["fuzz", "--max-seconds", "0"], "max_seconds must be positive"),
+            (["fuzz", "--qubits", "0"], "num_qubits must be at least 1"),
+            (["serve", "--workers", "0"], "workers must be a positive"),
+            (["serve", "--queue-depth", "0"], "queue_depth must be at least 1"),
+            (["serve", "--memory-limit", "0"], "memory_mb must be at least 1"),
+            (["serve", "--max-worker-rss", "0"],
+             "max_worker_rss_mb must be positive"),
+            (["soak", "--jobs", "0"], "jobs must be positive"),
+            (["soak", "--fault-rate", "2"], "fault_rate must be within [0, 1]"),
+        ],
+        ids=[
+            "bench-timeout", "bench-retries", "fuzz-budget", "fuzz-timeout",
+            "fuzz-max-seconds", "fuzz-qubits", "serve-workers",
+            "serve-queue-depth", "serve-memory-limit", "serve-max-worker-rss",
+            "soak-jobs", "soak-fault-rate",
+        ],
+    )
+    def test_one_error_line_and_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: error: {message}")
+
+
 @pytest.fixture
 def analyze_files(tmp_path):
     """A pair, and the pair with an extra X on its idle wire 2."""
@@ -113,9 +171,21 @@ class TestAnalyzeCommand:
         assert main(["analyze", base, extra_x]) == 1
         assert "not_equivalent" in capsys.readouterr().out
 
-    def test_undecided_pair_exits_0(self, qasm_files):
-        original, _ = qasm_files
+    def test_undecided_pair_exits_0(self, qasm_files, capsys):
+        original, qft_file = qasm_files
         assert main(["analyze", str(original), str(original)]) == 0
+        out = capsys.readouterr().out
+        # GHZ is Clifford: the plan puts the stabilizer lane first.
+        assert (
+            "plan:      stabilizer, simulation, alternating, zx, construction"
+            in out.splitlines()
+        )
+        assert "score" not in out
+        assert main(["analyze", str(qft_file), str(qft_file)]) == 0
+        assert (
+            "plan:      simulation, alternating, zx, construction"
+            in capsys.readouterr().out.splitlines()
+        )
 
     def test_json_payload(self, analyze_files, capsys):
         base, extra_x = analyze_files
@@ -124,7 +194,8 @@ class TestAnalyzeCommand:
         assert payload["verdict"] == "not_equivalent"
         assert payload["witness"]["pass"] == "support"
         assert "support" in payload["passes_run"]
-        assert {"profiles", "estimate", "plan"} <= set(payload)
+        assert {"profiles", "lanes"} <= set(payload)
+        assert "estimate" not in payload
 
     def test_timeout_exits_2(self, analyze_files, capsys):
         base, extra_x = analyze_files
